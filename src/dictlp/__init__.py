@@ -4,7 +4,6 @@ Everything computes over arbitrary-precision rationals; there is no floating
 point anywhere, so every comparison and every certificate is exact.
 """
 
-from dictlp._kernels import BACKEND
 from dictlp.exact import QMatrix, QVector, rational, rank, rref, rowspace_contains, rowspace_equal, solve_linear
 from dictlp.model import (
     AugmentedLP,
@@ -56,6 +55,9 @@ from dictlp.duality import (
 )
 
 __version__ = "0.1.0"
+
+# The kernel implementation in use: always the pure-Python ``dictlp._kernels``.
+BACKEND = "python"
 
 __all__ = [
     "BACKEND",

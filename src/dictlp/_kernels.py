@@ -1,28 +1,94 @@
-"""Kernel backend selection.
+"""Elimination kernels over ``fractions.Fraction`` entries.
 
-Prefers the compiled Cython kernels when the extension was built; falls back
-to the pure-Python reference implementation otherwise. Set the environment
-variable ``DICTLP_PURE_PYTHON=1`` to force the fallback (useful for
-benchmarking and for debugging kernel parity).
+The hot loops of the package: row reduction (``rref``, behind
+``dictionary_from_basis`` and every rank test) and the dictionary pivot
+(``pivot_update``). Inputs are plain lists (of lists) of ``Fraction`` and are
+never mutated.
 """
 
 from __future__ import annotations
 
-import os
+from fractions import Fraction
 
-if os.environ.get("DICTLP_PURE_PYTHON"):
-    from dictlp import _pykernels as _impl
 
-    BACKEND = "python"
-else:
-    try:
-        from dictlp import _ckernels as _impl  # type: ignore[no-redef]
+def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], int, list[int]]:
+    """Reduced row echelon form of a dense rational matrix.
 
-        BACKEND = "cython"
-    except ImportError:
-        from dictlp import _pykernels as _impl  # type: ignore[no-redef]
+    Returns ``(reduced_rows, rank, pivot_columns)``. The pivot in each column
+    is the first row with a nonzero entry; exact arithmetic needs no
+    magnitude-based pivoting.
+    """
+    m = [list(row) for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        lead = m[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = m[i][c]
+            if f != 0:
+                m[i] = [a - f * b for a, b in zip(m[i], lead)]
+        pivot_cols.append(c)
+        r += 1
+    return m, r, pivot_cols
 
-        BACKEND = "python"
 
-rref = _impl.rref
-pivot_update = _impl.pivot_update
+def pivot_update(
+    p: list[Fraction],
+    Q: list[list[Fraction]],
+    q: list[Fraction],
+    z: Fraction,
+    r: int,
+    s: int,
+) -> tuple[list[Fraction], list[list[Fraction]], list[Fraction], Fraction]:
+    """One dictionary pivot by row substitution.
+
+    Solves row ``r`` of ``x_B = p - Q x_N`` for the entering variable at
+    nonbasic position ``s`` and substitutes into every other row and the
+    objective. Position ``s`` of the new nonbasis holds the leaving variable.
+    Requires ``Q[r][s] != 0``.
+    """
+    n = len(q)
+    inv = 1 / Q[r][s]
+    lead = [x * inv for x in Q[r]]
+    lead[s] = inv
+    p_r = p[r] * inv
+
+    new_p: list[Fraction] = []
+    new_Q: list[list[Fraction]] = []
+    for i, row in enumerate(Q):
+        if i == r:
+            new_p.append(p_r)
+            new_Q.append(lead)
+            continue
+        f = row[s]
+        if f == 0:
+            new_p.append(p[i])
+            new_Q.append(list(row))
+            continue
+        new_row = [row[j] - f * lead[j] for j in range(n)]
+        new_row[s] = -f * inv
+        new_p.append(p[i] - f * p_r)
+        new_Q.append(new_row)
+
+    g = q[s]
+    if g == 0:
+        new_q = list(q)
+        new_z = z
+    else:
+        new_q = [q[j] - g * lead[j] for j in range(n)]
+        new_q[s] = -g * inv
+        new_z = z + g * p_r
+    return new_p, new_Q, new_q, new_z

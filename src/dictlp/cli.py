@@ -288,6 +288,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact I/O: rationals of any length
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

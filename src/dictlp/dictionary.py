@@ -22,7 +22,7 @@ from typing import Literal
 
 from dictlp import _kernels
 from dictlp.exact import QMatrix, QVector
-from dictlp.model import AugmentedLP, StandardLP, augment
+from dictlp.model import AugmentedLP, StandardLP
 
 Side = Literal["primal", "dual"]
 
@@ -199,8 +199,3 @@ def canonical(d: Dictionary) -> Dictionary:
         Q=QMatrix([[d.Q.entry(i, j) for j in col_order] for i in row_order]),
         q=QVector(d.q[j] for j in col_order),
     )
-
-
-def dictionary_for_lp(lp: StandardLP, basis: tuple[int, ...] | list[int]) -> Dictionary:
-    """Convenience: augment and build from a basis in one step."""
-    return dictionary_from_basis(augment(lp), basis)

@@ -22,6 +22,7 @@ from dictlp.dictionary import (
     basic_solution,
     canonical,
     dictionary_from_basis,
+    initial_dictionary,
     negative_transpose,
 )
 from dictlp.model import StandardLP, augment, dual_lp
@@ -62,18 +63,8 @@ class BijectionReport:
 
 
 def build_R(lp: StandardLP) -> RMatrix:
-    rows = []
-    for i in range(lp.m):
-        row = [Fraction(0)]
-        row.extend(lp.A0.entry(i, j) for j in range(lp.n))
-        row.extend(Fraction(1) if k == i else Fraction(0) for k in range(lp.m))
-        row.append(-lp.b[i])
-        rows.append(row)
-    last = [Fraction(1)]
-    last.extend(-x for x in lp.c)
-    last.extend([Fraction(0)] * (lp.m + 1))
-    rows.append(last)
-    return RMatrix(mat=QMatrix(rows), m=lp.m, n=lp.n)
+    """R is the combined-system matrix of the slack-basis dictionary."""
+    return RMatrix(dictionary_matrix(initial_dictionary(lp)), lp.m, lp.n)
 
 
 def in_kernel(r: RMatrix, xbar: QVector) -> bool:

@@ -51,11 +51,6 @@ def parse_rational(token: str) -> Fraction:
     return Fraction(int(num))
 
 
-def format_rational(value: Fraction) -> str:
-    """Canonical text form: ``-11/2``, ``3``, ``0``."""
-    return str(value)
-
-
 class QVector:
     """Immutable vector of rationals; length fixed at construction."""
 

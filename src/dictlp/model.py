@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from dictlp.exact import QMatrix, QVector, format_rational, parse_rational
+from dictlp.exact import QMatrix, QVector, parse_rational
 
 
 class ParseError(ValueError):
@@ -156,10 +156,10 @@ def serialize_lp(lp: StandardLP) -> str:
       line 3        : n rationals -- the objective c
       lines 4..3+m  : n+1 rationals -- row i of A0, then b_i
     """
-    out = ["lp v1", f"{lp.m} {lp.n}", " ".join(format_rational(x) for x in lp.c)]
+    out = ["lp v1", f"{lp.m} {lp.n}", " ".join(str(x) for x in lp.c)]
     for i in range(lp.m):
-        row = [format_rational(lp.A0.entry(i, j)) for j in range(lp.n)]
-        row.append(format_rational(lp.b[i]))
+        row = [str(lp.A0.entry(i, j)) for j in range(lp.n)]
+        row.append(str(lp.b[i]))
         out.append(" ".join(row))
     return "\n".join(out) + "\n"
 

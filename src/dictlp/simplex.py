@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from dictlp.exact import QMatrix, QVector, solve_linear
+from dictlp.exact import QVector
 from dictlp.dictionary import (
     Dictionary,
     dictionary_from_basis,
@@ -100,14 +100,13 @@ def choose_entering(d: Dictionary, rule: PivotRule) -> int | None:
     return min(v for v, coef in candidates if coef == best)
 
 
-def choose_leaving(d: Dictionary, s: int, rule: PivotRule) -> int | None:
+def choose_leaving(d: Dictionary, s: int) -> int | None:
     """Ratio-test leaving variable for entering position ``s`` (0-based in N).
 
     Minimizes p_r / Q[r][s] over rows with Q[r][s] > 0, ties to the smallest
     variable index; None signals an unbounded direction. Both rules share
     this test.
     """
-    del rule
     best: tuple[Fraction, int] | None = None
     for r, v in enumerate(d.basis):
         coef = d.Q.entry(r, s)
@@ -129,9 +128,8 @@ def _dual_choose_leaving(d: Dictionary, rule: PivotRule) -> int | None:
     return min(v for v, const in candidates if const == worst)
 
 
-def _dual_choose_entering(d: Dictionary, r: int, rule: PivotRule) -> int | None:
+def _dual_choose_entering(d: Dictionary, r: int) -> int | None:
     """Dual ratio test on row ``r``: minimize q_k / Q[r][k] over Q[r][k] < 0."""
-    del rule
     best: tuple[Fraction, int] | None = None
     for k, v in enumerate(d.nonbasis):
         coef = d.Q.entry(r, k)
@@ -157,7 +155,7 @@ def primal_simplex(
         enter = choose_entering(d, rule)
         if enter is None:
             return d, Terminal.OPTIMAL, steps
-        leave = choose_leaving(d, d.nonbasis.index(enter), rule)
+        leave = choose_leaving(d, d.nonbasis.index(enter))
         if leave is None:
             return d, Terminal.UNBOUNDED, steps
         d = pivot(d, enter, leave)
@@ -182,7 +180,7 @@ def dual_simplex(
         leave = _dual_choose_leaving(d, rule)
         if leave is None:
             return d, Terminal.OPTIMAL, steps
-        enter = _dual_choose_entering(d, d.basis.index(leave), rule)
+        enter = _dual_choose_entering(d, d.basis.index(leave))
         if enter is None:
             return d, Terminal.INFEASIBLE, steps
         d = pivot(d, enter, leave)
@@ -209,19 +207,20 @@ def _unbounded_ray(d: Dictionary, enter: int, n: int) -> QVector:
     return QVector(values)
 
 
-def _farkas_vector(d: Dictionary, aug_A: QMatrix, leave: int) -> QVector:
+def _farkas_vector(d: Dictionary, leave: int) -> QVector:
     """Infeasibility certificate from the signal row: row r of A_B^{-1}.
 
-    With p_r < 0 and Q[r][.] >= 0, that row u satisfies u >= 0, u.A0 >= 0 and
-    u.b = p_r < 0 exactly.
+    Q = A_B^{-1} A_N, so the column of Q under a nonbasic slack x(n+k) is
+    column k of A_B^{-1}; a basic slack x(n+k) in row i has the unit column
+    e_i there instead. With p_r < 0 and Q[r][.] >= 0, that row u satisfies
+    u >= 0, u.A0 >= 0 and u.b = p_r < 0 exactly.
     """
     r = d.basis.index(leave)
-    m = d.m
-    a_b = QMatrix.from_columns([aug_A.column(v - 1) for v in d.basis])
-    unit = QVector([Fraction(1) if i == r else Fraction(0) for i in range(m)])
-    u = solve_linear(a_b.transpose(), unit)
-    assert u is not None, "basis matrix became singular"
-    return u
+    position = {v: j for j, v in enumerate(d.nonbasis)}
+    return QVector(
+        d.Q.entry(r, position[v]) if v in position else Fraction(1 if v == leave else 0)
+        for v in range(d.n + 1, d.n + d.m + 1)
+    )
 
 
 def solve(
@@ -235,7 +234,6 @@ def solve(
     feasibility with dual simplex, rebuilds the true objective on the final
     basis, and finishes with primal simplex.
     """
-    aug = augment(lp)
     d0 = initial_dictionary(lp)
     n = lp.n
 
@@ -251,7 +249,7 @@ def solve(
             return Optimal(point=_decision_point(final, n), value=final.z_star), trace
         leave = _dual_choose_leaving(final, rule)
         assert leave is not None
-        return Infeasible(farkas=_farkas_vector(final, aug.A, leave)), trace
+        return Infeasible(farkas=_farkas_vector(final, leave)), trace
 
     phase1_start = Dictionary(
         side="primal",
@@ -268,9 +266,9 @@ def solve(
         leave = _dual_choose_leaving(final1, rule)
         assert leave is not None
         trace = SolveTrace(phases=(phase1,))
-        return Infeasible(farkas=_farkas_vector(final1, aug.A, leave)), trace
+        return Infeasible(farkas=_farkas_vector(final1, leave)), trace
 
-    phase2_start = dictionary_from_basis(aug, final1.basis)
+    phase2_start = dictionary_from_basis(augment(lp), final1.basis)
     final2, terminal2, steps2 = primal_simplex(phase2_start, rule)
     trace = SolveTrace(
         phases=(phase1, TracePhase("phase 2: primal simplex", phase2_start, tuple(steps2)))

@@ -1,5 +1,6 @@
 import io
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -284,6 +285,41 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert re.search(r"verified (\d+)/\1 bases", out)
+
+
+class TestHugeNumbers:
+    """Rationals longer than CPython's default int/str limit of 4,300 digits."""
+
+    BIG = "7" + "0123456789" * 500  # 5,001 digits
+
+    @pytest.fixture(autouse=True)
+    def default_digit_limit(self):
+        # main() lifts the limit for the whole process; start each test from
+        # the interpreter default so the lift is what the test observes.
+        if not hasattr(sys, "set_int_max_str_digits"):
+            yield
+            return
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def huge_file(self, tmp_path):
+        return write_lp(tmp_path, f"lp v1\n1 1\n1\n1 {self.BIG}\n")
+
+    def test_solve_prints_exact_optimum(self, tmp_path, capsys):
+        code = main(["solve", self.huge_file(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == f"outcome = optimal\nvalue = {self.BIG}\npoint = {self.BIG}\npivots = 1\n"
+
+    def test_verify_passes_every_basis(self, tmp_path, capsys):
+        code = main(["verify", self.huge_file(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == "basis 1: pass\nbasis 2: pass\nverified 2/2 bases\n"
 
 
 class TestRandomCommand:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictlp import _kernels, _pykernels
 from dictlp.exact import (
     QMatrix,
     QVector,
@@ -222,45 +221,13 @@ class TestRowspace:
         assert rowspace_equal(m1, m3)
 
 
-class TestKernelParity:
-    """The compiled kernels must agree with the pure-Python reference exactly."""
+def test_names_the_benchmark_reads():
+    # perfbench/worker.py records dictlp.BACKEND in every result and
+    # perfbench/tracing.py wraps rref and pivot_update through
+    # sys.modules["dictlp._kernels"]; without them every benchmark run fails.
+    import dictlp
+    from dictlp import _kernels
 
-    pytestmark = pytest.mark.skipif(
-        _kernels.BACKEND != "cython", reason="compiled backend not built"
-    )
-
-    @given(small_matrix())
-    @settings(max_examples=80)
-    def test_rref_matches(self, rows):
-        frac_rows = [[Fraction(x) for x in row] for row in rows]
-        got = _kernels.rref(frac_rows)
-        want = _pykernels.rref(frac_rows)
-        assert got == want
-
-    @given(
-        st.integers(1, 3).flatmap(
-            lambda m: st.integers(1, 3).flatmap(
-                lambda n: st.tuples(
-                    st.lists(rationals, min_size=m, max_size=m),
-                    st.lists(
-                        st.lists(rationals, min_size=n, max_size=n),
-                        min_size=m,
-                        max_size=m,
-                    ),
-                    st.lists(rationals, min_size=n, max_size=n),
-                    rationals,
-                    st.integers(0, m - 1),
-                    st.integers(0, n - 1),
-                )
-            )
-        )
-    )
-    @settings(max_examples=80)
-    def test_pivot_update_matches(self, data):
-        p, Q, q, z, r, s = data
-        if Q[r][s] == 0:
-            Q = [list(row) for row in Q]
-            Q[r][s] = Fraction(1, 3)
-        got = _kernels.pivot_update(list(p), [list(r_) for r_ in Q], list(q), z, r, s)
-        want = _pykernels.pivot_update(list(p), [list(r_) for r_ in Q], list(q), z, r, s)
-        assert got == want
+    assert dictlp.BACKEND == "python"
+    assert callable(_kernels.rref)
+    assert callable(_kernels.pivot_update)

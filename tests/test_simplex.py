@@ -60,15 +60,15 @@ class TestChooseLeaving:
     def test_single_eligible_row(self, e1_second):
         # entering x5: column (4, -1), only x4's row eligible, ratio 6/4
         s = e1_second.nonbasis.index(5)
-        assert choose_leaving(e1_second, s, PivotRule.BLAND) == 4
+        assert choose_leaving(e1_second, s) == 4
 
     def test_none_on_nonpositive_column(self):
         d = initial_dictionary(tiny([[-1]], [1], [1]))
-        assert choose_leaving(d, 0, PivotRule.BLAND) is None
+        assert choose_leaving(d, 0) is None
 
     def test_tie_to_smallest_variable_index(self):
         d = initial_dictionary(tiny([[1], [1]], [2, 2], [1]))
-        assert choose_leaving(d, 0, PivotRule.BLAND) == 2
+        assert choose_leaving(d, 0) == 2
 
 
 class TestPrimalSimplex:
