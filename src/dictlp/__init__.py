@@ -51,6 +51,8 @@ from dictlp.duality import (
     enumerate_bases,
     in_kernel,
     in_rowspace,
+    spans_rowspace_of,
+    verify_bases,
     verify_bijection,
 )
 
@@ -108,5 +110,7 @@ __all__ = [
     "serialize_lp",
     "solve",
     "solve_linear",
+    "spans_rowspace_of",
+    "verify_bases",
     "verify_bijection",
 ]

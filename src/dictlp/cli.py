@@ -27,10 +27,10 @@ from dictlp.dictionary import (
     negative_transpose,
     pivot,
 )
-from dictlp.duality import BasisCountError, enumerate_bases, verify_bijection
+from dictlp.duality import BasisCountError, enumerate_bases, verify_bases
 from dictlp.exact import QMatrix, QVector
 from dictlp.model import ParseError, StandardLP, augment, dual_lp, parse_lp, serialize_lp
-from dictlp.simplex import Infeasible, Optimal, PivotRule, SolveTrace, Unbounded, solve
+from dictlp.simplex import Optimal, PivotRule, SolveTrace, Unbounded, solve
 
 
 class UsageError(ValueError):
@@ -125,7 +125,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
             f"ray = {_vec_text(outcome.ray)}",
         ]
     else:
-        assert isinstance(outcome, Infeasible)
         code = 3
         lines = ["outcome = infeasible", f"farkas = {_vec_text(outcome.farkas)}"]
     lines.append(f"pivots = {trace.pivot_count}")
@@ -229,9 +228,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"refused: {exc}", file=sys.stderr)
         return 5
     passed = 0
-    for basis in bases:
-        report = verify_bijection(lp, basis)
-        name = ",".join(map(str, basis))
+    for report in verify_bases(lp, bases):
+        name = ",".join(map(str, report.basis))
         if report.passed:
             passed += 1
             print(f"basis {name}: pass")

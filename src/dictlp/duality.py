@@ -5,7 +5,7 @@ primal points embed into its kernel, dual points into its row space, and the
 two subspaces are orthogonal complements. On top of that sits the theorem
 this package exists to check: the dual dictionary with basic set N is
 exactly the negative transpose of the primal dictionary with basis B, for
-every valid basis. ``verify_bijection`` tests both the dictionary identity
+every valid basis. ``verify_bases`` tests both the dictionary identity
 and the underlying row-space equality, per basis, in exact arithmetic.
 """
 
@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
-from dictlp.exact import QMatrix, QVector, rank, rowspace_contains, rowspace_equal
+from dictlp.exact import QMatrix, QVector, rank, rowspace_contains
 from dictlp.dictionary import (
     Dictionary,
     basic_solution,
@@ -25,7 +25,7 @@ from dictlp.dictionary import (
     initial_dictionary,
     negative_transpose,
 )
-from dictlp.model import StandardLP, augment, dual_lp
+from dictlp.model import AugmentedLP, DualIndexMap, StandardLP, augment, dual_lp
 
 
 class BasisCountError(ValueError):
@@ -132,8 +132,14 @@ def dual_dictionary_direct(lp: StandardLP, dual_basis: tuple[int, ...] | list[in
     any primal instance, then relabeled back to y-indices.
     """
     dual, index_map = dual_lp(lp)
+    return _dual_dictionary(augment(dual), index_map, dual_basis)
+
+
+def _dual_dictionary(
+    dual_aug: AugmentedLP, index_map: DualIndexMap, dual_basis: tuple[int, ...] | list[int]
+) -> Dictionary:
     columns = tuple(index_map.column_of(j) for j in dual_basis)
-    raw = dictionary_from_basis(augment(dual), columns)
+    raw = dictionary_from_basis(dual_aug, columns)
     return Dictionary(
         side="dual",
         basis=tuple(index_map.variable_of(col) for col in raw.basis),
@@ -145,31 +151,81 @@ def dual_dictionary_direct(lp: StandardLP, dual_basis: tuple[int, ...] | list[in
     )
 
 
-def verify_bijection(lp: StandardLP, basis: tuple[int, ...] | list[int]) -> BijectionReport:
-    """Check the primal-dual dictionary bijection for one basis.
+def spans_rowspace_of(r: RMatrix, d: Dictionary) -> bool:
+    """True iff the dictionary's combined-system matrix spans the row space of R.
 
-    Two independent checks: the negative transpose of the primal dictionary
-    must equal (up to row/column order) the dual dictionary constructed
-    directly from the dual LP with basic set N, and the primal dictionary's
-    combined-system matrix must span the same row space as R.
+    Exact without a rank computation: both matrices have rank m+1, R with an
+    identity on column 0 and the slack columns, the dictionary matrix
+    (``dictionary_matrix_natural``) on column 0 and the columns of B. So the
+    row spaces are equal iff every row rho of R equals
+    rho[0] * (objective row) + sum_k rho[B_k] * (row k). On column 0 and the
+    columns of B that holds by construction; on the N columns and the last
+    column it reads A_B Q = A_N, A_B p = b, q = c_N - Q^T c_B and
+    z* = c_B . p. Agrees with ``rowspace_equal`` on every dictionary of the
+    instance.
     """
-    prim = dictionary_from_basis(augment(lp), tuple(basis))
-    flipped = canonical(negative_transpose(prim))
-    direct = canonical(dual_dictionary_direct(lp, prim.nonbasis))
-    nt_ok = flipped == direct
-    rs_ok = rowspace_equal(dictionary_matrix_natural(prim), build_R(lp).mat)
+    last = r.m + r.n + 1
+    # Both sides of each equation are scaled by the dictionary's common
+    # denominator D and the row's own, so integer equality is exact equality.
+    D, (p, q, (z_star,), *Q) = _scaled([list(d.p), list(d.q), [d.z_star], *d.Q.row_lists()])
+    for row in r.mat.row_lists():
+        _, (rho,) = _scaled([row])
+        # Dictionary row k is [0 | Q_k | e_k | -p_k], the objective row [1 | -q | 0 | -z*].
+        terms = [(rho[v], Q[k], p[k]) for k, v in enumerate(d.basis) if rho[v]]
+        if rho[last] * D != -sum(c * pk for c, _, pk in terms) - rho[0] * z_star:
+            return False
+        for j, v in enumerate(d.nonbasis):
+            if rho[v] * D != sum(c * Qk[j] for c, Qk, _ in terms) - rho[0] * q[j]:
+                return False
+    return True
 
-    notes = []
-    if not nt_ok:
-        notes.append(f"negative transpose differs from direct dual dictionary on N={prim.nonbasis}")
-    if not rs_ok:
-        notes.append("dictionary row space differs from row space of R")
-    return BijectionReport(
-        basis=tuple(basis),
-        negative_transpose_matches=nt_ok,
-        rowspace_matches=rs_ok,
-        details="; ".join(notes) if notes else "ok",
-    )
+
+def _scaled(rows: list[list[Fraction]]) -> tuple[int, list[list[int]]]:
+    """The lcm of all denominators, and every entry times it as an int."""
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+
+
+def verify_bases(lp: StandardLP, bases: list[tuple[int, ...]]) -> list[BijectionReport]:
+    """Check the primal-dual dictionary bijection for each basis, in order.
+
+    Two independent checks per basis: the negative transpose of the primal
+    dictionary must equal (up to row/column order) the dual dictionary
+    constructed directly from the dual LP with basic set N, and the primal
+    dictionary's combined-system matrix must span the same row space as R
+    (``spans_rowspace_of``). The augmentations, the dual LP and R are built
+    once for all bases.
+    """
+    aug = augment(lp)
+    dual, index_map = dual_lp(lp)
+    dual_aug = augment(dual)
+    r = build_R(lp)
+    reports = []
+    for basis in bases:
+        prim = dictionary_from_basis(aug, tuple(basis))
+        flipped = canonical(negative_transpose(prim))
+        direct = canonical(_dual_dictionary(dual_aug, index_map, prim.nonbasis))
+        nt_ok = flipped == direct
+        rs_ok = spans_rowspace_of(r, prim)
+        notes = []
+        if not nt_ok:
+            notes.append(f"negative transpose differs from direct dual dictionary on N={prim.nonbasis}")
+        if not rs_ok:
+            notes.append("dictionary row space differs from row space of R")
+        reports.append(
+            BijectionReport(
+                basis=tuple(basis),
+                negative_transpose_matches=nt_ok,
+                rowspace_matches=rs_ok,
+                details="; ".join(notes) if notes else "ok",
+            )
+        )
+    return reports
+
+
+def verify_bijection(lp: StandardLP, basis: tuple[int, ...] | list[int]) -> BijectionReport:
+    """Check the primal-dual dictionary bijection for one basis (see ``verify_bases``)."""
+    return verify_bases(lp, [tuple(basis)])[0]
 
 
 def enumerate_bases(lp: StandardLP, limit: int = 100_000) -> list[tuple[int, ...]]:

@@ -8,7 +8,8 @@ Both methods run on ``Dictionary`` values and return exact certificates:
 
 The default rule is Bland's (termination guaranteed); Dantzig's largest-
 coefficient rule is opt-in, with ties always broken toward the smallest
-variable index so every run is deterministic.
+variable index so every run is deterministic. A loop that meets a basis it
+has already visited finishes under Bland's rule, so every run terminates.
 """
 
 from __future__ import annotations
@@ -140,49 +141,70 @@ def _dual_choose_entering(d: Dictionary, r: int) -> int | None:
     return None if best is None else best[1]
 
 
+def _cycle_guard(d: Dictionary, rule: PivotRule, visited: set[frozenset[int]]) -> PivotRule:
+    """The rule for the next pivot: Bland from the first repeated basis on.
+
+    Every pivot choice depends only on the basis set, so a basis seen before
+    means the rule is cycling. Bland never repeats a basis.
+    """
+    basis_set = frozenset(d.basis)
+    if basis_set in visited:
+        return PivotRule.BLAND
+    visited.add(basis_set)
+    return rule
+
+
 def primal_simplex(
     d: Dictionary, rule: PivotRule = PivotRule.BLAND
-) -> tuple[Dictionary, Terminal, list[PivotStep]]:
+) -> tuple[Dictionary, Terminal, list[PivotStep], int | None]:
     """Run primal simplex from a primal-feasible dictionary.
 
     Terminates OPTIMAL when q <= 0, or UNBOUNDED when the entering column has
-    no positive entry. Every intermediate dictionary stays primal feasible.
+    no positive entry; the last element is that entering variable, None when
+    OPTIMAL. Every intermediate dictionary stays primal feasible. On a
+    repeated basis the loop switches to Bland's rule for the rest of the run.
     """
     if not is_primal_feasible(d):
         raise ValueError("primal simplex requires a primal-feasible dictionary")
     steps: list[PivotStep] = []
+    visited: set[frozenset[int]] = set()
     while True:
+        rule = _cycle_guard(d, rule, visited)
         enter = choose_entering(d, rule)
         if enter is None:
-            return d, Terminal.OPTIMAL, steps
+            return d, Terminal.OPTIMAL, steps, None
         leave = choose_leaving(d, d.nonbasis.index(enter))
         if leave is None:
-            return d, Terminal.UNBOUNDED, steps
+            return d, Terminal.UNBOUNDED, steps, enter
         d = pivot(d, enter, leave)
         steps.append(PivotStep(enter=enter, leave=leave, dictionary=d))
 
 
 def dual_simplex(
     d: Dictionary, rule: PivotRule = PivotRule.BLAND
-) -> tuple[Dictionary, Terminal, list[PivotStep]]:
+) -> tuple[Dictionary, Terminal, list[PivotStep], int | None]:
     """Run dual simplex from a dual-feasible dictionary.
 
     Terminates OPTIMAL when p >= 0, or INFEASIBLE when some row has a
-    negative constant and no negative coefficient. Every intermediate
-    dictionary stays dual feasible. Through the negative transpose this is
+    negative constant and no negative coefficient; the last element is that
+    row's leaving variable, None when OPTIMAL. Every intermediate dictionary
+    stays dual feasible. On a repeated basis the loop switches to Bland's
+    rule for the rest of the run. Through the negative transpose this is
     step-for-step the primal method on the flipped dictionary: a pivot
     (enter j, leave i) here corresponds to (enter i, leave j) there.
     """
     if not is_dual_feasible(d):
         raise ValueError("dual simplex requires a dual-feasible dictionary")
     steps: list[PivotStep] = []
+    visited: set[frozenset[int]] = set()
     while True:
+        rule = _cycle_guard(d, rule, visited)
         leave = _dual_choose_leaving(d, rule)
         if leave is None:
-            return d, Terminal.OPTIMAL, steps
+            return d, Terminal.OPTIMAL, steps, None
         enter = _dual_choose_entering(d, d.basis.index(leave))
         if enter is None:
-            return d, Terminal.INFEASIBLE, steps
+            return d, Terminal.INFEASIBLE, steps, leave
         d = pivot(d, enter, leave)
         steps.append(PivotStep(enter=enter, leave=leave, dictionary=d))
 
@@ -238,17 +260,15 @@ def solve(
     n = lp.n
 
     if is_primal_feasible(d0):
-        final, terminal, steps = primal_simplex(d0, rule)
+        final, _, steps, enter = primal_simplex(d0, rule)
         trace = SolveTrace(phases=(TracePhase("primal simplex", d0, tuple(steps)),))
-        return _primal_outcome(final, terminal, rule, n), trace
+        return _primal_outcome(final, enter, n), trace
 
     if is_dual_feasible(d0):
-        final, terminal, steps = dual_simplex(d0, rule)
+        final, _, steps, leave = dual_simplex(d0, rule)
         trace = SolveTrace(phases=(TracePhase("dual simplex", d0, tuple(steps)),))
-        if terminal is Terminal.OPTIMAL:
+        if leave is None:
             return Optimal(point=_decision_point(final, n), value=final.z_star), trace
-        leave = _dual_choose_leaving(final, rule)
-        assert leave is not None
         return Infeasible(farkas=_farkas_vector(final, leave)), trace
 
     phase1_start = Dictionary(
@@ -260,27 +280,22 @@ def solve(
         q=QVector([Fraction(-1)] * n),
         z_star=Fraction(0),
     )
-    final1, terminal1, steps1 = dual_simplex(phase1_start, rule)
+    final1, _, steps1, leave1 = dual_simplex(phase1_start, rule)
     phase1 = TracePhase("phase 1: dual simplex, auxiliary objective", phase1_start, tuple(steps1))
-    if terminal1 is Terminal.INFEASIBLE:
-        leave = _dual_choose_leaving(final1, rule)
-        assert leave is not None
+    if leave1 is not None:
         trace = SolveTrace(phases=(phase1,))
-        return Infeasible(farkas=_farkas_vector(final1, leave)), trace
+        return Infeasible(farkas=_farkas_vector(final1, leave1)), trace
 
     phase2_start = dictionary_from_basis(augment(lp), final1.basis)
-    final2, terminal2, steps2 = primal_simplex(phase2_start, rule)
+    final2, _, steps2, enter2 = primal_simplex(phase2_start, rule)
     trace = SolveTrace(
         phases=(phase1, TracePhase("phase 2: primal simplex", phase2_start, tuple(steps2)))
     )
-    return _primal_outcome(final2, terminal2, rule, n), trace
+    return _primal_outcome(final2, enter2, n), trace
 
 
-def _primal_outcome(
-    final: Dictionary, terminal: Terminal, rule: PivotRule, n: int
-) -> SolveOutcome:
-    if terminal is Terminal.OPTIMAL:
+def _primal_outcome(final: Dictionary, enter: int | None, n: int) -> SolveOutcome:
+    """Optimal when ``enter`` is None, else Unbounded along the entering column."""
+    if enter is None:
         return Optimal(point=_decision_point(final, n), value=final.z_star)
-    enter = choose_entering(final, rule)
-    assert enter is not None
     return Unbounded(point=_decision_point(final, n), ray=_unbounded_ray(final, enter, n))

@@ -176,8 +176,8 @@ def test_criterion_5_solver_matches_brute_force(solver_runs):
 def test_criterion_6_lockstep_duality(lockstep_runs):
     with criterion(6, "dual simplex mirrors primal simplex through the negative transpose"):
         for _lp, _d, dual_result, primal_result in lockstep_runs:
-            dual_final, _dt, dual_steps = dual_result
-            primal_final, _pt, primal_steps = primal_result
+            dual_final, _dt, dual_steps, _ = dual_result
+            primal_final, _pt, primal_steps, _ = primal_result
             assert [(s.enter, s.leave) for s in primal_steps] == [
                 (s.leave, s.enter) for s in dual_steps
             ]

@@ -1,12 +1,14 @@
 import io
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dictlp import duality
 from dictlp.cli import format_dictionary, main, random_lp
 from dictlp.dictionary import (
     Dictionary,
@@ -16,6 +18,7 @@ from dictlp.dictionary import (
     pivot,
 )
 from dictlp.duality import enumerate_bases
+from dictlp.exact import QMatrix
 from dictlp.model import augment, parse_lp, serialize_lp
 
 from conftest import E1_TEXT, qm, qv, suite_instance
@@ -285,6 +288,28 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert re.search(r"verified (\d+)/\1 bases", out)
+
+
+    def test_corrupted_dictionary_fails_its_basis(self, e1_file, capsys, monkeypatch):
+        real_build = duality.dictionary_from_basis
+
+        def corrupted(aug, basis):
+            d = real_build(aug, basis)
+            if tuple(basis) == (1, 4):  # a primal basis; dual bases have 3 entries
+                rows = d.Q.row_lists()
+                rows[0][0] += 1
+                return replace(d, Q=QMatrix(rows))
+            return d
+
+        monkeypatch.setattr(duality, "dictionary_from_basis", corrupted)
+        code = main(["verify", e1_file])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 4
+        assert out[2].startswith("basis 1,4: FAIL (")
+        assert "dictionary row space differs from row space of R" in out[2]
+        assert out.count("basis 1,5: pass") == 1
+        assert sum(": pass" in line for line in out) == 9
+        assert out[-1] == "verified 9/10 bases"
 
 
 class TestHugeNumbers:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,9 +24,11 @@ from dictlp.duality import (
     in_rowspace,
     kernel_embedding,
     rowspace_embedding,
+    spans_rowspace_of,
+    verify_bases,
     verify_bijection,
 )
-from dictlp.exact import QVector, rank, rowspace_equal
+from dictlp.exact import QMatrix, QVector, rank, rowspace_equal
 from dictlp.model import StandardLP, augment
 
 from conftest import objective_at, qm, qv, suite_instance
@@ -187,6 +190,47 @@ class TestDictionaryMatrix:
         assert dictionary_matrix(d).rows == lp.m + 1
 
 
+class TestSpansRowspaceOf:
+    """The substitution test against the rank test it replaces in ``verify``."""
+
+    @given(seed=st.integers(0, 200), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_rank_test(self, seed, data):
+        base = suite_instance(seed)
+        # Rows of R with different denominators exercise the integer scaling.
+        k = data.draw(st.integers(1, 6))
+        lp = StandardLP(
+            A0=QMatrix([[x / (k + i) for x in row] for i, row in enumerate(base.A0.row_lists())]),
+            b=QVector(x / (k + i) for i, x in enumerate(base.b)),
+            c=QVector(x / (k + base.m) for x in base.c),
+        )
+        r = build_R(lp)
+        aug = augment(lp)
+        delta = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+        for basis in enumerate_bases(lp):
+            d = dictionary_from_basis(aug, basis)
+            assert spans_rowspace_of(r, d)
+            assert rowspace_equal(dictionary_matrix_natural(d), r.mat)
+            # one entry of p, Q, q or z* perturbed
+            field = data.draw(st.sampled_from(["p", "Q", "q", "z_star"]))
+            eps = data.draw(delta)
+            if field == "z_star":
+                bad = replace(d, z_star=d.z_star + eps)
+            elif field == "Q":
+                i, j = data.draw(st.integers(0, d.m - 1)), data.draw(st.integers(0, d.n - 1))
+                rows = d.Q.row_lists()
+                rows[i][j] += eps
+                bad = replace(d, Q=QMatrix(rows))
+            else:
+                entries = list(getattr(d, field))
+                k = data.draw(st.integers(0, len(entries) - 1))
+                entries[k] += eps
+                bad = replace(d, **{field: QVector(entries)})
+            assert spans_rowspace_of(r, bad) == rowspace_equal(
+                dictionary_matrix_natural(bad), r.mat
+            )
+
+
 class TestDualDictionaryDirect:
     def test_initial(self, e1):
         got = dual_dictionary_direct(e1, (1, 2, 3))
@@ -221,6 +265,12 @@ class TestVerifyBijection:
         bases = enumerate_bases(e1)
         assert len(bases) == 10
         assert all(verify_bijection(e1, basis).passed for basis in bases)
+
+    def test_verify_bases_reports_each_basis_in_order(self, e1):
+        bases = enumerate_bases(e1)
+        reports = verify_bases(e1, bases)
+        assert [rep.basis for rep in reports] == bases
+        assert reports[3] == verify_bijection(e1, bases[3])
 
 
 class TestEnumerateBases:

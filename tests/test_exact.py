@@ -225,9 +225,15 @@ def test_names_the_benchmark_reads():
     # perfbench/worker.py records dictlp.BACKEND in every result and
     # perfbench/tracing.py wraps rref and pivot_update through
     # sys.modules["dictlp._kernels"]; without them every benchmark run fails.
+    # The tracer's after-hook on enumerate_bases calls len() on its result,
+    # so it must stay a list, not a generator.
     import dictlp
     from dictlp import _kernels
+    from dictlp.duality import enumerate_bases
+    from dictlp.model import StandardLP
 
     assert dictlp.BACKEND == "python"
     assert callable(_kernels.rref)
     assert callable(_kernels.pivot_update)
+    lp = StandardLP(A0=QMatrix([[1, 1]]), b=QVector([1]), c=QVector([1, 1]))
+    assert isinstance(enumerate_bases(lp, limit=10), list)

@@ -12,7 +12,8 @@ from dictlp.dictionary import (
     negative_transpose,
     pivot,
 )
-from dictlp.model import StandardLP
+from dictlp import simplex
+from dictlp.model import StandardLP, parse_lp
 from dictlp.simplex import (
     Infeasible,
     Optimal,
@@ -26,7 +27,7 @@ from dictlp.simplex import (
     solve,
 )
 
-from conftest import dual_feasible_instance, qm, qv, suite_instance
+from conftest import DATA, dual_feasible_instance, qm, qv, suite_instance
 from oracle import check_outcome, oracle_solve, outcome_kind
 
 
@@ -73,7 +74,7 @@ class TestChooseLeaving:
 
 class TestPrimalSimplex:
     def test_e1_second_dictionary_unbounded(self, e1_second):
-        final, terminal, steps = primal_simplex(e1_second, PivotRule.DANTZIG)
+        final, terminal, steps, _ = primal_simplex(e1_second, PivotRule.DANTZIG)
         assert terminal is Terminal.UNBOUNDED
         enter = choose_entering(final, PivotRule.DANTZIG)
         s = final.nonbasis.index(enter)
@@ -84,9 +85,15 @@ class TestPrimalSimplex:
         for step in steps:
             assert is_primal_feasible(step.dictionary)
 
+    def test_signal_is_the_entering_variable_of_the_unbounded_column(self, e1_second):
+        final, _, _, signal = primal_simplex(e1_second, PivotRule.DANTZIG)
+        assert signal == choose_entering(final, PivotRule.DANTZIG)
+        _, _, _, none = primal_simplex(initial_dictionary(tiny([[1]], [1], [-1])))
+        assert none is None
+
     def test_already_optimal_zero_pivots(self):
         d = initial_dictionary(tiny([[1]], [1], [-1]))
-        final, terminal, steps = primal_simplex(d, PivotRule.BLAND)
+        final, terminal, steps, _ = primal_simplex(d, PivotRule.BLAND)
         assert terminal is Terminal.OPTIMAL
         assert steps == []
         assert final == d
@@ -105,7 +112,7 @@ class TestDualSimplex:
     def test_one_pivot_example(self):
         d = initial_dictionary(tiny([[-1, -1]], [-1], [-1, -1]))
         assert is_dual_feasible(d)
-        final, terminal, steps = dual_simplex(d, PivotRule.BLAND)
+        final, terminal, steps, _ = dual_simplex(d, PivotRule.BLAND)
         assert terminal is Terminal.OPTIMAL
         assert [(s.enter, s.leave) for s in steps] == [(1, 3)]
         assert final.z_star == -1
@@ -115,15 +122,23 @@ class TestDualSimplex:
 
     def test_zero_pivots_when_both_feasible(self):
         d = initial_dictionary(tiny([[1]], [1], [-1]))
-        final, terminal, steps = dual_simplex(d, PivotRule.BLAND)
+        final, terminal, steps, _ = dual_simplex(d, PivotRule.BLAND)
         assert terminal is Terminal.OPTIMAL
         assert steps == []
 
     def test_infeasible_signal(self):
         d = initial_dictionary(tiny([[1]], [-1], [0]))
-        final, terminal, steps = dual_simplex(d, PivotRule.BLAND)
+        final, terminal, steps, _ = dual_simplex(d, PivotRule.BLAND)
         assert terminal is Terminal.INFEASIBLE
         assert steps == []
+
+    def test_signal_is_the_leaving_variable_of_the_infeasible_row(self):
+        d = initial_dictionary(tiny([[1, 2], [-1, -1]], [4, -5], [0, 0]))
+        final, terminal, _, signal = dual_simplex(d, PivotRule.DANTZIG)
+        assert terminal is Terminal.INFEASIBLE
+        r = final.basis.index(signal)
+        assert final.p[r] < 0
+        assert all(final.Q.entry(r, k) >= 0 for k in range(final.n))
 
     def test_requires_dual_feasible(self, e1):
         with pytest.raises(ValueError, match="dual"):
@@ -133,7 +148,7 @@ class TestDualSimplex:
     @settings(max_examples=60, deadline=None)
     def test_intermediate_dictionaries_stay_dual_feasible(self, seed, rule):
         d = initial_dictionary(dual_feasible_instance(seed))
-        final, terminal, steps = dual_simplex(d, rule)
+        final, terminal, steps, _ = dual_simplex(d, rule)
         for step in steps:
             assert is_dual_feasible(step.dictionary)
         if terminal is Terminal.OPTIMAL:
@@ -210,6 +225,39 @@ class TestTermination:
                 seen.add(key)
             assert len(phase.steps) <= bound
 
+    @pytest.fixture
+    def pivot_budget(self, monkeypatch):
+        # Without the cycle guard Dantzig's rule loops forever on Beale's
+        # example; a budget far above its 12 pivots turns that into a failure.
+        real_pivot = simplex.pivot
+        count = 0
+
+        def budgeted(d, enter, leave):
+            nonlocal count
+            count += 1
+            if count > 100:
+                raise RuntimeError("pivot budget exhausted: the rule cycles")
+            return real_pivot(d, enter, leave)
+
+        monkeypatch.setattr(simplex, "pivot", budgeted)
+
+    def test_dantzig_solves_beale(self, pivot_budget):
+        lp = parse_lp((DATA / "beale.lp").read_text(encoding="utf-8"))
+        outcome, _ = solve(lp, PivotRule.DANTZIG)
+        assert isinstance(outcome, Optimal)
+        assert outcome.value == Fraction(5, 4)
+        check_outcome(lp, outcome)
+        assert oracle_solve(lp) == ("optimal", outcome.value)
+
+    def test_dantzig_dual_loop_terminates_on_beale_negative_transpose(self, pivot_budget):
+        lp = parse_lp((DATA / "beale.lp").read_text(encoding="utf-8"))
+        final, terminal, _, signal = dual_simplex(
+            negative_transpose(initial_dictionary(lp)), PivotRule.DANTZIG
+        )
+        assert terminal is Terminal.OPTIMAL
+        assert signal is None
+        assert final.z_star == Fraction(-5, 4)
+
     @given(seed=st.integers(0, 400))
     @settings(max_examples=40, deadline=None)
     def test_monotonicity(self, seed):
@@ -229,8 +277,8 @@ class TestLockstep:
     def test_dual_simplex_mirrors_primal_on_negative_transpose(self, seed, rule):
         d = initial_dictionary(dual_feasible_instance(seed))
         flipped = negative_transpose(d)
-        dual_final, dual_terminal, dual_steps = dual_simplex(d, rule)
-        primal_final, primal_terminal, primal_steps = primal_simplex(flipped, rule)
+        dual_final, dual_terminal, dual_steps, _ = dual_simplex(d, rule)
+        primal_final, primal_terminal, primal_steps, _ = primal_simplex(flipped, rule)
         assert [(s.enter, s.leave) for s in primal_steps] == [
             (s.leave, s.enter) for s in dual_steps
         ]
