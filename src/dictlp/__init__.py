@@ -44,13 +44,11 @@ from dictlp.simplex import (
 from dictlp.duality import (
     BasisCountError,
     BijectionReport,
-    RMatrix,
     build_R,
     dictionary_matrix,
     dual_dictionary_direct,
     enumerate_bases,
     in_kernel,
-    in_rowspace,
     spans_rowspace_of,
     verify_bases,
     verify_bijection,
@@ -76,7 +74,6 @@ __all__ = [
     "PivotRule",
     "QMatrix",
     "QVector",
-    "RMatrix",
     "SolveOutcome",
     "StandardLP",
     "Terminal",
@@ -94,7 +91,6 @@ __all__ = [
     "dual_simplex",
     "enumerate_bases",
     "in_kernel",
-    "in_rowspace",
     "initial_dictionary",
     "is_dual_feasible",
     "is_primal_feasible",

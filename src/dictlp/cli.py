@@ -30,7 +30,7 @@ from dictlp.dictionary import (
 from dictlp.duality import BasisCountError, enumerate_bases, verify_bases
 from dictlp.exact import QMatrix, QVector
 from dictlp.model import ParseError, StandardLP, augment, dual_lp, parse_lp, serialize_lp
-from dictlp.simplex import Optimal, PivotRule, SolveTrace, Unbounded, solve
+from dictlp.simplex import Optimal, PivotRule, PivotStep, SolveTrace, TracePhase, Unbounded, solve
 
 
 class UsageError(ValueError):
@@ -140,20 +140,6 @@ def _dual_section(d: Dictionary, header: str | None) -> list[str]:
     return out
 
 
-def _forced_trace_lines(d: Dictionary, pivots: list[tuple[int, int]], dual_view: bool) -> list[str]:
-    lines = format_dictionary(d).splitlines()
-    if dual_view:
-        lines.extend(_dual_section(d, None))
-    for enter, leave in pivots:
-        d = pivot(d, enter, leave)
-        lines.append("")
-        lines.append(f"pivot: enter x{enter}, leave x{leave}")
-        lines.extend(format_dictionary(d).splitlines())
-        if dual_view:
-            lines.extend(_dual_section(d, f"pivot: enter y{leave}, leave y{enter}"))
-    return lines
-
-
 def _solver_trace_lines(trace: SolveTrace, dual_view: bool) -> list[str]:
     lines: list[str] = []
     multi = len(trace.phases) > 1
@@ -192,13 +178,15 @@ def _parse_pivot_flags(raw: list[str]) -> list[tuple[int, int]]:
 def cmd_trace(args: argparse.Namespace) -> int:
     lp = _read_instance(args.input)
     if args.pivot:
-        lines = _forced_trace_lines(
-            initial_dictionary(lp), _parse_pivot_flags(args.pivot), args.dual_view
-        )
+        d = start = initial_dictionary(lp)
+        steps = []
+        for enter, leave in _parse_pivot_flags(args.pivot):
+            d = pivot(d, enter, leave)
+            steps.append(PivotStep(enter=enter, leave=leave, dictionary=d))
+        trace = SolveTrace(phases=(TracePhase("forced pivots", start, tuple(steps)),))
     else:
         _, trace = solve(lp, _rule(args))
-        lines = _solver_trace_lines(trace, args.dual_view)
-    print("\n".join(lines))
+    print("\n".join(_solver_trace_lines(trace, args.dual_view)))
     return 0
 
 

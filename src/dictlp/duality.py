@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 
-from dictlp.exact import QMatrix, QVector, rank, rowspace_contains
+from dictlp.exact import QMatrix, QVector, rank
 from dictlp.dictionary import (
     Dictionary,
     basic_solution,
@@ -38,19 +38,6 @@ class BasisCountError(ValueError):
 
 
 @dataclass(frozen=True)
-class RMatrix:
-    """The combined-system matrix: rows [0 | A0 | I | -b] over [1 | -c | 0 | 0].
-
-    Columns are labeled 0, 1..m+n, m+n+1: the objective coordinate, the
-    augmented variables, and the homogenizing coordinate.
-    """
-
-    mat: QMatrix
-    m: int
-    n: int
-
-
-@dataclass(frozen=True)
 class BijectionReport:
     basis: tuple[int, ...]
     negative_transpose_matches: bool
@@ -62,21 +49,21 @@ class BijectionReport:
         return self.negative_transpose_matches and self.rowspace_matches
 
 
-def build_R(lp: StandardLP) -> RMatrix:
-    """R is the combined-system matrix of the slack-basis dictionary."""
-    return RMatrix(dictionary_matrix(initial_dictionary(lp)), lp.m, lp.n)
+def build_R(lp: StandardLP) -> QMatrix:
+    """R, the combined-system matrix: rows [0 | A0 | I | -b] over [1 | -c | 0 | 0].
+
+    Columns are labeled 0, 1..m+n, m+n+1: the objective coordinate, the
+    augmented variables, and the homogenizing coordinate. It is the
+    ``dictionary_matrix`` of the slack-basis dictionary.
+    """
+    return dictionary_matrix(initial_dictionary(lp))
 
 
-def in_kernel(r: RMatrix, xbar: QVector) -> bool:
+def in_kernel(r: QMatrix, xbar: QVector) -> bool:
     """True iff R . xbar = 0 exactly."""
-    if len(xbar) != r.mat.cols:
-        raise ValueError(f"dimension mismatch: {r.mat.cols} vs {len(xbar)}")
-    return all(x == 0 for x in r.mat.mul_vec(xbar))
-
-
-def in_rowspace(r: RMatrix, ybar: QVector) -> bool:
-    """True iff ybar is a combination of the rows of R (exact rank test)."""
-    return rowspace_contains(r.mat, ybar)
+    if len(xbar) != r.cols:
+        raise ValueError(f"dimension mismatch: {r.cols} vs {len(xbar)}")
+    return all(x == 0 for x in r.mul_vec(xbar))
 
 
 def kernel_embedding(d: Dictionary) -> QVector:
@@ -94,34 +81,29 @@ def rowspace_embedding(d: Dictionary) -> QVector:
 
 
 def dictionary_matrix(d: Dictionary) -> QMatrix:
-    """The dictionary as a combined-system matrix, columns ordered (0, N, B, last).
+    """The dictionary as a combined-system matrix, columns labeled like R's.
 
-    Rows read [0 | Q | I | -p] and [1 | -q | 0 | -z*]; its row space equals
-    the row space of R after the columns are permuted back to natural order.
+    Row i reads 0 in column 0, Q[i][j] under the nonbasic variable N_j, 1
+    under its own basic variable B_i and 0 under the others, and -p_i last;
+    the objective row reads 1, -q under N, 0 under B, and -z*. Its row space
+    equals the row space of R.
     """
+    width = d.m + d.n + 2
     rows = []
-    for i in range(d.m):
-        row = [Fraction(0)]
-        row.extend(d.Q.entry(i, j) for j in range(d.n))
-        row.extend(Fraction(1) if k == i else Fraction(0) for k in range(d.m))
-        row.append(-d.p[i])
+    for i, v in enumerate(d.basis):
+        row = [Fraction(0)] * width
+        for j, w in enumerate(d.nonbasis):
+            row[w] = d.Q.entry(i, j)
+        row[v] = Fraction(1)
+        row[-1] = -d.p[i]
         rows.append(row)
-    last = [Fraction(1)]
-    last.extend(-x for x in d.q)
-    last.extend([Fraction(0)] * d.m)
-    last.append(-d.z_star)
+    last = [Fraction(0)] * width
+    last[0] = Fraction(1)
+    for j, w in enumerate(d.nonbasis):
+        last[w] = -d.q[j]
+    last[-1] = -d.z_star
     rows.append(last)
     return QMatrix(rows)
-
-
-def dictionary_matrix_natural(d: Dictionary) -> QMatrix:
-    """``dictionary_matrix`` with columns permuted to natural order 0, 1..m+n, last."""
-    mat = dictionary_matrix(d)
-    total = d.m + d.n
-    labels = [0, *d.nonbasis, *d.basis, total + 1]
-    position = {label: k for k, label in enumerate(labels)}
-    order = [position[label] for label in range(total + 2)]
-    return QMatrix([[mat.entry(i, k) for k in order] for i in range(mat.rows)])
 
 
 def dual_dictionary_direct(lp: StandardLP, dual_basis: tuple[int, ...] | list[int]) -> Dictionary:
@@ -151,12 +133,12 @@ def _dual_dictionary(
     )
 
 
-def spans_rowspace_of(r: RMatrix, d: Dictionary) -> bool:
+def spans_rowspace_of(r: QMatrix, d: Dictionary) -> bool:
     """True iff the dictionary's combined-system matrix spans the row space of R.
 
     Exact without a rank computation: both matrices have rank m+1, R with an
     identity on column 0 and the slack columns, the dictionary matrix
-    (``dictionary_matrix_natural``) on column 0 and the columns of B. So the
+    (``dictionary_matrix``) on column 0 and the columns of B. So the
     row spaces are equal iff every row rho of R equals
     rho[0] * (objective row) + sum_k rho[B_k] * (row k). On column 0 and the
     columns of B that holds by construction; on the N columns and the last
@@ -164,11 +146,11 @@ def spans_rowspace_of(r: RMatrix, d: Dictionary) -> bool:
     z* = c_B . p. Agrees with ``rowspace_equal`` on every dictionary of the
     instance.
     """
-    last = r.m + r.n + 1
+    last = d.m + d.n + 1
     # Both sides of each equation are scaled by the dictionary's common
     # denominator D and the row's own, so integer equality is exact equality.
     D, (p, q, (z_star,), *Q) = _scaled([list(d.p), list(d.q), [d.z_star], *d.Q.row_lists()])
-    for row in r.mat.row_lists():
+    for row in r.row_lists():
         _, (rho,) = _scaled([row])
         # Dictionary row k is [0 | Q_k | e_k | -p_k], the objective row [1 | -q | 0 | -z*].
         terms = [(rho[v], Q[k], p[k]) for k, v in enumerate(d.basis) if rho[v]]

@@ -18,7 +18,7 @@ from dictlp import _kernels
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?\Z")
 
 
 def rational(num: RationalLike, den: int | None = None) -> Fraction:
@@ -39,7 +39,7 @@ def rational(num: RationalLike, den: int | None = None) -> Fraction:
 
 
 def parse_rational(token: str) -> Fraction:
-    """Parse the canonical text syntax: optional '-', digits, optional '/digits'."""
+    """Parse the canonical text syntax: optional '-', ASCII digits, optional '/digits'."""
     if not _RATIONAL_RE.fullmatch(token):
         raise ValueError(f"malformed rational {token!r}")
     num, slash, den = token.partition("/")
@@ -83,20 +83,12 @@ class QVector:
     def __repr__(self) -> str:
         return f"QVector({', '.join(map(str, self._entries))})"
 
-    def __add__(self, other: "QVector") -> "QVector":
-        self._check_len(other)
-        return QVector(a + b for a, b in zip(self, other))
-
     def __sub__(self, other: "QVector") -> "QVector":
         self._check_len(other)
         return QVector(a - b for a, b in zip(self, other))
 
     def __neg__(self) -> "QVector":
         return QVector(-a for a in self)
-
-    def scale(self, k: RationalLike) -> "QVector":
-        f = rational(k)
-        return QVector(f * a for a in self)
 
     def dot(self, other: "QVector") -> Fraction:
         self._check_len(other)
@@ -158,15 +150,6 @@ class QMatrix:
 
     def __neg__(self) -> "QMatrix":
         return QMatrix((-e for e in row) for row in self._rows)
-
-    def mul(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")
-        tcols = list(zip(*other._rows))
-        return QMatrix(
-            [sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in tcols]
-            for row in self._rows
-        )
 
     def mul_vec(self, v: QVector) -> QVector:
         if self.cols != len(v):

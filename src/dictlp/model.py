@@ -9,10 +9,14 @@ instance so every dictionary operation applies uniformly to both sides.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from dictlp.exact import QMatrix, QVector, parse_rational
+
+# ASCII digits only: int() would also take other scripts' digits, '_' and '+'.
+_DIMENSION_RE = re.compile(r"[0-9]+")
 
 
 class ParseError(ValueError):
@@ -114,10 +118,9 @@ def parse_lp(text: str) -> StandardLP:
     dim_line, dim_tokens = lines[1]
     if len(dim_tokens) != 2:
         raise ParseError(dim_line, "dimension line must be '<m> <n>'")
-    try:
-        m, n = int(dim_tokens[0]), int(dim_tokens[1])
-    except ValueError:
-        raise ParseError(dim_line, "dimensions must be decimal integers") from None
+    if not all(_DIMENSION_RE.fullmatch(tok) for tok in dim_tokens):
+        raise ParseError(dim_line, "dimensions must be decimal integers")
+    m, n = int(dim_tokens[0]), int(dim_tokens[1])
     if m < 1 or n < 1:
         raise ParseError(dim_line, f"dimensions must be at least 1, got m={m} n={n}")
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 from dictlp.exact import QVector
 from dictlp.dictionary import (
     Dictionary,
+    basic_solution,
     dictionary_from_basis,
     initial_dictionary,
     is_dual_feasible,
@@ -86,19 +87,42 @@ class Infeasible:
 SolveOutcome = Optimal | Unbounded | Infeasible
 
 
+def _pick(labels: tuple[int, ...], values: QVector, rule: PivotRule) -> int | None:
+    """Label of a positive value, or None when no value is positive.
+
+    Bland: the smallest such label. Dantzig: the largest value, smallest
+    label on ties.
+    """
+    candidates = [(v, x) for v, x in zip(labels, values) if x > 0]
+    if not candidates:
+        return None
+    if rule is PivotRule.BLAND:
+        return min(v for v, _ in candidates)
+    best = max(x for _, x in candidates)
+    return min(v for v, x in candidates if x == best)
+
+
+def _ratio_test(labels: tuple[int, ...], consts: QVector, coefs: QVector) -> int | None:
+    """Label minimizing const / coef over coef > 0, smallest label on ties.
+
+    None when no coefficient is positive.
+    """
+    best: tuple[Fraction, int] | None = None
+    for v, const, coef in zip(labels, consts, coefs):
+        if coef > 0:
+            key = (const / coef, v)
+            if best is None or key < best:
+                best = key
+    return None if best is None else best[1]
+
+
 def choose_entering(d: Dictionary, rule: PivotRule) -> int | None:
     """Entering variable, or None when the dictionary is optimal (q <= 0).
 
     Bland: smallest variable index with a positive objective coefficient.
     Dantzig: largest coefficient, smallest index on ties.
     """
-    candidates = [(v, d.q[j]) for j, v in enumerate(d.nonbasis) if d.q[j] > 0]
-    if not candidates:
-        return None
-    if rule is PivotRule.BLAND:
-        return min(v for v, _ in candidates)
-    best = max(coef for _, coef in candidates)
-    return min(v for v, coef in candidates if coef == best)
+    return _pick(d.nonbasis, d.q, rule)
 
 
 def choose_leaving(d: Dictionary, s: int) -> int | None:
@@ -108,37 +132,7 @@ def choose_leaving(d: Dictionary, s: int) -> int | None:
     variable index; None signals an unbounded direction. Both rules share
     this test.
     """
-    best: tuple[Fraction, int] | None = None
-    for r, v in enumerate(d.basis):
-        coef = d.Q.entry(r, s)
-        if coef > 0:
-            key = (d.p[r] / coef, v)
-            if best is None or key < best:
-                best = key
-    return None if best is None else best[1]
-
-
-def _dual_choose_leaving(d: Dictionary, rule: PivotRule) -> int | None:
-    """Row choice for dual simplex: a basic variable with negative constant."""
-    candidates = [(v, d.p[r]) for r, v in enumerate(d.basis) if d.p[r] < 0]
-    if not candidates:
-        return None
-    if rule is PivotRule.BLAND:
-        return min(v for v, _ in candidates)
-    worst = min(const for _, const in candidates)
-    return min(v for v, const in candidates if const == worst)
-
-
-def _dual_choose_entering(d: Dictionary, r: int) -> int | None:
-    """Dual ratio test on row ``r``: minimize q_k / Q[r][k] over Q[r][k] < 0."""
-    best: tuple[Fraction, int] | None = None
-    for k, v in enumerate(d.nonbasis):
-        coef = d.Q.entry(r, k)
-        if coef < 0:
-            key = (d.q[k] / coef, v)
-            if best is None or key < best:
-                best = key
-    return None if best is None else best[1]
+    return _ratio_test(d.basis, d.p, d.Q.column(s))
 
 
 def _cycle_guard(d: Dictionary, rule: PivotRule, visited: set[frozenset[int]]) -> PivotRule:
@@ -199,22 +193,15 @@ def dual_simplex(
     visited: set[frozenset[int]] = set()
     while True:
         rule = _cycle_guard(d, rule, visited)
-        leave = _dual_choose_leaving(d, rule)
+        # The primal choices on the negative transpose (-q, -Q^T, -p).
+        leave = _pick(d.basis, -d.p, rule)
         if leave is None:
             return d, Terminal.OPTIMAL, steps, None
-        enter = _dual_choose_entering(d, d.basis.index(leave))
+        enter = _ratio_test(d.nonbasis, -d.q, -d.Q.row(d.basis.index(leave)))
         if enter is None:
             return d, Terminal.INFEASIBLE, steps, leave
         d = pivot(d, enter, leave)
         steps.append(PivotStep(enter=enter, leave=leave, dictionary=d))
-
-
-def _decision_point(d: Dictionary, n: int) -> QVector:
-    values = [Fraction(0)] * n
-    for i, v in enumerate(d.basis):
-        if v <= n:
-            values[v - 1] = d.p[i]
-    return QVector(values)
 
 
 def _unbounded_ray(d: Dictionary, enter: int, n: int) -> QVector:
@@ -268,7 +255,7 @@ def solve(
         final, _, steps, leave = dual_simplex(d0, rule)
         trace = SolveTrace(phases=(TracePhase("dual simplex", d0, tuple(steps)),))
         if leave is None:
-            return Optimal(point=_decision_point(final, n), value=final.z_star), trace
+            return Optimal(point=QVector(basic_solution(final)[:n]), value=final.z_star), trace
         return Infeasible(farkas=_farkas_vector(final, leave)), trace
 
     phase1_start = Dictionary(
@@ -296,6 +283,7 @@ def solve(
 
 def _primal_outcome(final: Dictionary, enter: int | None, n: int) -> SolveOutcome:
     """Optimal when ``enter`` is None, else Unbounded along the entering column."""
+    point = QVector(basic_solution(final)[:n])
     if enter is None:
-        return Optimal(point=_decision_point(final, n), value=final.z_star)
-    return Unbounded(point=_decision_point(final, n), ray=_unbounded_ray(final, enter, n))
+        return Optimal(point=point, value=final.z_star)
+    return Unbounded(point=point, ray=_unbounded_ray(final, enter, n))

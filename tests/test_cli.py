@@ -1,11 +1,14 @@
 import io
 import re
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dictlp import duality
@@ -18,8 +21,9 @@ from dictlp.dictionary import (
     pivot,
 )
 from dictlp.duality import enumerate_bases
-from dictlp.exact import QMatrix
-from dictlp.model import augment, parse_lp, serialize_lp
+from dictlp.exact import QMatrix, QVector
+from dictlp.model import StandardLP, augment, parse_lp, serialize_lp
+from dictlp.simplex import PivotRule, solve
 
 from conftest import E1_TEXT, qm, qv, suite_instance
 
@@ -126,6 +130,14 @@ def write_lp(tmp_path, text, name="prob.lp"):
     return str(path)
 
 
+def run_main(argv) -> tuple[int, str]:
+    """Exit code and stdout of one CLI call."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
 class TestFormatDictionary:
     def test_e1_initial(self, e1):
         assert format_dictionary(initial_dictionary(e1)) == PRIMAL_INITIAL
@@ -227,6 +239,23 @@ class TestTraceCommand:
         assert "== phase 1: dual simplex, auxiliary objective ==" in out
         assert "== phase 2: primal simplex ==" in out
         assert out.count("pivot: enter") == 4
+
+    @given(seed=st.integers(0, 300), rule=st.sampled_from(["bland", "dantzig"]))
+    @settings(max_examples=40, deadline=None)
+    def test_solver_pivots_forced_print_the_solver_trace(self, seed, rule):
+        base = suite_instance(seed)
+        lp = StandardLP(A0=base.A0, b=QVector(abs(x) for x in base.b), c=base.c)
+        _, trace = solve(lp, PivotRule(rule))
+        (phase,) = trace.phases
+        assume(phase.steps)
+        forced = [arg for s in phase.steps for arg in ("--pivot", f"{s.enter},{s.leave}")]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "prob.lp")
+            Path(path).write_text(serialize_lp(lp), encoding="utf-8")
+            for view in ([], ["--dual-view"]):
+                by_solver = run_main(["trace", path, "--rule", rule, *view])
+                assert run_main(["trace", path, *forced, *view]) == by_solver
+                assert by_solver[0] == 0
 
     def test_bad_pivot_flag(self, e1_file, capsys):
         assert main(["trace", e1_file, "--pivot", "15"]) == 1
@@ -379,6 +408,18 @@ class TestErrorPaths:
         path = write_lp(tmp_path, "lp v2\n1 1\n1\n1 1\n")
         assert main(["solve", path]) == 1
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", ["1_0 1", "+1 1", "1 \u0661"])
+    def test_dimension_line_takes_ascii_digits_only(self, tmp_path, capsys, dims):
+        path = write_lp(tmp_path, f"lp v1\n{dims}\n1\n1 1\n")
+        assert main(["solve", path]) == 1
+        assert "parse error: line 2: dimensions must be decimal integers" in capsys.readouterr().err
+
+    def test_rational_takes_ascii_digits_only(self, tmp_path, capsys):
+        # U+0663 is the Arabic-Indic digit three
+        path = write_lp(tmp_path, "lp v1\n1 1\n\u0663\n1 \u0663\n")
+        assert main(["solve", path]) == 1
+        assert "parse error: line 3: malformed rational" in capsys.readouterr().err
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -17,18 +17,16 @@ from dictlp.duality import (
     BasisCountError,
     build_R,
     dictionary_matrix,
-    dictionary_matrix_natural,
     dual_dictionary_direct,
     enumerate_bases,
     in_kernel,
-    in_rowspace,
     kernel_embedding,
     rowspace_embedding,
     spans_rowspace_of,
     verify_bases,
     verify_bijection,
 )
-from dictlp.exact import QMatrix, QVector, rank, rowspace_equal
+from dictlp.exact import QMatrix, QVector, rank, rowspace_contains, rowspace_equal
 from dictlp.model import StandardLP, augment
 
 from conftest import objective_at, qm, qv, suite_instance
@@ -62,20 +60,20 @@ SECOND_DUAL = Dictionary(
 
 class TestBuildR:
     def test_e1(self, e1):
-        assert build_R(e1).mat == qm(E1_R)
+        assert build_R(e1) == qm(E1_R)
 
     def test_last_row_homogenizing_column_is_zero(self, e1):
         r = build_R(e1)
-        assert r.mat.entry(r.m, r.m + r.n + 1) == 0
+        assert r.entry(e1.m, e1.m + e1.n + 1) == 0
 
     @given(seed=st.integers(0, 300))
     @settings(max_examples=40, deadline=None)
     def test_full_row_rank(self, seed):
         lp = suite_instance(seed)
         r = build_R(lp)
-        assert r.mat.rows == lp.m + 1
-        assert r.mat.cols == lp.m + lp.n + 2
-        assert rank(r.mat) == lp.m + 1
+        assert r.rows == lp.m + 1
+        assert r.cols == lp.m + lp.n + 2
+        assert rank(r) == lp.m + 1
 
 
 class TestKernelMembership:
@@ -118,16 +116,16 @@ class TestKernelMembership:
 class TestRowspaceMembership:
     def test_last_row_of_r(self, e1):
         r = build_R(e1)
-        assert in_rowspace(r, r.mat.row(2))
+        assert rowspace_contains(r, r.row(2))
 
     def test_initial_dual_basic_solution(self, e1):
-        assert in_rowspace(build_R(e1), qv([1, -8, -11, 10, 0, 0, 0]))
+        assert rowspace_contains(build_R(e1), qv([1, -8, -11, 10, 0, 0, 0]))
 
     def test_nonzero_kernel_vector_is_not(self, e1):
         r = build_R(e1)
         xbar = qv([8, 1, 0, 0, 14, -2, 1])
         assert in_kernel(r, xbar)
-        assert not in_rowspace(r, xbar)
+        assert not rowspace_contains(r, xbar)
 
     @given(seed=st.integers(0, 200), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -143,11 +141,11 @@ class TestRowspaceMembership:
         )
         ybar = QVector(
             [
-                sum((coeffs[i] * r.mat.entry(i, j) for i in range(lp.m + 1)), Fraction(0))
-                for j in range(r.mat.cols)
+                sum((coeffs[i] * r.entry(i, j) for i in range(lp.m + 1)), Fraction(0))
+                for j in range(r.cols)
             ]
         )
-        assert in_rowspace(r, ybar)
+        assert rowspace_contains(r, ybar)
         xs = data.draw(
             st.lists(
                 st.fractions(min_value=-6, max_value=6, max_denominator=3),
@@ -165,22 +163,21 @@ class TestRowspaceMembership:
 class TestDictionaryMatrix:
     def test_initial_coincides_with_r(self, e1):
         d = initial_dictionary(e1)
-        assert dictionary_matrix(d) == build_R(e1).mat
-        assert dictionary_matrix_natural(d) == build_R(e1).mat
+        assert dictionary_matrix(d) == build_R(e1)
 
     def test_second_dictionary(self, e1):
         d = pivot(initial_dictionary(e1), 1, 5)
         mat = dictionary_matrix(d)
         assert mat.rows == 3
-        # columns ordered (0, 5, 2, 3, 4, 1, 6)
+        # rows x4, x1, objective; columns 0, 1..5, 6
         assert mat == qm(
             [
-                [0, 4, -2, -10, 1, 0, -6],
-                [0, -1, 1, 2, 0, 1, -3],
-                [1, -8, -3, 26, 0, 0, -24],
+                [0, 0, -2, -10, 1, 4, -6],
+                [0, 1, 1, 2, 0, -1, -3],
+                [1, 0, -3, 26, 0, -8, -24],
             ]
         )
-        assert rowspace_equal(dictionary_matrix_natural(d), build_R(e1).mat)
+        assert rowspace_equal(mat, build_R(e1))
 
     @given(seed=st.integers(0, 200))
     @settings(max_examples=30, deadline=None)
@@ -210,7 +207,7 @@ class TestSpansRowspaceOf:
         for basis in enumerate_bases(lp):
             d = dictionary_from_basis(aug, basis)
             assert spans_rowspace_of(r, d)
-            assert rowspace_equal(dictionary_matrix_natural(d), r.mat)
+            assert rowspace_equal(dictionary_matrix(d), r)
             # one entry of p, Q, q or z* perturbed
             field = data.draw(st.sampled_from(["p", "Q", "q", "z_star"]))
             eps = data.draw(delta)
@@ -226,9 +223,7 @@ class TestSpansRowspaceOf:
                 k = data.draw(st.integers(0, len(entries) - 1))
                 entries[k] += eps
                 bad = replace(d, **{field: QVector(entries)})
-            assert spans_rowspace_of(r, bad) == rowspace_equal(
-                dictionary_matrix_natural(bad), r.mat
-            )
+            assert spans_rowspace_of(r, bad) == rowspace_equal(dictionary_matrix(bad), r)
 
 
 class TestDualDictionaryDirect:
@@ -302,7 +297,7 @@ class TestSolutionSetEquivalence:
         prim = dictionary_from_basis(augment(lp), basis)
         assert in_kernel(r, kernel_embedding(prim))
         dual = negative_transpose(prim)
-        assert in_rowspace(r, rowspace_embedding(dual))
+        assert rowspace_contains(r, rowspace_embedding(dual))
 
     @given(seed=st.integers(0, 200), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -322,8 +317,8 @@ class TestSolutionSetEquivalence:
         # row combination with coefficient 1 on the objective row, so y0 = 1
         coeffs = us + [Fraction(1)]
         ybar = [
-            sum((coeffs[i] * r.mat.entry(i, j) for i in range(lp.m + 1)), Fraction(0))
-            for j in range(r.mat.cols)
+            sum((coeffs[i] * r.entry(i, j) for i in range(lp.m + 1)), Fraction(0))
+            for j in range(r.cols)
         ]
         assert ybar[0] == 1
         values = ybar[1 : lp.m + lp.n + 1]
@@ -336,7 +331,7 @@ class TestSolutionSetEquivalence:
             assert values[v - 1] == rhs
         # objective row matches the homogenizing coordinate
         assert ybar[-1] == objective_at(dual, values)
-        assert in_rowspace(r, QVector(ybar))
+        assert rowspace_contains(r, QVector(ybar))
 
         # converse: arbitrary nonbasic assignment solves into the row space
         ys = data.draw(
@@ -355,4 +350,4 @@ class TestSolutionSetEquivalence:
                 Fraction(0),
             )
         embedded = QVector([Fraction(1)] + full + [objective_at(dual, full)])
-        assert in_rowspace(r, embedded)
+        assert rowspace_contains(r, embedded)

@@ -161,7 +161,7 @@ class TestRowspace:
     def test_contains_own_row(self, e1):
         from dictlp.duality import build_R
 
-        r = build_R(e1).mat
+        r = build_R(e1)
         assert rowspace_contains(r, r.row(2))
 
     def test_dimension_mismatch(self):

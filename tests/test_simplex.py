@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dictlp.dictionary import (
+    Dictionary,
     initial_dictionary,
     is_dual_feasible,
     is_primal_feasible,
@@ -139,6 +140,35 @@ class TestDualSimplex:
         r = final.basis.index(signal)
         assert final.p[r] < 0
         assert all(final.Q.entry(r, k) >= 0 for k in range(final.n))
+
+    def test_dantzig_constant_tie_to_smallest_label(self):
+        # x4 and x3 tie at -3, listed larger label first; x2 is the Bland choice
+        d = Dictionary(
+            side="primal",
+            basis=(4, 3, 2),
+            nonbasis=(1,),
+            p=qv([-3, -3, -1]),
+            Q=qm([[-1], [-1], [-1]]),
+            q=qv([-1]),
+            z_star=Fraction(0),
+        )
+        _, _, steps, _ = dual_simplex(d, PivotRule.DANTZIG)
+        assert [(s.enter, s.leave) for s in steps] == [(1, 3)]
+
+    @pytest.mark.parametrize("rule", list(PivotRule))
+    def test_ratio_tie_to_smallest_label(self, rule):
+        # q_k / Q[0][k] is 1 for both x2 and x1, listed larger label first
+        d = Dictionary(
+            side="primal",
+            basis=(3,),
+            nonbasis=(2, 1),
+            p=qv([-1]),
+            Q=qm([[-2, -1]]),
+            q=qv([-2, -1]),
+            z_star=Fraction(0),
+        )
+        _, _, steps, _ = dual_simplex(d, rule)
+        assert [(s.enter, s.leave) for s in steps] == [(1, 3)]
 
     def test_requires_dual_feasible(self, e1):
         with pytest.raises(ValueError, match="dual"):
