@@ -4,7 +4,7 @@ Everything computes over arbitrary-precision rationals; there is no floating
 point anywhere, so every comparison and every certificate is exact.
 """
 
-from dictlp.exact import QMatrix, QVector, rational, rank, rref, rowspace_contains, rowspace_equal, solve_linear
+from dictlp.exact import QMatrix, QVector, rational
 from dictlp.model import (
     AugmentedLP,
     DualIndexMap,
@@ -98,14 +98,9 @@ __all__ = [
     "parse_lp",
     "pivot",
     "primal_simplex",
-    "rank",
     "rational",
-    "rowspace_contains",
-    "rowspace_equal",
-    "rref",
     "serialize_lp",
     "solve",
-    "solve_linear",
     "spans_rowspace_of",
     "verify_bases",
     "verify_bijection",

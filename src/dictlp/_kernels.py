@@ -1,9 +1,9 @@
 """Elimination kernels over ``fractions.Fraction`` entries.
 
-The hot loops of the package: row reduction (``rref``, behind
-``dictionary_from_basis`` and every rank test) and the dictionary pivot
-(``pivot_update``). Inputs are plain lists (of lists) of ``Fraction`` and are
-never mutated.
+The hot loops of the package: the dictionary pivot (``pivot_update``),
+behind every dictionary after the slack one, and row reduction (``rref``),
+the rank test of ``enumerate_bases``. Inputs are plain lists (of lists) of
+``Fraction`` and are never mutated.
 """
 
 from __future__ import annotations

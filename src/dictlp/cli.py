@@ -6,12 +6,13 @@ Commands: ``solve`` (two-phase simplex with exact certificates), ``trace``
 ``verify`` (the primal-dual bijection over all bases), and ``random``
 (seeded instance generator). Every number is printed in canonical rational
 syntax; exit codes are 0 optimal/ok, 2 unbounded, 3 infeasible, 4 verify
-failure, 5 enumeration budget refusal, 1 usage or parse errors.
+failure, 5 enumeration budget refusal, 1 usage, parse or I/O errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from fractions import Fraction
@@ -29,7 +30,7 @@ from dictlp.dictionary import (
 )
 from dictlp.duality import BasisCountError, enumerate_bases, verify_bases
 from dictlp.exact import QMatrix, QVector
-from dictlp.model import ParseError, StandardLP, augment, dual_lp, parse_lp, serialize_lp
+from dictlp.model import _DIMENSION_RE, ParseError, StandardLP, dual_lp, parse_lp, serialize_lp
 from dictlp.simplex import Optimal, PivotRule, PivotStep, SolveTrace, TracePhase, Unbounded, solve
 
 
@@ -91,6 +92,16 @@ def random_lp(m: int, n: int, seed: int, bound: int = 10) -> StandardLP:
         rows.append([rng.randint(-bound, bound) for _ in range(n)])
         b.append(rng.randint(-bound, bound))
     return StandardLP(A0=QMatrix(rows), b=QVector(b), c=QVector(c))
+
+
+def integer(text: str) -> int:
+    """An integer flag value: ASCII digits with an optional leading '-'.
+
+    ``int`` alone would also take other scripts' digits, '_', '+' and spaces.
+    """
+    if not _DIMENSION_RE.fullmatch(text[1:] if text.startswith("-") else text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _vec_text(v: QVector) -> str:
@@ -169,7 +180,7 @@ def _parse_pivot_flags(raw: list[str]) -> list[tuple[int, int]]:
         if len(pieces) != 2:
             raise UsageError(f"--pivot expects 'enter,leave', got {item!r}")
         try:
-            out.append((int(pieces[0]), int(pieces[1])))
+            out.append((integer(pieces[0]), integer(pieces[1])))
         except ValueError:
             raise UsageError(f"--pivot expects integers, got {item!r}") from None
     return out
@@ -200,10 +211,10 @@ def cmd_dual(args: argparse.Namespace) -> int:
 def cmd_dict(args: argparse.Namespace) -> int:
     lp = _read_instance(args.input)
     try:
-        basis = tuple(int(tok) for tok in args.basis.split(","))
+        basis = tuple(integer(tok) for tok in args.basis.split(","))
     except ValueError:
         raise UsageError(f"--basis expects comma-separated integers, got {args.basis!r}") from None
-    d = dictionary_from_basis(augment(lp), basis)
+    d = dictionary_from_basis(lp, basis)
     print(format_dictionary(d))
     return 0
 
@@ -264,12 +275,12 @@ def _build_parser() -> _Parser:
     p_dict = add("dict", cmd_dict, "print the dictionary for a basis")
     p_dict.add_argument("--basis", required=True, metavar="I1,...,IM")
     p_verify = add("verify", cmd_verify, "check the primal-dual bijection on every basis")
-    p_verify.add_argument("--limit", type=int, default=100_000)
+    p_verify.add_argument("--limit", type=integer, default=100_000)
     p_random = add("random", cmd_random, "emit a seeded random instance", with_input=False)
-    p_random.add_argument("--m", type=int, required=True)
-    p_random.add_argument("--n", type=int, required=True)
-    p_random.add_argument("--seed", type=int, required=True)
-    p_random.add_argument("--bound", type=int, default=10)
+    p_random.add_argument("--m", type=integer, required=True)
+    p_random.add_argument("--n", type=integer, required=True)
+    p_random.add_argument("--seed", type=integer, required=True)
+    p_random.add_argument("--bound", type=integer, default=10)
     return parser
 
 
@@ -279,7 +290,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here for output still buffered
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (``| head``). Output that is still
+        # buffered goes to the null device, so the flush at exit stays quiet.
+        try:
+            fd = sys.stdout.fileno()
+        except OSError:  # io.UnsupportedOperation: an in-memory stream has none
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 1
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -10,8 +10,8 @@ independent. Dual-side dictionaries use the same algebra with y-variables
 and objective label ``-w``; only printing differs.
 
 The pivot operation recomputes (p, Q, q, z*) by exact row substitution in
-O(mn); ``dictionary_from_basis`` rebuilds from scratch by elimination and
-serves as an independent cross-check of the same result.
+O(mn). Every dictionary is reached that way: ``dictionary_from_basis``
+pivots the basis in from the slack dictionary.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Literal
 
 from dictlp import _kernels
 from dictlp.exact import QMatrix, QVector
-from dictlp.model import AugmentedLP, StandardLP
+from dictlp.model import StandardLP
 
 Side = Literal["primal", "dual"]
 
@@ -76,40 +76,36 @@ def initial_dictionary(lp: StandardLP) -> Dictionary:
     )
 
 
-def dictionary_from_basis(aug: AugmentedLP, basis: tuple[int, ...] | list[int]) -> Dictionary:
-    """Build the dictionary for an ordered basis by exact elimination.
+def dictionary_from_basis(lp: StandardLP, basis: tuple[int, ...] | list[int]) -> Dictionary:
+    """The dictionary for an ordered basis, reached by pivots from the slack basis.
 
-    Solves [A_B | b | A_N] in one reduction: p = A_B^{-1} b, Q = A_B^{-1} A_N,
-    then q = c_N - Q^T c_B and z* = c_B . p. Raises ``NotABasisError`` when
-    the basis columns are dependent.
+    Each non-slack of B enters in turn, replacing the first basic slack
+    outside B with a nonzero entry in its column; the slacks in B never
+    leave. Rows come in B's order, columns in ascending order. Raises
+    ``NotABasisError`` when the basis columns are dependent, which is when
+    no such slack is left.
     """
-    m, total = aug.m, aug.var_count
+    m, total = lp.m, lp.m + lp.n
     B = tuple(basis)
     if len(B) != m:
         raise NotABasisError(f"basis must have {m} indices, got {len(B)}")
-    if len(set(B)) != m or any(not 1 <= v <= total for v in B):
+    members = set(B)
+    if len(members) != m or any(not 1 <= v <= total for v in B):
         raise NotABasisError(f"basis must be distinct indices in 1..{total}: {B}")
-    N = tuple(v for v in range(1, total + 1) if v not in set(B))
 
-    rows = []
-    for i in range(m):
-        row = [aug.A.entry(i, v - 1) for v in B]
-        row.append(aug.base.b[i])
-        row.extend(aug.A.entry(i, v - 1) for v in N)
-        rows.append(row)
-    reduced, rank, pivot_cols = _kernels.rref(rows)
-    if rank != m or tuple(pivot_cols) != tuple(range(m)):
-        raise NotABasisError(f"columns of basis {B} are linearly dependent")
-
-    p = QVector(row[m] for row in reduced)
-    Q = QMatrix([row[m + 1 :] for row in reduced])
-    c_B = [aug.c_ext[v - 1] for v in B]
-    q = QVector(
-        aug.c_ext[N[j] - 1] - sum((c_B[i] * Q.entry(i, j) for i in range(m)), Fraction(0))
-        for j in range(len(N))
-    )
-    z_star = sum((cb * pi for cb, pi in zip(c_B, p)), Fraction(0))
-    return Dictionary(side="primal", basis=B, nonbasis=N, p=p, Q=Q, q=q, z_star=z_star)
+    d = initial_dictionary(lp)
+    for v in B:
+        if v > lp.n:
+            continue
+        s = d.nonbasis.index(v)
+        leave = next(
+            (u for r, u in enumerate(d.basis) if u > lp.n and u not in members and d.Q.entry(r, s) != 0),
+            None,
+        )
+        if leave is None:
+            raise NotABasisError(f"columns of basis {B} are linearly dependent")
+        d = pivot(d, v, leave)
+    return _arrange(d, B, tuple(v for v in range(1, total + 1) if v not in members))
 
 
 def pivot(d: Dictionary, enter: int, leave: int) -> Dictionary:
@@ -189,13 +185,18 @@ def canonical(d: Dictionary) -> Dictionary:
     Strict dataclass equality is order-sensitive; theorem checks compare
     canonical forms instead.
     """
-    row_order = sorted(range(d.m), key=lambda i: d.basis[i])
-    col_order = sorted(range(d.n), key=lambda j: d.nonbasis[j])
+    return _arrange(d, tuple(sorted(d.basis)), tuple(sorted(d.nonbasis)))
+
+
+def _arrange(d: Dictionary, basis: tuple[int, ...], nonbasis: tuple[int, ...]) -> Dictionary:
+    """The same dictionary with its rows and columns in the given variable orders."""
+    rows = [d.basis.index(v) for v in basis]
+    cols = [d.nonbasis.index(v) for v in nonbasis]
     return replace(
         d,
-        basis=tuple(d.basis[i] for i in row_order),
-        nonbasis=tuple(d.nonbasis[j] for j in col_order),
-        p=QVector(d.p[i] for i in row_order),
-        Q=QMatrix([[d.Q.entry(i, j) for j in col_order] for i in row_order]),
-        q=QVector(d.q[j] for j in col_order),
+        basis=basis,
+        nonbasis=nonbasis,
+        p=QVector(d.p[i] for i in rows),
+        Q=QMatrix([[d.Q.entry(i, j) for j in cols] for i in rows]),
+        q=QVector(d.q[j] for j in cols),
     )

@@ -16,7 +16,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 
-from dictlp.exact import QMatrix, QVector, rank
+from dictlp import _kernels
+from dictlp.exact import QMatrix, QVector
 from dictlp.dictionary import (
     Dictionary,
     basic_solution,
@@ -25,7 +26,7 @@ from dictlp.dictionary import (
     initial_dictionary,
     negative_transpose,
 )
-from dictlp.model import AugmentedLP, DualIndexMap, StandardLP, augment, dual_lp
+from dictlp.model import DualIndexMap, StandardLP, augment, dual_lp
 
 
 class BasisCountError(ValueError):
@@ -110,18 +111,18 @@ def dual_dictionary_direct(lp: StandardLP, dual_basis: tuple[int, ...] | list[in
     """Dual-side dictionary built from the dual LP itself, no transpose involved.
 
     ``dual_basis`` lists dual variables by their y-indices (slacks y1..yn,
-    decisions y(n+1)..y(n+m)). The dual LP is augmented and eliminated like
-    any primal instance, then relabeled back to y-indices.
+    decisions y(n+1)..y(n+m)). The dual LP's dictionary for that basis is
+    built like any primal one, then relabeled back to y-indices.
     """
     dual, index_map = dual_lp(lp)
-    return _dual_dictionary(augment(dual), index_map, dual_basis)
+    return _dual_dictionary(dual, index_map, dual_basis)
 
 
 def _dual_dictionary(
-    dual_aug: AugmentedLP, index_map: DualIndexMap, dual_basis: tuple[int, ...] | list[int]
+    dual: StandardLP, index_map: DualIndexMap, dual_basis: tuple[int, ...] | list[int]
 ) -> Dictionary:
     columns = tuple(index_map.column_of(j) for j in dual_basis)
-    raw = dictionary_from_basis(dual_aug, columns)
+    raw = dictionary_from_basis(dual, columns)
     return Dictionary(
         side="dual",
         basis=tuple(index_map.variable_of(col) for col in raw.basis),
@@ -143,8 +144,7 @@ def spans_rowspace_of(r: QMatrix, d: Dictionary) -> bool:
     rho[0] * (objective row) + sum_k rho[B_k] * (row k). On column 0 and the
     columns of B that holds by construction; on the N columns and the last
     column it reads A_B Q = A_N, A_B p = b, q = c_N - Q^T c_B and
-    z* = c_B . p. Agrees with ``rowspace_equal`` on every dictionary of the
-    instance.
+    z* = c_B . p.
     """
     last = d.m + d.n + 1
     # Both sides of each equation are scaled by the dictionary's common
@@ -175,18 +175,16 @@ def verify_bases(lp: StandardLP, bases: list[tuple[int, ...]]) -> list[Bijection
     dictionary must equal (up to row/column order) the dual dictionary
     constructed directly from the dual LP with basic set N, and the primal
     dictionary's combined-system matrix must span the same row space as R
-    (``spans_rowspace_of``). The augmentations, the dual LP and R are built
-    once for all bases.
+    (``spans_rowspace_of``). Each side pivots its basis in from its own
+    slack dictionary; the dual LP and R are built once for all bases.
     """
-    aug = augment(lp)
     dual, index_map = dual_lp(lp)
-    dual_aug = augment(dual)
     r = build_R(lp)
     reports = []
     for basis in bases:
-        prim = dictionary_from_basis(aug, tuple(basis))
+        prim = dictionary_from_basis(lp, tuple(basis))
         flipped = canonical(negative_transpose(prim))
-        direct = canonical(_dual_dictionary(dual_aug, index_map, prim.nonbasis))
+        direct = canonical(_dual_dictionary(dual, index_map, prim.nonbasis))
         nt_ok = flipped == direct
         rs_ok = spans_rowspace_of(r, prim)
         notes = []
@@ -211,15 +209,17 @@ def verify_bijection(lp: StandardLP, basis: tuple[int, ...] | list[int]) -> Bije
 
 
 def enumerate_bases(lp: StandardLP, limit: int = 100_000) -> list[tuple[int, ...]]:
-    """All valid bases (ascending within and across), guarded by a subset budget."""
+    """All valid bases (ascending within and across), guarded by a subset budget.
+
+    A subset is a basis when its columns of [A0 I] have rank m.
+    """
     m, total = lp.m, lp.m + lp.n
     count = comb(total, m)
     if count > limit:
         raise BasisCountError(count, limit)
-    aug = augment(lp)
+    rows = augment(lp).A.row_lists()
     bases = []
     for combo in combinations(range(1, total + 1), m):
-        a_b = QMatrix.from_columns([aug.A.column(v - 1) for v in combo])
-        if rank(a_b) == m:
+        if _kernels.rref([[row[v - 1] for v in combo] for row in rows])[1] == m:
             bases.append(combo)
     return bases

@@ -1,10 +1,8 @@
-"""Exact rational scalars and dense linear algebra over them.
+"""Exact rational scalars and the immutable vectors and matrices built on them.
 
 The scalar type throughout the package is ``fractions.Fraction``: arbitrary
 precision and always canonical (reduced, positive denominator, zero is 0/1),
 so equality is structural and no comparison ever needs a tolerance.
-``QVector`` and ``QMatrix`` are immutable; elimination-heavy routines
-dispatch to ``dictlp._kernels``.
 """
 
 from __future__ import annotations
@@ -12,8 +10,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from typing import Iterable, Union
-
-from dictlp import _kernels
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -119,11 +115,6 @@ class QMatrix:
     def identity(cls, n: int) -> "QMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_columns(cls, cols: Iterable[Iterable[RationalLike]]) -> "QMatrix":
-        grid = [tuple(col) for col in cols]
-        return cls(zip(*grid))
-
     @property
     def rows(self) -> int:
         return len(self._rows)
@@ -158,16 +149,6 @@ class QMatrix:
             sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in self._rows
         )
 
-    def vstack(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.cols:
-            raise ValueError(f"column-count mismatch: {self.cols} vs {other.cols}")
-        return QMatrix(self._rows + other._rows)
-
-    def with_row(self, v: QVector) -> "QMatrix":
-        if self.cols != len(v):
-            raise ValueError(f"dimension mismatch: {self.cols} vs {len(v)}")
-        return QMatrix(self._rows + (tuple(v),))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, QMatrix) and self._rows == other._rows
 
@@ -178,42 +159,3 @@ class QMatrix:
         body = "; ".join(" ".join(map(str, row)) for row in self._rows)
         return f"QMatrix[{body}]"
 
-
-def rref(m: QMatrix) -> tuple[QMatrix, int, tuple[int, ...]]:
-    """Reduced row echelon form, rank, and 0-based pivot columns."""
-    reduced, rank, pivot_cols = _kernels.rref(m.row_lists())
-    return QMatrix(reduced), rank, tuple(pivot_cols)
-
-
-def rank(m: QMatrix) -> int:
-    return _kernels.rref(m.row_lists())[1]
-
-
-def solve_linear(m: QMatrix, rhs: QVector) -> QVector | None:
-    """Unique solution of a square system, or None when the matrix is singular."""
-    if m.rows != m.cols:
-        raise ValueError(f"matrix not square: {m.rows}x{m.cols}")
-    if len(rhs) != m.rows:
-        raise ValueError(f"dimension mismatch: {m.rows} vs {len(rhs)}")
-    n = m.rows
-    aug = [list(row) + [b] for row, b in zip(m.row_lists(), rhs)]
-    reduced, rnk, pivot_cols = _kernels.rref(aug)
-    if rnk != n or tuple(pivot_cols) != tuple(range(n)):
-        return None
-    return QVector(row[n] for row in reduced)
-
-
-def rowspace_contains(m: QMatrix, v: QVector) -> bool:
-    """True iff v is a linear combination of the rows of m (exact rank test)."""
-    if len(v) != m.cols:
-        raise ValueError(f"dimension mismatch: {m.cols} vs {len(v)}")
-    return rank(m) == rank(m.with_row(v))
-
-
-def rowspace_equal(m1: QMatrix, m2: QMatrix) -> bool:
-    """True iff the two matrices span the same row space."""
-    if m1.cols != m2.cols:
-        raise ValueError(f"column-count mismatch: {m1.cols} vs {m2.cols}")
-    r1 = rank(m1)
-    r2 = rank(m2)
-    return r1 == r2 == rank(m1.vstack(m2))

@@ -28,7 +28,7 @@ from dictlp.dictionary import (
     is_primal_feasible,
     pivot,
 )
-from dictlp.model import StandardLP, augment
+from dictlp.model import StandardLP
 
 
 class PivotRule(Enum):
@@ -273,7 +273,7 @@ def solve(
         trace = SolveTrace(phases=(phase1,))
         return Infeasible(farkas=_farkas_vector(final1, leave1)), trace
 
-    phase2_start = dictionary_from_basis(augment(lp), final1.basis)
+    phase2_start = dictionary_from_basis(lp, final1.basis)
     final2, _, steps2, enter2 = primal_simplex(phase2_start, rule)
     trace = SolveTrace(
         phases=(phase1, TracePhase("phase 2: primal simplex", phase2_start, tuple(steps2)))

@@ -1,5 +1,7 @@
 import io
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -22,7 +24,7 @@ from dictlp.dictionary import (
 )
 from dictlp.duality import enumerate_bases
 from dictlp.exact import QMatrix, QVector
-from dictlp.model import StandardLP, augment, parse_lp, serialize_lp
+from dictlp.model import StandardLP, parse_lp, serialize_lp
 from dictlp.simplex import PivotRule, solve
 
 from conftest import E1_TEXT, qm, qv, suite_instance
@@ -171,7 +173,7 @@ class TestFormatDictionary:
         lp = suite_instance(seed)
         bases = enumerate_bases(lp)
         basis = bases[data.draw(st.integers(0, len(bases) - 1))]
-        d = dictionary_from_basis(augment(lp), basis)
+        d = dictionary_from_basis(lp, basis)
         parsed = parse_dictionary_text(format_dictionary(d), lp.m + lp.n)
         assert parsed == d
         dual = negative_transpose(d)
@@ -322,8 +324,8 @@ class TestVerifyCommand:
     def test_corrupted_dictionary_fails_its_basis(self, e1_file, capsys, monkeypatch):
         real_build = duality.dictionary_from_basis
 
-        def corrupted(aug, basis):
-            d = real_build(aug, basis)
+        def corrupted(lp, basis):
+            d = real_build(lp, basis)
             if tuple(basis) == (1, 4):  # a primal basis; dual bases have 3 entries
                 rows = d.Q.row_lists()
                 rows[0][0] += 1
@@ -426,3 +428,64 @@ class TestErrorPaths:
 
     def test_missing_required_argument(self, capsys):
         assert main(["solve"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dict", "E1", "--basis", "\u0661,\u0665"],
+            ["trace", "E1", "--pivot", "+1,5"],
+            ["verify", "E1", "--limit", "1_0"],
+            ["random", "--m", "\u0662", "--n", "2", "--seed", "1"],
+            ["random", "--m", "2", "--n", "+2", "--seed", "1"],
+            ["random", "--m", "2", "--n", "2", "--seed", "1_0"],
+            ["random", "--m", "2", "--n", "2", "--seed", "1", "--bound", " 5"],
+        ],
+        ids=["basis", "pivot", "limit", "m", "n", "seed", "bound"],
+    )
+    def test_integer_flags_take_ascii_digits_only(self, e1_file, capsys, argv):
+        # U+0661, U+0662 and U+0665 are Arabic-Indic digits, which int() accepts.
+        assert main([e1_file if a == "E1" else a for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+
+    def test_seed_takes_a_leading_minus(self, capsys):
+        assert main(["random", "--m", "2", "--n", "2", "--seed", "-3"]) == 0
+        assert capsys.readouterr().out == serialize_lp(random_lp(2, 2, seed=-3))
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    def test_exits_1_without_a_message(self, e1_file, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main(["solve", e1_file]) == 1
+        assert capsys.readouterr().err == ""
+
+    def test_reader_closing_after_one_line(self, tmp_path):
+        # About 84 KB of output: more than a pipe holds, so the CLI is still
+        # writing when the reader goes away.
+        path = write_lp(tmp_path, serialize_lp(random_lp(15, 15, seed=3)))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dictlp.cli", "trace", path, "--dual-view"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            bufsize=0,
+            env=env,
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+            err = proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert first.startswith(b"x16 = -8 + 3x1")
+        assert code == 1
+        assert err == b""

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +18,11 @@ from dictlp.dictionary import (
     negative_transpose,
     pivot,
 )
-from dictlp.model import StandardLP, augment
+from dictlp.exact import QMatrix, QVector
+from dictlp.model import StandardLP
 
 from conftest import check_point, objective_at, qm, qv, suite_instance
+from reference import dictionary_by_elimination
 
 
 @pytest.fixture
@@ -51,10 +54,10 @@ def random_pivots(d, rng_choices):
 
 class TestFromBasis:
     def test_slack_basis_is_initial(self, e1, e1_initial):
-        assert dictionary_from_basis(augment(e1), (4, 5)) == e1_initial
+        assert dictionary_from_basis(e1, (4, 5)) == e1_initial
 
     def test_second_basis(self, e1):
-        d = dictionary_from_basis(augment(e1), (4, 1))
+        d = dictionary_from_basis(e1, (4, 1))
         assert d.basis == (4, 1)
         assert d.nonbasis == (2, 3, 5)
         assert d.p == qv([6, 3])
@@ -64,21 +67,44 @@ class TestFromBasis:
 
     def test_decision_basis_nonsingular(self, e1):
         # A_B = [[4, 2], [-1, -1]] has determinant -2
-        d = dictionary_from_basis(augment(e1), (1, 2))
+        d = dictionary_from_basis(e1, (1, 2))
         assert d.basis == (1, 2)
 
     def test_singular_basis_rejected(self):
         lp = StandardLP(A0=qm([[0]]), b=qv([1]), c=qv([1]))
         with pytest.raises(NotABasisError):
-            dictionary_from_basis(augment(lp), (1,))
+            dictionary_from_basis(lp, (1,))
 
     def test_wrong_size_rejected(self, e1):
         with pytest.raises(NotABasisError):
-            dictionary_from_basis(augment(e1), (4,))
+            dictionary_from_basis(e1, (4,))
         with pytest.raises(NotABasisError):
-            dictionary_from_basis(augment(e1), (4, 4))
+            dictionary_from_basis(e1, (4, 4))
         with pytest.raises(NotABasisError):
-            dictionary_from_basis(augment(e1), (4, 6))
+            dictionary_from_basis(e1, (4, 6))
+
+    @given(seed=st.integers(0, 500), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_elimination_on_every_ordered_subset(self, seed, data):
+        base = suite_instance(seed)
+        # Dividing constraint rows by constants makes the data fractional and
+        # keeps the set of bases, so the dependent subsets stay dependent.
+        factor = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool)
+        k = [data.draw(factor) for _ in range(base.m + 1)]
+        lp = StandardLP(
+            A0=QMatrix([[x / k[i] for x in row] for i, row in enumerate(base.A0.row_lists())]),
+            b=QVector(x / k[i] for i, x in enumerate(base.b)),
+            c=QVector(x / k[-1] for x in base.c),
+        )
+        for basis in permutations(range(1, lp.m + lp.n + 1), lp.m):
+            try:
+                expected = dictionary_by_elimination(lp, basis)
+            except NotABasisError as exc:
+                with pytest.raises(NotABasisError) as got:
+                    dictionary_from_basis(lp, basis)
+                assert str(got.value) == str(exc)
+            else:
+                assert dictionary_from_basis(lp, basis) == expected
 
 
 class TestPivot:
@@ -94,7 +120,7 @@ class TestPivot:
         assert pivot(pivot(e1_initial, 1, 5), 5, 1) == e1_initial
 
     def test_matches_from_basis_after_reordering(self, e1, e1_second):
-        rebuilt = dictionary_from_basis(augment(e1), e1_second.basis)
+        rebuilt = dictionary_from_basis(e1, e1_second.basis)
         assert canonical(rebuilt) == canonical(e1_second)
 
     def test_enter_not_nonbasic(self, e1_initial):
@@ -123,7 +149,7 @@ class TestPivot:
             assert sorted(d.basis + d.nonbasis) == list(range(1, total + 1))
         # from-basis coherence on the final dictionary
         final = chain[-1]
-        rebuilt = dictionary_from_basis(augment(lp), final.basis)
+        rebuilt = dictionary_from_basis(lp, final.basis)
         assert canonical(rebuilt) == canonical(final)
 
     @given(

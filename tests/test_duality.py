@@ -26,10 +26,11 @@ from dictlp.duality import (
     verify_bases,
     verify_bijection,
 )
-from dictlp.exact import QMatrix, QVector, rank, rowspace_contains, rowspace_equal
-from dictlp.model import StandardLP, augment
+from dictlp.exact import QMatrix, QVector
+from dictlp.model import StandardLP
 
 from conftest import objective_at, qm, qv, suite_instance
+from reference import rank, rowspace_contains, rowspace_equal
 
 E1_R = [
     [0, 4, 2, -2, 1, 0, -18],
@@ -202,10 +203,9 @@ class TestSpansRowspaceOf:
             c=QVector(x / (k + base.m) for x in base.c),
         )
         r = build_R(lp)
-        aug = augment(lp)
         delta = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
         for basis in enumerate_bases(lp):
-            d = dictionary_from_basis(aug, basis)
+            d = dictionary_from_basis(lp, basis)
             assert spans_rowspace_of(r, d)
             assert rowspace_equal(dictionary_matrix(d), r)
             # one entry of p, Q, q or z* perturbed
@@ -241,7 +241,7 @@ class TestDualDictionaryDirect:
     def test_succeeds_on_complement_of_any_valid_basis(self, seed):
         lp = suite_instance(seed)
         for basis in enumerate_bases(lp):
-            prim = dictionary_from_basis(augment(lp), basis)
+            prim = dictionary_from_basis(lp, basis)
             dual = dual_dictionary_direct(lp, prim.nonbasis)
             assert set(dual.basis) == set(prim.nonbasis)
 
@@ -294,7 +294,7 @@ class TestSolutionSetEquivalence:
         r = build_R(lp)
         bases = enumerate_bases(lp)
         basis = bases[data.draw(st.integers(0, len(bases) - 1))]
-        prim = dictionary_from_basis(augment(lp), basis)
+        prim = dictionary_from_basis(lp, basis)
         assert in_kernel(r, kernel_embedding(prim))
         dual = negative_transpose(prim)
         assert rowspace_contains(r, rowspace_embedding(dual))

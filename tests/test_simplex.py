@@ -325,3 +325,23 @@ class TestLockstep:
         primal_after = pivot(d, 1, 5)
         dual_after = pivot(negative_transpose(d), 5, 1)
         assert dual_after == negative_transpose(primal_after)
+
+    @given(seed=st.integers(0, 500), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_pivot_maps_to_the_flipped_dual_pivot(self, seed, data):
+        # negative_transpose(pivot(d, e, l)) == pivot(negative_transpose(d), l, e)
+        # along a random chain of valid pivots, with strict equality.
+        d = initial_dictionary(suite_instance(seed))
+        for _ in range(data.draw(st.integers(1, 6))):
+            pairs = [
+                (e, l)
+                for s, e in enumerate(d.nonbasis)
+                for r, l in enumerate(d.basis)
+                if d.Q.entry(r, s) != 0
+            ]
+            if not pairs:
+                break
+            e, l = data.draw(st.sampled_from(pairs))
+            after = pivot(d, e, l)
+            assert negative_transpose(after) == pivot(negative_transpose(d), l, e)
+            d = after
