@@ -6,11 +6,9 @@ point anywhere, so every comparison and every certificate is exact.
 
 from dictlp.exact import QMatrix, QVector, rational
 from dictlp.model import (
-    AugmentedLP,
     DualIndexMap,
     ParseError,
     StandardLP,
-    augment,
     dual_lp,
     parse_lp,
     serialize_lp,
@@ -61,7 +59,6 @@ BACKEND = "python"
 
 __all__ = [
     "BACKEND",
-    "AugmentedLP",
     "BasisCountError",
     "BijectionReport",
     "Dictionary",
@@ -78,7 +75,6 @@ __all__ = [
     "StandardLP",
     "Terminal",
     "Unbounded",
-    "augment",
     "basic_solution",
     "build_R",
     "canonical",

@@ -1,48 +1,14 @@
-"""Elimination kernels over ``fractions.Fraction`` entries.
+"""The elimination kernel over ``fractions.Fraction`` entries.
 
-The hot loops of the package: the dictionary pivot (``pivot_update``),
-behind every dictionary after the slack one, and row reduction (``rref``),
-the rank test of ``enumerate_bases``. Inputs are plain lists (of lists) of
+The hot loop of the package and its only elimination: the dictionary pivot
+(``pivot_update``), behind every dictionary after the slack one and behind
+the basis test of ``enumerate_bases``. Inputs are plain lists (of lists) of
 ``Fraction`` and are never mutated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], int, list[int]]:
-    """Reduced row echelon form of a dense rational matrix.
-
-    Returns ``(reduced_rows, rank, pivot_columns)``. The pivot in each column
-    is the first row with a nonzero entry; exact arithmetic needs no
-    magnitude-based pivoting.
-    """
-    m = [list(row) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        lead = m[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = m[i][c]
-            if f != 0:
-                m[i] = [a - f * b for a, b in zip(m[i], lead)]
-        pivot_cols.append(c)
-        r += 1
-    return m, r, pivot_cols
 
 
 def pivot_update(

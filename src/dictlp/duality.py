@@ -26,7 +26,7 @@ from dictlp.dictionary import (
     initial_dictionary,
     negative_transpose,
 )
-from dictlp.model import DualIndexMap, StandardLP, augment, dual_lp
+from dictlp.model import DualIndexMap, StandardLP, dual_lp
 
 
 class BasisCountError(ValueError):
@@ -211,15 +211,34 @@ def verify_bijection(lp: StandardLP, basis: tuple[int, ...] | list[int]) -> Bije
 def enumerate_bases(lp: StandardLP, limit: int = 100_000) -> list[tuple[int, ...]]:
     """All valid bases (ascending within and across), guarded by a subset budget.
 
-    A subset is a basis when its columns of [A0 I] have rank m.
+    A subset's slacks cover their own rows, so it is a basis exactly when
+    its k decision columns are independent on the k rows whose slacks it
+    leaves out. Each of those columns pivots in against the first unused
+    row with a nonzero entry, the rule of ``dictionary_from_basis``; the
+    subset is rejected when a column finds no such row.
     """
-    m, total = lp.m, lp.m + lp.n
-    count = comb(total, m)
+    m, n = lp.m, lp.n
+    count = comb(m + n, m)
     if count > limit:
         raise BasisCountError(count, limit)
-    rows = augment(lp).A.row_lists()
+    rows = lp.A0.row_lists()
     bases = []
-    for combo in combinations(range(1, total + 1), m):
-        if _kernels.rref([[row[v - 1] for v in combo] for row in rows])[1] == m:
+    for combo in combinations(range(1, m + n + 1), m):
+        free = [row for i, row in enumerate(rows) if n + i + 1 not in combo]
+        if _independent([[row[v - 1] for v in combo if v <= n] for row in free]):
             bases.append(combo)
     return bases
+
+
+def _independent(Q: list[list[Fraction]]) -> bool:
+    """True iff the columns of the square matrix Q are linearly independent."""
+    k = len(Q)
+    zeros = [Fraction(0)] * k
+    unused = list(range(k))
+    for s in range(k):
+        r = next((i for i in unused if Q[i][s] != 0), None)
+        if r is None:
+            return False
+        unused.remove(r)
+        _, Q, _, _ = _kernels.pivot_update(zeros, Q, zeros, Fraction(0), r, s)
+    return True

@@ -1,10 +1,12 @@
-"""LP problem representation, slack augmentation, duals, and the file format.
+"""LP problem representation, duals, and the file format.
 
 Instances are max-form: maximize ``c . x`` subject to ``A0 x <= b`` and
 ``x >= 0``. Variable indices are 1-based everywhere in the public API:
-``x1..xn`` are decision variables and ``x(n+1)..x(n+m)`` the slacks that
-appear after augmentation. The dual is materialized as another max-form
-instance so every dictionary operation applies uniformly to both sides.
+``x1..xn`` are decision variables and ``x(n+1)..x(n+m)`` the slacks, so the
+augmented constraint matrix is A = [A0 I]. A is never stored: the slack
+dictionary reads A0 and b as they are, and every other dictionary is
+pivoted from it. The dual is materialized as another max-form instance so
+every dictionary operation applies uniformly to both sides.
 """
 
 from __future__ import annotations
@@ -48,27 +50,6 @@ class StandardLP:
     @property
     def n(self) -> int:
         return self.A0.cols
-
-
-@dataclass(frozen=True)
-class AugmentedLP:
-    """The instance with slack columns appended: A = [A0 I], c extended by zeros."""
-
-    base: StandardLP
-    A: QMatrix
-    c_ext: QVector
-
-    @property
-    def m(self) -> int:
-        return self.base.m
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def var_count(self) -> int:
-        return self.base.m + self.base.n
 
 
 @dataclass(frozen=True)
@@ -165,17 +146,6 @@ def serialize_lp(lp: StandardLP) -> str:
         row.append(str(lp.b[i]))
         out.append(" ".join(row))
     return "\n".join(out) + "\n"
-
-
-def augment(lp: StandardLP) -> AugmentedLP:
-    """Append slack columns: A = [A0 I], c extended by m zeros."""
-    rows = []
-    for i in range(lp.m):
-        row = [lp.A0.entry(i, j) for j in range(lp.n)]
-        row.extend(Fraction(1) if k == i else Fraction(0) for k in range(lp.m))
-        rows.append(row)
-    c_ext = QVector(list(lp.c) + [Fraction(0)] * lp.m)
-    return AugmentedLP(base=lp, A=QMatrix(rows), c_ext=c_ext)
 
 
 def dual_lp(lp: StandardLP) -> tuple[StandardLP, DualIndexMap]:

@@ -14,15 +14,14 @@ has already visited finishes under Bland's rule, so every run terminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
-from dictlp.exact import QVector
+from dictlp.exact import QMatrix, QVector
 from dictlp.dictionary import (
     Dictionary,
     basic_solution,
-    dictionary_from_basis,
     initial_dictionary,
     is_dual_feasible,
     is_primal_feasible,
@@ -238,10 +237,11 @@ def solve(
     """Two-phase driver producing an exact outcome certificate.
 
     Starts primal simplex when the initial dictionary is primal feasible and
-    dual simplex when it is dual feasible. Otherwise phase 1 swaps in the
-    all-(-1) objective (dual feasible by construction), drives to primal
-    feasibility with dual simplex, rebuilds the true objective on the final
-    basis, and finishes with primal simplex.
+    dual simplex when it is dual feasible. Otherwise phase 1 prices the
+    slack dictionary with the all-(-1) objective (dual feasible by
+    construction) and drives to primal feasibility with dual simplex; phase
+    2 prices phase 1's final dictionary with the true objective and
+    finishes with primal simplex.
     """
     d0 = initial_dictionary(lp)
     n = lp.n
@@ -255,30 +255,45 @@ def solve(
         final, _, steps, leave = dual_simplex(d0, rule)
         trace = SolveTrace(phases=(TracePhase("dual simplex", d0, tuple(steps)),))
         if leave is None:
-            return Optimal(point=QVector(basic_solution(final)[:n]), value=final.z_star), trace
+            return _primal_outcome(final, None, n), trace
         return Infeasible(farkas=_farkas_vector(final, leave)), trace
 
-    phase1_start = Dictionary(
-        side="primal",
-        basis=d0.basis,
-        nonbasis=d0.nonbasis,
-        p=d0.p,
-        Q=d0.Q,
-        q=QVector([Fraction(-1)] * n),
-        z_star=Fraction(0),
-    )
+    phase1_start = _priced(d0, [Fraction(-1)] * n)
     final1, _, steps1, leave1 = dual_simplex(phase1_start, rule)
     phase1 = TracePhase("phase 1: dual simplex, auxiliary objective", phase1_start, tuple(steps1))
     if leave1 is not None:
         trace = SolveTrace(phases=(phase1,))
         return Infeasible(farkas=_farkas_vector(final1, leave1)), trace
 
-    phase2_start = dictionary_from_basis(lp, final1.basis)
+    phase2_start = _priced(final1, list(lp.c))
     final2, _, steps2, enter2 = primal_simplex(phase2_start, rule)
     trace = SolveTrace(
         phases=(phase1, TracePhase("phase 2: primal simplex", phase2_start, tuple(steps2)))
     )
     return _primal_outcome(final2, enter2, n), trace
+
+
+def _priced(d: Dictionary, c: list[Fraction]) -> Dictionary:
+    """The dictionary in hand under the objective c.x, slacks costing 0.
+
+    Keeps the rows and sorts the columns ascending; the objective row is
+    q = c_N - Q^T c_B and z* = c_B . p.
+    """
+    costs = c + [Fraction(0)] * d.m
+    cols = sorted(range(d.n), key=lambda j: d.nonbasis[j])
+    c_B = [costs[v - 1] for v in d.basis]
+    rows = [[row[j] for j in cols] for row in d.Q.row_lists()]
+    nonbasis = tuple(d.nonbasis[j] for j in cols)
+    return replace(
+        d,
+        nonbasis=nonbasis,
+        Q=QMatrix(rows),
+        q=QVector(
+            costs[v - 1] - sum((cb * row[j] for cb, row in zip(c_B, rows)), Fraction(0))
+            for j, v in enumerate(nonbasis)
+        ),
+        z_star=sum((cb * pi for cb, pi in zip(c_B, d.p)), Fraction(0)),
+    )
 
 
 def _primal_outcome(final: Dictionary, enter: int | None, n: int) -> SolveOutcome:

@@ -1,24 +1,68 @@
-"""Rank-based references for the library's elimination-free paths (test-only).
+"""Row-reduction references for the library's pivot-only paths (test-only).
 
+``rref`` is row reduction to reduced echelon form; the library itself
+eliminates only by dictionary pivots (``dictlp._kernels.pivot_update``).
 ``dictionary_by_elimination`` builds a dictionary without a pivot, by one
 reduction of [A_B | b | A_N]; ``dictionary_from_basis`` is checked against it.
 ``rank``, ``rowspace_contains`` and ``rowspace_equal`` are the exact rank
-tests that the substitution test ``spans_rowspace_of`` is checked against.
-All of them reduce with ``dictlp._kernels.rref``.
+tests that the substitution test ``spans_rowspace_of`` and the pivot basis
+test of ``enumerate_bases`` are checked against. All of them reduce with
+``rref``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from dictlp import _kernels
 from dictlp.dictionary import Dictionary, NotABasisError
 from dictlp.exact import QMatrix, QVector
-from dictlp.model import StandardLP, augment
+from dictlp.model import StandardLP
+
+
+def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], int, list[int]]:
+    """Reduced row echelon form of a dense rational matrix.
+
+    Returns ``(reduced_rows, rank, pivot_columns)``. The pivot in each column
+    is the first row with a nonzero entry; exact arithmetic needs no
+    magnitude-based pivoting.
+    """
+    m = [list(row) for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        lead = m[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = m[i][c]
+            if f != 0:
+                m[i] = [a - f * b for a, b in zip(m[i], lead)]
+        pivot_cols.append(c)
+        r += 1
+    return m, r, pivot_cols
 
 
 def rank(m: QMatrix) -> int:
-    return _kernels.rref(m.row_lists())[1]
+    return rref(m.row_lists())[1]
+
+
+def augmented_rows(lp: StandardLP) -> list[list[Fraction]]:
+    """The rows of A = [A0 I]: the decision columns, then one slack per row."""
+    return [
+        list(row) + [Fraction(1) if k == i else Fraction(0) for k in range(lp.m)]
+        for i, row in enumerate(lp.A0.row_lists())
+    ]
 
 
 def rowspace_contains(m: QMatrix, v: QVector) -> bool:
@@ -44,8 +88,7 @@ def dictionary_by_elimination(lp: StandardLP, basis: tuple[int, ...] | list[int]
     then q = c_N - Q^T c_B and z* = c_B . p. Raises ``NotABasisError`` when
     the basis columns are dependent.
     """
-    aug = augment(lp)
-    m, total = aug.m, aug.var_count
+    m, total = lp.m, lp.m + lp.n
     B = tuple(basis)
     if len(B) != m:
         raise NotABasisError(f"basis must have {m} indices, got {len(B)}")
@@ -54,20 +97,21 @@ def dictionary_by_elimination(lp: StandardLP, basis: tuple[int, ...] | list[int]
     N = tuple(v for v in range(1, total + 1) if v not in set(B))
 
     rows = []
-    for i in range(m):
-        row = [aug.A.entry(i, v - 1) for v in B]
-        row.append(aug.base.b[i])
-        row.extend(aug.A.entry(i, v - 1) for v in N)
+    for a_row, b_i in zip(augmented_rows(lp), lp.b):
+        row = [a_row[v - 1] for v in B]
+        row.append(b_i)
+        row.extend(a_row[v - 1] for v in N)
         rows.append(row)
-    reduced, rnk, pivot_cols = _kernels.rref(rows)
+    reduced, rnk, pivot_cols = rref(rows)
     if rnk != m or tuple(pivot_cols) != tuple(range(m)):
         raise NotABasisError(f"columns of basis {B} are linearly dependent")
 
     p = QVector(row[m] for row in reduced)
     Q = QMatrix([row[m + 1 :] for row in reduced])
-    c_B = [aug.c_ext[v - 1] for v in B]
+    c_ext = list(lp.c) + [Fraction(0)] * m
+    c_B = [c_ext[v - 1] for v in B]
     q = QVector(
-        aug.c_ext[N[j] - 1] - sum((c_B[i] * Q.entry(i, j) for i in range(m)), Fraction(0))
+        c_ext[N[j] - 1] - sum((c_B[i] * Q.entry(i, j) for i in range(m)), Fraction(0))
         for j in range(len(N))
     )
     z_star = sum((cb * pi for cb, pi in zip(c_B, p)), Fraction(0))

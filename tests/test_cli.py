@@ -423,6 +423,20 @@ class TestErrorPaths:
         assert main(["solve", path]) == 1
         assert "parse error: line 3: malformed rational" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve"], ["trace"], ["trace", "--pivot", "1,2"], ["dual"], ["dict", "--basis", "2"], ["verify"]],
+        ids=["solve", "trace", "trace-pivot", "dual", "dict", "verify"],
+    )
+    def test_non_utf8_file_is_one_error_line(self, tmp_path, capsys, argv):
+        path = tmp_path / "bad.lp"
+        path.write_bytes(b"lp v1\n1 1\n1\n1 \xff\n")
+        assert main([argv[0], str(path), *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
 

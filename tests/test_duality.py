@@ -30,6 +30,7 @@ from dictlp.exact import QMatrix, QVector
 from dictlp.model import StandardLP
 
 from conftest import objective_at, qm, qv, suite_instance
+from oracle import basic_points
 from reference import rank, rowspace_contains, rowspace_equal
 
 E1_R = [
@@ -284,6 +285,21 @@ class TestEnumerateBases:
             enumerate_bases(e1, limit=3)
         assert exc_info.value.count == 10
         assert "10" in str(exc_info.value)
+
+    @given(seed=st.integers(0, 500), bound=st.sampled_from([1, 5]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_basic_points(self, seed, bound, data):
+        # Bound-1 instances have many singular subsets; dividing constraint
+        # rows by constants makes the data fractional and keeps the bases.
+        base = suite_instance(seed, bound)
+        factor = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool)
+        k = [data.draw(factor) for _ in range(base.m)]
+        lp = StandardLP(
+            A0=QMatrix([[x / k[i] for x in row] for i, row in enumerate(base.A0.row_lists())]),
+            b=QVector(x / k[i] for i, x in enumerate(base.b)),
+            c=base.c,
+        )
+        assert enumerate_bases(lp) == [basis for basis, _ in basic_points(lp)]
 
 
 class TestSolutionSetEquivalence:

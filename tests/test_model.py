@@ -10,7 +10,6 @@ from dictlp.model import (
     DualIndexMap,
     ParseError,
     StandardLP,
-    augment,
     dual_lp,
     parse_lp,
     serialize_lp,
@@ -93,44 +92,6 @@ class TestSerialize:
     def test_idempotent_on_messy_whitespace(self, e1):
         messy = "lp v1\n 2   3\n8  11  -10\n4 2 -2 18\n-1 -1 -2 -3"
         assert serialize_lp(parse_lp(messy)) == serialize_lp(e1)
-
-
-class TestAugment:
-    def test_e1(self, e1):
-        aug = augment(e1)
-        assert aug.A == qm([[4, 2, -2, 1, 0], [-1, -1, -2, 0, 1]])
-        assert aug.c_ext == qv([8, 11, -10, 0, 0])
-        assert aug.var_count == 5
-
-    def test_one_by_one(self):
-        lp = StandardLP(A0=qm([[7]]), b=qv([1]), c=qv([1]))
-        assert augment(lp).A == qm([[7, 1]])
-
-    @given(instances())
-    @settings(max_examples=40)
-    def test_slack_columns_form_identity(self, lp):
-        aug = augment(lp)
-        for i in range(lp.m):
-            col = aug.A.column(lp.n + i)
-            assert list(col) == [Fraction(1) if k == i else Fraction(0) for k in range(lp.m)]
-
-    @given(instances(), st.data())
-    @settings(max_examples=40)
-    def test_preserves_solution_sets(self, lp, data):
-        xs = data.draw(
-            st.lists(
-                st.fractions(min_value=0, max_value=10, max_denominator=4),
-                min_size=lp.n,
-                max_size=lp.n,
-            )
-        )
-        x = qv(xs)
-        slack = lp.b - lp.A0.mul_vec(x)
-        full = QVector(list(x) + list(slack))
-        aug = augment(lp)
-        assert aug.A.mul_vec(full) == lp.b
-        base_feasible = all(s >= 0 for s in slack)
-        assert base_feasible == all(v >= 0 for v in full)
 
 
 class TestDual:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dictlp.dictionary import (
     Dictionary,
+    dictionary_from_basis,
     initial_dictionary,
     is_dual_feasible,
     is_primal_feasible,
@@ -232,8 +233,11 @@ class TestSolveAgainstOracle:
     @settings(max_examples=80, deadline=None)
     def test_outcome_matches_brute_force(self, seed, rule):
         lp = suite_instance(seed)
-        outcome, _ = solve(lp, rule)
+        outcome, trace = solve(lp, rule)
         check_outcome(lp, outcome)
+        if len(trace.phases) == 2:
+            start = trace.phases[1].start
+            assert start == dictionary_from_basis(lp, start.basis)
         kind, value = oracle_solve(lp)
         assert outcome_kind(outcome) == kind
         if isinstance(outcome, Optimal):
