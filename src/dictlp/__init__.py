@@ -6,7 +6,6 @@ point anywhere, so every comparison and every certificate is exact.
 
 from dictlp.exact import QMatrix, QVector, rational
 from dictlp.model import (
-    DualIndexMap,
     ParseError,
     StandardLP,
     dual_lp,
@@ -31,7 +30,6 @@ from dictlp.simplex import (
     Optimal,
     PivotRule,
     SolveOutcome,
-    Terminal,
     Unbounded,
     choose_entering,
     choose_leaving,
@@ -49,7 +47,6 @@ from dictlp.duality import (
     in_kernel,
     spans_rowspace_of,
     verify_bases,
-    verify_bijection,
 )
 
 __version__ = "0.1.0"
@@ -62,7 +59,6 @@ __all__ = [
     "BasisCountError",
     "BijectionReport",
     "Dictionary",
-    "DualIndexMap",
     "Infeasible",
     "NotABasisError",
     "Optimal",
@@ -73,7 +69,6 @@ __all__ = [
     "QVector",
     "SolveOutcome",
     "StandardLP",
-    "Terminal",
     "Unbounded",
     "basic_solution",
     "build_R",
@@ -99,5 +94,4 @@ __all__ = [
     "solve",
     "spans_rowspace_of",
     "verify_bases",
-    "verify_bijection",
 ]

@@ -203,8 +203,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_dual(args: argparse.Namespace) -> int:
     lp = _read_instance(args.input)
-    dual, _ = dual_lp(lp)
-    sys.stdout.write(serialize_lp(dual))
+    sys.stdout.write(serialize_lp(dual_lp(lp)))
     return 0
 
 

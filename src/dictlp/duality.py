@@ -5,13 +5,17 @@ primal points embed into its kernel, dual points into its row space, and the
 two subspaces are orthogonal complements. On top of that sits the theorem
 this package exists to check: the dual dictionary with basic set N is
 exactly the negative transpose of the primal dictionary with basis B, for
-every valid basis. ``verify_bases`` tests both the dictionary identity
-and the underlying row-space equality, per basis, in exact arithmetic.
+every valid basis. The dual side is named so the pairing is by index: y_j
+pairs with x_j, so y1..yn are the dual slacks and y(n+1)..y(n+m) the dual
+decisions, and ``dual_dictionary_direct`` builds the dual dictionary for N
+from the dual LP under those names. ``verify_bases`` tests both the
+dictionary identity and the underlying row-space equality, per basis, in
+exact arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
@@ -20,13 +24,14 @@ from dictlp import _kernels
 from dictlp.exact import QMatrix, QVector
 from dictlp.dictionary import (
     Dictionary,
+    NotABasisError,
     basic_solution,
     canonical,
     dictionary_from_basis,
     initial_dictionary,
     negative_transpose,
 )
-from dictlp.model import DualIndexMap, StandardLP, dual_lp
+from dictlp.model import StandardLP, dual_lp
 
 
 class BasisCountError(ValueError):
@@ -69,7 +74,7 @@ def in_kernel(r: QMatrix, xbar: QVector) -> bool:
 
 def kernel_embedding(d: Dictionary) -> QVector:
     """Basic solution lifted to the combined system: [z*, x, 1]."""
-    return QVector([d.z_star]).concat(basic_solution(d)).concat(QVector([Fraction(1)]))
+    return QVector([d.z_star, *basic_solution(d), Fraction(1)])
 
 
 def rowspace_embedding(d: Dictionary) -> QVector:
@@ -78,7 +83,7 @@ def rowspace_embedding(d: Dictionary) -> QVector:
     The last coordinate is the dual dictionary's constant, i.e. the max-form
     dual objective value -w at its basic solution.
     """
-    return QVector([Fraction(1)]).concat(basic_solution(d)).concat(QVector([d.z_star]))
+    return QVector([Fraction(1), *basic_solution(d), d.z_star])
 
 
 def dictionary_matrix(d: Dictionary) -> QMatrix:
@@ -107,30 +112,24 @@ def dictionary_matrix(d: Dictionary) -> QMatrix:
     return QMatrix(rows)
 
 
-def dual_dictionary_direct(lp: StandardLP, dual_basis: tuple[int, ...] | list[int]) -> Dictionary:
+def dual_dictionary_direct(dual: StandardLP, dual_basis: tuple[int, ...] | list[int]) -> Dictionary:
     """Dual-side dictionary built from the dual LP itself, no transpose involved.
 
-    ``dual_basis`` lists dual variables by their y-indices (slacks y1..yn,
-    decisions y(n+1)..y(n+m)). The dual LP's dictionary for that basis is
-    built like any primal one, then relabeled back to y-indices.
+    ``dual`` is ``dual_lp(lp)``; ``dual_basis`` lists dual variables by their
+    y-indices (slacks y1..yn, decisions y(n+1)..y(n+m)). The y-index is the
+    dual column rotated by n, so the dual LP's dictionary for that basis is
+    built like any primal one, then relabeled back to y-indices. Raises
+    ``NotABasisError`` for an index outside 1..m+n or a dependent basis.
     """
-    dual, index_map = dual_lp(lp)
-    return _dual_dictionary(dual, index_map, dual_basis)
-
-
-def _dual_dictionary(
-    dual: StandardLP, index_map: DualIndexMap, dual_basis: tuple[int, ...] | list[int]
-) -> Dictionary:
-    columns = tuple(index_map.column_of(j) for j in dual_basis)
-    raw = dictionary_from_basis(dual, columns)
-    return Dictionary(
+    total = dual.m + dual.n
+    if any(not 1 <= j <= total for j in dual_basis):
+        raise NotABasisError(f"dual basis must be indices in 1..{total}: {tuple(dual_basis)}")
+    raw = dictionary_from_basis(dual, tuple((j + dual.n - 1) % total + 1 for j in dual_basis))
+    return replace(
+        raw,
         side="dual",
-        basis=tuple(index_map.variable_of(col) for col in raw.basis),
-        nonbasis=tuple(index_map.variable_of(col) for col in raw.nonbasis),
-        p=raw.p,
-        Q=raw.Q,
-        q=raw.q,
-        z_star=raw.z_star,
+        basis=tuple((col + dual.m - 1) % total + 1 for col in raw.basis),
+        nonbasis=tuple((col + dual.m - 1) % total + 1 for col in raw.nonbasis),
     )
 
 
@@ -178,13 +177,13 @@ def verify_bases(lp: StandardLP, bases: list[tuple[int, ...]]) -> list[Bijection
     (``spans_rowspace_of``). Each side pivots its basis in from its own
     slack dictionary; the dual LP and R are built once for all bases.
     """
-    dual, index_map = dual_lp(lp)
+    dual = dual_lp(lp)
     r = build_R(lp)
     reports = []
     for basis in bases:
         prim = dictionary_from_basis(lp, tuple(basis))
         flipped = canonical(negative_transpose(prim))
-        direct = canonical(_dual_dictionary(dual, index_map, prim.nonbasis))
+        direct = canonical(dual_dictionary_direct(dual, prim.nonbasis))
         nt_ok = flipped == direct
         rs_ok = spans_rowspace_of(r, prim)
         notes = []
@@ -201,11 +200,6 @@ def verify_bases(lp: StandardLP, bases: list[tuple[int, ...]]) -> list[Bijection
             )
         )
     return reports
-
-
-def verify_bijection(lp: StandardLP, basis: tuple[int, ...] | list[int]) -> BijectionReport:
-    """Check the primal-dual dictionary bijection for one basis (see ``verify_bases``)."""
-    return verify_bases(lp, [tuple(basis)])[0]
 
 
 def enumerate_bases(lp: StandardLP, limit: int = 100_000) -> list[tuple[int, ...]]:

@@ -11,7 +11,6 @@ import re
 from fractions import Fraction
 from typing import Iterable, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?\Z")
@@ -57,10 +56,6 @@ class QVector:
         if not self._entries:
             raise ValueError("empty vector")
 
-    @property
-    def entries(self) -> tuple[Fraction, ...]:
-        return self._entries
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -90,9 +85,6 @@ class QVector:
         self._check_len(other)
         return sum((a * b for a, b in zip(self, other)), Fraction(0))
 
-    def concat(self, other: "QVector") -> "QVector":
-        return QVector(self._entries + other._entries)
-
     def _check_len(self, other: "QVector") -> None:
         if len(self) != len(other):
             raise ValueError(f"dimension mismatch: {len(self)} vs {len(other)}")
@@ -110,10 +102,6 @@ class QMatrix:
         width = len(self._rows[0])
         if any(len(row) != width for row in self._rows):
             raise ValueError("ragged rows")
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
     def rows(self) -> int:

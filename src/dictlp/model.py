@@ -5,8 +5,11 @@ Instances are max-form: maximize ``c . x`` subject to ``A0 x <= b`` and
 ``x1..xn`` are decision variables and ``x(n+1)..x(n+m)`` the slacks, so the
 augmented constraint matrix is A = [A0 I]. A is never stored: the slack
 dictionary reads A0 and b as they are, and every other dictionary is
-pivoted from it. The dual is materialized as another max-form instance so
-every dictionary operation applies uniformly to both sides.
+pivoted from it. The dual (``dual_lp``) is materialized as another max-form
+instance so every dictionary operation applies uniformly to both sides. Its
+columns are numbered like any instance's, decisions first; the y-index names
+that pair them with the primal variables are applied only where a dual
+dictionary is built (``duality.dual_dictionary_direct``).
 """
 
 from __future__ import annotations
@@ -52,37 +55,12 @@ class StandardLP:
         return self.A0.cols
 
 
-@dataclass(frozen=True)
-class DualIndexMap:
-    """Translates between dual variable names and dual matrix columns.
-
-    The dual of an m x n instance has m decision variables and n slacks, but
-    they are named so the primal/dual correspondence is index-preserving:
-    y(n+1)..y(n+m) are the dual decisions and y1..yn its slacks.
-    """
-
-    m: int
-    n: int
-
-    def column_of(self, j: int) -> int:
-        """Column (1-based) of dual variable y_j in the dual augmentation."""
-        if 1 <= j <= self.n:
-            return self.m + j
-        if self.n < j <= self.n + self.m:
-            return j - self.n
-        raise ValueError(f"dual variable index out of range: {j}")
-
-    def variable_of(self, col: int) -> int:
-        """Dual variable y-index for a 1-based dual augmentation column."""
-        if 1 <= col <= self.m:
-            return self.n + col
-        if self.m < col <= self.m + self.n:
-            return col - self.m
-        raise ValueError(f"dual column out of range: {col}")
-
-
 def parse_lp(text: str) -> StandardLP:
-    """Parse the LP file format (see ``serialize_lp`` for the grammar)."""
+    """Parse the LP file format (see ``serialize_lp`` for the grammar).
+
+    One leading byte-order mark (U+FEFF) is ignored.
+    """
+    text = text.removeprefix("\ufeff")
     lines: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -148,7 +126,6 @@ def serialize_lp(lp: StandardLP) -> str:
     return "\n".join(out) + "\n"
 
 
-def dual_lp(lp: StandardLP) -> tuple[StandardLP, DualIndexMap]:
+def dual_lp(lp: StandardLP) -> StandardLP:
     """The dual, itself in max form: maximize -b.y s.t. -A0^T y <= -c, y >= 0."""
-    dual = StandardLP(A0=-lp.A0.transpose(), b=-lp.c, c=-lp.b)
-    return dual, DualIndexMap(m=lp.m, n=lp.n)
+    return StandardLP(A0=-lp.A0.transpose(), b=-lp.c, c=-lp.b)

@@ -35,12 +35,6 @@ class PivotRule(Enum):
     DANTZIG = "dantzig"
 
 
-class Terminal(Enum):
-    OPTIMAL = "optimal"
-    UNBOUNDED = "unbounded"
-    INFEASIBLE = "infeasible"
-
-
 @dataclass(frozen=True)
 class PivotStep:
     enter: int
@@ -149,13 +143,14 @@ def _cycle_guard(d: Dictionary, rule: PivotRule, visited: set[frozenset[int]]) -
 
 def primal_simplex(
     d: Dictionary, rule: PivotRule = PivotRule.BLAND
-) -> tuple[Dictionary, Terminal, list[PivotStep], int | None]:
+) -> tuple[Dictionary, list[PivotStep], int | None]:
     """Run primal simplex from a primal-feasible dictionary.
 
-    Terminates OPTIMAL when q <= 0, or UNBOUNDED when the entering column has
-    no positive entry; the last element is that entering variable, None when
-    OPTIMAL. Every intermediate dictionary stays primal feasible. On a
-    repeated basis the loop switches to Bland's rule for the rest of the run.
+    Returns the final dictionary, the pivots and a signal saying how the
+    loop ended: None when optimal (q <= 0), else the entering variable whose
+    column has no positive entry (unbounded). Every intermediate dictionary
+    stays primal feasible. On a repeated basis the loop switches to Bland's
+    rule for the rest of the run.
     """
     if not is_primal_feasible(d):
         raise ValueError("primal simplex requires a primal-feasible dictionary")
@@ -165,26 +160,27 @@ def primal_simplex(
         rule = _cycle_guard(d, rule, visited)
         enter = choose_entering(d, rule)
         if enter is None:
-            return d, Terminal.OPTIMAL, steps, None
+            return d, steps, None
         leave = choose_leaving(d, d.nonbasis.index(enter))
         if leave is None:
-            return d, Terminal.UNBOUNDED, steps, enter
+            return d, steps, enter
         d = pivot(d, enter, leave)
         steps.append(PivotStep(enter=enter, leave=leave, dictionary=d))
 
 
 def dual_simplex(
     d: Dictionary, rule: PivotRule = PivotRule.BLAND
-) -> tuple[Dictionary, Terminal, list[PivotStep], int | None]:
+) -> tuple[Dictionary, list[PivotStep], int | None]:
     """Run dual simplex from a dual-feasible dictionary.
 
-    Terminates OPTIMAL when p >= 0, or INFEASIBLE when some row has a
-    negative constant and no negative coefficient; the last element is that
-    row's leaving variable, None when OPTIMAL. Every intermediate dictionary
-    stays dual feasible. On a repeated basis the loop switches to Bland's
-    rule for the rest of the run. Through the negative transpose this is
-    step-for-step the primal method on the flipped dictionary: a pivot
-    (enter j, leave i) here corresponds to (enter i, leave j) there.
+    Returns the final dictionary, the pivots and a signal saying how the
+    loop ended: None when optimal (p >= 0), else the leaving variable of a
+    row with a negative constant and no negative coefficient (infeasible).
+    Every intermediate dictionary stays dual feasible. On a repeated basis
+    the loop switches to Bland's rule for the rest of the run. Through the
+    negative transpose this is step-for-step the primal method on the
+    flipped dictionary: a pivot (enter j, leave i) here corresponds to
+    (enter i, leave j) there, and both loops end with the same signal.
     """
     if not is_dual_feasible(d):
         raise ValueError("dual simplex requires a dual-feasible dictionary")
@@ -195,10 +191,10 @@ def dual_simplex(
         # The primal choices on the negative transpose (-q, -Q^T, -p).
         leave = _pick(d.basis, -d.p, rule)
         if leave is None:
-            return d, Terminal.OPTIMAL, steps, None
+            return d, steps, None
         enter = _ratio_test(d.nonbasis, -d.q, -d.Q.row(d.basis.index(leave)))
         if enter is None:
-            return d, Terminal.INFEASIBLE, steps, leave
+            return d, steps, leave
         d = pivot(d, enter, leave)
         steps.append(PivotStep(enter=enter, leave=leave, dictionary=d))
 
@@ -247,26 +243,26 @@ def solve(
     n = lp.n
 
     if is_primal_feasible(d0):
-        final, _, steps, enter = primal_simplex(d0, rule)
+        final, steps, enter = primal_simplex(d0, rule)
         trace = SolveTrace(phases=(TracePhase("primal simplex", d0, tuple(steps)),))
         return _primal_outcome(final, enter, n), trace
 
     if is_dual_feasible(d0):
-        final, _, steps, leave = dual_simplex(d0, rule)
+        final, steps, leave = dual_simplex(d0, rule)
         trace = SolveTrace(phases=(TracePhase("dual simplex", d0, tuple(steps)),))
         if leave is None:
             return _primal_outcome(final, None, n), trace
         return Infeasible(farkas=_farkas_vector(final, leave)), trace
 
     phase1_start = _priced(d0, [Fraction(-1)] * n)
-    final1, _, steps1, leave1 = dual_simplex(phase1_start, rule)
+    final1, steps1, leave1 = dual_simplex(phase1_start, rule)
     phase1 = TracePhase("phase 1: dual simplex, auxiliary objective", phase1_start, tuple(steps1))
     if leave1 is not None:
         trace = SolveTrace(phases=(phase1,))
         return Infeasible(farkas=_farkas_vector(final1, leave1)), trace
 
     phase2_start = _priced(final1, list(lp.c))
-    final2, _, steps2, enter2 = primal_simplex(phase2_start, rule)
+    final2, steps2, enter2 = primal_simplex(phase2_start, rule)
     trace = SolveTrace(
         phases=(phase1, TracePhase("phase 2: primal simplex", phase2_start, tuple(steps2)))
     )

@@ -27,10 +27,10 @@ from dictlp.duality import (
     in_kernel,
     kernel_embedding,
     rowspace_embedding,
-    verify_bijection,
+    verify_bases,
 )
 from dictlp.exact import QVector
-from dictlp.model import parse_lp
+from dictlp.model import dual_lp, parse_lp
 from dictlp.simplex import PivotRule, Unbounded, dual_simplex, primal_simplex, solve
 
 from conftest import E1_TEXT, dual_feasible_instance, suite_instance
@@ -121,7 +121,7 @@ def test_criterion_3_bijection_randomized():
         for seed in BIJECTION_SEEDS:
             lp = suite_instance(seed, bound=5)
             for basis in enumerate_bases(lp):
-                report = verify_bijection(lp, basis)
+                (report,) = verify_bases(lp, [basis])
                 assert report.passed, (seed, basis, report.details)
                 bases_checked += 1
         elapsed = time.perf_counter() - start
@@ -158,7 +158,7 @@ def test_criterion_4_orthogonal_subspace_properties():
             for basis in enumerate_bases(lp):
                 prim = dictionary_from_basis(lp, basis)
                 assert in_kernel(r, kernel_embedding(prim))
-                dual = dual_dictionary_direct(lp, prim.nonbasis)
+                dual = dual_dictionary_direct(dual_lp(lp), prim.nonbasis)
                 assert rowspace_contains(r, rowspace_embedding(dual))
 
 
@@ -175,8 +175,8 @@ def test_criterion_5_solver_matches_brute_force(solver_runs):
 def test_criterion_6_lockstep_duality(lockstep_runs):
     with criterion(6, "dual simplex mirrors primal simplex through the negative transpose"):
         for _lp, _d, dual_result, primal_result in lockstep_runs:
-            dual_final, _dt, dual_steps, _ = dual_result
-            primal_final, _pt, primal_steps, _ = primal_result
+            dual_final, dual_steps, _ = dual_result
+            primal_final, primal_steps, _ = primal_result
             assert [(s.enter, s.leave) for s in primal_steps] == [
                 (s.leave, s.enter) for s in dual_steps
             ]
@@ -199,8 +199,8 @@ def test_criterion_7_bland_termination(solver_runs, lockstep_runs):
                 check_run(phase.start, phase.steps, bound)
         for lp, d, dual_result, primal_result in lockstep_runs:
             bound = comb(lp.m + lp.n, lp.m)
-            check_run(d, dual_result[2], bound)
-            check_run(negative_transpose(d), primal_result[2], bound)
+            check_run(d, dual_result[1], bound)
+            check_run(negative_transpose(d), primal_result[1], bound)
 
 
 def test_criterion_8_e1_unbounded_certificate(e1):

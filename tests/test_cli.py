@@ -217,6 +217,22 @@ class TestSolveCommand:
         assert code == 0
         assert "value = 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, monkeypatch, source):
+        text = b"lp v1\n1 1\n1\n1 1\n"
+        results = []
+        for data in (text, b"\xef\xbb\xbf" + text):
+            if source == "file":
+                path = tmp_path / "prob.lp"
+                path.write_bytes(data)
+                argv = ["solve", str(path)]
+            else:
+                monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+                argv = ["solve", "-"]
+            results.append(run_main(argv))
+        assert results[0][0] == 0
+        assert results[1] == results[0]
+
 
 class TestTraceCommand:
     def test_worked_example_reproduction(self, e1_file, capsys):

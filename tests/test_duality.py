@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dictlp.dictionary import (
     Dictionary,
+    NotABasisError,
     canonical,
     dictionary_from_basis,
     initial_dictionary,
@@ -24,10 +25,9 @@ from dictlp.duality import (
     rowspace_embedding,
     spans_rowspace_of,
     verify_bases,
-    verify_bijection,
 )
 from dictlp.exact import QMatrix, QVector
-from dictlp.model import StandardLP
+from dictlp.model import StandardLP, dual_lp
 
 from conftest import objective_at, qm, qv, suite_instance
 from oracle import basic_points
@@ -229,44 +229,59 @@ class TestSpansRowspaceOf:
 
 class TestDualDictionaryDirect:
     def test_initial(self, e1):
-        got = dual_dictionary_direct(e1, (1, 2, 3))
+        got = dual_dictionary_direct(dual_lp(e1), (1, 2, 3))
         assert got.side == "dual"
         assert canonical(got) == canonical(INITIAL_DUAL)
 
     def test_second(self, e1):
-        got = dual_dictionary_direct(e1, (5, 2, 3))
+        got = dual_dictionary_direct(dual_lp(e1), (5, 2, 3))
         assert canonical(got) == canonical(SECOND_DUAL)
 
     @given(seed=st.integers(0, 200))
     @settings(max_examples=30, deadline=None)
     def test_succeeds_on_complement_of_any_valid_basis(self, seed):
         lp = suite_instance(seed)
+        dual_side = dual_lp(lp)
         for basis in enumerate_bases(lp):
             prim = dictionary_from_basis(lp, basis)
-            dual = dual_dictionary_direct(lp, prim.nonbasis)
+            dual = dual_dictionary_direct(dual_side, prim.nonbasis)
             assert set(dual.basis) == set(prim.nonbasis)
+
+    def test_y_indices_rotate_onto_dual_columns(self, e1):
+        # m=2, n=3: the dual slacks y1..y3 are dual columns 3..5 and the dual
+        # decisions y4, y5 are columns 1, 2; the result is named by y-index.
+        got = dual_dictionary_direct(dual_lp(e1), (3, 4, 5))
+        assert got.basis == (3, 4, 5)
+        assert got.nonbasis == (1, 2)
+        assert got == canonical(negative_transpose(dictionary_from_basis(e1, (1, 2))))
+
+    # Rotated, each of these would be a valid dual basis: (2, 3, 4) and (3, 1, 2).
+    @pytest.mark.parametrize("dual_basis", [(0, 1, 2), (6, 4, 5)])
+    def test_y_index_out_of_range(self, e1, dual_basis):
+        with pytest.raises(NotABasisError):
+            dual_dictionary_direct(dual_lp(e1), dual_basis)
 
 
 class TestVerifyBijection:
     def test_initial_basis(self, e1):
-        report = verify_bijection(e1, (4, 5))
+        (report,) = verify_bases(e1, [(4, 5)])
         assert report.negative_transpose_matches
         assert report.rowspace_matches
         assert report.passed
 
     def test_pivoted_basis(self, e1):
-        assert verify_bijection(e1, (4, 1)).passed
+        assert verify_bases(e1, [(4, 1)])[0].passed
 
     def test_all_ten_bases(self, e1):
         bases = enumerate_bases(e1)
         assert len(bases) == 10
-        assert all(verify_bijection(e1, basis).passed for basis in bases)
+        assert all(verify_bases(e1, [basis])[0].passed for basis in bases)
 
     def test_verify_bases_reports_each_basis_in_order(self, e1):
         bases = enumerate_bases(e1)
         reports = verify_bases(e1, bases)
         assert [rep.basis for rep in reports] == bases
-        assert reports[3] == verify_bijection(e1, bases[3])
+        assert reports[3] == verify_bases(e1, [bases[3]])[0]
 
 
 class TestEnumerateBases:

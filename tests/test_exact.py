@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -66,7 +68,7 @@ class TestRational:
 
 class TestRref:
     def test_identity_fixed_point(self):
-        m = QMatrix.identity(2)
+        m = qm([[1, 0], [0, 1]])
         reduced, rnk, pivots = rref(m.row_lists())
         assert QMatrix(reduced) == m
         assert rnk == 2
@@ -99,7 +101,7 @@ class TestRref:
 
 class TestRowspace:
     def test_identity_contains_everything(self):
-        m = QMatrix.identity(3)
+        m = qm([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert rowspace_contains(m, qv([1, Fraction(-7, 3), 0]))
 
     def test_single_row_misses_orthogonal(self):
@@ -120,7 +122,7 @@ class TestRowspace:
         assert rowspace_equal(m, m)
 
     def test_equal_scaled_spans(self):
-        assert rowspace_equal(QMatrix.identity(2), qm([[2, 0], [0, 3]]))
+        assert rowspace_equal(qm([[1, 0], [0, 1]]), qm([[2, 0], [0, 3]]))
 
     def test_unequal(self):
         assert not rowspace_equal(qm([[1, 0]]), qm([[0, 1]]))
@@ -183,3 +185,15 @@ def test_names_the_benchmark_reads():
     assert callable(_kernels.pivot_update)
     lp = StandardLP(A0=QMatrix([[1, 1]]), b=QVector([1]), c=QVector([1, 1]))
     assert isinstance(enumerate_bases(lp, limit=10), list)
+
+
+def test_library_writes_no_assert():
+    # Runtime invariants raise typed errors: ``python -O`` strips asserts.
+    import dictlp
+
+    sources = sorted(Path(dictlp.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert at lines {lines}"

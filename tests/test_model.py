@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from dictlp.dictionary import basic_solution, initial_dictionary
 from dictlp.exact import QMatrix, QVector
 from dictlp.model import (
-    DualIndexMap,
     ParseError,
     StandardLP,
     dual_lp,
@@ -96,32 +95,20 @@ class TestSerialize:
 
 class TestDual:
     def test_e1(self, e1):
-        dual, index_map = dual_lp(e1)
+        dual = dual_lp(e1)
         assert dual.A0 == qm([[-4, 1], [-2, 1], [2, 2]])
         assert dual.b == qv([-8, -11, 10])
         assert dual.c == qv([-18, 3])
-        assert index_map == DualIndexMap(m=2, n=3)
-
-    def test_index_map_convention(self):
-        index_map = DualIndexMap(m=2, n=3)
-        # decision variables y4, y5 occupy the first two dual columns
-        assert [index_map.column_of(j) for j in (4, 5)] == [1, 2]
-        # slacks y1..y3 follow
-        assert [index_map.column_of(j) for j in (1, 2, 3)] == [3, 4, 5]
-        assert [index_map.variable_of(col) for col in range(1, 6)] == [4, 5, 1, 2, 3]
-        with pytest.raises(ValueError):
-            index_map.column_of(6)
 
     def test_one_by_one_negates(self):
         lp = StandardLP(A0=qm([[5]]), b=qv([2]), c=qv([3]))
-        dual, _ = dual_lp(lp)
+        dual = dual_lp(lp)
         assert dual.A0 == qm([[-5]])
 
     @given(instances())
     @settings(max_examples=40)
     def test_involution(self, lp):
-        dual, _ = dual_lp(lp)
-        again, _ = dual_lp(dual)
+        again = dual_lp(dual_lp(lp))
         assert again == lp
 
 

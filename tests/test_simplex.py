@@ -20,7 +20,6 @@ from dictlp.simplex import (
     Infeasible,
     Optimal,
     PivotRule,
-    Terminal,
     Unbounded,
     choose_entering,
     choose_leaving,
@@ -76,8 +75,8 @@ class TestChooseLeaving:
 
 class TestPrimalSimplex:
     def test_e1_second_dictionary_unbounded(self, e1_second):
-        final, terminal, steps, _ = primal_simplex(e1_second, PivotRule.DANTZIG)
-        assert terminal is Terminal.UNBOUNDED
+        final, steps, signal = primal_simplex(e1_second, PivotRule.DANTZIG)
+        assert signal is not None
         enter = choose_entering(final, PivotRule.DANTZIG)
         s = final.nonbasis.index(enter)
         assert all(final.Q.entry(r, s) <= 0 for r in range(final.m))
@@ -88,15 +87,15 @@ class TestPrimalSimplex:
             assert is_primal_feasible(step.dictionary)
 
     def test_signal_is_the_entering_variable_of_the_unbounded_column(self, e1_second):
-        final, _, _, signal = primal_simplex(e1_second, PivotRule.DANTZIG)
+        final, _, signal = primal_simplex(e1_second, PivotRule.DANTZIG)
         assert signal == choose_entering(final, PivotRule.DANTZIG)
-        _, _, _, none = primal_simplex(initial_dictionary(tiny([[1]], [1], [-1])))
+        _, _, none = primal_simplex(initial_dictionary(tiny([[1]], [1], [-1])))
         assert none is None
 
     def test_already_optimal_zero_pivots(self):
         d = initial_dictionary(tiny([[1]], [1], [-1]))
-        final, terminal, steps, _ = primal_simplex(d, PivotRule.BLAND)
-        assert terminal is Terminal.OPTIMAL
+        final, steps, signal = primal_simplex(d, PivotRule.BLAND)
+        assert signal is None
         assert steps == []
         assert final == d
 
@@ -114,8 +113,8 @@ class TestDualSimplex:
     def test_one_pivot_example(self):
         d = initial_dictionary(tiny([[-1, -1]], [-1], [-1, -1]))
         assert is_dual_feasible(d)
-        final, terminal, steps, _ = dual_simplex(d, PivotRule.BLAND)
-        assert terminal is Terminal.OPTIMAL
+        final, steps, signal = dual_simplex(d, PivotRule.BLAND)
+        assert signal is None
         assert [(s.enter, s.leave) for s in steps] == [(1, 3)]
         assert final.z_star == -1
         from dictlp.dictionary import basic_solution
@@ -124,20 +123,20 @@ class TestDualSimplex:
 
     def test_zero_pivots_when_both_feasible(self):
         d = initial_dictionary(tiny([[1]], [1], [-1]))
-        final, terminal, steps, _ = dual_simplex(d, PivotRule.BLAND)
-        assert terminal is Terminal.OPTIMAL
+        final, steps, signal = dual_simplex(d, PivotRule.BLAND)
+        assert signal is None
         assert steps == []
 
     def test_infeasible_signal(self):
         d = initial_dictionary(tiny([[1]], [-1], [0]))
-        final, terminal, steps, _ = dual_simplex(d, PivotRule.BLAND)
-        assert terminal is Terminal.INFEASIBLE
+        final, steps, signal = dual_simplex(d, PivotRule.BLAND)
+        assert signal is not None
         assert steps == []
 
     def test_signal_is_the_leaving_variable_of_the_infeasible_row(self):
         d = initial_dictionary(tiny([[1, 2], [-1, -1]], [4, -5], [0, 0]))
-        final, terminal, _, signal = dual_simplex(d, PivotRule.DANTZIG)
-        assert terminal is Terminal.INFEASIBLE
+        final, _, signal = dual_simplex(d, PivotRule.DANTZIG)
+        assert signal is not None
         r = final.basis.index(signal)
         assert final.p[r] < 0
         assert all(final.Q.entry(r, k) >= 0 for k in range(final.n))
@@ -153,7 +152,7 @@ class TestDualSimplex:
             q=qv([-1]),
             z_star=Fraction(0),
         )
-        _, _, steps, _ = dual_simplex(d, PivotRule.DANTZIG)
+        _, steps, _ = dual_simplex(d, PivotRule.DANTZIG)
         assert [(s.enter, s.leave) for s in steps] == [(1, 3)]
 
     @pytest.mark.parametrize("rule", list(PivotRule))
@@ -168,7 +167,7 @@ class TestDualSimplex:
             q=qv([-2, -1]),
             z_star=Fraction(0),
         )
-        _, _, steps, _ = dual_simplex(d, rule)
+        _, steps, _ = dual_simplex(d, rule)
         assert [(s.enter, s.leave) for s in steps] == [(1, 3)]
 
     def test_requires_dual_feasible(self, e1):
@@ -179,10 +178,10 @@ class TestDualSimplex:
     @settings(max_examples=60, deadline=None)
     def test_intermediate_dictionaries_stay_dual_feasible(self, seed, rule):
         d = initial_dictionary(dual_feasible_instance(seed))
-        final, terminal, steps, _ = dual_simplex(d, rule)
+        final, steps, signal = dual_simplex(d, rule)
         for step in steps:
             assert is_dual_feasible(step.dictionary)
-        if terminal is Terminal.OPTIMAL:
+        if signal is None:
             assert is_primal_feasible(final)
 
 
@@ -285,10 +284,9 @@ class TestTermination:
 
     def test_dantzig_dual_loop_terminates_on_beale_negative_transpose(self, pivot_budget):
         lp = parse_lp((DATA / "beale.lp").read_text(encoding="utf-8"))
-        final, terminal, _, signal = dual_simplex(
+        final, _, signal = dual_simplex(
             negative_transpose(initial_dictionary(lp)), PivotRule.DANTZIG
         )
-        assert terminal is Terminal.OPTIMAL
         assert signal is None
         assert final.z_star == Fraction(-5, 4)
 
@@ -311,16 +309,15 @@ class TestLockstep:
     def test_dual_simplex_mirrors_primal_on_negative_transpose(self, seed, rule):
         d = initial_dictionary(dual_feasible_instance(seed))
         flipped = negative_transpose(d)
-        dual_final, dual_terminal, dual_steps, _ = dual_simplex(d, rule)
-        primal_final, primal_terminal, primal_steps, _ = primal_simplex(flipped, rule)
+        dual_final, dual_steps, dual_signal = dual_simplex(d, rule)
+        primal_final, primal_steps, primal_signal = primal_simplex(flipped, rule)
         assert [(s.enter, s.leave) for s in primal_steps] == [
             (s.leave, s.enter) for s in dual_steps
         ]
         assert negative_transpose(dual_final) == primal_final
-        assert (dual_terminal is Terminal.OPTIMAL) == (primal_terminal is Terminal.OPTIMAL)
-        assert (dual_terminal is Terminal.INFEASIBLE) == (
-            primal_terminal is Terminal.UNBOUNDED
-        )
+        # None (optimal) on both sides, or the infeasible row's leaving
+        # variable equals the unbounded column's entering variable.
+        assert dual_signal == primal_signal
 
     def test_worked_pivot_correspondence(self, e1):
         # the worked example: primal (enter x1, leave x5) maps to the dual
