@@ -1,7 +1,9 @@
 """Exact rational LP dictionaries, primal/dual simplex, and duality checks.
 
-Everything computes over arbitrary-precision rationals; there is no floating
-point anywhere, so every comparison and every certificate is exact.
+Everything computes exactly: instances and certificates are arbitrary-precision
+rationals, and dictionaries are integer numerators over one common
+denominator. There is no floating point anywhere, so every comparison and
+every certificate is exact.
 """
 
 from dictlp.exact import QMatrix, QVector, rational
@@ -26,11 +28,13 @@ from dictlp.dictionary import (
     pivot,
 )
 from dictlp.simplex import (
+    CertificateError,
     Infeasible,
     Optimal,
     PivotRule,
     SolveOutcome,
     Unbounded,
+    check_outcome,
     choose_entering,
     choose_leaving,
     dual_simplex,
@@ -58,6 +62,7 @@ __all__ = [
     "BACKEND",
     "BasisCountError",
     "BijectionReport",
+    "CertificateError",
     "Dictionary",
     "Infeasible",
     "NotABasisError",
@@ -73,6 +78,7 @@ __all__ = [
     "basic_solution",
     "build_R",
     "canonical",
+    "check_outcome",
     "choose_entering",
     "choose_leaving",
     "dictionary_from_basis",

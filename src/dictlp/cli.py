@@ -6,7 +6,8 @@ Commands: ``solve`` (two-phase simplex with exact certificates), ``trace``
 ``verify`` (the primal-dual bijection over all bases), and ``random``
 (seeded instance generator). Every number is printed in canonical rational
 syntax; exit codes are 0 optimal/ok, 2 unbounded, 3 infeasible, 4 verify
-failure, 5 enumeration budget refusal, 1 usage, parse or I/O errors.
+failure, 5 enumeration budget refusal, 6 a solve whose certificate failed
+its re-check, 1 usage, parse or I/O errors.
 """
 
 from __future__ import annotations
@@ -31,7 +32,16 @@ from dictlp.dictionary import (
 from dictlp.duality import BasisCountError, enumerate_bases, verify_bases
 from dictlp.exact import QMatrix, QVector
 from dictlp.model import _DIMENSION_RE, ParseError, StandardLP, dual_lp, parse_lp, serialize_lp
-from dictlp.simplex import Optimal, PivotRule, PivotStep, SolveTrace, TracePhase, Unbounded, solve
+from dictlp.simplex import (
+    CertificateError,
+    Optimal,
+    PivotRule,
+    PivotStep,
+    SolveTrace,
+    TracePhase,
+    Unbounded,
+    solve,
+)
 
 
 class UsageError(ValueError):
@@ -48,12 +58,13 @@ def format_dictionary(d: Dictionary) -> str:
     empty.
     """
     var = "x" if d.side == "primal" else "y"
+    names = [f"{var}{w}" for w in d.nonbasis]
     lines = []
-    for r, v in enumerate(d.basis):
-        terms = [(-d.Q.entry(r, j), f"{var}{w}") for j, w in enumerate(d.nonbasis)]
-        lines.append(f"{var}{v} = " + _affine(d.p[r], terms, always_constant=True))
+    for v, p_r, row in zip(d.basis, d.p_num, d.Q_num):
+        terms = [(Fraction(-x, d.D), name) for x, name in zip(row, names)]
+        lines.append(f"{var}{v} = " + _affine(Fraction(p_r, d.D), terms, always_constant=True))
     label = "z" if d.side == "primal" else "-w"
-    terms = [(d.q[j], f"{var}{w}") for j, w in enumerate(d.nonbasis)]
+    terms = [(Fraction(x, d.D), name) for x, name in zip(d.q_num, names)]
     lines.append(f"{label} = " + _affine(d.z_star, terms, always_constant=False))
     return "\n".join(lines)
 
@@ -312,6 +323,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (NotABasisError, PivotError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except CertificateError as exc:
+        print(f"certificate error: {exc}", file=sys.stderr)
+        return 6
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

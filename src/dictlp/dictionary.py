@@ -9,9 +9,16 @@ and is valid when the columns of A = [A0 I] indexed by B are linearly
 independent. Dual-side dictionaries use the same algebra with y-variables
 and objective label ``-w``; only printing differs.
 
-The pivot operation recomputes (p, Q, q, z*) by exact row substitution in
-O(mn). Every dictionary is reached that way: ``dictionary_from_basis``
-pivots the basis in from the slack dictionary.
+A ``Dictionary`` holds integers: the numerators of p, Q, q and z* over one
+positive common denominator D, reduced so that D is the lcm of the entries'
+denominators. That form is unique, so equality and hashing compare values.
+``d.p``, ``d.Q``, ``d.q`` and ``d.z_star`` are ``Fraction`` views built
+when read; the solver's own paths read the integers. ``from_fractions``
+builds a dictionary from rational entries.
+
+The pivot operation recomputes the numerators by the fraction-free kernel
+(``_kernels.pivot_update``) in O(mn). Every dictionary is reached that way:
+``dictionary_from_basis`` pivots the basis in from the slack dictionary.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from fractions import Fraction
 from typing import Literal
 
 from dictlp import _kernels
-from dictlp.exact import QMatrix, QVector
+from dictlp.exact import QMatrix, QVector, RationalLike, common_denominator, rational
 from dictlp.model import StandardLP
 
 Side = Literal["primal", "dual"]
@@ -37,22 +44,44 @@ class PivotError(ValueError):
 
 @dataclass(frozen=True)
 class Dictionary:
+    """Numerators of p, Q, q and z* over the common denominator D > 0, gcd-reduced.
+
+    The fields are the library's working form: only ``from_fractions``,
+    which validates its input, and the operations of this module, which
+    keep the partition, the shapes and the reduction, create them.
+    """
+
     side: Side
     basis: tuple[int, ...]
     nonbasis: tuple[int, ...]
-    p: QVector
-    Q: QMatrix
-    q: QVector
-    z_star: Fraction
+    p_num: tuple[int, ...]
+    Q_num: tuple[tuple[int, ...], ...]
+    q_num: tuple[int, ...]
+    z_num: int
+    D: int
 
-    def __post_init__(self):
-        m, n = len(self.basis), len(self.nonbasis)
-        if sorted(self.basis + self.nonbasis) != list(range(1, m + n + 1)):
+    @classmethod
+    def from_fractions(
+        cls,
+        side: Side,
+        basis: tuple[int, ...],
+        nonbasis: tuple[int, ...],
+        p: QVector,
+        Q: QMatrix,
+        q: QVector,
+        z_star: RationalLike,
+    ) -> "Dictionary":
+        """The dictionary with these rational entries, over the lcm of their denominators."""
+        m, n = len(basis), len(nonbasis)
+        if sorted([*basis, *nonbasis]) != list(range(1, m + n + 1)):
             raise ValueError("basis and nonbasis must partition 1..m+n")
-        if len(self.p) != m or len(self.q) != n:
+        if len(p) != m or len(q) != n:
             raise ValueError("p/q lengths must match basis/nonbasis")
-        if self.Q.rows != m or self.Q.cols != n:
+        if Q.rows != m or Q.cols != n:
             raise ValueError("Q shape must be |B| x |N|")
+        rows = [p, q, [rational(z_star)], *Q.row_lists()]
+        D, (p_num, q_num, (z_num,), *Q_num) = common_denominator(rows)
+        return cls(side, basis, nonbasis, tuple(p_num), tuple(map(tuple, Q_num)), tuple(q_num), z_num, D)
 
     @property
     def m(self) -> int:
@@ -62,17 +91,35 @@ class Dictionary:
     def n(self) -> int:
         return len(self.nonbasis)
 
+    # The Fraction views are built on every read and never stored, so a long
+    # trace holds integers only; loops read the numerators instead.
+    @property
+    def p(self) -> QVector:
+        return QVector(Fraction(x, self.D) for x in self.p_num)
+
+    @property
+    def Q(self) -> QMatrix:
+        return QMatrix([Fraction(x, self.D) for x in row] for row in self.Q_num)
+
+    @property
+    def q(self) -> QVector:
+        return QVector(Fraction(x, self.D) for x in self.q_num)
+
+    @property
+    def z_star(self) -> Fraction:
+        return Fraction(self.z_num, self.D)
+
 
 def initial_dictionary(lp: StandardLP) -> Dictionary:
     """The slack-basis dictionary: B = (n+1..n+m), p = b, Q = A0, q = c, z* = 0."""
-    return Dictionary(
+    return Dictionary.from_fractions(
         side="primal",
         basis=tuple(range(lp.n + 1, lp.n + lp.m + 1)),
         nonbasis=tuple(range(1, lp.n + 1)),
         p=lp.b,
         Q=lp.A0,
         q=lp.c,
-        z_star=Fraction(0),
+        z_star=0,
     )
 
 
@@ -99,7 +146,7 @@ def dictionary_from_basis(lp: StandardLP, basis: tuple[int, ...] | list[int]) ->
             continue
         s = d.nonbasis.index(v)
         leave = next(
-            (u for r, u in enumerate(d.basis) if u > lp.n and u not in members and d.Q.entry(r, s) != 0),
+            (u for u, row in zip(d.basis, d.Q_num) if u > lp.n and u not in members and row[s] != 0),
             None,
         )
         if leave is None:
@@ -123,35 +170,25 @@ def pivot(d: Dictionary, enter: int, leave: int) -> Dictionary:
         r = d.basis.index(leave)
     except ValueError:
         raise PivotError(f"leaving variable {leave} is not basic") from None
-    if d.Q.entry(r, s) == 0:
+    if d.Q_num[r][s] == 0:
         raise PivotError(f"degenerate pivot element at row {r}, column {s}")
 
-    new_p, new_Q, new_q, new_z = _kernels.pivot_update(
-        list(d.p), d.Q.row_lists(), list(d.q), d.z_star, r, s
-    )
+    p, Q, q, z, D = _kernels.pivot_update(d.p_num, d.Q_num, d.q_num, d.z_num, d.D, r, s)
     basis = list(d.basis)
     nonbasis = list(d.nonbasis)
     basis[r] = enter
     nonbasis[s] = leave
-    return Dictionary(
-        side=d.side,
-        basis=tuple(basis),
-        nonbasis=tuple(nonbasis),
-        p=QVector(new_p),
-        Q=QMatrix(new_Q),
-        q=QVector(new_q),
-        z_star=new_z,
-    )
+    return Dictionary(d.side, tuple(basis), tuple(nonbasis), p, Q, q, z, D)
 
 
 def is_primal_feasible(d: Dictionary) -> bool:
     """Constant column nonnegative: the basic solution satisfies x >= 0."""
-    return all(x >= 0 for x in d.p)
+    return all(x >= 0 for x in d.p_num)
 
 
 def is_dual_feasible(d: Dictionary) -> bool:
     """All objective coefficients nonpositive: no improving entering variable."""
-    return all(x <= 0 for x in d.q)
+    return all(x <= 0 for x in d.q_num)
 
 
 def negative_transpose(d: Dictionary) -> Dictionary:
@@ -164,18 +201,19 @@ def negative_transpose(d: Dictionary) -> Dictionary:
         side="dual" if d.side == "primal" else "primal",
         basis=d.nonbasis,
         nonbasis=d.basis,
-        p=-d.q,
-        Q=-d.Q.transpose(),
-        q=-d.p,
-        z_star=-d.z_star,
+        p_num=tuple([-x for x in d.q_num]),
+        Q_num=tuple(tuple([-x for x in col]) for col in zip(*d.Q_num)),
+        q_num=tuple([-x for x in d.p_num]),
+        z_num=-d.z_num,
+        D=d.D,
     )
 
 
 def basic_solution(d: Dictionary) -> QVector:
     """The point with nonbasic variables at zero, as a full length-(m+n) vector."""
     values = [Fraction(0)] * (d.m + d.n)
-    for i, v in enumerate(d.basis):
-        values[v - 1] = d.p[i]
+    for v, x in zip(d.basis, d.p_num):
+        values[v - 1] = Fraction(x, d.D)
     return QVector(values)
 
 
@@ -196,7 +234,7 @@ def _arrange(d: Dictionary, basis: tuple[int, ...], nonbasis: tuple[int, ...]) -
         d,
         basis=basis,
         nonbasis=nonbasis,
-        p=QVector(d.p[i] for i in rows),
-        Q=QMatrix([[d.Q.entry(i, j) for j in cols] for i in rows]),
-        q=QVector(d.q[j] for j in cols),
+        p_num=tuple([d.p_num[i] for i in rows]),
+        Q_num=tuple(tuple([d.Q_num[i][j] for j in cols]) for i in rows),
+        q_num=tuple([d.q_num[j] for j in cols]),
     )

@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 
 from dictlp import _kernels
-from dictlp.exact import QMatrix, QVector
+from dictlp.exact import QMatrix, QVector, common_denominator
 from dictlp.dictionary import (
     Dictionary,
     NotABasisError,
@@ -96,18 +96,18 @@ def dictionary_matrix(d: Dictionary) -> QMatrix:
     """
     width = d.m + d.n + 2
     rows = []
-    for i, v in enumerate(d.basis):
+    for v, p_i, Q_i in zip(d.basis, d.p_num, d.Q_num):
         row = [Fraction(0)] * width
-        for j, w in enumerate(d.nonbasis):
-            row[w] = d.Q.entry(i, j)
+        for w, x in zip(d.nonbasis, Q_i):
+            row[w] = Fraction(x, d.D)
         row[v] = Fraction(1)
-        row[-1] = -d.p[i]
+        row[-1] = Fraction(-p_i, d.D)
         rows.append(row)
     last = [Fraction(0)] * width
     last[0] = Fraction(1)
-    for j, w in enumerate(d.nonbasis):
-        last[w] = -d.q[j]
-    last[-1] = -d.z_star
+    for w, x in zip(d.nonbasis, d.q_num):
+        last[w] = Fraction(-x, d.D)
+    last[-1] = Fraction(-d.z_num, d.D)
     rows.append(last)
     return QMatrix(rows)
 
@@ -148,9 +148,9 @@ def spans_rowspace_of(r: QMatrix, d: Dictionary) -> bool:
     last = d.m + d.n + 1
     # Both sides of each equation are scaled by the dictionary's common
     # denominator D and the row's own, so integer equality is exact equality.
-    D, (p, q, (z_star,), *Q) = _scaled([list(d.p), list(d.q), [d.z_star], *d.Q.row_lists()])
+    D, p, Q, q, z_star = d.D, d.p_num, d.Q_num, d.q_num, d.z_num
     for row in r.row_lists():
-        _, (rho,) = _scaled([row])
+        _, (rho,) = common_denominator([row])
         # Dictionary row k is [0 | Q_k | e_k | -p_k], the objective row [1 | -q | 0 | -z*].
         terms = [(rho[v], Q[k], p[k]) for k, v in enumerate(d.basis) if rho[v]]
         if rho[last] * D != -sum(c * pk for c, _, pk in terms) - rho[0] * z_star:
@@ -159,12 +159,6 @@ def spans_rowspace_of(r: QMatrix, d: Dictionary) -> bool:
             if rho[v] * D != sum(c * Qk[j] for c, Qk, _ in terms) - rho[0] * q[j]:
                 return False
     return True
-
-
-def _scaled(rows: list[list[Fraction]]) -> tuple[int, list[list[int]]]:
-    """The lcm of all denominators, and every entry times it as an int."""
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
 def verify_bases(lp: StandardLP, bases: list[tuple[int, ...]]) -> list[BijectionReport]:
@@ -215,7 +209,8 @@ def enumerate_bases(lp: StandardLP, limit: int = 100_000) -> list[tuple[int, ...
     count = comb(m + n, m)
     if count > limit:
         raise BasisCountError(count, limit)
-    rows = lp.A0.row_lists()
+    # A0's rows as integers: scaling a row keeps every subset's independence.
+    rows = initial_dictionary(lp).Q_num
     bases = []
     for combo in combinations(range(1, m + n + 1), m):
         free = [row for i, row in enumerate(rows) if n + i + 1 not in combo]
@@ -224,15 +219,16 @@ def enumerate_bases(lp: StandardLP, limit: int = 100_000) -> list[tuple[int, ...
     return bases
 
 
-def _independent(Q: list[list[Fraction]]) -> bool:
-    """True iff the columns of the square matrix Q are linearly independent."""
+def _independent(Q: list[list[int]]) -> bool:
+    """True iff the columns of the square integer matrix Q are linearly independent."""
     k = len(Q)
-    zeros = [Fraction(0)] * k
+    zeros = [0] * k
+    D = 1
     unused = list(range(k))
     for s in range(k):
         r = next((i for i in unused if Q[i][s] != 0), None)
         if r is None:
             return False
         unused.remove(r)
-        _, Q, _, _ = _kernels.pivot_update(zeros, Q, zeros, Fraction(0), r, s)
+        _, Q, _, _, D = _kernels.pivot_update(zeros, Q, zeros, 0, D, r, s)
     return True

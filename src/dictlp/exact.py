@@ -1,14 +1,19 @@
 """Exact rational scalars and the immutable vectors and matrices built on them.
 
-The scalar type throughout the package is ``fractions.Fraction``: arbitrary
-precision and always canonical (reduced, positive denominator, zero is 0/1),
-so equality is structural and no comparison ever needs a tolerance.
+Rational values are ``fractions.Fraction``: arbitrary precision and always
+canonical (reduced, positive denominator, zero is 0/1), so equality is
+structural and no comparison ever needs a tolerance. They are the scalars of
+instances, certificates and printed output. The solver's own arithmetic runs
+on integers instead: a dictionary holds integer numerators over one common
+denominator (``dictlp.dictionary``), and ``common_denominator`` turns
+rational rows into that form.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -44,6 +49,13 @@ def parse_rational(token: str) -> Fraction:
             raise ZeroDivisionError(f"zero denominator in {token!r}")
         return Fraction(int(num), d)
     return Fraction(int(num))
+
+
+def common_denominator(rows: Iterable[Iterable[Fraction]]) -> tuple[int, list[list[int]]]:
+    """The lcm L of every entry's denominator, and each row's entries times L as ints."""
+    rows = [list(row) for row in rows]
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
 class QVector:
@@ -117,11 +129,8 @@ class QMatrix:
     def row(self, i: int) -> QVector:
         return QVector(self._rows[i])
 
-    def column(self, j: int) -> QVector:
-        return QVector(row[j] for row in self._rows)
-
     def row_lists(self) -> list[list[Fraction]]:
-        """Rows as fresh mutable lists (the kernel exchange format)."""
+        """Rows as fresh mutable lists."""
         return [list(row) for row in self._rows]
 
     def transpose(self) -> "QMatrix":

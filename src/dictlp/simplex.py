@@ -6,19 +6,26 @@ Both methods run on ``Dictionary`` values and return exact certificates:
 * Unbounded(point, ray) -- feasible point plus an improving recession ray;
 * Infeasible(farkas)    -- u >= 0 with u.A0 >= 0 and u.b < 0.
 
+``solve`` re-checks its certificate against the instance (``check_outcome``)
+before it returns, and raises ``CertificateError`` if it does not hold.
+
 The default rule is Bland's (termination guaranteed); Dantzig's largest-
 coefficient rule is opt-in, with ties always broken toward the smallest
 variable index so every run is deterministic. A loop that meets a basis it
 has already visited finishes under Bland's rule, so every run terminates.
+Pivot choices read the dictionary's integer numerators: over one positive
+denominator they order exactly as the values do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
-from dictlp.exact import QMatrix, QVector
+from dictlp import _kernels
+from dictlp.exact import QVector, common_denominator
 from dictlp.dictionary import (
     Dictionary,
     basic_solution,
@@ -80,7 +87,11 @@ class Infeasible:
 SolveOutcome = Optimal | Unbounded | Infeasible
 
 
-def _pick(labels: tuple[int, ...], values: QVector, rule: PivotRule) -> int | None:
+class CertificateError(RuntimeError):
+    """A solve outcome whose certificate does not hold for its instance."""
+
+
+def _pick(labels: tuple[int, ...], values: Sequence[int], rule: PivotRule) -> int | None:
     """Label of a positive value, or None when no value is positive.
 
     Bland: the smallest such label. Dantzig: the largest value, smallest
@@ -95,18 +106,19 @@ def _pick(labels: tuple[int, ...], values: QVector, rule: PivotRule) -> int | No
     return min(v for v, x in candidates if x == best)
 
 
-def _ratio_test(labels: tuple[int, ...], consts: QVector, coefs: QVector) -> int | None:
+def _ratio_test(labels: tuple[int, ...], consts: Sequence[int], coefs: Sequence[int]) -> int | None:
     """Label minimizing const / coef over coef > 0, smallest label on ties.
 
-    None when no coefficient is positive.
+    None when no coefficient is positive. Ratios compare by cross-multiplying.
     """
-    best: tuple[Fraction, int] | None = None
+    best: int | None = None
+    best_const, best_coef = 0, 1
     for v, const, coef in zip(labels, consts, coefs):
         if coef > 0:
-            key = (const / coef, v)
-            if best is None or key < best:
-                best = key
-    return None if best is None else best[1]
+            lhs, rhs = const * best_coef, best_const * coef
+            if best is None or lhs < rhs or (lhs == rhs and v < best):
+                best, best_const, best_coef = v, const, coef
+    return best
 
 
 def choose_entering(d: Dictionary, rule: PivotRule) -> int | None:
@@ -115,7 +127,7 @@ def choose_entering(d: Dictionary, rule: PivotRule) -> int | None:
     Bland: smallest variable index with a positive objective coefficient.
     Dantzig: largest coefficient, smallest index on ties.
     """
-    return _pick(d.nonbasis, d.q, rule)
+    return _pick(d.nonbasis, d.q_num, rule)
 
 
 def choose_leaving(d: Dictionary, s: int) -> int | None:
@@ -125,7 +137,7 @@ def choose_leaving(d: Dictionary, s: int) -> int | None:
     variable index; None signals an unbounded direction. Both rules share
     this test.
     """
-    return _ratio_test(d.basis, d.p, d.Q.column(s))
+    return _ratio_test(d.basis, d.p_num, [row[s] for row in d.Q_num])
 
 
 def _cycle_guard(d: Dictionary, rule: PivotRule, visited: set[frozenset[int]]) -> PivotRule:
@@ -189,10 +201,11 @@ def dual_simplex(
     while True:
         rule = _cycle_guard(d, rule, visited)
         # The primal choices on the negative transpose (-q, -Q^T, -p).
-        leave = _pick(d.basis, -d.p, rule)
+        leave = _pick(d.basis, [-x for x in d.p_num], rule)
         if leave is None:
             return d, steps, None
-        enter = _ratio_test(d.nonbasis, -d.q, -d.Q.row(d.basis.index(leave)))
+        row = d.Q_num[d.basis.index(leave)]
+        enter = _ratio_test(d.nonbasis, [-x for x in d.q_num], [-x for x in row])
         if enter is None:
             return d, steps, leave
         d = pivot(d, enter, leave)
@@ -205,9 +218,9 @@ def _unbounded_ray(d: Dictionary, enter: int, n: int) -> QVector:
     values = [Fraction(0)] * n
     if enter <= n:
         values[enter - 1] = Fraction(1)
-    for i, v in enumerate(d.basis):
+    for v, row in zip(d.basis, d.Q_num):
         if v <= n:
-            values[v - 1] = -d.Q.entry(i, s)
+            values[v - 1] = Fraction(-row[s], d.D)
     return QVector(values)
 
 
@@ -219,10 +232,10 @@ def _farkas_vector(d: Dictionary, leave: int) -> QVector:
     e_i there instead. With p_r < 0 and Q[r][.] >= 0, that row u satisfies
     u >= 0, u.A0 >= 0 and u.b = p_r < 0 exactly.
     """
-    r = d.basis.index(leave)
+    row = d.Q_num[d.basis.index(leave)]
     position = {v: j for j, v in enumerate(d.nonbasis)}
     return QVector(
-        d.Q.entry(r, position[v]) if v in position else Fraction(1 if v == leave else 0)
+        Fraction(row[position[v]], d.D) if v in position else Fraction(1 if v == leave else 0)
         for v in range(d.n + 1, d.n + d.m + 1)
     )
 
@@ -237,8 +250,15 @@ def solve(
     slack dictionary with the all-(-1) objective (dual feasible by
     construction) and drives to primal feasibility with dual simplex; phase
     2 prices phase 1's final dictionary with the true objective and
-    finishes with primal simplex.
+    finishes with primal simplex. The outcome passes ``check_outcome``
+    before it is returned.
     """
+    outcome, trace = _two_phase(lp, rule)
+    check_outcome(lp, outcome)
+    return outcome, trace
+
+
+def _two_phase(lp: StandardLP, rule: PivotRule) -> tuple[SolveOutcome, SolveTrace]:
     d0 = initial_dictionary(lp)
     n = lp.n
 
@@ -273,23 +293,24 @@ def _priced(d: Dictionary, c: list[Fraction]) -> Dictionary:
     """The dictionary in hand under the objective c.x, slacks costing 0.
 
     Keeps the rows and sorts the columns ascending; the objective row is
-    q = c_N - Q^T c_B and z* = c_B . p.
+    q = c_N - Q^T c_B and z* = c_B . p. With L the lcm of c's denominators
+    and D the dictionary's, it is computed in integers over D*L:
+    D*L*q = D*(L*c_N) - (D*Q)^T (L*c_B).
     """
-    costs = c + [Fraction(0)] * d.m
+    L, (costs,) = common_denominator([c])
+    costs += [0] * d.m
     cols = sorted(range(d.n), key=lambda j: d.nonbasis[j])
-    c_B = [costs[v - 1] for v in d.basis]
-    rows = [[row[j] for j in cols] for row in d.Q.row_lists()]
     nonbasis = tuple(d.nonbasis[j] for j in cols)
-    return replace(
-        d,
-        nonbasis=nonbasis,
-        Q=QMatrix(rows),
-        q=QVector(
-            costs[v - 1] - sum((cb * row[j] for cb, row in zip(c_B, rows)), Fraction(0))
-            for j, v in enumerate(nonbasis)
-        ),
-        z_star=sum((cb * pi for cb, pi in zip(c_B, d.p)), Fraction(0)),
-    )
+    rows = [[row[j] for j in cols] for row in d.Q_num]
+    c_B = [costs[v - 1] for v in d.basis]
+    q = [
+        costs[v - 1] * d.D - sum(cb * row[j] for cb, row in zip(c_B, rows))
+        for j, v in enumerate(nonbasis)
+    ]
+    z = _dot(c_B, d.p_num)
+    p = [x * L for x in d.p_num]
+    rows = [[x * L for x in row] for row in rows]
+    return Dictionary(d.side, d.basis, nonbasis, *_kernels.reduced(p, rows, q, z, d.D * L))
 
 
 def _primal_outcome(final: Dictionary, enter: int | None, n: int) -> SolveOutcome:
@@ -298,3 +319,50 @@ def _primal_outcome(final: Dictionary, enter: int | None, n: int) -> SolveOutcom
     if enter is None:
         return Optimal(point=point, value=final.z_star)
     return Unbounded(point=point, ray=_unbounded_ray(final, enter, n))
+
+
+def check_outcome(lp: StandardLP, outcome: SolveOutcome) -> None:
+    """Raise ``CertificateError`` unless the outcome's certificate holds for ``lp``.
+
+    Optimal: the point is feasible (x >= 0, A0 x <= b) and c.x equals the
+    value. Unbounded: the point is feasible, ray >= 0, A0 ray <= 0 and
+    c.ray > 0. Infeasible: u >= 0, u.A0 >= 0 and u.b < 0. O(mn) substitution
+    in integers: A0, b and c as numerators over the slack dictionary's D,
+    each certificate vector over the lcm of its own denominators.
+    """
+    d = initial_dictionary(lp)
+    A, b, c = d.Q_num, d.p_num, d.q_num
+    if isinstance(outcome, Infeasible):
+        _, (u,) = common_denominator([outcome.farkas])
+        if not (
+            len(u) == lp.m
+            and all(x >= 0 for x in u)
+            and all(_dot(u, col) >= 0 for col in zip(*A))
+            and _dot(u, b) < 0
+        ):
+            raise CertificateError(f"farkas vector fails u >= 0, u.A0 >= 0, u.b < 0: {outcome.farkas}")
+        return
+    L, (x,) = common_denominator([outcome.point])
+    if not (
+        len(x) == lp.n
+        and all(v >= 0 for v in x)
+        and all(_dot(row, x) <= b_i * L for row, b_i in zip(A, b))
+    ):
+        raise CertificateError(f"point is not feasible: {outcome.point}")
+    if isinstance(outcome, Optimal):
+        value = outcome.value
+        if _dot(c, x) * value.denominator != value.numerator * d.D * L:
+            raise CertificateError(f"objective at the point is not {value}")
+        return
+    _, (ray,) = common_denominator([outcome.ray])
+    if not (
+        len(ray) == lp.n
+        and all(v >= 0 for v in ray)
+        and all(_dot(row, ray) <= 0 for row in A)
+        and _dot(c, ray) > 0
+    ):
+        raise CertificateError(f"ray fails ray >= 0, A0.ray <= 0, c.ray > 0: {outcome.ray}")
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from dictlp.cli import random_lp
+from dictlp.dictionary import Dictionary
 from dictlp.exact import QMatrix, QVector
 from dictlp.model import StandardLP
 
@@ -24,6 +25,12 @@ def qv(entries) -> QVector:
 
 def fr(num, den=1) -> Fraction:
     return Fraction(num, den)
+
+
+def replaced(d: Dictionary, **changes) -> Dictionary:
+    """``d`` with some of its p, Q, q and z_star views replaced by rational values."""
+    views = {"p": d.p, "Q": d.Q, "q": d.q, "z_star": d.z_star, **changes}
+    return Dictionary.from_fractions(d.side, d.basis, d.nonbasis, **views)
 
 
 @pytest.fixture
@@ -45,6 +52,15 @@ def suite_instance(seed: int, bound: int = 5) -> StandardLP:
     m = seed % 3 + 1
     n = (seed // 3) % 3 + 1
     return random_lp(m, n, seed, bound)
+
+
+def divided(lp: StandardLP, k) -> StandardLP:
+    """Row i of A0 and b_i divided by k[i], and c by k[m]: fractional data, the same bases."""
+    return StandardLP(
+        A0=QMatrix([[x / k[i] for x in row] for i, row in enumerate(lp.A0.row_lists())]),
+        b=QVector(x / k[i] for i, x in enumerate(lp.b)),
+        c=QVector(x / k[-1] for x in lp.c),
+    )
 
 
 def dual_feasible_instance(seed: int, bound: int = 5) -> StandardLP:

@@ -1,7 +1,10 @@
-"""Row-reduction references for the library's pivot-only paths (test-only).
+"""Reference implementations for the library's integer and pivot-only paths (test-only).
 
-``rref`` is row reduction to reduced echelon form; the library itself
-eliminates only by dictionary pivots (``dictlp._kernels.pivot_update``).
+``fraction_pivot_update`` is the dictionary pivot over ``Fraction`` entries,
+the kernel the library ran before it held dictionaries as integers over one
+denominator; the fraction-free kernel (``dictlp._kernels.pivot_update``) is
+checked against it step by step. ``rref`` is row reduction to reduced
+echelon form; the library itself eliminates only by dictionary pivots.
 ``dictionary_by_elimination`` builds a dictionary without a pivot, by one
 reduction of [A_B | b | A_N]; ``dictionary_from_basis`` is checked against it.
 ``rank``, ``rowspace_contains`` and ``rowspace_equal`` are the exact rank
@@ -17,6 +20,55 @@ from fractions import Fraction
 from dictlp.dictionary import Dictionary, NotABasisError
 from dictlp.exact import QMatrix, QVector
 from dictlp.model import StandardLP
+
+
+def fraction_pivot_update(
+    p: list[Fraction],
+    Q: list[list[Fraction]],
+    q: list[Fraction],
+    z: Fraction,
+    r: int,
+    s: int,
+) -> tuple[list[Fraction], list[list[Fraction]], list[Fraction], Fraction]:
+    """One dictionary pivot by row substitution.
+
+    Solves row ``r`` of ``x_B = p - Q x_N`` for the entering variable at
+    nonbasic position ``s`` and substitutes into every other row and the
+    objective. Position ``s`` of the new nonbasis holds the leaving variable.
+    Requires ``Q[r][s] != 0``.
+    """
+    n = len(q)
+    inv = 1 / Q[r][s]
+    lead = [x * inv for x in Q[r]]
+    lead[s] = inv
+    p_r = p[r] * inv
+
+    new_p: list[Fraction] = []
+    new_Q: list[list[Fraction]] = []
+    for i, row in enumerate(Q):
+        if i == r:
+            new_p.append(p_r)
+            new_Q.append(lead)
+            continue
+        f = row[s]
+        if f == 0:
+            new_p.append(p[i])
+            new_Q.append(list(row))
+            continue
+        new_row = [row[j] - f * lead[j] for j in range(n)]
+        new_row[s] = -f * inv
+        new_p.append(p[i] - f * p_r)
+        new_Q.append(new_row)
+
+    g = q[s]
+    if g == 0:
+        new_q = list(q)
+        new_z = z
+    else:
+        new_q = [q[j] - g * lead[j] for j in range(n)]
+        new_q[s] = -g * inv
+        new_z = z + g * p_r
+    return new_p, new_Q, new_q, new_z
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], int, list[int]]:
@@ -115,4 +167,4 @@ def dictionary_by_elimination(lp: StandardLP, basis: tuple[int, ...] | list[int]
         for j in range(len(N))
     )
     z_star = sum((cb * pi for cb, pi in zip(c_B, p)), Fraction(0))
-    return Dictionary(side="primal", basis=B, nonbasis=N, p=p, Q=Q, q=q, z_star=z_star)
+    return Dictionary.from_fractions(side="primal", basis=B, nonbasis=N, p=p, Q=Q, q=q, z_star=z_star)

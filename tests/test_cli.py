@@ -5,7 +5,6 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dictlp import duality
+from dictlp import _kernels, duality
 from dictlp.cli import format_dictionary, main, random_lp
 from dictlp.dictionary import (
     Dictionary,
@@ -27,7 +26,7 @@ from dictlp.exact import QMatrix, QVector
 from dictlp.model import StandardLP, parse_lp, serialize_lp
 from dictlp.simplex import PivotRule, solve
 
-from conftest import E1_TEXT, qm, qv, suite_instance
+from conftest import DATA, E1_TEXT, qm, qv, replaced, suite_instance
 
 PRIMAL_INITIAL = """\
 x4 = 18 - 4x1 - 2x2 + 2x3
@@ -108,7 +107,7 @@ def parse_dictionary_text(text: str, var_count: int) -> Dictionary:
         row_terms.append(terms)
     z_star, obj_terms = affine(obj_expr)
     nonbasis = sorted(set(range(1, var_count + 1)) - set(basis))
-    return Dictionary(
+    return Dictionary.from_fractions(
         side=side,
         basis=tuple(basis),
         nonbasis=tuple(nonbasis),
@@ -233,6 +232,22 @@ class TestSolveCommand:
         assert results[0][0] == 0
         assert results[1] == results[0]
 
+    def test_corrupted_kernel_exits_6(self, capsys, monkeypatch):
+        # A kernel that adds 1 to z* after every pivot: the solve ends with a
+        # value its point does not reach, and the re-check refuses it.
+        real = _kernels.pivot_update
+
+        def corrupted(*args):
+            p, Q, q, z, D = real(*args)
+            return p, Q, q, z + D, D
+
+        monkeypatch.setattr(_kernels, "pivot_update", corrupted)
+        code = main(["solve", str(DATA / "beale.lp")])
+        captured = capsys.readouterr()
+        assert code == 6
+        assert captured.out == ""
+        assert captured.err.startswith("certificate error: objective at the point is not ")
+
 
 class TestTraceCommand:
     def test_worked_example_reproduction(self, e1_file, capsys):
@@ -345,7 +360,7 @@ class TestVerifyCommand:
             if tuple(basis) == (1, 4):  # a primal basis; dual bases have 3 entries
                 rows = d.Q.row_lists()
                 rows[0][0] += 1
-                return replace(d, Q=QMatrix(rows))
+                return replaced(d, Q=QMatrix(rows))
             return d
 
         monkeypatch.setattr(duality, "dictionary_from_basis", corrupted)

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,8 @@ from dictlp.dictionary import (
 from dictlp.exact import QMatrix, QVector
 from dictlp.model import StandardLP
 
-from conftest import check_point, objective_at, qm, qv, suite_instance
-from reference import dictionary_by_elimination
+from conftest import check_point, divided, objective_at, qm, qv, suite_instance
+from reference import dictionary_by_elimination, fraction_pivot_update
 
 
 @pytest.fixture
@@ -91,11 +92,7 @@ class TestFromBasis:
         # keeps the set of bases, so the dependent subsets stay dependent.
         factor = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool)
         k = [data.draw(factor) for _ in range(base.m + 1)]
-        lp = StandardLP(
-            A0=QMatrix([[x / k[i] for x in row] for i, row in enumerate(base.A0.row_lists())]),
-            b=QVector(x / k[i] for i, x in enumerate(base.b)),
-            c=QVector(x / k[-1] for x in base.c),
-        )
+        lp = divided(base, k)
         for basis in permutations(range(1, lp.m + lp.n + 1), lp.m):
             try:
                 expected = dictionary_by_elimination(lp, basis)
@@ -182,6 +179,92 @@ class TestPivot:
         assert objective_at(before, full) == objective_at(after, full)
 
 
+def reference_parity_pivot(d, enter, leave):
+    """``pivot(d, enter, leave)``, asserted equal to the ``Fraction`` reference kernel."""
+    r, s = d.basis.index(leave), d.nonbasis.index(enter)
+    p, Q, q, z = fraction_pivot_update(list(d.p), d.Q.row_lists(), list(d.q), d.z_star, r, s)
+    got = pivot(d, enter, leave)
+    assert (list(got.p), got.Q.row_lists(), list(got.q), got.z_star) == (p, Q, q, z)
+    # reduced: D is the lcm of the entries' denominators
+    assert got.D > 0
+    assert gcd(got.D, got.z_num, *got.p_num, *got.q_num, *chain(*got.Q_num)) == 1
+    return got
+
+
+class TestKernelParity:
+    """The fraction-free kernel against the ``Fraction`` kernel it replaced, step by step."""
+
+    @given(
+        seed=st.integers(0, 500),
+        picks=st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10)), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_chains_on_fractional_instances(self, seed, picks, data):
+        base = suite_instance(seed)
+        factor = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool)
+        k = [data.draw(factor) for _ in range(base.m + 1)]
+        lp = divided(base, k)
+        d = initial_dictionary(lp)
+        for a, b in picks:
+            enter = d.nonbasis[a % d.n]
+            s = d.nonbasis.index(enter)
+            rows = [v for r, v in enumerate(d.basis) if d.Q_num[r][s] != 0]
+            if rows:
+                d = reference_parity_pivot(d, enter, rows[b % len(rows)])
+
+    @given(
+        m=st.integers(1, 3),
+        n=st.integers(1, 3),
+        picks=st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10)), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_dictionaries_from_arbitrary_fractions(self, m, n, picks, data):
+        # D is the lcm of unrelated denominators, not a determinant, so the
+        # new numerators need not be multiples of D.
+        entry = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+        def vec(k):
+            return QVector(data.draw(st.lists(entry, min_size=k, max_size=k)))
+
+        d = Dictionary.from_fractions(
+            side="primal",
+            basis=tuple(range(n + 1, n + m + 1)),
+            nonbasis=tuple(range(1, n + 1)),
+            p=vec(m),
+            Q=QMatrix([list(vec(n)) for _ in range(m)]),
+            q=vec(n),
+            z_star=data.draw(entry),
+        )
+        for a, b in picks:
+            enter = d.nonbasis[a % d.n]
+            s = d.nonbasis.index(enter)
+            rows = [v for r, v in enumerate(d.basis) if d.Q_num[r][s] != 0]
+            if rows:
+                d = reference_parity_pivot(d, enter, rows[b % len(rows)])
+
+    def test_from_fractions_is_over_the_lcm(self):
+        d = Dictionary.from_fractions(
+            "primal", (2,), (1,), qv([Fraction(1, 4)]), qm([[Fraction(2, 3)]]), qv([Fraction(1, 6)]), 0
+        )
+        assert (d.p_num, d.Q_num, d.q_num, d.z_num, d.D) == ((3,), ((8,),), (2,), 0, 12)
+
+    @pytest.mark.parametrize(
+        "basis,nonbasis,p,Q,q",
+        [
+            ((2,), (2,), [1], [[1]], [1]),  # not a partition
+            ((3,), (1,), [1], [[1]], [1]),  # not 1..m+n
+            ((2,), (1,), [1, 1], [[1]], [1]),  # p too long
+            ((2,), (1,), [1], [[1]], [1, 1]),  # q too long
+            ((2,), (1,), [1], [[1, 1]], [1]),  # Q too wide
+        ],
+    )
+    def test_from_fractions_rejects_bad_shapes(self, basis, nonbasis, p, Q, q):
+        with pytest.raises(ValueError):
+            Dictionary.from_fractions("primal", basis, nonbasis, qv(p), qm(Q), qv(q), 0)
+
+
 class TestFeasibility:
     def test_initial_e1_not_primal_feasible(self, e1_initial):
         assert not is_primal_feasible(e1_initial)
@@ -190,7 +273,7 @@ class TestFeasibility:
         assert is_primal_feasible(e1_second)
 
     def test_zero_p_is_feasible(self, e1_initial):
-        d = Dictionary(
+        d = Dictionary.from_fractions(
             side="primal",
             basis=e1_initial.basis,
             nonbasis=e1_initial.nonbasis,
@@ -205,7 +288,7 @@ class TestFeasibility:
         assert not is_dual_feasible(e1_initial)
 
     def test_zero_q_is_dual_feasible(self, e1_initial):
-        d = Dictionary(
+        d = Dictionary.from_fractions(
             side="primal",
             basis=e1_initial.basis,
             nonbasis=e1_initial.nonbasis,

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -29,7 +28,7 @@ from dictlp.duality import (
 from dictlp.exact import QMatrix, QVector
 from dictlp.model import StandardLP, dual_lp
 
-from conftest import objective_at, qm, qv, suite_instance
+from conftest import objective_at, qm, qv, replaced, suite_instance
 from oracle import basic_points
 from reference import rank, rowspace_contains, rowspace_equal
 
@@ -39,7 +38,7 @@ E1_R = [
     [1, -8, -11, 10, 0, 0, 0],
 ]
 
-INITIAL_DUAL = Dictionary(
+INITIAL_DUAL = Dictionary.from_fractions(
     side="dual",
     basis=(1, 2, 3),
     nonbasis=(4, 5),
@@ -49,7 +48,7 @@ INITIAL_DUAL = Dictionary(
     z_star=Fraction(0),
 )
 
-SECOND_DUAL = Dictionary(
+SECOND_DUAL = Dictionary.from_fractions(
     side="dual",
     basis=(5, 2, 3),
     nonbasis=(4, 1),
@@ -213,17 +212,17 @@ class TestSpansRowspaceOf:
             field = data.draw(st.sampled_from(["p", "Q", "q", "z_star"]))
             eps = data.draw(delta)
             if field == "z_star":
-                bad = replace(d, z_star=d.z_star + eps)
+                bad = replaced(d, z_star=d.z_star + eps)
             elif field == "Q":
                 i, j = data.draw(st.integers(0, d.m - 1)), data.draw(st.integers(0, d.n - 1))
                 rows = d.Q.row_lists()
                 rows[i][j] += eps
-                bad = replace(d, Q=QMatrix(rows))
+                bad = replaced(d, Q=QMatrix(rows))
             else:
                 entries = list(getattr(d, field))
                 k = data.draw(st.integers(0, len(entries) - 1))
                 entries[k] += eps
-                bad = replace(d, **{field: QVector(entries)})
+                bad = replaced(d, **{field: QVector(entries)})
             assert spans_rowspace_of(r, bad) == rowspace_equal(dictionary_matrix(bad), r)
 
 

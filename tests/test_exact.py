@@ -170,14 +170,17 @@ class TestRowspace:
         assert rowspace_equal(m1, m3)
 
 
-def test_names_the_benchmark_reads():
+def test_names_the_benchmark_reads(monkeypatch):
     # perfbench/worker.py records dictlp.BACKEND in every result and
     # perfbench/tracing.py wraps pivot_update through
     # sys.modules["dictlp._kernels"]; without them every benchmark run fails.
-    # The tracer's after-hook on enumerate_bases calls len() on its result,
-    # so it must stay a list, not a generator.
+    # The tracer counts kernel cells as len(args[1]) * len(args[2]) on the
+    # positional arguments, so the library must pass Q (m rows) and q
+    # (n entries) there. The tracer's after-hook on enumerate_bases calls
+    # len() on its result, so it must stay a list, not a generator.
     import dictlp
     from dictlp import _kernels
+    from dictlp.dictionary import initial_dictionary, pivot
     from dictlp.duality import enumerate_bases
     from dictlp.model import StandardLP
 
@@ -185,6 +188,20 @@ def test_names_the_benchmark_reads():
     assert callable(_kernels.pivot_update)
     lp = StandardLP(A0=QMatrix([[1, 1]]), b=QVector([1]), c=QVector([1, 1]))
     assert isinstance(enumerate_bases(lp, limit=10), list)
+
+    calls = []
+    real = _kernels.pivot_update
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "pivot_update", recording)
+    wide = StandardLP(A0=QMatrix([[1, 2, 3], [4, 5, 6]]), b=QVector([1, 2]), c=QVector([1, 1, 1]))
+    pivot(initial_dictionary(wide), 1, 4)
+    ((args, kwargs),) = calls
+    assert kwargs == {}
+    assert (len(args[1]), len(args[2])) == (wide.m, wide.n)
 
 
 def test_library_writes_no_assert():

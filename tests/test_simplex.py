@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -15,8 +16,10 @@ from dictlp.dictionary import (
     pivot,
 )
 from dictlp import simplex
+from dictlp.exact import QVector
 from dictlp.model import StandardLP, parse_lp
 from dictlp.simplex import (
+    CertificateError,
     Infeasible,
     Optimal,
     PivotRule,
@@ -28,7 +31,7 @@ from dictlp.simplex import (
     solve,
 )
 
-from conftest import DATA, dual_feasible_instance, qm, qv, suite_instance
+from conftest import DATA, divided, dual_feasible_instance, qm, qv, suite_instance
 from oracle import check_outcome, oracle_solve, outcome_kind
 
 
@@ -143,7 +146,7 @@ class TestDualSimplex:
 
     def test_dantzig_constant_tie_to_smallest_label(self):
         # x4 and x3 tie at -3, listed larger label first; x2 is the Bland choice
-        d = Dictionary(
+        d = Dictionary.from_fractions(
             side="primal",
             basis=(4, 3, 2),
             nonbasis=(1,),
@@ -158,7 +161,7 @@ class TestDualSimplex:
     @pytest.mark.parametrize("rule", list(PivotRule))
     def test_ratio_tie_to_smallest_label(self, rule):
         # q_k / Q[0][k] is 1 for both x2 and x1, listed larger label first
-        d = Dictionary(
+        d = Dictionary.from_fractions(
             side="primal",
             basis=(3,),
             nonbasis=(2, 1),
@@ -225,6 +228,51 @@ class TestSolveGoldens:
         assert outcome.value == 4
         assert len(trace.phases) == 2
         check_outcome(lp, outcome)
+
+
+class TestCheckOutcome:
+    """The library's certificate re-check against the oracle's assertions."""
+
+    @given(seed=st.integers(0, 500), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_oracle_on_perturbed_certificates(self, seed, data):
+        base = suite_instance(seed)
+        factor = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool)
+        k = [data.draw(factor) for _ in range(base.m + 1)]
+        lp = divided(base, k)
+        outcome, _ = solve(lp, data.draw(st.sampled_from(list(PivotRule))))
+        simplex.check_outcome(lp, outcome)
+        # one entry of the certificate moved by a small rational, maybe zero
+        name = {Optimal: "point", Unbounded: "ray", Infeasible: "farkas"}[type(outcome)]
+        if isinstance(outcome, Optimal) and data.draw(st.booleans()):
+            name = "value"
+        eps = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+        if name == "value":
+            bad = Optimal(point=outcome.point, value=outcome.value + eps)
+        else:
+            entries = list(getattr(outcome, name))
+            entries[data.draw(st.integers(0, len(entries) - 1))] += eps
+            bad = replace(outcome, **{name: QVector(entries)})
+        try:
+            check_outcome(lp, bad)
+        except AssertionError:
+            with pytest.raises(CertificateError):
+                simplex.check_outcome(lp, bad)
+        else:
+            simplex.check_outcome(lp, bad)
+
+    @pytest.mark.parametrize(
+        "outcome",
+        [
+            Optimal(point=qv([0, 0]), value=Fraction(0)),
+            Unbounded(point=qv([0, 0, 0]), ray=qv([1, 0])),
+            Infeasible(farkas=qv([1, 1])),
+        ],
+    )
+    def test_wrong_length_is_rejected(self, outcome):
+        lp = tiny([[1, 1, 1]], [1], [1, 1, 1])
+        with pytest.raises(CertificateError):
+            simplex.check_outcome(lp, outcome)
 
 
 class TestSolveAgainstOracle:
