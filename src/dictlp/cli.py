@@ -224,7 +224,7 @@ def cmd_dict(args: argparse.Namespace) -> int:
         basis = tuple(integer(tok) for tok in args.basis.split(","))
     except ValueError:
         raise UsageError(f"--basis expects comma-separated integers, got {args.basis!r}") from None
-    d = dictionary_from_basis(lp, basis)
+    d = dictionary_from_basis(initial_dictionary(lp), basis)
     print(format_dictionary(d))
     return 0
 
@@ -294,12 +294,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Built once: parse_args leaves the parser unchanged and returns a fresh namespace.
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact I/O: rationals of any length
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here for output still buffered
         return code

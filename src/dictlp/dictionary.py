@@ -18,7 +18,9 @@ builds a dictionary from rational entries.
 
 The pivot operation recomputes the numerators by the fraction-free kernel
 (``_kernels.pivot_update``) in O(mn). Every dictionary is reached that way:
-``dictionary_from_basis`` pivots the basis in from the slack dictionary.
+the slack dictionary (``initial_dictionary``) is the only one built from an
+instance's rationals, once per use, and ``dictionary_from_basis(start, B)``
+pivots the members of B in from the dictionary it is given.
 """
 
 from __future__ import annotations
@@ -123,16 +125,18 @@ def initial_dictionary(lp: StandardLP) -> Dictionary:
     )
 
 
-def dictionary_from_basis(lp: StandardLP, basis: tuple[int, ...] | list[int]) -> Dictionary:
-    """The dictionary for an ordered basis, reached by pivots from the slack basis.
+def dictionary_from_basis(start: Dictionary, basis: tuple[int, ...] | list[int]) -> Dictionary:
+    """The dictionary for an ordered basis, reached by pivots from ``start``.
 
-    Each non-slack of B enters in turn, replacing the first basic slack
-    outside B with a nonzero entry in its column; the slacks in B never
-    leave. Rows come in B's order, columns in ascending order. Raises
-    ``NotABasisError`` when the basis columns are dependent, which is when
-    no such slack is left.
+    Each member of B outside ``start``'s basis enters in turn, replacing the
+    first basic variable outside B with a nonzero entry in its column; the
+    members of B never leave. From the slack dictionary that is each
+    non-slack of B replacing the first basic slack outside B. Rows come in
+    B's order, columns in ascending order, and the side is ``start``'s.
+    Raises ``NotABasisError`` when the basis columns are dependent, which is
+    when no such variable is left.
     """
-    m, total = lp.m, lp.m + lp.n
+    m, total = start.m, start.m + start.n
     B = tuple(basis)
     if len(B) != m:
         raise NotABasisError(f"basis must have {m} indices, got {len(B)}")
@@ -140,15 +144,12 @@ def dictionary_from_basis(lp: StandardLP, basis: tuple[int, ...] | list[int]) ->
     if len(members) != m or any(not 1 <= v <= total for v in B):
         raise NotABasisError(f"basis must be distinct indices in 1..{total}: {B}")
 
-    d = initial_dictionary(lp)
+    d = start
     for v in B:
-        if v > lp.n:
+        if v in d.basis:
             continue
         s = d.nonbasis.index(v)
-        leave = next(
-            (u for u, row in zip(d.basis, d.Q_num) if u > lp.n and u not in members and row[s] != 0),
-            None,
-        )
+        leave = next((u for u, row in zip(d.basis, d.Q_num) if u not in members and row[s] != 0), None)
         if leave is None:
             raise NotABasisError(f"columns of basis {B} are linearly dependent")
         d = pivot(d, v, leave)
@@ -171,7 +172,7 @@ def pivot(d: Dictionary, enter: int, leave: int) -> Dictionary:
     except ValueError:
         raise PivotError(f"leaving variable {leave} is not basic") from None
     if d.Q_num[r][s] == 0:
-        raise PivotError(f"degenerate pivot element at row {r}, column {s}")
+        raise PivotError(f"zero pivot element at row {r}, column {s}")
 
     p, Q, q, z, D = _kernels.pivot_update(d.p_num, d.Q_num, d.q_num, d.z_num, d.D, r, s)
     basis = list(d.basis)

@@ -7,10 +7,12 @@ this package exists to check: the dual dictionary with basic set N is
 exactly the negative transpose of the primal dictionary with basis B, for
 every valid basis. The dual side is named so the pairing is by index: y_j
 pairs with x_j, so y1..yn are the dual slacks and y(n+1)..y(n+m) the dual
-decisions, and ``dual_dictionary_direct`` builds the dual dictionary for N
-from the dual LP under those names. ``verify_bases`` tests both the
-dictionary identity and the underlying row-space equality, per basis, in
-exact arithmetic.
+decisions; ``dual_dictionary_direct`` gives the dual LP's slack dictionary
+under those names. Both sides reach every basis through one builder,
+``dictionary_from_basis``, from their own slack dictionary, and
+``verify_bases`` builds each slack dictionary once per instance. It tests
+both the dictionary identity and the underlying row-space equality, per
+basis, in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from dictlp import _kernels
-from dictlp.exact import QMatrix, QVector, common_denominator
+from dictlp.exact import QMatrix, QVector
 from dictlp.dictionary import (
     Dictionary,
     NotABasisError,
@@ -94,63 +95,64 @@ def dictionary_matrix(d: Dictionary) -> QMatrix:
     the objective row reads 1, -q under N, 0 under B, and -z*. Its row space
     equals the row space of R.
     """
+    return QMatrix([Fraction(x, d.D) for x in row] for row in _scaled_rows(d))
+
+
+def _scaled_rows(d: Dictionary) -> list[list[int]]:
+    """D times ``dictionary_matrix(d)``: its rows as integers."""
     width = d.m + d.n + 2
     rows = []
     for v, p_i, Q_i in zip(d.basis, d.p_num, d.Q_num):
-        row = [Fraction(0)] * width
+        row = [0] * width
         for w, x in zip(d.nonbasis, Q_i):
-            row[w] = Fraction(x, d.D)
-        row[v] = Fraction(1)
-        row[-1] = Fraction(-p_i, d.D)
+            row[w] = x
+        row[v] = d.D
+        row[-1] = -p_i
         rows.append(row)
-    last = [Fraction(0)] * width
-    last[0] = Fraction(1)
+    last = [0] * width
+    last[0] = d.D
     for w, x in zip(d.nonbasis, d.q_num):
-        last[w] = Fraction(-x, d.D)
-    last[-1] = Fraction(-d.z_num, d.D)
+        last[w] = -x
+    last[-1] = -d.z_num
     rows.append(last)
-    return QMatrix(rows)
+    return rows
 
 
-def dual_dictionary_direct(dual: StandardLP, dual_basis: tuple[int, ...] | list[int]) -> Dictionary:
-    """Dual-side dictionary built from the dual LP itself, no transpose involved.
+def dual_dictionary_direct(dual: StandardLP) -> Dictionary:
+    """The dual LP's slack dictionary under y-indices, on the dual side.
 
-    ``dual`` is ``dual_lp(lp)``; ``dual_basis`` lists dual variables by their
-    y-indices (slacks y1..yn, decisions y(n+1)..y(n+m)). The y-index is the
-    dual column rotated by n, so the dual LP's dictionary for that basis is
-    built like any primal one, then relabeled back to y-indices. Raises
-    ``NotABasisError`` for an index outside 1..m+n or a dependent basis.
+    ``dual`` is ``dual_lp(lp)``, with n rows and m columns. Its slacks
+    (columns m+1..m+n) are named y1..yn and its decisions (columns 1..m)
+    y(n+1)..y(n+m), so y_j pairs with x_j. ``dictionary_from_basis`` from
+    this dictionary builds the dual dictionary for any basic set from the
+    dual LP itself, no transpose involved.
     """
-    total = dual.m + dual.n
-    if any(not 1 <= j <= total for j in dual_basis):
-        raise NotABasisError(f"dual basis must be indices in 1..{total}: {tuple(dual_basis)}")
-    raw = dictionary_from_basis(dual, tuple((j + dual.n - 1) % total + 1 for j in dual_basis))
+    d = initial_dictionary(dual)
     return replace(
-        raw,
+        d,
         side="dual",
-        basis=tuple((col + dual.m - 1) % total + 1 for col in raw.basis),
-        nonbasis=tuple((col + dual.m - 1) % total + 1 for col in raw.nonbasis),
+        basis=tuple(range(1, dual.m + 1)),
+        nonbasis=tuple(range(dual.m + 1, dual.m + dual.n + 1)),
     )
 
 
-def spans_rowspace_of(r: QMatrix, d: Dictionary) -> bool:
-    """True iff the dictionary's combined-system matrix spans the row space of R.
+def spans_rowspace_of(start: Dictionary, d: Dictionary) -> bool:
+    """True iff the dictionary matrices of ``start`` and ``d`` span the same row space.
 
-    Exact without a rank computation: both matrices have rank m+1, R with an
-    identity on column 0 and the slack columns, the dictionary matrix
-    (``dictionary_matrix``) on column 0 and the columns of B. So the
-    row spaces are equal iff every row rho of R equals
-    rho[0] * (objective row) + sum_k rho[B_k] * (row k). On column 0 and the
-    columns of B that holds by construction; on the N columns and the last
-    column it reads A_B Q = A_N, A_B p = b, q = c_N - Q^T c_B and
-    z* = c_B . p.
+    With ``start`` the slack dictionary that is the row space of R. Exact
+    without a rank computation: both matrices have rank m+1, each with an
+    identity on column 0 and the columns of its own basis (see
+    ``dictionary_matrix``). So the row spaces are equal iff every row rho of
+    ``start``'s matrix equals rho[0] * (objective row) + sum_k rho[B_k] *
+    (row k) of ``d``'s. On column 0 and the columns of B that holds by
+    construction; for R's rows, on the N columns and the last column it
+    reads A_B Q = A_N, A_B p = b, q = c_N - Q^T c_B and z* = c_B . p.
     """
     last = d.m + d.n + 1
-    # Both sides of each equation are scaled by the dictionary's common
-    # denominator D and the row's own, so integer equality is exact equality.
+    # Each equation is linear in rho and scaled by d's common denominator D,
+    # so integer rows of start and d's numerators test exact equality.
     D, p, Q, q, z_star = d.D, d.p_num, d.Q_num, d.q_num, d.z_num
-    for row in r.row_lists():
-        _, (rho,) = common_denominator([row])
+    for rho in _scaled_rows(start):
         # Dictionary row k is [0 | Q_k | e_k | -p_k], the objective row [1 | -q | 0 | -z*].
         terms = [(rho[v], Q[k], p[k]) for k, v in enumerate(d.basis) if rho[v]]
         if rho[last] * D != -sum(c * pk for c, _, pk in terms) - rho[0] * z_star:
@@ -169,17 +171,17 @@ def verify_bases(lp: StandardLP, bases: list[tuple[int, ...]]) -> list[Bijection
     constructed directly from the dual LP with basic set N, and the primal
     dictionary's combined-system matrix must span the same row space as R
     (``spans_rowspace_of``). Each side pivots its basis in from its own
-    slack dictionary; the dual LP and R are built once for all bases.
+    slack dictionary, and each slack dictionary is built once for all bases.
     """
-    dual = dual_lp(lp)
-    r = build_R(lp)
+    start = initial_dictionary(lp)
+    dual_start = dual_dictionary_direct(dual_lp(lp))
     reports = []
     for basis in bases:
-        prim = dictionary_from_basis(lp, tuple(basis))
+        prim = dictionary_from_basis(start, tuple(basis))
         flipped = canonical(negative_transpose(prim))
-        direct = canonical(dual_dictionary_direct(dual, prim.nonbasis))
+        direct = canonical(dictionary_from_basis(dual_start, prim.nonbasis))
         nt_ok = flipped == direct
-        rs_ok = spans_rowspace_of(r, prim)
+        rs_ok = spans_rowspace_of(start, prim)
         notes = []
         if not nt_ok:
             notes.append(f"negative transpose differs from direct dual dictionary on N={prim.nonbasis}")
@@ -199,36 +201,21 @@ def verify_bases(lp: StandardLP, bases: list[tuple[int, ...]]) -> list[Bijection
 def enumerate_bases(lp: StandardLP, limit: int = 100_000) -> list[tuple[int, ...]]:
     """All valid bases (ascending within and across), guarded by a subset budget.
 
-    A subset's slacks cover their own rows, so it is a basis exactly when
-    its k decision columns are independent on the k rows whose slacks it
-    leaves out. Each of those columns pivots in against the first unused
-    row with a nonzero entry, the rule of ``dictionary_from_basis``; the
-    subset is rejected when a column finds no such row.
+    A subset is a basis exactly when ``dictionary_from_basis`` reaches it
+    from the slack dictionary: each of its decision columns pivots in
+    against the first basic slack outside the subset with a nonzero entry,
+    and the subset is rejected when a column finds none.
     """
     m, n = lp.m, lp.n
     count = comb(m + n, m)
     if count > limit:
         raise BasisCountError(count, limit)
-    # A0's rows as integers: scaling a row keeps every subset's independence.
-    rows = initial_dictionary(lp).Q_num
+    start = initial_dictionary(lp)
     bases = []
     for combo in combinations(range(1, m + n + 1), m):
-        free = [row for i, row in enumerate(rows) if n + i + 1 not in combo]
-        if _independent([[row[v - 1] for v in combo if v <= n] for row in free]):
-            bases.append(combo)
+        try:
+            dictionary_from_basis(start, combo)
+        except NotABasisError:
+            continue
+        bases.append(combo)
     return bases
-
-
-def _independent(Q: list[list[int]]) -> bool:
-    """True iff the columns of the square integer matrix Q are linearly independent."""
-    k = len(Q)
-    zeros = [0] * k
-    D = 1
-    unused = list(range(k))
-    for s in range(k):
-        r = next((i for i in unused if Q[i][s] != 0), None)
-        if r is None:
-            return False
-        unused.remove(r)
-        _, Q, _, _, D = _kernels.pivot_update(zeros, Q, zeros, 0, D, r, s)
-    return True

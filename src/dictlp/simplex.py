@@ -6,8 +6,9 @@ Both methods run on ``Dictionary`` values and return exact certificates:
 * Unbounded(point, ray) -- feasible point plus an improving recession ray;
 * Infeasible(farkas)    -- u >= 0 with u.A0 >= 0 and u.b < 0.
 
-``solve`` re-checks its certificate against the instance (``check_outcome``)
-before it returns, and raises ``CertificateError`` if it does not hold.
+``solve`` re-checks its certificate against the instance's slack dictionary
+(``check_outcome``) before it returns, and raises ``CertificateError`` if it
+does not hold.
 
 The default rule is Bland's (termination guaranteed); Dantzig's largest-
 coefficient rule is opt-in, with ties always broken toward the smallest
@@ -251,16 +252,17 @@ def solve(
     construction) and drives to primal feasibility with dual simplex; phase
     2 prices phase 1's final dictionary with the true objective and
     finishes with primal simplex. The outcome passes ``check_outcome``
-    before it is returned.
+    against the slack dictionary before it is returned.
     """
-    outcome, trace = _two_phase(lp, rule)
-    check_outcome(lp, outcome)
+    d0 = initial_dictionary(lp)
+    outcome, trace = _two_phase(d0, rule)
+    check_outcome(d0, outcome)
     return outcome, trace
 
 
-def _two_phase(lp: StandardLP, rule: PivotRule) -> tuple[SolveOutcome, SolveTrace]:
-    d0 = initial_dictionary(lp)
-    n = lp.n
+def _two_phase(d0: Dictionary, rule: PivotRule) -> tuple[SolveOutcome, SolveTrace]:
+    """``solve`` from the slack dictionary ``d0``, without the re-check."""
+    n = d0.n
 
     if is_primal_feasible(d0):
         final, steps, enter = primal_simplex(d0, rule)
@@ -274,14 +276,14 @@ def _two_phase(lp: StandardLP, rule: PivotRule) -> tuple[SolveOutcome, SolveTrac
             return _primal_outcome(final, None, n), trace
         return Infeasible(farkas=_farkas_vector(final, leave)), trace
 
-    phase1_start = _priced(d0, [Fraction(-1)] * n)
+    phase1_start = _priced(d0, [-1] * n, 1)
     final1, steps1, leave1 = dual_simplex(phase1_start, rule)
     phase1 = TracePhase("phase 1: dual simplex, auxiliary objective", phase1_start, tuple(steps1))
     if leave1 is not None:
         trace = SolveTrace(phases=(phase1,))
         return Infeasible(farkas=_farkas_vector(final1, leave1)), trace
 
-    phase2_start = _priced(final1, list(lp.c))
+    phase2_start = _priced(final1, list(d0.q_num), d0.D)
     final2, steps2, enter2 = primal_simplex(phase2_start, rule)
     trace = SolveTrace(
         phases=(phase1, TracePhase("phase 2: primal simplex", phase2_start, tuple(steps2)))
@@ -289,16 +291,14 @@ def _two_phase(lp: StandardLP, rule: PivotRule) -> tuple[SolveOutcome, SolveTrac
     return _primal_outcome(final2, enter2, n), trace
 
 
-def _priced(d: Dictionary, c: list[Fraction]) -> Dictionary:
-    """The dictionary in hand under the objective c.x, slacks costing 0.
+def _priced(d: Dictionary, costs: list[int], L: int) -> Dictionary:
+    """The dictionary in hand under the objective c.x, c = costs / L, slacks costing 0.
 
     Keeps the rows and sorts the columns ascending; the objective row is
-    q = c_N - Q^T c_B and z* = c_B . p. With L the lcm of c's denominators
-    and D the dictionary's, it is computed in integers over D*L:
-    D*L*q = D*(L*c_N) - (D*Q)^T (L*c_B).
+    q = c_N - Q^T c_B and z* = c_B . p. With D the dictionary's denominator
+    it is computed in integers over D*L: D*L*q = D*(L*c_N) - (D*Q)^T (L*c_B).
     """
-    L, (costs,) = common_denominator([c])
-    costs += [0] * d.m
+    costs = costs + [0] * d.m
     cols = sorted(range(d.n), key=lambda j: d.nonbasis[j])
     nonbasis = tuple(d.nonbasis[j] for j in cols)
     rows = [[row[j] for j in cols] for row in d.Q_num]
@@ -321,21 +321,21 @@ def _primal_outcome(final: Dictionary, enter: int | None, n: int) -> SolveOutcom
     return Unbounded(point=point, ray=_unbounded_ray(final, enter, n))
 
 
-def check_outcome(lp: StandardLP, outcome: SolveOutcome) -> None:
-    """Raise ``CertificateError`` unless the outcome's certificate holds for ``lp``.
+def check_outcome(start: Dictionary, outcome: SolveOutcome) -> None:
+    """Raise ``CertificateError`` unless the outcome's certificate holds for the instance.
 
-    Optimal: the point is feasible (x >= 0, A0 x <= b) and c.x equals the
-    value. Unbounded: the point is feasible, ray >= 0, A0 ray <= 0 and
-    c.ray > 0. Infeasible: u >= 0, u.A0 >= 0 and u.b < 0. O(mn) substitution
-    in integers: A0, b and c as numerators over the slack dictionary's D,
-    each certificate vector over the lcm of its own denominators.
+    ``start`` is the instance's slack dictionary (``initial_dictionary``),
+    whose numerators over its D are A0, b and c. Optimal: the point is
+    feasible (x >= 0, A0 x <= b) and c.x equals the value. Unbounded: the
+    point is feasible, ray >= 0, A0 ray <= 0 and c.ray > 0. Infeasible:
+    u >= 0, u.A0 >= 0 and u.b < 0. O(mn) substitution in integers, each
+    certificate vector over the lcm of its own denominators.
     """
-    d = initial_dictionary(lp)
-    A, b, c = d.Q_num, d.p_num, d.q_num
+    A, b, c = start.Q_num, start.p_num, start.q_num
     if isinstance(outcome, Infeasible):
         _, (u,) = common_denominator([outcome.farkas])
         if not (
-            len(u) == lp.m
+            len(u) == start.m
             and all(x >= 0 for x in u)
             and all(_dot(u, col) >= 0 for col in zip(*A))
             and _dot(u, b) < 0
@@ -344,19 +344,19 @@ def check_outcome(lp: StandardLP, outcome: SolveOutcome) -> None:
         return
     L, (x,) = common_denominator([outcome.point])
     if not (
-        len(x) == lp.n
+        len(x) == start.n
         and all(v >= 0 for v in x)
         and all(_dot(row, x) <= b_i * L for row, b_i in zip(A, b))
     ):
         raise CertificateError(f"point is not feasible: {outcome.point}")
     if isinstance(outcome, Optimal):
         value = outcome.value
-        if _dot(c, x) * value.denominator != value.numerator * d.D * L:
+        if _dot(c, x) * value.denominator != value.numerator * start.D * L:
             raise CertificateError(f"objective at the point is not {value}")
         return
     _, (ray,) = common_denominator([outcome.ray])
     if not (
-        len(ray) == lp.n
+        len(ray) == start.n
         and all(v >= 0 for v in ray)
         and all(_dot(row, ray) <= 0 for row in A)
         and _dot(c, ray) > 0

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from dictlp.cli import random_lp
-from dictlp.dictionary import Dictionary
+from dictlp.dictionary import Dictionary, pivot
 from dictlp.exact import QMatrix, QVector
 from dictlp.model import StandardLP
 
@@ -67,6 +67,22 @@ def dual_feasible_instance(seed: int, bound: int = 5) -> StandardLP:
     """Like suite_instance but with c forced nonpositive (initial dict dual feasible)."""
     lp = suite_instance(seed, bound)
     return StandardLP(A0=lp.A0, b=lp.b, c=QVector(-abs(x) for x in lp.c))
+
+
+def random_pivots(d: Dictionary, rng_choices) -> list[Dictionary]:
+    """Apply a sequence of legal pivots driven by a list of (i, j) index picks."""
+    out = [d]
+    for a, b in rng_choices:
+        enter = d.nonbasis[a % len(d.nonbasis)]
+        leave_candidates = [
+            v for r, v in enumerate(d.basis) if d.Q.entry(r, d.nonbasis.index(enter)) != 0
+        ]
+        if not leave_candidates:
+            continue
+        leave = leave_candidates[b % len(leave_candidates)]
+        d = pivot(d, enter, leave)
+        out.append(d)
+    return out
 
 
 def check_point(d, full_values) -> bool:

@@ -156,9 +156,9 @@ def test_criterion_4_orthogonal_subspace_properties():
             assert ybar.dot(xbar) == 0
 
             for basis in enumerate_bases(lp):
-                prim = dictionary_from_basis(lp, basis)
+                prim = dictionary_from_basis(initial_dictionary(lp), basis)
                 assert in_kernel(r, kernel_embedding(prim))
-                dual = dual_dictionary_direct(dual_lp(lp), prim.nonbasis)
+                dual = dictionary_from_basis(dual_dictionary_direct(dual_lp(lp)), prim.nonbasis)
                 assert rowspace_contains(r, rowspace_embedding(dual))
 
 

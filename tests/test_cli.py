@@ -172,7 +172,7 @@ class TestFormatDictionary:
         lp = suite_instance(seed)
         bases = enumerate_bases(lp)
         basis = bases[data.draw(st.integers(0, len(bases) - 1))]
-        d = dictionary_from_basis(lp, basis)
+        d = dictionary_from_basis(initial_dictionary(lp), basis)
         parsed = parse_dictionary_text(format_dictionary(d), lp.m + lp.n)
         assert parsed == d
         dual = negative_transpose(d)
@@ -290,6 +290,14 @@ class TestTraceCommand:
                 assert run_main(["trace", path, *forced, *view]) == by_solver
                 assert by_solver[0] == 0
 
+    def test_no_flag_carries_over_between_calls(self, e1_file, capsys):
+        outputs = []
+        for view in ([], [], ["--dual-view"], []):
+            assert main(["trace", e1_file, "--pivot", "1,5", *view]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[3]
+        assert ["dual:" in out for out in outputs] == [False, False, True, False]
+
     def test_bad_pivot_flag(self, e1_file, capsys):
         assert main(["trace", e1_file, "--pivot", "15"]) == 1
         assert "usage error" in capsys.readouterr().err
@@ -355,8 +363,8 @@ class TestVerifyCommand:
     def test_corrupted_dictionary_fails_its_basis(self, e1_file, capsys, monkeypatch):
         real_build = duality.dictionary_from_basis
 
-        def corrupted(lp, basis):
-            d = real_build(lp, basis)
+        def corrupted(start, basis):
+            d = real_build(start, basis)
             if tuple(basis) == (1, 4):  # a primal basis; dual bases have 3 entries
                 rows = d.Q.row_lists()
                 rows[0][0] += 1
@@ -372,6 +380,32 @@ class TestVerifyCommand:
         assert out.count("basis 1,5: pass") == 1
         assert sum(": pass" in line for line in out) == 9
         assert out[-1] == "verified 9/10 bases"
+
+
+class TestSlackDictionaryBuiltOnce:
+    """The instance's rationals become integers once per command, not once per basis."""
+
+    @pytest.fixture
+    def from_fractions_calls(self, monkeypatch):
+        calls = []
+        real = Dictionary.from_fractions
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(Dictionary, "from_fractions", counted)
+        return calls
+
+    def test_solve(self, e1_file, capsys, from_fractions_calls):
+        assert main(["solve", e1_file]) == 2
+        assert len(from_fractions_calls) == 1
+
+    @pytest.mark.parametrize("text", [E1_TEXT, serialize_lp(random_lp(4, 4, seed=3))], ids=["e1", "4x4"])
+    def test_verify(self, tmp_path, capsys, from_fractions_calls, text):
+        assert main(["verify", write_lp(tmp_path, text)]) == 0
+        assert re.search(r"verified (\d\d+)/\1 bases", capsys.readouterr().out)
+        assert len(from_fractions_calls) <= 3
 
 
 class TestHugeNumbers:

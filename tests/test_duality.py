@@ -1,7 +1,8 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dictlp.dictionary import (
@@ -28,9 +29,9 @@ from dictlp.duality import (
 from dictlp.exact import QMatrix, QVector
 from dictlp.model import StandardLP, dual_lp
 
-from conftest import objective_at, qm, qv, replaced, suite_instance
+from conftest import objective_at, qm, qv, random_pivots, replaced, suite_instance
 from oracle import basic_points
-from reference import rank, rowspace_contains, rowspace_equal
+from reference import dictionary_by_elimination, rank, rowspace_contains, rowspace_equal
 
 E1_R = [
     [0, 4, 2, -2, 1, 0, -18],
@@ -202,63 +203,98 @@ class TestSpansRowspaceOf:
             b=QVector(x / (k + i) for i, x in enumerate(base.b)),
             c=QVector(x / (k + base.m) for x in base.c),
         )
+        start = initial_dictionary(lp)
         r = build_R(lp)
-        delta = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
         for basis in enumerate_bases(lp):
-            d = dictionary_from_basis(lp, basis)
-            assert spans_rowspace_of(r, d)
+            d = dictionary_from_basis(start, basis)
+            assert spans_rowspace_of(start, d)
             assert rowspace_equal(dictionary_matrix(d), r)
-            # one entry of p, Q, q or z* perturbed
-            field = data.draw(st.sampled_from(["p", "Q", "q", "z_star"]))
-            eps = data.draw(delta)
-            if field == "z_star":
-                bad = replaced(d, z_star=d.z_star + eps)
-            elif field == "Q":
-                i, j = data.draw(st.integers(0, d.m - 1)), data.draw(st.integers(0, d.n - 1))
-                rows = d.Q.row_lists()
-                rows[i][j] += eps
-                bad = replaced(d, Q=QMatrix(rows))
-            else:
-                entries = list(getattr(d, field))
-                k = data.draw(st.integers(0, len(entries) - 1))
-                entries[k] += eps
-                bad = replaced(d, **{field: QVector(entries)})
-            assert spans_rowspace_of(r, bad) == rowspace_equal(dictionary_matrix(bad), r)
+            bad = perturbed(d, data)
+            assert spans_rowspace_of(start, bad) == rowspace_equal(dictionary_matrix(bad), r)
+
+
+def perturbed(d: Dictionary, data) -> Dictionary:
+    """``d`` with one entry of p, Q, q or z* moved by a nonzero rational."""
+    field = data.draw(st.sampled_from(["p", "Q", "q", "z_star"]))
+    eps = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool))
+    if field == "z_star":
+        return replaced(d, z_star=d.z_star + eps)
+    if field == "Q":
+        i, j = data.draw(st.integers(0, d.m - 1)), data.draw(st.integers(0, d.n - 1))
+        rows = d.Q.row_lists()
+        rows[i][j] += eps
+        return replaced(d, Q=QMatrix(rows))
+    entries = list(getattr(d, field))
+    k = data.draw(st.integers(0, len(entries) - 1))
+    entries[k] += eps
+    return replaced(d, **{field: QVector(entries)})
+
+
+class TestAnyStart:
+    """The builder and the row-space test from a dictionary other than the slack one."""
+
+    @given(
+        seed=st.integers(0, 500),
+        picks=st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10)), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_pivoted_start_builds_what_the_slack_start_builds(self, seed, picks, data):
+        lp = suite_instance(seed)
+        slack = initial_dictionary(lp)
+        chain = random_pivots(slack, picks)
+        assume(len(chain) > 1)
+        start = chain[-1]
+        for basis in permutations(range(1, lp.m + lp.n + 1), lp.m):
+            try:
+                expected = dictionary_from_basis(slack, basis)
+            except NotABasisError:
+                with pytest.raises(NotABasisError):
+                    dictionary_from_basis(start, basis)
+                continue
+            d = dictionary_from_basis(start, basis)
+            assert canonical(d) == canonical(expected)
+            assert d == dictionary_by_elimination(lp, basis)
+            assert spans_rowspace_of(start, d)
+            bad = perturbed(d, data)
+            assert spans_rowspace_of(start, bad) == rowspace_equal(
+                dictionary_matrix(bad), dictionary_matrix(start)
+            )
 
 
 class TestDualDictionaryDirect:
     def test_initial(self, e1):
-        got = dual_dictionary_direct(dual_lp(e1), (1, 2, 3))
+        got = dictionary_from_basis(dual_dictionary_direct(dual_lp(e1)), (1, 2, 3))
         assert got.side == "dual"
         assert canonical(got) == canonical(INITIAL_DUAL)
 
     def test_second(self, e1):
-        got = dual_dictionary_direct(dual_lp(e1), (5, 2, 3))
+        got = dictionary_from_basis(dual_dictionary_direct(dual_lp(e1)), (5, 2, 3))
         assert canonical(got) == canonical(SECOND_DUAL)
 
     @given(seed=st.integers(0, 200))
     @settings(max_examples=30, deadline=None)
     def test_succeeds_on_complement_of_any_valid_basis(self, seed):
         lp = suite_instance(seed)
-        dual_side = dual_lp(lp)
+        dual_start = dual_dictionary_direct(dual_lp(lp))
         for basis in enumerate_bases(lp):
-            prim = dictionary_from_basis(lp, basis)
-            dual = dual_dictionary_direct(dual_side, prim.nonbasis)
+            prim = dictionary_from_basis(initial_dictionary(lp), basis)
+            dual = dictionary_from_basis(dual_start, prim.nonbasis)
             assert set(dual.basis) == set(prim.nonbasis)
 
     def test_y_indices_rotate_onto_dual_columns(self, e1):
         # m=2, n=3: the dual slacks y1..y3 are dual columns 3..5 and the dual
         # decisions y4, y5 are columns 1, 2; the result is named by y-index.
-        got = dual_dictionary_direct(dual_lp(e1), (3, 4, 5))
+        got = dictionary_from_basis(dual_dictionary_direct(dual_lp(e1)), (3, 4, 5))
         assert got.basis == (3, 4, 5)
         assert got.nonbasis == (1, 2)
-        assert got == canonical(negative_transpose(dictionary_from_basis(e1, (1, 2))))
+        assert got == canonical(negative_transpose(dictionary_from_basis(initial_dictionary(e1), (1, 2))))
 
     # Rotated, each of these would be a valid dual basis: (2, 3, 4) and (3, 1, 2).
     @pytest.mark.parametrize("dual_basis", [(0, 1, 2), (6, 4, 5)])
     def test_y_index_out_of_range(self, e1, dual_basis):
         with pytest.raises(NotABasisError):
-            dual_dictionary_direct(dual_lp(e1), dual_basis)
+            dictionary_from_basis(dual_dictionary_direct(dual_lp(e1)), dual_basis)
 
 
 class TestVerifyBijection:
@@ -324,7 +360,7 @@ class TestSolutionSetEquivalence:
         r = build_R(lp)
         bases = enumerate_bases(lp)
         basis = bases[data.draw(st.integers(0, len(bases) - 1))]
-        prim = dictionary_from_basis(lp, basis)
+        prim = dictionary_from_basis(initial_dictionary(lp), basis)
         assert in_kernel(r, kernel_embedding(prim))
         dual = negative_transpose(prim)
         assert rowspace_contains(r, rowspace_embedding(dual))
