@@ -1,12 +1,12 @@
 """Exact rational LP dictionaries, primal/dual simplex, and duality checks.
 
-Everything computes exactly: instances and certificates are arbitrary-precision
-rationals, and dictionaries are integer numerators over one common
-denominator. There is no floating point anywhere, so every comparison and
-every certificate is exact.
+Everything computes exactly: instances and dictionaries are integer
+numerators over one common denominator, and certificates are
+arbitrary-precision rationals. There is no floating point anywhere, so
+every comparison and every certificate is exact.
 """
 
-from dictlp.exact import QMatrix, QVector, rational
+from dictlp.exact import QMatrix
 from dictlp.model import (
     ParseError,
     StandardLP,
@@ -71,7 +71,6 @@ __all__ = [
     "PivotError",
     "PivotRule",
     "QMatrix",
-    "QVector",
     "SolveOutcome",
     "StandardLP",
     "Unbounded",
@@ -95,7 +94,6 @@ __all__ = [
     "parse_lp",
     "pivot",
     "primal_simplex",
-    "rational",
     "serialize_lp",
     "solve",
     "spans_rowspace_of",

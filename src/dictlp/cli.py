@@ -16,7 +16,6 @@ import argparse
 import os
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -30,7 +29,7 @@ from dictlp.dictionary import (
     pivot,
 )
 from dictlp.duality import BasisCountError, enumerate_bases, verify_bases
-from dictlp.exact import QMatrix, QVector
+from dictlp.exact import _rationals_text, format_rational
 from dictlp.model import _DIMENSION_RE, ParseError, StandardLP, dual_lp, parse_lp, serialize_lp
 from dictlp.simplex import (
     CertificateError,
@@ -59,24 +58,25 @@ def format_dictionary(d: Dictionary) -> str:
     """
     var = "x" if d.side == "primal" else "y"
     names = [f"{var}{w}" for w in d.nonbasis]
+    D = d.D
     lines = []
     for v, p_r, row in zip(d.basis, d.p_num, d.Q_num):
-        terms = [(Fraction(-x, d.D), name) for x, name in zip(row, names)]
-        lines.append(f"{var}{v} = " + _affine(Fraction(p_r, d.D), terms, always_constant=True))
+        terms = [(-x, name) for x, name in zip(row, names) if x]
+        lines.append(f"{var}{v} = " + _affine(p_r, terms, D, always_constant=True))
     label = "z" if d.side == "primal" else "-w"
-    terms = [(Fraction(x, d.D), name) for x, name in zip(d.q_num, names)]
-    lines.append(f"{label} = " + _affine(d.z_star, terms, always_constant=False))
+    terms = [(x, name) for x, name in zip(d.q_num, names) if x]
+    lines.append(f"{label} = " + _affine(d.z_num, terms, D, always_constant=False))
     return "\n".join(lines)
 
 
-def _affine(constant: Fraction, terms: list[tuple[Fraction, str]], always_constant: bool) -> str:
-    nonzero = [(coef, name) for coef, name in terms if coef != 0]
+def _affine(constant: int, terms: list[tuple[int, str]], D: int, always_constant: bool) -> str:
+    """``constant/D + sum coef/D * name`` over the nonzero numerators ``terms``."""
     parts: list[str] = []
-    if always_constant or constant != 0 or not nonzero:
-        parts.append(str(constant))
-    for coef, name in nonzero:
+    if always_constant or constant or not terms:
+        parts.append(format_rational(constant, D))
+    for coef, name in terms:
         mag = abs(coef)
-        body = name if mag == 1 else f"{mag}{name}"
+        body = name if mag == D else format_rational(mag, D) + name
         if not parts:
             parts.append(f"-{body}" if coef < 0 else body)
         else:
@@ -102,7 +102,7 @@ def random_lp(m: int, n: int, seed: int, bound: int = 10) -> StandardLP:
     for _ in range(m):
         rows.append([rng.randint(-bound, bound) for _ in range(n)])
         b.append(rng.randint(-bound, bound))
-    return StandardLP(A0=QMatrix(rows), b=QVector(b), c=QVector(c))
+    return StandardLP.from_fractions(rows, b, c)
 
 
 def integer(text: str) -> int:
@@ -113,10 +113,6 @@ def integer(text: str) -> int:
     if not _DIMENSION_RE.fullmatch(text[1:] if text.startswith("-") else text):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
-
-
-def _vec_text(v: QVector) -> str:
-    return " ".join(str(x) for x in v)
 
 
 def _read_instance(path: str) -> StandardLP:
@@ -136,19 +132,19 @@ def cmd_solve(args: argparse.Namespace) -> int:
         code = 0
         lines = [
             "outcome = optimal",
-            f"value = {outcome.value}",
-            f"point = {_vec_text(outcome.point)}",
+            f"value = {_rationals_text([outcome.value])}",
+            f"point = {_rationals_text(outcome.point)}",
         ]
     elif isinstance(outcome, Unbounded):
         code = 2
         lines = [
             "outcome = unbounded",
-            f"point = {_vec_text(outcome.point)}",
-            f"ray = {_vec_text(outcome.ray)}",
+            f"point = {_rationals_text(outcome.point)}",
+            f"ray = {_rationals_text(outcome.ray)}",
         ]
     else:
         code = 3
-        lines = ["outcome = infeasible", f"farkas = {_vec_text(outcome.farkas)}"]
+        lines = ["outcome = infeasible", f"farkas = {_rationals_text(outcome.farkas)}"]
     lines.append(f"pivots = {trace.pivot_count}")
     print("\n".join(lines))
     return code
@@ -299,8 +295,6 @@ _PARSER = _build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # exact I/O: rationals of any length
     try:
         args = _PARSER.parse_args(argv)
         code = args.func(args)

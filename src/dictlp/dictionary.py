@@ -12,25 +12,27 @@ and objective label ``-w``; only printing differs.
 A ``Dictionary`` holds integers: the numerators of p, Q, q and z* over one
 positive common denominator D, reduced so that D is the lcm of the entries'
 denominators. That form is unique, so equality and hashing compare values.
-``d.p``, ``d.Q``, ``d.q`` and ``d.z_star`` are ``Fraction`` views built
-when read; the solver's own paths read the integers. ``from_fractions``
-builds a dictionary from rational entries.
+It is the form of a ``StandardLP``, so the slack dictionary
+(``initial_dictionary``) is the instance's own numerators: p = b, Q = A0,
+q = c over the instance's D. ``d.p`` and ``d.q`` (tuples of ``Fraction``),
+``d.Q`` (a ``QMatrix``) and ``d.z_star`` are views built when read; the
+solver's own paths read the integers. ``from_fractions`` builds a
+dictionary from rational entries.
 
 The pivot operation recomputes the numerators by the fraction-free kernel
-(``_kernels.pivot_update``) in O(mn). Every dictionary is reached that way:
-the slack dictionary (``initial_dictionary``) is the only one built from an
-instance's rationals, once per use, and ``dictionary_from_basis(start, B)``
-pivots the members of B in from the dictionary it is given.
+(``_kernels.pivot_update``) in O(mn). Every dictionary after the slack one
+is reached that way: ``dictionary_from_basis(start, B)`` pivots the members
+of B in from the dictionary it is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, Sequence
 
 from dictlp import _kernels
-from dictlp.exact import QMatrix, QVector, RationalLike, common_denominator, rational
+from dictlp.exact import QMatrix, common_denominator
 from dictlp.model import StandardLP
 
 Side = Literal["primal", "dual"]
@@ -68,20 +70,20 @@ class Dictionary:
         side: Side,
         basis: tuple[int, ...],
         nonbasis: tuple[int, ...],
-        p: QVector,
-        Q: QMatrix,
-        q: QVector,
-        z_star: RationalLike,
+        p: Sequence[Fraction],
+        Q: Sequence[Sequence[Fraction]],
+        q: Sequence[Fraction],
+        z_star: Fraction,
     ) -> "Dictionary":
-        """The dictionary with these rational entries, over the lcm of their denominators."""
+        """The dictionary with these rational entries (Q as rows), over the lcm of their denominators."""
         m, n = len(basis), len(nonbasis)
         if sorted([*basis, *nonbasis]) != list(range(1, m + n + 1)):
             raise ValueError("basis and nonbasis must partition 1..m+n")
         if len(p) != m or len(q) != n:
             raise ValueError("p/q lengths must match basis/nonbasis")
-        if Q.rows != m or Q.cols != n:
+        if len(Q) != m or any(len(row) != n for row in Q):
             raise ValueError("Q shape must be |B| x |N|")
-        rows = [p, q, [rational(z_star)], *Q.row_lists()]
+        rows = [p, q, [Fraction(z_star)], *Q]
         D, (p_num, q_num, (z_num,), *Q_num) = common_denominator(rows)
         return cls(side, basis, nonbasis, tuple(p_num), tuple(map(tuple, Q_num)), tuple(q_num), z_num, D)
 
@@ -96,16 +98,16 @@ class Dictionary:
     # The Fraction views are built on every read and never stored, so a long
     # trace holds integers only; loops read the numerators instead.
     @property
-    def p(self) -> QVector:
-        return QVector(Fraction(x, self.D) for x in self.p_num)
+    def p(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(x, self.D) for x in self.p_num])
 
     @property
     def Q(self) -> QMatrix:
         return QMatrix([Fraction(x, self.D) for x in row] for row in self.Q_num)
 
     @property
-    def q(self) -> QVector:
-        return QVector(Fraction(x, self.D) for x in self.q_num)
+    def q(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(x, self.D) for x in self.q_num])
 
     @property
     def z_star(self) -> Fraction:
@@ -114,14 +116,15 @@ class Dictionary:
 
 def initial_dictionary(lp: StandardLP) -> Dictionary:
     """The slack-basis dictionary: B = (n+1..n+m), p = b, Q = A0, q = c, z* = 0."""
-    return Dictionary.from_fractions(
+    return Dictionary(
         side="primal",
         basis=tuple(range(lp.n + 1, lp.n + lp.m + 1)),
         nonbasis=tuple(range(1, lp.n + 1)),
-        p=lp.b,
-        Q=lp.A0,
-        q=lp.c,
-        z_star=0,
+        p_num=lp.b_num,
+        Q_num=lp.A0_num,
+        q_num=lp.c_num,
+        z_num=0,
+        D=lp.D,
     )
 
 
@@ -210,12 +213,12 @@ def negative_transpose(d: Dictionary) -> Dictionary:
     )
 
 
-def basic_solution(d: Dictionary) -> QVector:
+def basic_solution(d: Dictionary) -> tuple[Fraction, ...]:
     """The point with nonbasic variables at zero, as a full length-(m+n) vector."""
     values = [Fraction(0)] * (d.m + d.n)
     for v, x in zip(d.basis, d.p_num):
         values[v - 1] = Fraction(x, d.D)
-    return QVector(values)
+    return tuple(values)
 
 
 def canonical(d: Dictionary) -> Dictionary:

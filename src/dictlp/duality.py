@@ -21,8 +21,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import Sequence
 
-from dictlp.exact import QMatrix, QVector
+from dictlp.exact import QMatrix
 from dictlp.dictionary import (
     Dictionary,
     NotABasisError,
@@ -66,25 +67,25 @@ def build_R(lp: StandardLP) -> QMatrix:
     return dictionary_matrix(initial_dictionary(lp))
 
 
-def in_kernel(r: QMatrix, xbar: QVector) -> bool:
+def in_kernel(r: QMatrix, xbar: Sequence[Fraction]) -> bool:
     """True iff R . xbar = 0 exactly."""
     if len(xbar) != r.cols:
         raise ValueError(f"dimension mismatch: {r.cols} vs {len(xbar)}")
-    return all(x == 0 for x in r.mul_vec(xbar))
+    return all(sum(a * x for a, x in zip(row, xbar)) == 0 for row in r.row_lists())
 
 
-def kernel_embedding(d: Dictionary) -> QVector:
+def kernel_embedding(d: Dictionary) -> tuple[Fraction, ...]:
     """Basic solution lifted to the combined system: [z*, x, 1]."""
-    return QVector([d.z_star, *basic_solution(d), Fraction(1)])
+    return (d.z_star, *basic_solution(d), Fraction(1))
 
 
-def rowspace_embedding(d: Dictionary) -> QVector:
+def rowspace_embedding(d: Dictionary) -> tuple[Fraction, ...]:
     """Dual basic solution lifted to the combined system: [1, y, objective].
 
     The last coordinate is the dual dictionary's constant, i.e. the max-form
     dual objective value -w at its basic solution.
     """
-    return QVector([Fraction(1), *basic_solution(d), d.z_star])
+    return (Fraction(1), *basic_solution(d), d.z_star)
 
 
 def dictionary_matrix(d: Dictionary) -> QMatrix:

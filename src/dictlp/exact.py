@@ -1,54 +1,55 @@
-"""Exact rational scalars and the immutable vectors and matrices built on them.
+"""Exact rationals as text and as integers over one common denominator.
 
-Rational values are ``fractions.Fraction``: arbitrary precision and always
-canonical (reduced, positive denominator, zero is 0/1), so equality is
-structural and no comparison ever needs a tolerance. They are the scalars of
-instances, certificates and printed output. The solver's own arithmetic runs
-on integers instead: a dictionary holds integer numerators over one common
-denominator (``dictlp.dictionary``), and ``common_denominator`` turns
-rational rows into that form.
+Instances (``dictlp.model``) and dictionaries (``dictlp.dictionary``) hold
+integer numerators over one positive denominator. Rationals enter as text
+(``parse_rational``) and leave as text (``format_rational``), in chunks of
+digits that CPython converts under any ``-X int_max_str_digits`` setting.
+``common_denominator`` turns ``Fraction`` rows into the integer form.
+``Fraction`` is left to certificates and to read-only views (``QMatrix``).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Union
-
-RationalLike = Union[Fraction, int, str]
+from math import gcd, lcm
+from typing import Iterable
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?\Z")
 
+# sys.int_info.str_digits_check_threshold: the digit limit can never be set
+# below it, so int() and str() always convert this many digits.
+_CHUNK = 640
+_CHUNK_BOUND = 10**_CHUNK
 
-def rational(num: RationalLike, den: int | None = None) -> Fraction:
-    """Canonical rational from an int, text token, Fraction, or num/den pair.
 
-    The sign is carried by the numerator and the result is fully reduced;
-    a zero denominator is an error.
+def parse_rational(token: str) -> tuple[int, int]:
+    """Numerator and positive denominator of the canonical text syntax, not reduced.
+
+    The syntax is an optional '-', ASCII digits, then optionally '/digits'.
     """
-    if den is not None:
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        return Fraction(num, den)
-    if isinstance(num, Fraction):
-        return num
-    if isinstance(num, int):
-        return Fraction(num)
-    return parse_rational(num)
-
-
-def parse_rational(token: str) -> Fraction:
-    """Parse the canonical text syntax: optional '-', ASCII digits, optional '/digits'."""
     if not _RATIONAL_RE.fullmatch(token):
         raise ValueError(f"malformed rational {token!r}")
     num, slash, den = token.partition("/")
-    if slash:
-        d = int(den)
-        if d == 0:
-            raise ZeroDivisionError(f"zero denominator in {token!r}")
-        return Fraction(int(num), d)
-    return Fraction(int(num))
+    if not slash:
+        return _int(num), 1
+    d = _int(den)
+    if d == 0:
+        raise ZeroDivisionError(f"zero denominator in {token!r}")
+    return _int(num), d
+
+
+def format_rational(num: int, den: int) -> str:
+    """The canonical text of num/den, den > 0: ``str(Fraction(num, den))`` for any length."""
+    g = gcd(num, den)
+    if g == den:
+        return _str(num // den)
+    return f"{_str(num // g)}/{_str(den // g)}"
+
+
+def _rationals_text(values: Iterable[Fraction]) -> str:
+    """Rationals as the CLI prints them: canonical text, separated by single spaces."""
+    return " ".join([format_rational(x.numerator, x.denominator) for x in values])
 
 
 def common_denominator(rows: Iterable[Iterable[Fraction]]) -> tuple[int, list[list[int]]]:
@@ -58,62 +59,35 @@ def common_denominator(rows: Iterable[Iterable[Fraction]]) -> tuple[int, list[li
     return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
-class QVector:
-    """Immutable vector of rationals; length fixed at construction."""
+def _int(digits: str) -> int:
+    """``int(digits)`` for an optional '-' and ASCII digits of any length."""
+    if len(digits) <= _CHUNK:
+        return int(digits)
+    if digits[0] == "-":
+        return -_int(digits[1:])
+    low = len(digits) // 2
+    return _int(digits[:-low]) * 10**low + _int(digits[-low:])
 
-    __slots__ = ("_entries",)
 
-    def __init__(self, entries: Iterable[RationalLike]):
-        self._entries = tuple(rational(e) for e in entries)
-        if not self._entries:
-            raise ValueError("empty vector")
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self._entries[i]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QVector) and self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash(self._entries)
-
-    def __repr__(self) -> str:
-        return f"QVector({', '.join(map(str, self._entries))})"
-
-    def __sub__(self, other: "QVector") -> "QVector":
-        self._check_len(other)
-        return QVector(a - b for a, b in zip(self, other))
-
-    def __neg__(self) -> "QVector":
-        return QVector(-a for a in self)
-
-    def dot(self, other: "QVector") -> Fraction:
-        self._check_len(other)
-        return sum((a * b for a, b in zip(self, other)), Fraction(0))
-
-    def _check_len(self, other: "QVector") -> None:
-        if len(self) != len(other):
-            raise ValueError(f"dimension mismatch: {len(self)} vs {len(other)}")
+def _str(x: int) -> str:
+    """``str(x)`` for an int of any length."""
+    if -_CHUNK_BOUND < x < _CHUNK_BOUND:
+        return str(x)
+    if x < 0:
+        return "-" + _str(-x)
+    # bit_length * 0.15 is under half of x's digit count, so high > 0.
+    low = x.bit_length() * 3 // 20
+    high, rest = divmod(x, 10**low)
+    return _str(high) + _str(rest).zfill(low)
 
 
 class QMatrix:
-    """Immutable dense matrix of rationals (row-major)."""
+    """Read-only dense matrix of ``Fraction`` entries (row-major): a view, no arithmetic."""
 
     __slots__ = ("_rows",)
 
-    def __init__(self, rows: Iterable[Iterable[RationalLike]]):
-        self._rows = tuple(tuple(rational(e) for e in row) for row in rows)
-        if not self._rows or not self._rows[0]:
-            raise ValueError("empty matrix")
-        width = len(self._rows[0])
-        if any(len(row) != width for row in self._rows):
-            raise ValueError("ragged rows")
+    def __init__(self, rows: Iterable[Iterable[Fraction]]):
+        self._rows = tuple(tuple(row) for row in rows)
 
     @property
     def rows(self) -> int:
@@ -126,31 +100,12 @@ class QMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self._rows[i][j]
 
-    def row(self, i: int) -> QVector:
-        return QVector(self._rows[i])
-
     def row_lists(self) -> list[list[Fraction]]:
         """Rows as fresh mutable lists."""
         return [list(row) for row in self._rows]
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix(zip(*self._rows))
-
-    def __neg__(self) -> "QMatrix":
-        return QMatrix((-e for e in row) for row in self._rows)
-
-    def mul_vec(self, v: QVector) -> QVector:
-        if self.cols != len(v):
-            raise ValueError(f"dimension mismatch: {self.cols} vs {len(v)}")
-        return QVector(
-            sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in self._rows
-        )
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, QMatrix) and self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(map(str, row)) for row in self._rows)

@@ -3,13 +3,17 @@
 Instances are max-form: maximize ``c . x`` subject to ``A0 x <= b`` and
 ``x >= 0``. Variable indices are 1-based everywhere in the public API:
 ``x1..xn`` are decision variables and ``x(n+1)..x(n+m)`` the slacks, so the
-augmented constraint matrix is A = [A0 I]. A is never stored: the slack
-dictionary reads A0 and b as they are, and every other dictionary is
-pivoted from it. The dual (``dual_lp``) is materialized as another max-form
-instance so every dictionary operation applies uniformly to both sides. Its
-columns are numbered like any instance's, decisions first; the y-index names
-that pair them with the primal variables are applied only where a dual
-dictionary is built (``duality.dual_dictionary_direct``).
+augmented constraint matrix is A = [A0 I]. A is never stored.
+
+A ``StandardLP`` holds the integer numerators of A0, b and c over one
+positive denominator D, the form of a dictionary, from the parser to the
+printer: the slack dictionary is those numerators as they are, and every
+other dictionary is pivoted from it. The dual (``dual_lp``) is another
+max-form instance over the same D, so every dictionary operation applies
+uniformly to both sides. Its columns are numbered like any instance's,
+decisions first; the y-index names that pair them with the primal
+variables are applied only where a dual dictionary is built
+(``duality.dual_dictionary_direct``).
 """
 
 from __future__ import annotations
@@ -17,8 +21,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
-from dictlp.exact import QMatrix, QVector, parse_rational
+from dictlp import _kernels
+from dictlp.exact import QMatrix, common_denominator, format_rational, parse_rational
 
 # ASCII digits only: int() would also take other scripts' digits, '_' and '+'.
 _DIMENSION_RE = re.compile(r"[0-9]+")
@@ -34,31 +41,53 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class StandardLP:
-    """Max-form instance: maximize c.x subject to A0 x <= b, x >= 0."""
+    """Max-form instance: maximize c.x subject to A0 x <= b, x >= 0.
 
-    A0: QMatrix
-    b: QVector
-    c: QVector
+    The numerators of A0, b and c over D > 0, in the unique gcd-reduced
+    form of a ``Dictionary``; ``A0``, ``b`` and ``c`` are ``Fraction`` views.
+    """
 
-    def __post_init__(self):
-        if len(self.b) != self.A0.rows:
-            raise ValueError("b length must match constraint count")
-        if len(self.c) != self.A0.cols:
-            raise ValueError("c length must match decision-variable count")
+    A0_num: tuple[tuple[int, ...], ...]
+    b_num: tuple[int, ...]
+    c_num: tuple[int, ...]
+    D: int
+
+    @classmethod
+    def from_fractions(
+        cls, A0_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction], c: Sequence[Fraction]
+    ) -> "StandardLP":
+        """The instance with these rational entries, over the lcm of their denominators."""
+        if not b or not c or len(b) != len(A0_rows) or any(len(row) != len(c) for row in A0_rows):
+            raise ValueError("A0 must be a len(b) x len(c) matrix with at least one entry")
+        D, (b_num, c_num, *A0_num) = common_denominator([b, c, *A0_rows])
+        return cls(tuple(map(tuple, A0_num)), tuple(b_num), tuple(c_num), D)
 
     @property
     def m(self) -> int:
-        return self.A0.rows
+        return len(self.b_num)
 
     @property
     def n(self) -> int:
-        return self.A0.cols
+        return len(self.c_num)
+
+    @property
+    def A0(self) -> QMatrix:
+        return QMatrix([Fraction(x, self.D) for x in row] for row in self.A0_num)
+
+    @property
+    def b(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(x, self.D) for x in self.b_num])
+
+    @property
+    def c(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(x, self.D) for x in self.c_num])
 
 
 def parse_lp(text: str) -> StandardLP:
     """Parse the LP file format (see ``serialize_lp`` for the grammar).
 
-    One leading byte-order mark (U+FEFF) is ignored.
+    One leading byte-order mark (U+FEFF) is ignored. Each token becomes an
+    integer pair, and one lcm puts them all over a common denominator.
     """
     text = text.removeprefix("\ufeff")
     lines: list[tuple[int, list[str]]] = []
@@ -79,34 +108,33 @@ def parse_lp(text: str) -> StandardLP:
         raise ParseError(dim_line, "dimension line must be '<m> <n>'")
     if not all(_DIMENSION_RE.fullmatch(tok) for tok in dim_tokens):
         raise ParseError(dim_line, "dimensions must be decimal integers")
-    m, n = int(dim_tokens[0]), int(dim_tokens[1])
+    (m, _), (n, _) = map(parse_rational, dim_tokens)
     if m < 1 or n < 1:
-        raise ParseError(dim_line, f"dimensions must be at least 1, got m={m} n={n}")
+        got = f"m={format_rational(m, 1)} n={format_rational(n, 1)}"
+        raise ParseError(dim_line, f"dimensions must be at least 1, got {got}")
 
     if len(lines) != 3 + m:
         last = lines[-1][0]
-        raise ParseError(last, f"expected {3 + m} content lines, found {len(lines)}")
+        raise ParseError(last, f"expected {format_rational(3 + m, 1)} content lines, found {len(lines)}")
 
-    def parse_row(lineno: int, tokens: list[str], expected: int, what: str) -> list[Fraction]:
+    def parse_row(lineno: int, tokens: list[str], expected: int, what: str) -> list[tuple[int, int]]:
         if len(tokens) != expected:
-            raise ParseError(lineno, f"{what}: expected {expected} values, found {len(tokens)}")
-        out = []
-        for tok in tokens:
-            try:
-                out.append(parse_rational(tok))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(lineno, str(exc)) from None
-        return out
+            want = format_rational(expected, 1)
+            raise ParseError(lineno, f"{what}: expected {want} values, found {len(tokens)}")
+        try:
+            return [parse_rational(tok) for tok in tokens]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(lineno, str(exc)) from None
 
-    c = parse_row(lines[2][0], lines[2][1], n, "objective row")
-    a_rows = []
-    b = []
+    rows = [parse_row(lines[2][0], lines[2][1], n, "objective row")]
     for i in range(m):
         lineno, tokens = lines[3 + i]
-        row = parse_row(lineno, tokens, n + 1, f"constraint row {i + 1}")
-        a_rows.append(row[:n])
-        b.append(row[n])
-    return StandardLP(A0=QMatrix(a_rows), b=QVector(b), c=QVector(c))
+        rows.append(parse_row(lineno, tokens, n + 1, f"constraint row {i + 1}"))
+    D = lcm(*(den for row in rows for _, den in row))
+    c, *a_rows = [[num * (D // den) for num, den in row] for row in rows]
+    # Tokens need not be reduced ("2/4"), so the gcd can exceed 1.
+    b, A0, c, _, D = _kernels.reduced([row.pop() for row in a_rows], a_rows, c, 0, D)
+    return StandardLP(A0, b, c, D)
 
 
 def serialize_lp(lp: StandardLP) -> str:
@@ -118,14 +146,21 @@ def serialize_lp(lp: StandardLP) -> str:
       line 3        : n rationals -- the objective c
       lines 4..3+m  : n+1 rationals -- row i of A0, then b_i
     """
-    out = ["lp v1", f"{lp.m} {lp.n}", " ".join(str(x) for x in lp.c)]
-    for i in range(lp.m):
-        row = [str(lp.A0.entry(i, j)) for j in range(lp.n)]
-        row.append(str(lp.b[i]))
-        out.append(" ".join(row))
+    D = lp.D
+    out = ["lp v1", f"{lp.m} {lp.n}", " ".join([format_rational(x, D) for x in lp.c_num])]
+    for row, b_i in zip(lp.A0_num, lp.b_num):
+        out.append(" ".join([format_rational(x, D) for x in (*row, b_i)]))
     return "\n".join(out) + "\n"
 
 
 def dual_lp(lp: StandardLP) -> StandardLP:
-    """The dual, itself in max form: maximize -b.y s.t. -A0^T y <= -c, y >= 0."""
-    return StandardLP(A0=-lp.A0.transpose(), b=-lp.c, c=-lp.b)
+    """The dual, itself in max form: maximize -b.y s.t. -A0^T y <= -c, y >= 0.
+
+    The same numerators over the same D, transposed and negated.
+    """
+    return StandardLP(
+        A0_num=tuple(tuple([-x for x in col]) for col in zip(*lp.A0_num)),
+        b_num=tuple([-x for x in lp.c_num]),
+        c_num=tuple([-x for x in lp.b_num]),
+        D=lp.D,
+    )

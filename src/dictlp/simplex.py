@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from dictlp import _kernels
-from dictlp.exact import QVector, common_denominator
+from dictlp.exact import _rationals_text, common_denominator
 from dictlp.dictionary import (
     Dictionary,
     basic_solution,
@@ -70,19 +70,19 @@ class SolveTrace:
 
 @dataclass(frozen=True)
 class Optimal:
-    point: QVector
+    point: tuple[Fraction, ...]
     value: Fraction
 
 
 @dataclass(frozen=True)
 class Unbounded:
-    point: QVector
-    ray: QVector
+    point: tuple[Fraction, ...]
+    ray: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
 class Infeasible:
-    farkas: QVector
+    farkas: tuple[Fraction, ...]
 
 
 SolveOutcome = Optimal | Unbounded | Infeasible
@@ -213,7 +213,7 @@ def dual_simplex(
         steps.append(PivotStep(enter=enter, leave=leave, dictionary=d))
 
 
-def _unbounded_ray(d: Dictionary, enter: int, n: int) -> QVector:
+def _unbounded_ray(d: Dictionary, enter: int, n: int) -> tuple[Fraction, ...]:
     """Improving recession ray read off the entering column, decision part only."""
     s = d.nonbasis.index(enter)
     values = [Fraction(0)] * n
@@ -222,10 +222,10 @@ def _unbounded_ray(d: Dictionary, enter: int, n: int) -> QVector:
     for v, row in zip(d.basis, d.Q_num):
         if v <= n:
             values[v - 1] = Fraction(-row[s], d.D)
-    return QVector(values)
+    return tuple(values)
 
 
-def _farkas_vector(d: Dictionary, leave: int) -> QVector:
+def _farkas_vector(d: Dictionary, leave: int) -> tuple[Fraction, ...]:
     """Infeasibility certificate from the signal row: row r of A_B^{-1}.
 
     Q = A_B^{-1} A_N, so the column of Q under a nonbasic slack x(n+k) is
@@ -235,7 +235,7 @@ def _farkas_vector(d: Dictionary, leave: int) -> QVector:
     """
     row = d.Q_num[d.basis.index(leave)]
     position = {v: j for j, v in enumerate(d.nonbasis)}
-    return QVector(
+    return tuple(
         Fraction(row[position[v]], d.D) if v in position else Fraction(1 if v == leave else 0)
         for v in range(d.n + 1, d.n + d.m + 1)
     )
@@ -315,7 +315,7 @@ def _priced(d: Dictionary, costs: list[int], L: int) -> Dictionary:
 
 def _primal_outcome(final: Dictionary, enter: int | None, n: int) -> SolveOutcome:
     """Optimal when ``enter`` is None, else Unbounded along the entering column."""
-    point = QVector(basic_solution(final)[:n])
+    point = basic_solution(final)[:n]
     if enter is None:
         return Optimal(point=point, value=final.z_star)
     return Unbounded(point=point, ray=_unbounded_ray(final, enter, n))
@@ -340,7 +340,8 @@ def check_outcome(start: Dictionary, outcome: SolveOutcome) -> None:
             and all(_dot(u, col) >= 0 for col in zip(*A))
             and _dot(u, b) < 0
         ):
-            raise CertificateError(f"farkas vector fails u >= 0, u.A0 >= 0, u.b < 0: {outcome.farkas}")
+            farkas = _rationals_text(outcome.farkas)
+            raise CertificateError(f"farkas vector fails u >= 0, u.A0 >= 0, u.b < 0: {farkas}")
         return
     L, (x,) = common_denominator([outcome.point])
     if not (
@@ -348,11 +349,11 @@ def check_outcome(start: Dictionary, outcome: SolveOutcome) -> None:
         and all(v >= 0 for v in x)
         and all(_dot(row, x) <= b_i * L for row, b_i in zip(A, b))
     ):
-        raise CertificateError(f"point is not feasible: {outcome.point}")
+        raise CertificateError(f"point is not feasible: {_rationals_text(outcome.point)}")
     if isinstance(outcome, Optimal):
         value = outcome.value
         if _dot(c, x) * value.denominator != value.numerator * start.D * L:
-            raise CertificateError(f"objective at the point is not {value}")
+            raise CertificateError(f"objective at the point is not {_rationals_text([value])}")
         return
     _, (ray,) = common_denominator([outcome.ray])
     if not (
@@ -361,7 +362,7 @@ def check_outcome(start: Dictionary, outcome: SolveOutcome) -> None:
         and all(_dot(row, ray) <= 0 for row in A)
         and _dot(c, ray) > 0
     ):
-        raise CertificateError(f"ray fails ray >= 0, A0.ray <= 0, c.ray > 0: {outcome.ray}")
+        raise CertificateError(f"ray fails ray >= 0, A0.ray <= 0, c.ray > 0: {_rationals_text(outcome.ray)}")
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:

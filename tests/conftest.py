@@ -7,7 +7,7 @@ import pytest
 
 from dictlp.cli import random_lp
 from dictlp.dictionary import Dictionary, pivot
-from dictlp.exact import QMatrix, QVector
+from dictlp.exact import QMatrix
 from dictlp.model import StandardLP
 
 DATA = Path(__file__).parent / "data"
@@ -16,11 +16,11 @@ E1_TEXT = (DATA / "e1.lp").read_text(encoding="utf-8")
 
 
 def qm(rows) -> QMatrix:
-    return QMatrix(rows)
+    return QMatrix([[Fraction(x) for x in row] for row in rows])
 
 
-def qv(entries) -> QVector:
-    return QVector(entries)
+def qv(entries) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x) for x in entries)
 
 
 def fr(num, den=1) -> Fraction:
@@ -28,18 +28,14 @@ def fr(num, den=1) -> Fraction:
 
 
 def replaced(d: Dictionary, **changes) -> Dictionary:
-    """``d`` with some of its p, Q, q and z_star views replaced by rational values."""
-    views = {"p": d.p, "Q": d.Q, "q": d.q, "z_star": d.z_star, **changes}
+    """``d`` with some of its p, Q (as rows), q and z_star views replaced by rational values."""
+    views = {"p": d.p, "Q": d.Q.row_lists(), "q": d.q, "z_star": d.z_star, **changes}
     return Dictionary.from_fractions(d.side, d.basis, d.nonbasis, **views)
 
 
 @pytest.fixture
 def e1() -> StandardLP:
-    return StandardLP(
-        A0=qm([[4, 2, -2], [-1, -1, -2]]),
-        b=qv([18, -3]),
-        c=qv([8, 11, -10]),
-    )
+    return StandardLP.from_fractions([[4, 2, -2], [-1, -1, -2]], qv([18, -3]), qv([8, 11, -10]))
 
 
 @pytest.fixture
@@ -56,17 +52,17 @@ def suite_instance(seed: int, bound: int = 5) -> StandardLP:
 
 def divided(lp: StandardLP, k) -> StandardLP:
     """Row i of A0 and b_i divided by k[i], and c by k[m]: fractional data, the same bases."""
-    return StandardLP(
-        A0=QMatrix([[x / k[i] for x in row] for i, row in enumerate(lp.A0.row_lists())]),
-        b=QVector(x / k[i] for i, x in enumerate(lp.b)),
-        c=QVector(x / k[-1] for x in lp.c),
+    return StandardLP.from_fractions(
+        [[x / k[i] for x in row] for i, row in enumerate(lp.A0.row_lists())],
+        [x / k[i] for i, x in enumerate(lp.b)],
+        [x / k[-1] for x in lp.c],
     )
 
 
 def dual_feasible_instance(seed: int, bound: int = 5) -> StandardLP:
     """Like suite_instance but with c forced nonpositive (initial dict dual feasible)."""
     lp = suite_instance(seed, bound)
-    return StandardLP(A0=lp.A0, b=lp.b, c=QVector(-abs(x) for x in lp.c))
+    return StandardLP.from_fractions(lp.A0.row_lists(), lp.b, [-abs(x) for x in lp.c])
 
 
 def random_pivots(d: Dictionary, rng_choices) -> list[Dictionary]:

@@ -1,5 +1,11 @@
 """Reference implementations for the library's integer and pivot-only paths (test-only).
 
+``dot`` and ``mul_vec`` are the vector algebra of the tests' orthogonality
+statements; the library's tuples and ``QMatrix`` views carry none.
+``format_dictionary_by_fractions`` is the dictionary printer over
+``Fraction`` entries that ``dictlp.cli.format_dictionary``, which prints
+from the integer numerators, is checked against.
+
 ``fraction_pivot_update`` is the dictionary pivot over ``Fraction`` entries,
 the kernel the library ran before it held dictionaries as integers over one
 denominator; the fraction-free kernel (``dictlp._kernels.pivot_update``) is
@@ -18,8 +24,47 @@ from __future__ import annotations
 from fractions import Fraction
 
 from dictlp.dictionary import Dictionary, NotABasisError
-from dictlp.exact import QMatrix, QVector
+from dictlp.exact import QMatrix
 from dictlp.model import StandardLP
+
+
+def dot(a, b) -> Fraction:
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def mul_vec(m: QMatrix, v) -> tuple[Fraction, ...]:
+    """The matrix-vector product m . v."""
+    return tuple(dot(row, v) for row in m.row_lists())
+
+
+def format_dictionary_by_fractions(d: Dictionary) -> str:
+    """``dictlp.cli.format_dictionary`` computed on the ``Fraction`` views."""
+    var = "x" if d.side == "primal" else "y"
+    names = [f"{var}{w}" for w in d.nonbasis]
+    lines = []
+    for v, p_r, row in zip(d.basis, d.p, d.Q.row_lists()):
+        terms = [(-x, name) for x, name in zip(row, names)]
+        lines.append(f"{var}{v} = " + _affine(p_r, terms, always_constant=True))
+    label = "z" if d.side == "primal" else "-w"
+    lines.append(f"{label} = " + _affine(d.z_star, list(zip(d.q, names)), always_constant=False))
+    return "\n".join(lines)
+
+
+def _affine(constant: Fraction, terms: list[tuple[Fraction, str]], always_constant: bool) -> str:
+    nonzero = [(coef, name) for coef, name in terms if coef != 0]
+    parts: list[str] = []
+    if always_constant or constant != 0 or not nonzero:
+        parts.append(str(constant))
+    for coef, name in nonzero:
+        mag = abs(coef)
+        body = name if mag == 1 else f"{mag}{name}"
+        if not parts:
+            parts.append(f"-{body}" if coef < 0 else body)
+        else:
+            parts.append(f"- {body}" if coef < 0 else f"+ {body}")
+    return " ".join(parts)
 
 
 def fraction_pivot_update(
@@ -117,7 +162,7 @@ def augmented_rows(lp: StandardLP) -> list[list[Fraction]]:
     ]
 
 
-def rowspace_contains(m: QMatrix, v: QVector) -> bool:
+def rowspace_contains(m: QMatrix, v) -> bool:
     """True iff v is a linear combination of the rows of m (exact rank test)."""
     if len(v) != m.cols:
         raise ValueError(f"dimension mismatch: {m.cols} vs {len(v)}")
@@ -158,12 +203,12 @@ def dictionary_by_elimination(lp: StandardLP, basis: tuple[int, ...] | list[int]
     if rnk != m or tuple(pivot_cols) != tuple(range(m)):
         raise NotABasisError(f"columns of basis {B} are linearly dependent")
 
-    p = QVector(row[m] for row in reduced)
-    Q = QMatrix([row[m + 1 :] for row in reduced])
+    p = tuple(row[m] for row in reduced)
+    Q = [row[m + 1 :] for row in reduced]
     c_ext = list(lp.c) + [Fraction(0)] * m
     c_B = [c_ext[v - 1] for v in B]
-    q = QVector(
-        c_ext[N[j] - 1] - sum((c_B[i] * Q.entry(i, j) for i in range(m)), Fraction(0))
+    q = tuple(
+        c_ext[N[j] - 1] - sum((c_B[i] * Q[i][j] for i in range(m)), Fraction(0))
         for j in range(len(N))
     )
     z_star = sum((cb * pi for cb, pi in zip(c_B, p)), Fraction(0))

@@ -29,13 +29,12 @@ from dictlp.duality import (
     rowspace_embedding,
     verify_bases,
 )
-from dictlp.exact import QVector
 from dictlp.model import dual_lp, parse_lp
 from dictlp.simplex import PivotRule, Unbounded, dual_simplex, primal_simplex, solve
 
 from conftest import E1_TEXT, dual_feasible_instance, suite_instance
 from oracle import check_outcome, oracle_solve, outcome_kind
-from reference import rowspace_contains
+from reference import dot, mul_vec, rowspace_contains
 
 BIJECTION_SEEDS = range(100)
 SOLVER_SEEDS = range(50)
@@ -138,22 +137,19 @@ def test_criterion_4_orthogonal_subspace_properties():
 
             # random row-space vector dot random kernel vector is exactly zero
             coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(lp.m + 1)]
-            ybar = QVector(
-                [
-                    sum(
-                        (coeffs[i] * r.entry(i, j) for i in range(lp.m + 1)),
-                        Fraction(0),
-                    )
-                    for j in range(r.cols)
-                ]
-            )
+            ybar = [
+                sum(
+                    (coeffs[i] * r.entry(i, j) for i in range(lp.m + 1)),
+                    Fraction(0),
+                )
+                for j in range(r.cols)
+            ]
             xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(lp.n)]
-            dec = QVector(xs) if xs else None
-            slack = lp.b - lp.A0.mul_vec(dec)
-            xbar = QVector([lp.c.dot(dec)] + xs + list(slack) + [Fraction(1)])
+            slack = [bi - ai for bi, ai in zip(lp.b, mul_vec(lp.A0, xs))]
+            xbar = [dot(lp.c, xs)] + xs + slack + [Fraction(1)]
             assert in_kernel(r, xbar)
             assert rowspace_contains(r, ybar)
-            assert ybar.dot(xbar) == 0
+            assert dot(ybar, xbar) == 0
 
             for basis in enumerate_bases(lp):
                 prim = dictionary_from_basis(initial_dictionary(lp), basis)
@@ -210,9 +206,9 @@ def test_criterion_8_e1_unbounded_certificate(e1):
         ray = outcome.ray
         assert len(ray) == e1.n
         assert all(v >= 0 for v in ray)
-        a0_ray = e1.A0.mul_vec(ray)
+        a0_ray = mul_vec(e1.A0, ray)
         assert all(v <= 0 for v in a0_ray)
-        assert e1.c.dot(ray) > 0
+        assert dot(e1.c, ray) > 0
         point = outcome.point
         assert all(v >= 0 for v in point)
-        assert all(lhs <= bi for lhs, bi in zip(e1.A0.mul_vec(point), e1.b))
+        assert all(lhs <= bi for lhs, bi in zip(mul_vec(e1.A0, point), e1.b))

@@ -22,11 +22,11 @@ from dictlp.dictionary import (
     pivot,
 )
 from dictlp.duality import enumerate_bases
-from dictlp.exact import QMatrix, QVector
 from dictlp.model import StandardLP, parse_lp, serialize_lp
 from dictlp.simplex import PivotRule, solve
 
-from conftest import DATA, E1_TEXT, qm, qv, replaced, suite_instance
+from conftest import DATA, E1_TEXT, qv, replaced, suite_instance
+from reference import format_dictionary_by_fractions
 
 PRIMAL_INITIAL = """\
 x4 = 18 - 4x1 - 2x2 + 2x3
@@ -112,7 +112,7 @@ def parse_dictionary_text(text: str, var_count: int) -> Dictionary:
         basis=tuple(basis),
         nonbasis=tuple(nonbasis),
         p=qv(p),
-        Q=qm([[-terms.get(v, Fraction(0)) for v in nonbasis] for terms in row_terms]),
+        Q=[[-terms.get(v, Fraction(0)) for v in nonbasis] for terms in row_terms],
         q=qv([obj_terms.get(v, Fraction(0)) for v in nonbasis]),
         z_star=z_star,
     )
@@ -156,15 +156,39 @@ class TestFormatDictionary:
     def test_zero_objective(self):
         from dictlp.model import StandardLP
 
-        lp = StandardLP(A0=qm([[1]]), b=qv([2]), c=qv([0]))
+        lp = StandardLP.from_fractions([[1]], qv([2]), qv([0]))
         assert format_dictionary(initial_dictionary(lp)) == "x2 = 2 - x1\nz = 0"
 
     def test_fractional_coefficients(self):
         from dictlp.model import StandardLP
 
-        lp = StandardLP(A0=qm([[Fraction(1, 2)]]), b=qv([Fraction(-3, 2)]), c=qv([Fraction(7, 3)]))
+        lp = StandardLP.from_fractions([[Fraction(1, 2)]], qv([Fraction(-3, 2)]), qv([Fraction(7, 3)]))
         out = format_dictionary(initial_dictionary(lp))
         assert out == "x2 = -3/2 - 1/2x1\nz = 7/3x1"
+
+    @given(
+        m=st.integers(1, 4),
+        n=st.integers(1, 4),
+        side=st.sampled_from(["primal", "dual"]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_numerators_print_as_the_fractions_do(self, m, n, side, data):
+        # Entries of magnitude 1 and 0 next to fractions, so D > 1 with
+        # terms that drop their coefficient, and rows that are all zero.
+        entry = st.one_of(
+            st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+            st.fractions(min_value=-9, max_value=9, max_denominator=8),
+        )
+
+        def vec(k):
+            return data.draw(st.lists(entry, min_size=k, max_size=k))
+
+        labels = data.draw(st.permutations(range(1, m + n + 1)))
+        rows = [vec(n) if data.draw(st.booleans()) else [0] * n for _ in range(m)]
+        basis, nonbasis = tuple(labels[:m]), tuple(labels[m:])
+        d = Dictionary.from_fractions(side, basis, nonbasis, vec(m), rows, vec(n), data.draw(entry))
+        assert format_dictionary(d) == format_dictionary_by_fractions(d)
 
     @given(seed=st.integers(0, 400), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -277,7 +301,7 @@ class TestTraceCommand:
     @settings(max_examples=40, deadline=None)
     def test_solver_pivots_forced_print_the_solver_trace(self, seed, rule):
         base = suite_instance(seed)
-        lp = StandardLP(A0=base.A0, b=QVector(abs(x) for x in base.b), c=base.c)
+        lp = StandardLP.from_fractions(base.A0.row_lists(), [abs(x) for x in base.b], base.c)
         _, trace = solve(lp, PivotRule(rule))
         (phase,) = trace.phases
         assume(phase.steps)
@@ -368,7 +392,7 @@ class TestVerifyCommand:
             if tuple(basis) == (1, 4):  # a primal basis; dual bases have 3 entries
                 rows = d.Q.row_lists()
                 rows[0][0] += 1
-                return replaced(d, Q=QMatrix(rows))
+                return replaced(d, Q=rows)
             return d
 
         monkeypatch.setattr(duality, "dictionary_from_basis", corrupted)
@@ -383,29 +407,34 @@ class TestVerifyCommand:
 
 
 class TestSlackDictionaryBuiltOnce:
-    """The instance's rationals become integers once per command, not once per basis."""
+    """The instance's rationals become integers once, in the parser, not once per basis.
+
+    No command builds an instance or a dictionary from rationals after that:
+    the slack dictionary is the instance's own numerators.
+    """
 
     @pytest.fixture
     def from_fractions_calls(self, monkeypatch):
         calls = []
-        real = Dictionary.from_fractions
+        for cls in (Dictionary, StandardLP):
+            real = cls.from_fractions
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+            def counted(*args, real=real, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(Dictionary, "from_fractions", counted)
+            monkeypatch.setattr(cls, "from_fractions", counted)
         return calls
 
     def test_solve(self, e1_file, capsys, from_fractions_calls):
         assert main(["solve", e1_file]) == 2
-        assert len(from_fractions_calls) == 1
+        assert len(from_fractions_calls) == 0
 
     @pytest.mark.parametrize("text", [E1_TEXT, serialize_lp(random_lp(4, 4, seed=3))], ids=["e1", "4x4"])
     def test_verify(self, tmp_path, capsys, from_fractions_calls, text):
         assert main(["verify", write_lp(tmp_path, text)]) == 0
         assert re.search(r"verified (\d\d+)/\1 bases", capsys.readouterr().out)
-        assert len(from_fractions_calls) <= 3
+        assert len(from_fractions_calls) == 0
 
 
 class TestHugeNumbers:
@@ -415,8 +444,8 @@ class TestHugeNumbers:
 
     @pytest.fixture(autouse=True)
     def default_digit_limit(self):
-        # main() lifts the limit for the whole process; start each test from
-        # the interpreter default so the lift is what the test observes.
+        # Start each test from the interpreter default, so that no limit
+        # lifted elsewhere in the process lets a conversion through.
         if not hasattr(sys, "set_int_max_str_digits"):
             yield
             return
@@ -441,6 +470,63 @@ class TestHugeNumbers:
         out = capsys.readouterr().out
         assert code == 0
         assert out == "basis 1: pass\nbasis 2: pass\nverified 2/2 bases\n"
+
+    def test_main_leaves_the_digit_limit_alone(self, tmp_path, capsys):
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this interpreter has no digit limit")
+        before = sys.get_int_max_str_digits()
+        assert main(["solve", self.huge_file(tmp_path)]) == 0
+        assert sys.get_int_max_str_digits() == before
+
+    def test_library_under_the_lowest_digit_limit(self):
+        # A fresh interpreter at the lowest limit CPython allows, which never
+        # calls main(): every library conversion must go through chunks.
+        script = """if True:
+            import sys
+            from dictlp.cli import format_dictionary
+            from dictlp.dictionary import initial_dictionary
+            from dictlp.exact import format_rational
+            from dictlp.model import ParseError, dual_lp, parse_lp, serialize_lp
+            from dictlp.simplex import solve
+
+            big = sys.stdin.read()
+            lp = parse_lp(f"lp v1\\n1 1\\n1/{big}\\n1 {big}\\n")
+            outcome, trace = solve(lp)
+            final = trace.phases[-1].steps[-1].dictionary
+            try:
+                parse_lp(f"lp v1\\n1 {big}\\n1\\n1 1\\n")
+            except ParseError as exc:
+                error = str(exc)
+            texts = [
+                serialize_lp(lp),
+                serialize_lp(dual_lp(lp)),
+                format_dictionary(initial_dictionary(lp)),
+                format_dictionary(final),
+                " ".join(format_rational(*x.as_integer_ratio()) for x in (outcome.value, *outcome.point)),
+                error,
+            ]
+            print("\\n---\\n".join(texts))
+        """
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=640", "-c", script],
+            input=self.BIG,
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.stderr == ""
+        big = self.BIG
+        assert proc.stdout.split("\n---\n") == [
+            f"lp v1\n1 1\n1/{big}\n1 {big}\n",
+            f"lp v1\n1 1\n-{big}\n-1 -1/{big}\n",
+            f"x2 = {big} - x1\nz = 1/{big}x1",
+            f"x1 = {big} - x2\nz = 1 - 1/{big}x2",
+            f"1 {big}",
+            f"line 3: objective row: expected {big} values, found 1\n",
+        ]
 
 
 class TestRandomCommand:

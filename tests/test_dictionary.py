@@ -19,7 +19,6 @@ from dictlp.dictionary import (
     negative_transpose,
     pivot,
 )
-from dictlp.exact import QMatrix, QVector
 from dictlp.model import StandardLP
 
 from conftest import check_point, divided, objective_at, qm, qv, random_pivots, suite_instance
@@ -56,7 +55,7 @@ class TestFromBasis:
         assert d.basis == (1, 2)
 
     def test_singular_basis_rejected(self):
-        lp = StandardLP(A0=qm([[0]]), b=qv([1]), c=qv([1]))
+        lp = StandardLP.from_fractions([[0]], qv([1]), qv([1]))
         with pytest.raises(NotABasisError):
             dictionary_from_basis(initial_dictionary(lp), (1,))
 
@@ -113,7 +112,7 @@ class TestPivot:
             pivot(e1_initial, 1, 2)
 
     def test_zero_pivot_element(self):
-        lp = StandardLP(A0=qm([[0, 1]]), b=qv([1]), c=qv([1, 1]))
+        lp = StandardLP.from_fractions([[0, 1]], qv([1]), qv([1, 1]))
         with pytest.raises(PivotError, match="zero pivot element"):
             pivot(initial_dictionary(lp), 1, 3)
 
@@ -210,14 +209,14 @@ class TestKernelParity:
         entry = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
         def vec(k):
-            return QVector(data.draw(st.lists(entry, min_size=k, max_size=k)))
+            return tuple(data.draw(st.lists(entry, min_size=k, max_size=k)))
 
         d = Dictionary.from_fractions(
             side="primal",
             basis=tuple(range(n + 1, n + m + 1)),
             nonbasis=tuple(range(1, n + 1)),
             p=vec(m),
-            Q=QMatrix([list(vec(n)) for _ in range(m)]),
+            Q=[list(vec(n)) for _ in range(m)],
             q=vec(n),
             z_star=data.draw(entry),
         )
@@ -230,7 +229,7 @@ class TestKernelParity:
 
     def test_from_fractions_is_over_the_lcm(self):
         d = Dictionary.from_fractions(
-            "primal", (2,), (1,), qv([Fraction(1, 4)]), qm([[Fraction(2, 3)]]), qv([Fraction(1, 6)]), 0
+            "primal", (2,), (1,), qv([Fraction(1, 4)]), [[Fraction(2, 3)]], qv([Fraction(1, 6)]), 0
         )
         assert (d.p_num, d.Q_num, d.q_num, d.z_num, d.D) == ((3,), ((8,),), (2,), 0, 12)
 
@@ -246,7 +245,7 @@ class TestKernelParity:
     )
     def test_from_fractions_rejects_bad_shapes(self, basis, nonbasis, p, Q, q):
         with pytest.raises(ValueError):
-            Dictionary.from_fractions("primal", basis, nonbasis, qv(p), qm(Q), qv(q), 0)
+            Dictionary.from_fractions("primal", basis, nonbasis, qv(p), Q, qv(q), 0)
 
 
 class TestFeasibility:
@@ -262,7 +261,7 @@ class TestFeasibility:
             basis=e1_initial.basis,
             nonbasis=e1_initial.nonbasis,
             p=qv([0, 0]),
-            Q=e1_initial.Q,
+            Q=e1_initial.Q.row_lists(),
             q=e1_initial.q,
             z_star=Fraction(0),
         )
@@ -277,7 +276,7 @@ class TestFeasibility:
             basis=e1_initial.basis,
             nonbasis=e1_initial.nonbasis,
             p=e1_initial.p,
-            Q=e1_initial.Q,
+            Q=e1_initial.Q.row_lists(),
             q=qv([0, 0, 0]),
             z_star=Fraction(0),
         )

@@ -26,12 +26,11 @@ from dictlp.duality import (
     spans_rowspace_of,
     verify_bases,
 )
-from dictlp.exact import QMatrix, QVector
 from dictlp.model import StandardLP, dual_lp
 
 from conftest import objective_at, qm, qv, random_pivots, replaced, suite_instance
 from oracle import basic_points
-from reference import dictionary_by_elimination, rank, rowspace_contains, rowspace_equal
+from reference import dictionary_by_elimination, dot, mul_vec, rank, rowspace_contains, rowspace_equal
 
 E1_R = [
     [0, 4, 2, -2, 1, 0, -18],
@@ -44,7 +43,7 @@ INITIAL_DUAL = Dictionary.from_fractions(
     basis=(1, 2, 3),
     nonbasis=(4, 5),
     p=qv([-8, -11, 10]),
-    Q=qm([[-4, 1], [-2, 1], [2, 2]]),
+    Q=[[-4, 1], [-2, 1], [2, 2]],
     q=qv([-18, 3]),
     z_star=Fraction(0),
 )
@@ -54,7 +53,7 @@ SECOND_DUAL = Dictionary.from_fractions(
     basis=(5, 2, 3),
     nonbasis=(4, 1),
     p=qv([-8, -3, 26]),
-    Q=qm([[-4, 1], [2, -1], [10, -2]]),
+    Q=[[-4, 1], [2, -1], [10, -2]],
     q=qv([-6, -3]),
     z_star=Fraction(-24),
 )
@@ -106,11 +105,11 @@ class TestKernelMembership:
                 max_size=lp.m + lp.n,
             )
         )
-        xbar = QVector([x0] + xs + [Fraction(1)])
-        dec, slack = qv(xs[: lp.n]), xs[lp.n :]
+        xbar = [x0] + xs + [Fraction(1)]
+        dec, slack = xs[: lp.n], xs[lp.n :]
         expected = (
-            list(lp.A0.mul_vec(dec)) == [bi - si for bi, si in zip(lp.b, slack)]
-            and x0 == lp.c.dot(dec)
+            list(mul_vec(lp.A0, dec)) == [bi - si for bi, si in zip(lp.b, slack)]
+            and x0 == dot(lp.c, dec)
         )
         assert in_kernel(r, xbar) == expected
 
@@ -118,7 +117,7 @@ class TestKernelMembership:
 class TestRowspaceMembership:
     def test_last_row_of_r(self, e1):
         r = build_R(e1)
-        assert rowspace_contains(r, r.row(2))
+        assert rowspace_contains(r, r.row_lists()[2])
 
     def test_initial_dual_basic_solution(self, e1):
         assert rowspace_contains(build_R(e1), qv([1, -8, -11, 10, 0, 0, 0]))
@@ -141,12 +140,10 @@ class TestRowspaceMembership:
                 max_size=lp.m + 1,
             )
         )
-        ybar = QVector(
-            [
-                sum((coeffs[i] * r.entry(i, j) for i in range(lp.m + 1)), Fraction(0))
-                for j in range(r.cols)
-            ]
-        )
+        ybar = [
+            sum((coeffs[i] * r.entry(i, j) for i in range(lp.m + 1)), Fraction(0))
+            for j in range(r.cols)
+        ]
         assert rowspace_contains(r, ybar)
         xs = data.draw(
             st.lists(
@@ -155,11 +152,10 @@ class TestRowspaceMembership:
                 max_size=lp.n,
             )
         )
-        dec = qv(xs) if lp.n else None
-        slack = lp.b - lp.A0.mul_vec(dec)
-        xbar = QVector([lp.c.dot(dec)] + xs + list(slack) + [Fraction(1)])
+        slack = [bi - ai for bi, ai in zip(lp.b, mul_vec(lp.A0, xs))]
+        xbar = [dot(lp.c, xs)] + xs + slack + [Fraction(1)]
         assert in_kernel(r, xbar)
-        assert ybar.dot(xbar) == 0
+        assert dot(ybar, xbar) == 0
 
 
 class TestDictionaryMatrix:
@@ -198,10 +194,10 @@ class TestSpansRowspaceOf:
         base = suite_instance(seed)
         # Rows of R with different denominators exercise the integer scaling.
         k = data.draw(st.integers(1, 6))
-        lp = StandardLP(
-            A0=QMatrix([[x / (k + i) for x in row] for i, row in enumerate(base.A0.row_lists())]),
-            b=QVector(x / (k + i) for i, x in enumerate(base.b)),
-            c=QVector(x / (k + base.m) for x in base.c),
+        lp = StandardLP.from_fractions(
+            [[x / (k + i) for x in row] for i, row in enumerate(base.A0.row_lists())],
+            [x / (k + i) for i, x in enumerate(base.b)],
+            [x / (k + base.m) for x in base.c],
         )
         start = initial_dictionary(lp)
         r = build_R(lp)
@@ -223,11 +219,11 @@ def perturbed(d: Dictionary, data) -> Dictionary:
         i, j = data.draw(st.integers(0, d.m - 1)), data.draw(st.integers(0, d.n - 1))
         rows = d.Q.row_lists()
         rows[i][j] += eps
-        return replaced(d, Q=QMatrix(rows))
+        return replaced(d, Q=rows)
     entries = list(getattr(d, field))
     k = data.draw(st.integers(0, len(entries) - 1))
     entries[k] += eps
-    return replaced(d, **{field: QVector(entries)})
+    return replaced(d, **{field: tuple(entries)})
 
 
 class TestAnyStart:
@@ -327,7 +323,7 @@ class TestEnumerateBases:
         ]
 
     def test_singular_columns_are_skipped(self):
-        lp = StandardLP(A0=qm([[0]]), b=qv([1]), c=qv([1]))
+        lp = StandardLP.from_fractions([[0]], qv([1]), qv([1]))
         assert enumerate_bases(lp) == [(2,)]
 
     def test_budget_refusal(self, e1):
@@ -344,10 +340,10 @@ class TestEnumerateBases:
         base = suite_instance(seed, bound)
         factor = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool)
         k = [data.draw(factor) for _ in range(base.m)]
-        lp = StandardLP(
-            A0=QMatrix([[x / k[i] for x in row] for i, row in enumerate(base.A0.row_lists())]),
-            b=QVector(x / k[i] for i, x in enumerate(base.b)),
-            c=base.c,
+        lp = StandardLP.from_fractions(
+            [[x / k[i] for x in row] for i, row in enumerate(base.A0.row_lists())],
+            [x / k[i] for i, x in enumerate(base.b)],
+            base.c,
         )
         assert enumerate_bases(lp) == [basis for basis, _ in basic_points(lp)]
 
@@ -397,7 +393,7 @@ class TestSolutionSetEquivalence:
             assert values[v - 1] == rhs
         # objective row matches the homogenizing coordinate
         assert ybar[-1] == objective_at(dual, values)
-        assert rowspace_contains(r, QVector(ybar))
+        assert rowspace_contains(r, ybar)
 
         # converse: arbitrary nonbasic assignment solves into the row space
         ys = data.draw(
@@ -415,5 +411,5 @@ class TestSolutionSetEquivalence:
                 (dual.Q.entry(row, k) * full[w - 1] for k, w in enumerate(dual.nonbasis)),
                 Fraction(0),
             )
-        embedded = QVector([Fraction(1)] + full + [objective_at(dual, full)])
+        embedded = [Fraction(1)] + full + [objective_at(dual, full)]
         assert rowspace_contains(r, embedded)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictlp.exact import QMatrix, QVector, parse_rational, rational
+from dictlp.exact import QMatrix, format_rational, parse_rational
+from dictlp.model import StandardLP
 
 from conftest import qm, qv
 from reference import augmented_rows, rank, rowspace_contains, rowspace_equal, rref
@@ -27,26 +28,45 @@ def small_matrix(max_dim=4):
 
 
 class TestRational:
+    # A token's numerator and denominator print in lowest terms, sign on the numerator.
     def test_gcd_reduction(self):
-        assert rational(2, 4) == Fraction(1, 2)
+        assert format_rational(*parse_rational("2/4")) == "1/2"
 
     def test_sign_normalization(self):
-        r = rational(3, -6)
-        assert r == Fraction(-1, 2)
-        assert r.denominator == 2 and r.numerator == -1
+        assert parse_rational("-3/6") == (-3, 6)
+        assert format_rational(*parse_rational("-3/6")) == "-1/2"
 
     def test_zero_case(self):
-        r = rational(0, 7)
-        assert r.numerator == 0 and r.denominator == 1
+        assert format_rational(*parse_rational("0/7")) == "0"
+        assert format_rational(0, 1) == "0"
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
-            rational(1, 0)
+            parse_rational("3/0")
 
     @pytest.mark.parametrize("token,expected", [("-11/2", Fraction(-11, 2)), ("3", Fraction(3)), ("0", Fraction(0))])
     def test_parse_tokens(self, token, expected):
-        assert parse_rational(token) == expected
+        assert Fraction(*parse_rational(token)) == expected
         assert str(expected) == token
+        assert format_rational(*parse_rational(token)) == token
+
+    @given(a=rationals)
+    def test_format_is_fraction_text(self, a):
+        assert format_rational(a.numerator * 6, a.denominator * 6) == str(a)
+
+    @pytest.mark.parametrize("digits", [640, 641, 1_283, 5_001, 20_000])
+    def test_any_number_of_digits(self, digits):
+        # Past 640 digits both conversions go in chunks. The oracle is
+        # Horner's rule, since int() and str() refuse more than the
+        # interpreter's digit limit.
+        text = ("9876543210" * (digits // 10 + 1))[:digits]
+        value = 0
+        for ch in text:
+            value = value * 10 + ord(ch) - ord("0")
+        assert parse_rational(f"-{text}/{text}") == (-value, value)
+        assert format_rational(-value, 1) == f"-{text}"
+        assert format_rational(value * 7, 7 * (10 * value + 1)) == f"{text}/{text}1"
+        assert format_rational(10**digits, 1) == "1" + "0" * digits
 
     @pytest.mark.parametrize("token", ["+3", "3/-2", "1/2/3", "a", "1.5", " 3", ""])
     def test_parse_rejects(self, token):
@@ -111,7 +131,7 @@ class TestRowspace:
         from dictlp.duality import build_R
 
         r = build_R(e1)
-        assert rowspace_contains(r, r.row(2))
+        assert rowspace_contains(r, r.row_lists()[2])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -178,16 +198,49 @@ def test_names_the_benchmark_reads(monkeypatch):
     # positional arguments, so the library must pass Q (m rows) and q
     # (n entries) there. The tracer's after-hook on enumerate_bases calls
     # len() on its result, so it must stay a list, not a generator.
+    import inspect
+    import sys
+
     import dictlp
-    from dictlp import _kernels
+    import dictlp.cli
+    from dictlp import _kernels, exact
     from dictlp.dictionary import initial_dictionary, pivot
     from dictlp.duality import enumerate_bases
-    from dictlp.model import StandardLP
+    from dictlp.model import parse_lp
+    from dictlp.simplex import solve
 
     assert dictlp.BACKEND == "python"
     assert callable(_kernels.pivot_update)
-    lp = StandardLP(A0=QMatrix([[1, 1]]), b=QVector([1]), c=QVector([1, 1]))
+    lp = StandardLP.from_fractions([[1, 1]], [1], [1, 1])
     assert isinstance(enumerate_bases(lp, limit=10), list)
+
+    # The tracer wraps the public functions of these modules, one span per
+    # call, except the per-entry helpers of exact that it names.
+    for layer in ("model", "exact", "_kernels", "dictionary", "simplex", "duality", "cli"):
+        assert f"dictlp.{layer}" in sys.modules
+    public = {
+        name
+        for name, value in vars(exact).items()
+        if not name.startswith("_")
+        and callable(value)
+        and not inspect.isclass(value)
+        and value.__module__ == exact.__name__
+    }
+    assert public <= {"parse_rational", "format_rational", "common_denominator"}
+
+    # perfbench/worker.py reads the size of each instance, and the phases,
+    # steps and Fraction views of every dictionary in a solve's trace.
+    parsed = parse_lp("lp v1\n2 2\n1 1/2\n1 2 4\n-1 -1 -1\n")
+    assert (parsed.m, parsed.n) == (2, 2)
+    _, trace = solve(parsed)
+    dictionaries = []
+    for phase in trace.phases:
+        assert isinstance(phase.name, str)
+        dictionaries += [phase.start] + [step.dictionary for step in phase.steps]
+    assert len(dictionaries) > 1
+    for d in dictionaries:
+        entries = [*d.p, *d.q, d.z_star, *(x for row in d.Q.row_lists() for x in row)]
+        assert all(isinstance(x.numerator, int) and isinstance(x.denominator, int) for x in entries)
 
     calls = []
     real = _kernels.pivot_update
@@ -197,7 +250,7 @@ def test_names_the_benchmark_reads(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(_kernels, "pivot_update", recording)
-    wide = StandardLP(A0=QMatrix([[1, 2, 3], [4, 5, 6]]), b=QVector([1, 2]), c=QVector([1, 1, 1]))
+    wide = StandardLP.from_fractions([[1, 2, 3], [4, 5, 6]], [1, 2], [1, 1, 1])
     pivot(initial_dictionary(wide), 1, 4)
     ((args, kwargs),) = calls
     assert kwargs == {}

@@ -9,7 +9,6 @@ reach the optimum x = (0, ..., 0, 5^d) of value 5^d.
 
 import pytest
 
-from dictlp.exact import QMatrix, QVector
 from dictlp.model import StandardLP
 from dictlp.simplex import Optimal, PivotRule, solve
 
@@ -18,10 +17,10 @@ from oracle import check_outcome
 
 def klee_minty(d: int) -> StandardLP:
     rows = [[2 ** (i - j + 1) if j < i else int(j == i) for j in range(1, d + 1)] for i in range(1, d + 1)]
-    return StandardLP(
-        A0=QMatrix(rows),
-        b=QVector(5**i for i in range(1, d + 1)),
-        c=QVector(2 ** (d - j) for j in range(1, d + 1)),
+    return StandardLP.from_fractions(
+        rows,
+        [5**i for i in range(1, d + 1)],
+        [2 ** (d - j) for j in range(1, d + 1)],
     )
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dictlp.dictionary import basic_solution, initial_dictionary
-from dictlp.exact import QMatrix, QVector
 from dictlp.model import (
     ParseError,
     StandardLP,
@@ -23,12 +22,10 @@ def instances(max_dim=3):
     return st.integers(1, max_dim).flatmap(
         lambda m: st.integers(1, max_dim).flatmap(
             lambda n: st.builds(
-                StandardLP,
-                A0=st.lists(
-                    st.lists(rationals, min_size=n, max_size=n), min_size=m, max_size=m
-                ).map(QMatrix),
-                b=st.lists(rationals, min_size=m, max_size=m).map(QVector),
-                c=st.lists(rationals, min_size=n, max_size=n).map(QVector),
+                StandardLP.from_fractions,
+                st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=m, max_size=m),
+                st.lists(rationals, min_size=m, max_size=m),
+                st.lists(rationals, min_size=n, max_size=n),
             )
         )
     )
@@ -80,7 +77,7 @@ class TestSerialize:
         assert serialize_lp(e1) == "lp v1\n2 3\n8 11 -10\n4 2 -2 18\n-1 -1 -2 -3\n"
 
     def test_rational_token(self):
-        lp = StandardLP(A0=qm([[Fraction(-11, 2)]]), b=qv([1]), c=qv([1]))
+        lp = StandardLP.from_fractions([[Fraction(-11, 2)]], qv([1]), qv([1]))
         assert "-11/2" in serialize_lp(lp)
 
     @given(instances())
@@ -101,7 +98,7 @@ class TestDual:
         assert dual.c == qv([-18, 3])
 
     def test_one_by_one_negates(self):
-        lp = StandardLP(A0=qm([[5]]), b=qv([2]), c=qv([3]))
+        lp = StandardLP.from_fractions([[5]], qv([2]), qv([3]))
         dual = dual_lp(lp)
         assert dual.A0 == qm([[-5]])
 

@@ -16,7 +16,6 @@ from dictlp.dictionary import (
     pivot,
 )
 from dictlp import simplex
-from dictlp.exact import QVector
 from dictlp.model import StandardLP, parse_lp
 from dictlp.simplex import (
     CertificateError,
@@ -31,7 +30,7 @@ from dictlp.simplex import (
     solve,
 )
 
-from conftest import DATA, divided, dual_feasible_instance, qm, qv, suite_instance
+from conftest import DATA, divided, dual_feasible_instance, fr, qv, suite_instance
 from oracle import check_outcome, oracle_solve, outcome_kind
 
 
@@ -41,7 +40,7 @@ def e1_second(e1):
 
 
 def tiny(a0, b, c) -> StandardLP:
-    return StandardLP(A0=qm(a0), b=qv(b), c=qv(c))
+    return StandardLP.from_fractions(a0, qv(b), qv(c))
 
 
 class TestChooseEntering:
@@ -151,7 +150,7 @@ class TestDualSimplex:
             basis=(4, 3, 2),
             nonbasis=(1,),
             p=qv([-3, -3, -1]),
-            Q=qm([[-1], [-1], [-1]]),
+            Q=[[-1], [-1], [-1]],
             q=qv([-1]),
             z_star=Fraction(0),
         )
@@ -166,7 +165,7 @@ class TestDualSimplex:
             basis=(3,),
             nonbasis=(2, 1),
             p=qv([-1]),
-            Q=qm([[-2, -1]]),
+            Q=[[-2, -1]],
             q=qv([-2, -1]),
             z_star=Fraction(0),
         )
@@ -204,7 +203,7 @@ class TestSolveGoldens:
         check_outcome(lp, outcome)
 
     def test_e1_with_nonpositive_objective(self, e1):
-        lp = StandardLP(A0=e1.A0, b=e1.b, c=qv([-1, -1, -1]))
+        lp = StandardLP.from_fractions(e1.A0.row_lists(), e1.b, qv([-1, -1, -1]))
         outcome, _ = solve(lp)
         assert isinstance(outcome, Optimal)
         kind, value = oracle_solve(lp)
@@ -252,7 +251,7 @@ class TestCheckOutcome:
         else:
             entries = list(getattr(outcome, name))
             entries[data.draw(st.integers(0, len(entries) - 1))] += eps
-            bad = replace(outcome, **{name: QVector(entries)})
+            bad = replace(outcome, **{name: tuple(entries)})
         try:
             check_outcome(lp, bad)
         except AssertionError:
@@ -273,6 +272,24 @@ class TestCheckOutcome:
         lp = tiny([[1, 1, 1]], [1], [1, 1, 1])
         with pytest.raises(CertificateError):
             simplex.check_outcome(initial_dictionary(lp), outcome)
+
+    @pytest.mark.parametrize(
+        "outcome,message",
+        [
+            (Optimal(point=qv([fr(-1, 2), 0]), value=fr(0)), "point is not feasible: -1/2 0"),
+            (Optimal(point=qv([fr(1, 2), 0]), value=fr(2, 3)), "objective at the point is not 2/3"),
+            (
+                Unbounded(point=qv([0, 0]), ray=qv([1, fr(1, 3)])),
+                "ray fails ray >= 0, A0.ray <= 0, c.ray > 0: 1 1/3",
+            ),
+            (Infeasible(farkas=qv([fr(5, 7)])), "farkas vector fails u >= 0, u.A0 >= 0, u.b < 0: 5/7"),
+        ],
+    )
+    def test_message_prints_the_vector_as_solve_does(self, outcome, message):
+        lp = tiny([[1, 1]], [1], [1, 1])
+        with pytest.raises(CertificateError) as exc:
+            simplex.check_outcome(initial_dictionary(lp), outcome)
+        assert str(exc.value) == message
 
 
 class TestSolveAgainstOracle:
