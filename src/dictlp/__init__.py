@@ -51,6 +51,7 @@ from dictlp.duality import (
     in_kernel,
     spans_rowspace_of,
     verify_bases,
+    walk_bases,
 )
 
 __version__ = "0.1.0"
@@ -98,4 +99,5 @@ __all__ = [
     "solve",
     "spans_rowspace_of",
     "verify_bases",
+    "walk_bases",
 ]

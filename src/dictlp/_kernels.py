@@ -1,8 +1,8 @@
 """The fraction-free pivot kernel over integers and one common denominator.
 
 The hot loop of the package and its only elimination: the dictionary pivot
-(``pivot_update``), behind every dictionary after the slack one and behind
-the basis test of ``enumerate_bases``. A dictionary is held as integer
+(``pivot_update``), behind every dictionary after the slack one. A
+dictionary is held as integer
 numerators over one positive common denominator D, so entry values are
 p/D, Q/D, q/D and z/D, following Edmonds' and Bareiss' fraction-free
 elimination. Results are reduced by the gcd of D and every numerator

@@ -28,8 +28,8 @@ from dictlp.dictionary import (
     negative_transpose,
     pivot,
 )
-from dictlp.duality import BasisCountError, enumerate_bases, verify_bases
-from dictlp.exact import _rationals_text, format_rational
+from dictlp.duality import BasisCountError, verify_bases
+from dictlp.exact import _int, _rationals_text, format_rational
 from dictlp.model import _DIMENSION_RE, ParseError, StandardLP, dual_lp, parse_lp, serialize_lp
 from dictlp.simplex import (
     CertificateError,
@@ -106,13 +106,14 @@ def random_lp(m: int, n: int, seed: int, bound: int = 10) -> StandardLP:
 
 
 def integer(text: str) -> int:
-    """An integer flag value: ASCII digits with an optional leading '-'.
+    """An integer flag value: ASCII digits with an optional leading '-', of any length.
 
-    ``int`` alone would also take other scripts' digits, '_', '+' and spaces.
+    ``int`` alone would also take other scripts' digits, '_', '+' and spaces,
+    and would refuse more digits than ``-X int_max_str_digits`` allows.
     """
     if not _DIMENSION_RE.fullmatch(text[1:] if text.startswith("-") else text):
         raise ValueError(f"not an integer: {text!r}")
-    return int(text)
+    return _int(text)
 
 
 def _read_instance(path: str) -> StandardLP:
@@ -228,20 +229,20 @@ def cmd_dict(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     lp = _read_instance(args.input)
     try:
-        bases = enumerate_bases(lp, limit=args.limit)
+        reports = verify_bases(lp, limit=args.limit)
     except BasisCountError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 5
     passed = 0
-    for report in verify_bases(lp, bases):
+    for report in reports:
         name = ",".join(map(str, report.basis))
         if report.passed:
             passed += 1
             print(f"basis {name}: pass")
         else:
             print(f"basis {name}: FAIL ({report.details})")
-    print(f"verified {passed}/{len(bases)} bases")
-    return 0 if passed == len(bases) else 4
+    print(f"verified {passed}/{len(reports)} bases")
+    return 0 if passed == len(reports) else 4
 
 
 def cmd_random(args: argparse.Namespace) -> int:

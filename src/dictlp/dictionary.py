@@ -27,12 +27,12 @@ of B in from the dictionary it is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
 from dictlp import _kernels
-from dictlp.exact import QMatrix, common_denominator
+from dictlp.exact import QMatrix, _str, common_denominator
 from dictlp.model import StandardLP
 
 Side = Literal["primal", "dual"]
@@ -145,7 +145,7 @@ def dictionary_from_basis(start: Dictionary, basis: tuple[int, ...] | list[int])
         raise NotABasisError(f"basis must have {m} indices, got {len(B)}")
     members = set(B)
     if len(members) != m or any(not 1 <= v <= total for v in B):
-        raise NotABasisError(f"basis must be distinct indices in 1..{total}: {B}")
+        raise NotABasisError(f"basis must be distinct indices in 1..{total}: {_indices(B)}")
 
     d = start
     for v in B:
@@ -154,9 +154,14 @@ def dictionary_from_basis(start: Dictionary, basis: tuple[int, ...] | list[int])
         s = d.nonbasis.index(v)
         leave = next((u for u, row in zip(d.basis, d.Q_num) if u not in members and row[s] != 0), None)
         if leave is None:
-            raise NotABasisError(f"columns of basis {B} are linearly dependent")
+            raise NotABasisError(f"columns of basis {_indices(B)} are linearly dependent")
         d = pivot(d, v, leave)
     return _arrange(d, B, tuple(v for v in range(1, total + 1) if v not in members))
+
+
+def _indices(B: tuple[int, ...]) -> str:
+    """``str(B)`` for indices of any length."""
+    return f"({', '.join(map(_str, B))}{',' if len(B) == 1 else ''})"
 
 
 def pivot(d: Dictionary, enter: int, leave: int) -> Dictionary:
@@ -169,11 +174,11 @@ def pivot(d: Dictionary, enter: int, leave: int) -> Dictionary:
     try:
         s = d.nonbasis.index(enter)
     except ValueError:
-        raise PivotError(f"entering variable {enter} is not nonbasic") from None
+        raise PivotError(f"entering variable {_str(enter)} is not nonbasic") from None
     try:
         r = d.basis.index(leave)
     except ValueError:
-        raise PivotError(f"leaving variable {leave} is not basic") from None
+        raise PivotError(f"leaving variable {_str(leave)} is not basic") from None
     if d.Q_num[r][s] == 0:
         raise PivotError(f"zero pivot element at row {r}, column {s}")
 
@@ -234,11 +239,13 @@ def _arrange(d: Dictionary, basis: tuple[int, ...], nonbasis: tuple[int, ...]) -
     """The same dictionary with its rows and columns in the given variable orders."""
     rows = [d.basis.index(v) for v in basis]
     cols = [d.nonbasis.index(v) for v in nonbasis]
-    return replace(
-        d,
-        basis=basis,
-        nonbasis=nonbasis,
-        p_num=tuple([d.p_num[i] for i in rows]),
-        Q_num=tuple(tuple([d.Q_num[i][j] for j in cols]) for i in rows),
-        q_num=tuple([d.q_num[j] for j in cols]),
+    return Dictionary(
+        d.side,
+        basis,
+        nonbasis,
+        tuple([d.p_num[i] for i in rows]),
+        tuple([tuple([d.Q_num[i][j] for j in cols]) for i in rows]),
+        tuple([d.q_num[j] for j in cols]),
+        d.z_num,
+        d.D,
     )

@@ -5,33 +5,34 @@ primal points embed into its kernel, dual points into its row space, and the
 two subspaces are orthogonal complements. On top of that sits the theorem
 this package exists to check: the dual dictionary with basic set N is
 exactly the negative transpose of the primal dictionary with basis B, for
-every valid basis. The dual side is named so the pairing is by index: y_j
+every valid basis, and the primal pivot (enter e, leave l) is the dual pivot
+(enter l, leave e). The dual side is named so the pairing is by index: y_j
 pairs with x_j, so y1..yn are the dual slacks and y(n+1)..y(n+m) the dual
 decisions; ``dual_dictionary_direct`` gives the dual LP's slack dictionary
-under those names. Both sides reach every basis through one builder,
-``dictionary_from_basis``, from their own slack dictionary, and
-``verify_bases`` builds each slack dictionary once per instance. It tests
-both the dictionary identity and the underlying row-space equality, per
-basis, in exact arithmetic.
+under those names. ``verify_bases`` reaches every basis by one depth-first
+walk over the basis-exchange graph (``walk_bases``, after Avis and Fukuda's
+reverse search) from the primal slack dictionary, and carries the dual LP's
+own dictionary along by the matching dual pivot, so each basis costs one
+pivot on each side. Per basis it tests the dictionary identity and the
+underlying row-space equality, in exact arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from dictlp.exact import QMatrix
+from dictlp.exact import QMatrix, _str
 from dictlp.dictionary import (
     Dictionary,
-    NotABasisError,
+    PivotError,
     basic_solution,
     canonical,
-    dictionary_from_basis,
     initial_dictionary,
     negative_transpose,
+    pivot,
 )
 from dictlp.model import StandardLP, dual_lp
 
@@ -40,7 +41,7 @@ class BasisCountError(ValueError):
     """Exhaustive enumeration refused; carries the candidate-subset count."""
 
     def __init__(self, count: int, limit: int):
-        super().__init__(f"C(m+n, m) = {count} candidate bases exceed the limit {limit}")
+        super().__init__(f"C(m+n, m) = {_str(count)} candidate bases exceed the limit {_str(limit)}")
         self.count = count
         self.limit = limit
 
@@ -124,9 +125,10 @@ def dual_dictionary_direct(dual: StandardLP) -> Dictionary:
 
     ``dual`` is ``dual_lp(lp)``, with n rows and m columns. Its slacks
     (columns m+1..m+n) are named y1..yn and its decisions (columns 1..m)
-    y(n+1)..y(n+m), so y_j pairs with x_j. ``dictionary_from_basis`` from
-    this dictionary builds the dual dictionary for any basic set from the
-    dual LP itself, no transpose involved.
+    y(n+1)..y(n+m), so y_j pairs with x_j. Pivots from this dictionary
+    (``dictionary_from_basis``, or the lockstep of ``walk_bases``) build the
+    dual dictionary for any basic set from the dual LP itself, no transpose
+    involved.
     """
     d = initial_dictionary(dual)
     return replace(
@@ -149,74 +151,137 @@ def spans_rowspace_of(start: Dictionary, d: Dictionary) -> bool:
     construction; for R's rows, on the N columns and the last column it
     reads A_B Q = A_N, A_B p = b, q = c_N - Q^T c_B and z* = c_B . p.
     """
-    last = d.m + d.n + 1
+    return _spans(_scaled_rows(start), d)
+
+
+def _spans(rows: list[list[int]], d: Dictionary) -> bool:
+    """``spans_rowspace_of`` with ``start``'s integer rows (``_scaled_rows(start)``) given."""
     # Each equation is linear in rho and scaled by d's common denominator D,
-    # so integer rows of start and d's numerators test exact equality.
-    D, p, Q, q, z_star = d.D, d.p_num, d.Q_num, d.q_num, d.z_num
-    for rho in _scaled_rows(start):
-        # Dictionary row k is [0 | Q_k | e_k | -p_k], the objective row [1 | -q | 0 | -z*].
-        terms = [(rho[v], Q[k], p[k]) for k, v in enumerate(d.basis) if rho[v]]
-        if rho[last] * D != -sum(c * pk for c, _, pk in terms) - rho[0] * z_star:
+    # so integer rows of start and d's numerators test exact equality. Over
+    # the N columns and the last one, dictionary row k reads [Q_k | -p_k]
+    # and the objective row [-q | -z*].
+    D = d.D
+    cols = (*d.nonbasis, d.m + d.n + 1)
+    objective = (*d.q_num, d.z_num)
+    tails = [(v, (*Q_k, -p_k)) for v, Q_k, p_k in zip(d.basis, d.Q_num, d.p_num)]
+    for rho in rows:
+        combination = [-rho[0] * x for x in objective]
+        for v, tail in tails:
+            c = rho[v]
+            if c:
+                combination = [a + c * x for a, x in zip(combination, tail)]
+        if combination != [rho[v] * D for v in cols]:
             return False
-        for j, v in enumerate(d.nonbasis):
-            if rho[v] * D != sum(c * Qk[j] for c, Qk, _ in terms) - rho[0] * q[j]:
-                return False
     return True
 
 
-def verify_bases(lp: StandardLP, bases: list[tuple[int, ...]]) -> list[BijectionReport]:
-    """Check the primal-dual dictionary bijection for each basis, in order.
+_Step = tuple[Dictionary, Dictionary | None, tuple[int, int] | None]
 
-    Two independent checks per basis: the negative transpose of the primal
-    dictionary must equal (up to row/column order) the dual dictionary
-    constructed directly from the dual LP with basic set N, and the primal
-    dictionary's combined-system matrix must span the same row space as R
-    (``spans_rowspace_of``). Each side pivots its basis in from its own
-    slack dictionary, and each slack dictionary is built once for all bases.
+
+def walk_bases(start: Dictionary, dual_start: Dictionary | None = None) -> Iterator[_Step]:
+    """Each basis reachable from ``start`` once, depth first over the basis-exchange graph.
+
+    Yields ``(prim, dual, edge)``: the dictionary for a basis, reached by one
+    ``pivot`` from a dictionary yielded before it, and ``edge = (enter,
+    leave)``, that pivot (None for ``start`` itself). The neighbours of basis
+    B are B - basis[r] + nonbasis[s] for every nonzero Q[r][s]; a basis is
+    keyed by its bitmask. The bases of [A0 I] are the bases of a matroid,
+    whose exchange graph is connected, so from the slack dictionary the walk
+    reaches every basis, with one pivot per basis after the first.
+
+    With ``dual_start`` (the dual dictionary on ``start``'s nonbasis), the
+    dual is carried in lockstep: the primal pivot (enter e, leave l) is the
+    dual pivot (enter l, leave e), made on the dual's own dictionary. Where
+    that pivot fails, ``dual`` is None for the basis and for every basis
+    first reached through it. Such bases are expanded last, so a failure
+    stays with its own basis whenever the graph reaches the neighbours
+    another way.
     """
+    lockstep = dual_start is not None
+    seen = {_mask(start.basis)}
+    stack: list[_Step] = [(start, dual_start, None)]
+    while stack:
+        step = stack.pop()
+        yield step
+        prim, dual, _ = step
+        mask = _mask(prim.basis)
+        for leave, row in zip(prim.basis, prim.Q_num):
+            rest = mask ^ (1 << leave)
+            for enter, a in zip(prim.nonbasis, row):
+                key = rest | (1 << enter)
+                if a == 0 or key in seen:
+                    continue
+                seen.add(key)
+                child = (pivot(prim, enter, leave), _dual_pivot(dual, leave, enter), (enter, leave))
+                if lockstep and child[1] is None:
+                    stack.insert(0, child)
+                else:
+                    stack.append(child)
+
+
+def _mask(basis: tuple[int, ...]) -> int:
+    return sum(1 << v for v in basis)
+
+
+def _dual_pivot(dual: Dictionary | None, enter: int, leave: int) -> Dictionary | None:
+    """``pivot(dual, enter, leave)``, or None when there is no dual or the pivot fails."""
+    if dual is None:
+        return None
+    try:
+        return pivot(dual, enter, leave)
+    except PivotError:
+        return None
+
+
+def verify_bases(lp: StandardLP, limit: int = 100_000) -> list[BijectionReport]:
+    """Check the primal-dual dictionary bijection on every basis, in ascending order.
+
+    Refuses with ``BasisCountError`` when C(m+n, m) exceeds ``limit``. One
+    ``walk_bases`` from the primal slack dictionary carries the dual LP's
+    slack dictionary (``dual_dictionary_direct``) in lockstep, so each basis
+    after the first costs one primal and one dual pivot, and the start's
+    rows for the row-space test are built once.
+    """
+    _check_count(lp, limit)
     start = initial_dictionary(lp)
-    dual_start = dual_dictionary_direct(dual_lp(lp))
-    reports = []
-    for basis in bases:
-        prim = dictionary_from_basis(start, tuple(basis))
-        flipped = canonical(negative_transpose(prim))
-        direct = canonical(dictionary_from_basis(dual_start, prim.nonbasis))
-        nt_ok = flipped == direct
-        rs_ok = spans_rowspace_of(start, prim)
-        notes = []
-        if not nt_ok:
-            notes.append(f"negative transpose differs from direct dual dictionary on N={prim.nonbasis}")
-        if not rs_ok:
-            notes.append("dictionary row space differs from row space of R")
-        reports.append(
-            BijectionReport(
-                basis=tuple(basis),
-                negative_transpose_matches=nt_ok,
-                rowspace_matches=rs_ok,
-                details="; ".join(notes) if notes else "ok",
-            )
-        )
-    return reports
+    rows = _scaled_rows(start)
+    steps = walk_bases(start, dual_dictionary_direct(dual_lp(lp)))
+    return sorted((_report(rows, prim, dual) for prim, dual, _ in steps), key=lambda r: r.basis)
+
+
+def _report(rows: list[list[int]], prim: Dictionary, dual: Dictionary | None) -> BijectionReport:
+    """The two checks of one basis, against the start's rows ``rows``.
+
+    The negative transpose of the primal dictionary must equal (up to
+    row/column order) ``dual``, the dual dictionary on N reached on the dual
+    LP's own side (None when its lockstep pivot failed), and the primal
+    dictionary's combined-system matrix must span the row space of R.
+    """
+    nt_ok = dual is not None and canonical(negative_transpose(prim)) == canonical(dual)
+    rs_ok = _spans(rows, prim)
+    notes = []
+    if not nt_ok:
+        notes.append(f"negative transpose differs from direct dual dictionary on N={tuple(sorted(prim.nonbasis))}")
+    if not rs_ok:
+        notes.append("dictionary row space differs from row space of R")
+    return BijectionReport(
+        basis=tuple(sorted(prim.basis)),
+        negative_transpose_matches=nt_ok,
+        rowspace_matches=rs_ok,
+        details="; ".join(notes) if notes else "ok",
+    )
 
 
 def enumerate_bases(lp: StandardLP, limit: int = 100_000) -> list[tuple[int, ...]]:
     """All valid bases (ascending within and across), guarded by a subset budget.
 
-    A subset is a basis exactly when ``dictionary_from_basis`` reaches it
-    from the slack dictionary: each of its decision columns pivots in
-    against the first basic slack outside the subset with a nonzero entry,
-    and the subset is rejected when a column finds none.
+    The bases a primal-only ``walk_bases`` reaches from the slack dictionary.
     """
-    m, n = lp.m, lp.n
-    count = comb(m + n, m)
+    _check_count(lp, limit)
+    return sorted(tuple(sorted(d.basis)) for d, _, _ in walk_bases(initial_dictionary(lp)))
+
+
+def _check_count(lp: StandardLP, limit: int) -> None:
+    count = comb(lp.m + lp.n, lp.m)
     if count > limit:
         raise BasisCountError(count, limit)
-    start = initial_dictionary(lp)
-    bases = []
-    for combo in combinations(range(1, m + n + 1), m):
-        try:
-            dictionary_from_basis(start, combo)
-        except NotABasisError:
-            continue
-        bases.append(combo)
-    return bases

@@ -14,9 +14,8 @@ echelon form; the library itself eliminates only by dictionary pivots.
 ``dictionary_by_elimination`` builds a dictionary without a pivot, by one
 reduction of [A_B | b | A_N]; ``dictionary_from_basis`` is checked against it.
 ``rank``, ``rowspace_contains`` and ``rowspace_equal`` are the exact rank
-tests that the substitution test ``spans_rowspace_of`` and the pivot basis
-test of ``enumerate_bases`` are checked against. All of them reduce with
-``rref``.
+tests that the substitution test ``spans_rowspace_of`` is checked against.
+All of them reduce with ``rref``.
 """
 
 from __future__ import annotations

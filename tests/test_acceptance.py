@@ -119,9 +119,10 @@ def test_criterion_3_bijection_randomized():
         bases_checked = 0
         for seed in BIJECTION_SEEDS:
             lp = suite_instance(seed, bound=5)
-            for basis in enumerate_bases(lp):
-                (report,) = verify_bases(lp, [basis])
-                assert report.passed, (seed, basis, report.details)
+            reports = verify_bases(lp)
+            assert [report.basis for report in reports] == enumerate_bases(lp)
+            for report in reports:
+                assert report.passed, (seed, report.basis, report.details)
                 bases_checked += 1
         elapsed = time.perf_counter() - start
         assert bases_checked > 100

@@ -16,6 +16,7 @@ from dictlp import _kernels, duality
 from dictlp.cli import format_dictionary, main, random_lp
 from dictlp.dictionary import (
     Dictionary,
+    PivotError,
     dictionary_from_basis,
     initial_dictionary,
     negative_transpose,
@@ -385,23 +386,44 @@ class TestVerifyCommand:
 
 
     def test_corrupted_dictionary_fails_its_basis(self, e1_file, capsys, monkeypatch):
-        real_build = duality.dictionary_from_basis
+        # The corruption goes into the per-basis check, not into the walk's
+        # pivots, which the bases after this one are reached from.
+        real_report = duality._report
 
-        def corrupted(start, basis):
-            d = real_build(start, basis)
-            if tuple(basis) == (1, 4):  # a primal basis; dual bases have 3 entries
-                rows = d.Q.row_lists()
-                rows[0][0] += 1
-                return replaced(d, Q=rows)
-            return d
+        def corrupted(rows, prim, dual):
+            if sorted(prim.basis) == [1, 4]:
+                Q = prim.Q.row_lists()
+                Q[0][0] += 1
+                prim = replaced(prim, Q=Q)
+            return real_report(rows, prim, dual)
 
-        monkeypatch.setattr(duality, "dictionary_from_basis", corrupted)
+        monkeypatch.setattr(duality, "_report", corrupted)
         code = main(["verify", e1_file])
         out = capsys.readouterr().out.splitlines()
         assert code == 4
         assert out[2].startswith("basis 1,4: FAIL (")
         assert "dictionary row space differs from row space of R" in out[2]
         assert out.count("basis 1,5: pass") == 1
+        assert sum(": pass" in line for line in out) == 9
+        assert out[-1] == "verified 9/10 bases"
+
+    def test_broken_lockstep_fails_its_basis(self, e1_file, capsys, monkeypatch):
+        # The dual pivot that should follow the primal one onto basis 1,4
+        # (dual basic set N = 2,3,5) fails: that basis has no dual to compare.
+        real_pivot = duality.pivot
+
+        def broken(d, enter, leave):
+            if d.side == "dual" and sorted(set(d.basis) - {leave} | {enter}) == [2, 3, 5]:
+                raise PivotError(f"zero pivot element for entering variable {enter}")
+            return real_pivot(d, enter, leave)
+
+        monkeypatch.setattr(duality, "pivot", broken)
+        code = main(["verify", e1_file])
+        captured = capsys.readouterr()
+        out = captured.out.splitlines()
+        assert code == 4
+        assert captured.err == ""
+        assert out[2] == "basis 1,4: FAIL (negative transpose differs from direct dual dictionary on N=(2, 3, 5))"
         assert sum(": pass" in line for line in out) == 9
         assert out[-1] == "verified 9/10 bases"
 
@@ -527,6 +549,44 @@ class TestHugeNumbers:
             f"1 {big}",
             f"line 3: objective row: expected {big} values, found 1\n",
         ]
+
+    def test_flag_values_under_the_lowest_digit_limit(self, e1_file):
+        # Flag values of 5,000 digits, in a fresh interpreter at the lowest
+        # limit: each command ends in its result or in one error line.
+        big = "7" * 5000
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def run(*argv):
+            proc = subprocess.run(
+                [sys.executable, "-X", "int_max_str_digits=640", "-m", "dictlp.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+            return proc.returncode, proc.stdout, proc.stderr
+
+        code, out, err = run("verify", e1_file, "--limit", big)
+        assert (code, out.splitlines()[-1], err) == (0, "verified 10/10 bases", "")
+        assert run("verify", e1_file, "--limit", f"-{big}") == (
+            5,
+            "",
+            f"refused: C(m+n, m) = 10 candidate bases exceed the limit -{big}\n",
+        )
+        assert run("dict", e1_file, "--basis", f"{big},4") == (
+            1,
+            "",
+            f"error: basis must be distinct indices in 1..5: ({big}, 4)\n",
+        )
+        assert run("trace", e1_file, "--pivot", f"{big},4") == (
+            1,
+            "",
+            f"error: entering variable {big} is not nonbasic\n",
+        )
+        code, out, err = run("random", "--m", "1", "--n", "1", "--seed", big)
+        assert (code, err) == (0, "")
+        assert out == serialize_lp(random_lp(1, 1, seed=7 * (10**5000 - 1) // 9))
 
 
 class TestRandomCommand:

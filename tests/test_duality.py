@@ -16,6 +16,7 @@ from dictlp.dictionary import (
 )
 from dictlp.duality import (
     BasisCountError,
+    BijectionReport,
     build_R,
     dictionary_matrix,
     dual_dictionary_direct,
@@ -25,6 +26,7 @@ from dictlp.duality import (
     rowspace_embedding,
     spans_rowspace_of,
     verify_bases,
+    walk_bases,
 )
 from dictlp.model import StandardLP, dual_lp
 
@@ -295,24 +297,73 @@ class TestDualDictionaryDirect:
 
 class TestVerifyBijection:
     def test_initial_basis(self, e1):
-        (report,) = verify_bases(e1, [(4, 5)])
+        report = reports_by_basis(verify_bases(e1))[(4, 5)]
         assert report.negative_transpose_matches
         assert report.rowspace_matches
         assert report.passed
 
     def test_pivoted_basis(self, e1):
-        assert verify_bases(e1, [(4, 1)])[0].passed
+        assert reports_by_basis(verify_bases(e1))[(1, 4)].passed
 
     def test_all_ten_bases(self, e1):
-        bases = enumerate_bases(e1)
-        assert len(bases) == 10
-        assert all(verify_bases(e1, [basis])[0].passed for basis in bases)
+        reports = verify_bases(e1)
+        assert len(reports) == 10
+        assert all(report.passed for report in reports)
 
     def test_verify_bases_reports_each_basis_in_order(self, e1):
-        bases = enumerate_bases(e1)
-        reports = verify_bases(e1, bases)
-        assert [rep.basis for rep in reports] == bases
-        assert reports[3] == verify_bases(e1, [bases[3]])[0]
+        reports = verify_bases(e1)
+        assert [rep.basis for rep in reports] == [basis for basis, _ in basic_points(e1)]
+        assert reports[3] == BijectionReport((1, 5), True, True, "ok")
+
+    def test_budget_refusal(self, e1):
+        with pytest.raises(BasisCountError) as exc_info:
+            verify_bases(e1, limit=9)
+        assert exc_info.value.count == 10
+        assert len(verify_bases(e1, limit=10)) == 10
+
+
+def reports_by_basis(reports):
+    return {report.basis: report for report in reports}
+
+
+class TestWalkBases:
+    """One depth-first walk over the basis graph, with the dual side in lockstep."""
+
+    @given(seed=st.integers(0, 500), bound=st.sampled_from([1, 5]))
+    @settings(max_examples=60, deadline=None)
+    def test_walk_agrees_with_the_oracle_and_the_builder(self, seed, bound):
+        # Bound-1 instances have many singular subsets.
+        lp = suite_instance(seed, bound)
+        start = initial_dictionary(lp)
+        dual_start = dual_dictionary_direct(dual_lp(lp))
+        steps = list(walk_bases(start, dual_start))
+        walked = [tuple(sorted(prim.basis)) for prim, _, _ in steps]
+        assert sorted(walked) == [basis for basis, _ in basic_points(lp)]
+        assert steps[0] == (start, dual_start, None)
+        for k, (prim, dual, edge) in enumerate(steps):
+            basis, nonbasis = walked[k], tuple(sorted(prim.nonbasis))
+            assert canonical(prim) == canonical(dictionary_from_basis(start, basis))
+            assert canonical(dual) == canonical(dictionary_from_basis(dual_start, nonbasis))
+            if k == 0:
+                continue
+            # The edge leads from a basis walked earlier; the primal pivot
+            # (enter e, leave l) is a valid dual pivot (enter l, leave e).
+            enter, leave = edge
+            parent = tuple(sorted(set(basis) - {enter} | {leave}))
+            assert parent in walked[:k]
+            parent_dual = dictionary_from_basis(dual_start, tuple(sorted(set(nonbasis) - {leave} | {enter})))
+            assert canonical(pivot(parent_dual, leave, enter)) == canonical(dual)
+            assert canonical(pivot(dictionary_from_basis(start, parent), enter, leave)) == canonical(prim)
+
+    def test_primal_only_walk_carries_no_dual(self, e1):
+        steps = list(walk_bases(initial_dictionary(e1)))
+        assert len(steps) == 10
+        assert all(dual is None for _, dual, _ in steps)
+
+    def test_walk_from_a_pivoted_start(self, e1):
+        start = pivot(initial_dictionary(e1), 1, 5)
+        walked = sorted(tuple(sorted(prim.basis)) for prim, _, _ in walk_bases(start))
+        assert walked == enumerate_bases(e1)
 
 
 class TestEnumerateBases:
