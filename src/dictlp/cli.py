@@ -8,6 +8,11 @@ Commands: ``solve`` (two-phase simplex with exact certificates), ``trace``
 syntax; exit codes are 0 optimal/ok, 2 unbounded, 3 infeasible, 4 verify
 failure, 5 enumeration budget refusal, 6 a solve whose certificate failed
 its re-check, 1 usage, parse or I/O errors.
+
+A dictionary prints from one table of texts (``_texts``) that formats each
+distinct numerator once. ``trace --dual-view`` prints the negative
+transpose from the same table, reading the columns of Q as rows with the
+signs flipped (``_lines`` with ``flip``), so no dual dictionary is built.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from dictlp.dictionary import (
     PivotError,
     dictionary_from_basis,
     initial_dictionary,
-    negative_transpose,
     pivot,
 )
 from dictlp.duality import BasisCountError, verify_bases
@@ -56,32 +60,52 @@ def format_dictionary(d: Dictionary) -> str:
     the objective constant is skipped when zero unless the line would be
     empty.
     """
-    var = "x" if d.side == "primal" else "y"
-    names = [f"{var}{w}" for w in d.nonbasis]
+    return "\n".join(_lines(d, _texts(d), flip=False))
+
+
+def _texts(d: Dictionary) -> dict[int, str]:
+    """Each distinct numerator of ``d`` mapped, formatted once, to its magnitude over D as a coefficient.
+
+    A magnitude of 1 maps to the empty text, as a coefficient drops it.
+    """
     D = d.D
-    lines = []
-    for v, p_r, row in zip(d.basis, d.p_num, d.Q_num):
-        terms = [(-x, name) for x, name in zip(row, names) if x]
-        lines.append(f"{var}{v} = " + _affine(p_r, terms, D, always_constant=True))
-    label = "z" if d.side == "primal" else "-w"
-    terms = [(x, name) for x, name in zip(d.q_num, names) if x]
-    lines.append(f"{label} = " + _affine(d.z_num, terms, D, always_constant=False))
-    return "\n".join(lines)
+    values = {d.z_num, *d.p_num, *d.q_num}.union(*d.Q_num)
+    return {x: "" if abs(x) == D else format_rational(abs(x), D) for x in values}
 
 
-def _affine(constant: int, terms: list[tuple[int, str]], D: int, always_constant: bool) -> str:
-    """``constant/D + sum coef/D * name`` over the nonzero numerators ``terms``."""
-    parts: list[str] = []
-    if always_constant or constant or not terms:
-        parts.append(format_rational(constant, D))
-    for coef, name in terms:
-        mag = abs(coef)
-        body = name if mag == D else format_rational(mag, D) + name
-        if not parts:
-            parts.append(f"-{body}" if coef < 0 else body)
-        else:
-            parts.append(f"- {body}" if coef < 0 else f"+ {body}")
-    return " ".join(parts)
+def _lines(d: Dictionary, texts: dict[int, str], flip: bool) -> list[str]:
+    """The lines of ``d``, or with ``flip`` of its negative transpose, from ``texts = _texts(d)``.
+
+    The negative transpose has rows -q, -Q^T, objective -p and constant -z*
+    on the swapped partition and the other side, so it reads the same
+    numerators with the signs and the orientation changed; no dictionary is
+    built.
+    """
+    primal = (d.side == "primal") != flip
+    var = "x" if primal else "y"
+    if flip:
+        rows, heads, objective = zip(d.nonbasis, d.q_num, zip(*d.Q_num)), d.basis, d.p_num
+    else:
+        rows, heads, objective = zip(d.basis, d.p_num, d.Q_num), d.nonbasis, d.q_num
+    names = [f"{var}{w}" for w in heads]
+
+    def constant(c: int) -> str:
+        text = texts[c] or "1"
+        return "-" + text if c and (c < 0) != flip else text
+
+    def terms(coefs: Sequence[int], negate: bool) -> str:
+        minus, plus = (" + ", " - ") if negate else (" - ", " + ")
+        return "".join([(minus if x < 0 else plus) + texts[x] + name for x, name in zip(coefs, names) if x])
+
+    # A row prints p_r - Q_r x_N, the objective z* + q x_N; flip negates every entry.
+    lines = [f"{var}{v} = {constant(c)}{terms(coefs, not flip)}" for v, c, coefs in rows]
+    tail = terms(objective, flip)
+    if d.z_num or not tail:
+        tail = constant(d.z_num) + tail
+    else:  # no constant: the first term's sign stands alone
+        tail = tail[3:] if tail[1] == "+" else "-" + tail[3:]
+    lines.append(f"{'z' if primal else '-w'} = {tail}")
+    return lines
 
 
 def random_lp(m: int, n: int, seed: int, bound: int = 10) -> StandardLP:
@@ -151,14 +175,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return code
 
 
-def _dual_section(d: Dictionary, header: str | None) -> list[str]:
-    out = ["", "dual:"]
-    if header is not None:
-        out.append(header)
-    out.extend(format_dictionary(negative_transpose(d)).splitlines())
-    return out
-
-
 def _solver_trace_lines(trace: SolveTrace, dual_view: bool) -> list[str]:
     lines: list[str] = []
     multi = len(trace.phases) > 1
@@ -167,17 +183,17 @@ def _solver_trace_lines(trace: SolveTrace, dual_view: bool) -> list[str]:
             lines.append("")
         if multi:
             lines.append(f"== {phase.name} ==")
-        lines.extend(format_dictionary(phase.start).splitlines())
-        if dual_view:
-            lines.extend(_dual_section(phase.start, None))
-        for step in phase.steps:
-            lines.append("")
-            lines.append(f"pivot: enter x{step.enter}, leave x{step.leave}")
-            lines.extend(format_dictionary(step.dictionary).splitlines())
+        for step in (None, *phase.steps):
+            d = phase.start if step is None else step.dictionary
+            if step is not None:
+                lines += ["", f"pivot: enter x{step.enter}, leave x{step.leave}"]
+            texts = _texts(d)
+            lines += _lines(d, texts, flip=False)
             if dual_view:
-                lines.extend(
-                    _dual_section(step.dictionary, f"pivot: enter y{step.leave}, leave y{step.enter}")
-                )
+                lines += ["", "dual:"]
+                if step is not None:
+                    lines.append(f"pivot: enter y{step.leave}, leave y{step.enter}")
+                lines += _lines(d, texts, flip=True)
     return lines
 
 

@@ -14,7 +14,10 @@ walk over the basis-exchange graph (``walk_bases``, after Avis and Fukuda's
 reverse search) from the primal slack dictionary, and carries the dual LP's
 own dictionary along by the matching dual pivot, so each basis costs one
 pivot on each side. Per basis it tests the dictionary identity and the
-underlying row-space equality, in exact arithmetic.
+underlying row-space equality, in exact arithmetic. The identity is read
+entry by entry through the two dictionaries' variable positions
+(``_is_negative_transpose``), so the check builds no transpose and
+rearranges neither side.
 """
 
 from __future__ import annotations
@@ -29,9 +32,7 @@ from dictlp.dictionary import (
     Dictionary,
     PivotError,
     basic_solution,
-    canonical,
     initial_dictionary,
-    negative_transpose,
     pivot,
 )
 from dictlp.model import StandardLP, dual_lp
@@ -255,9 +256,11 @@ def _report(rows: list[list[int]], prim: Dictionary, dual: Dictionary | None) ->
     The negative transpose of the primal dictionary must equal (up to
     row/column order) ``dual``, the dual dictionary on N reached on the dual
     LP's own side (None when its lockstep pivot failed), and the primal
-    dictionary's combined-system matrix must span the row space of R.
+    dictionary's combined-system matrix must span the row space of R. The
+    first is compared through index maps (``_is_negative_transpose``), not
+    by building and sorting both dictionaries.
     """
-    nt_ok = dual is not None and canonical(negative_transpose(prim)) == canonical(dual)
+    nt_ok = dual is not None and _is_negative_transpose(prim, dual)
     rs_ok = _spans(rows, prim)
     notes = []
     if not nt_ok:
@@ -269,6 +272,31 @@ def _report(rows: list[list[int]], prim: Dictionary, dual: Dictionary | None) ->
         negative_transpose_matches=nt_ok,
         rowspace_matches=rs_ok,
         details="; ".join(notes) if notes else "ok",
+    )
+
+
+def _is_negative_transpose(prim: Dictionary, dual: Dictionary) -> bool:
+    """``canonical(negative_transpose(prim)) == canonical(dual)``, read through index maps.
+
+    The sides differ, D agrees, z* is negated, the basic and nonbasic sets
+    swap, and each entry of ``dual`` is the negated primal entry at the
+    positions of its variables: p'_j = -q_s, q'_k = -p_r and Q'_jk = -Q_rs.
+    No dictionary is built.
+    """
+    rows = {v: r for r, v in enumerate(prim.basis)}
+    cols = {v: s for s, v in enumerate(prim.nonbasis)}
+    if (
+        dual.side == prim.side
+        or dual.D != prim.D
+        or dual.z_num != -prim.z_num
+        or cols.keys() != set(dual.basis)
+        or rows.keys() != set(dual.nonbasis)
+    ):
+        return False
+    Q = [prim.Q_num[rows[v]] for v in dual.nonbasis]  # primal rows in the dual's column order
+    return [-prim.p_num[rows[v]] for v in dual.nonbasis] == list(dual.q_num) and all(
+        x == -prim.q_num[s] and [-row[s] for row in Q] == list(dual_row)
+        for x, s, dual_row in zip(dual.p_num, [cols[v] for v in dual.basis], dual.Q_num)
     )
 
 

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dictlp import _kernels, duality
-from dictlp.cli import format_dictionary, main, random_lp
+from dictlp.cli import _lines, _texts, format_dictionary, main, random_lp
 from dictlp.dictionary import (
     Dictionary,
     PivotError,
@@ -26,7 +26,7 @@ from dictlp.duality import enumerate_bases
 from dictlp.model import StandardLP, parse_lp, serialize_lp
 from dictlp.simplex import PivotRule, solve
 
-from conftest import DATA, E1_TEXT, qv, replaced, suite_instance
+from conftest import DATA, E1_TEXT, qv, random_pivots, replaced, suite_instance
 from reference import format_dictionary_by_fractions
 
 PRIMAL_INITIAL = """\
@@ -202,6 +202,72 @@ class TestFormatDictionary:
         assert parsed == d
         dual = negative_transpose(d)
         assert parse_dictionary_text(format_dictionary(dual), lp.m + lp.n) == dual
+
+
+class TestFlippedRendering:
+    """``_lines(d, _texts(d), flip=True)`` prints the negative transpose from d's own numerators."""
+
+    @given(
+        m=st.integers(1, 4),
+        n=st.integers(1, 4),
+        side=st.sampled_from(["primal", "dual"]),
+        picks=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_flipped_lines_print_the_negative_transpose(self, m, n, side, picks, data):
+        # Fractions make D > 1 next to entries of magnitude 1 and 0. Zero
+        # rows and columns of Q, and a zero p, q or z*, survive the pivots,
+        # so both renderings meet zero rows and a zero objective.
+        entry = st.one_of(
+            st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+            st.fractions(min_value=-9, max_value=9, max_denominator=8).filter(bool),
+        )
+
+        def vec(k):
+            if data.draw(st.integers(0, 3)) == 0:
+                return [Fraction(0)] * k
+            return data.draw(st.lists(entry, min_size=k, max_size=k))
+
+        labels = data.draw(st.permutations(range(1, m + n + 1)))
+        zero_cols = data.draw(st.sets(st.integers(0, n - 1)))
+        rows = [[0 if j in zero_cols else x for j, x in enumerate(vec(n))] for _ in range(m)]
+        z_star = Fraction(0) if data.draw(st.booleans()) else data.draw(entry)
+        start = Dictionary.from_fractions(side, tuple(labels[:m]), tuple(labels[m:]), vec(m), rows, vec(n), z_star)
+        d = random_pivots(start, picks)[-1]
+        flipped = "\n".join(_lines(d, _texts(d), flip=True))
+        assert flipped == format_dictionary(negative_transpose(d))
+        assert flipped == format_dictionary_by_fractions(negative_transpose(d))
+        assert "\n".join(_lines(d, _texts(d), flip=False)) == format_dictionary(d)
+
+    def test_texts_format_each_distinct_numerator_once(self, e1, monkeypatch):
+        import dictlp.cli
+
+        d = pivot(initial_dictionary(e1), 1, 5)
+        calls = []
+        real = dictlp.cli.format_rational
+        monkeypatch.setattr(dictlp.cli, "format_rational", lambda *a: calls.append(a) or real(*a))
+        texts = _texts(d)
+        distinct = {d.z_num, *d.p_num, *d.q_num, *(x for row in d.Q_num for x in row)}
+        assert len(calls) <= len(distinct) == len(texts)
+        formatted = len(calls)
+        assert "\n".join(_lines(d, texts, flip=False)) == PRIMAL_SECOND
+        assert "\n".join(_lines(d, texts, flip=True)) == DUAL_SECOND
+        assert len(calls) == formatted
+
+    def test_numerators_beyond_the_digit_limit(self, tmp_path, capsys):
+        # 5,001-digit numerators: more than the default limit and than the
+        # lowest one (640), under which tier-1 also runs.
+        big = TestHugeNumbers.BIG
+        lp = parse_lp(f"lp v1\n1 2\n1/{big} -1\n1 -{big} {big}\n")
+        d = pivot(initial_dictionary(lp), 1, 3)
+        # x1 = B - x3 + Bx2, z = 1 - 1/Bx3: the transpose has a zero row
+        # constant, a magnitude-1 term and a flipped objective constant.
+        dual = f"y3 = 1/{big} + y1\ny2 = 0 - {big}y1\n-w = -1 - {big}y1"
+        assert "\n".join(_lines(d, _texts(d), flip=True)) == dual
+        assert format_dictionary(negative_transpose(d)) == dual
+        assert main(["trace", write_lp(tmp_path, serialize_lp(lp)), "--pivot", "1,3", "--dual-view"]) == 0
+        assert capsys.readouterr().out.endswith(f"dual:\npivot: enter y3, leave y1\n{dual}\n")
 
 
 class TestSolveCommand:

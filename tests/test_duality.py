@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from dictlp.dictionary import (
     Dictionary,
     NotABasisError,
+    _arrange,
     canonical,
     dictionary_from_basis,
     initial_dictionary,
@@ -17,6 +19,9 @@ from dictlp.dictionary import (
 from dictlp.duality import (
     BasisCountError,
     BijectionReport,
+    _is_negative_transpose,
+    _report,
+    _scaled_rows,
     build_R,
     dictionary_matrix,
     dual_dictionary_direct,
@@ -364,6 +369,57 @@ class TestWalkBases:
         start = pivot(initial_dictionary(e1), 1, 5)
         walked = sorted(tuple(sorted(prim.basis)) for prim, _, _ in walk_bases(start))
         assert walked == enumerate_bases(e1)
+
+
+class TestIsNegativeTranspose:
+    """The index-map comparison of ``_report`` agrees with comparing canonical forms."""
+
+    @staticmethod
+    def agree(prim: Dictionary, dual: Dictionary) -> bool:
+        expected = canonical(negative_transpose(prim)) == canonical(dual)
+        assert _is_negative_transpose(prim, dual) == expected
+        return expected
+
+    @given(seed=st.integers(0, 300), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_the_canonical_comparison(self, seed, data):
+        lp = suite_instance(seed)
+        for prim, dual, _ in walk_bases(initial_dictionary(lp), dual_dictionary_direct(dual_lp(lp))):
+            assert self.agree(prim, dual)
+            # Rows and columns in any order, on either side.
+            prim_p, dual_p = (
+                _arrange(d, tuple(data.draw(st.permutations(d.basis))), tuple(data.draw(st.permutations(d.nonbasis))))
+                for d in (prim, dual)
+            )
+            assert self.agree(prim_p, dual_p)
+            # One change on one side breaks the match.
+            d = data.draw(st.sampled_from([prim_p, dual_p]))
+            field = data.draw(st.sampled_from(["p_num", "q_num", "Q_num"]))
+            entries = [list(row) for row in d.Q_num] if field == "Q_num" else list(getattr(d, field))
+            i = data.draw(st.integers(0, len(entries) - 1))
+            if field == "Q_num":
+                j = data.draw(st.integers(0, len(entries[i]) - 1))
+                entries[i][j] += 1
+                entries = tuple(map(tuple, entries))
+            else:
+                entries[i] += 1
+            b, v = data.draw(st.sampled_from(d.basis)), data.draw(st.sampled_from(d.nonbasis))
+            swap = {b: v, v: b}
+            swapped = [tuple(swap.get(w, w) for w in labels) for labels in (d.basis, d.nonbasis)]
+            for bad in (
+                replace(d, **{field: tuple(entries)}),
+                replace(d, D=2 * d.D),
+                replace(d, z_num=d.z_num + 1),
+                replace(d, basis=swapped[0], nonbasis=swapped[1]),
+            ):
+                pair = (bad, dual_p) if d is prim_p else (prim_p, bad)
+                assert not self.agree(*pair)
+
+    def test_a_missing_dual_still_fails(self, e1):
+        start = initial_dictionary(e1)
+        report = _report(_scaled_rows(start), start, None)
+        assert not report.negative_transpose_matches
+        assert report.details == "negative transpose differs from direct dual dictionary on N=(1, 2, 3)"
 
 
 class TestEnumerateBases:
