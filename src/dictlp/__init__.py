@@ -35,8 +35,6 @@ from dictlp.simplex import (
     SolveOutcome,
     Unbounded,
     check_outcome,
-    choose_entering,
-    choose_leaving,
     dual_simplex,
     primal_simplex,
     solve,
@@ -79,8 +77,6 @@ __all__ = [
     "build_R",
     "canonical",
     "check_outcome",
-    "choose_entering",
-    "choose_leaving",
     "dictionary_from_basis",
     "dictionary_matrix",
     "dual_dictionary_direct",

@@ -6,6 +6,14 @@ Both methods run on ``Dictionary`` values and return exact certificates:
 * Unbounded(point, ray) -- feasible point plus an improving recession ray;
 * Infeasible(farkas)    -- u >= 0 with u.A0 >= 0 and u.b < 0.
 
+The simplex loop is written once (``_simplex``). Dual simplex is that
+primal loop run on the negative transpose of the dictionary, read in place
+(``_as_primal``): the dual dictionary on N is the negative transpose of
+the primal one on B, and a primal pivot (enter e, leave l) there is the
+pivot (enter l, leave e) here. One reader (``_ray``) gives both rays: the
+unbounded ray, and the Farkas vector, which is the slack part of the dual's
+unbounded ray.
+
 ``solve`` re-checks its certificate against the instance's slack dictionary
 (``check_outcome``) before it returns, and raises ``CertificateError`` if it
 does not hold.
@@ -23,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from dictlp import _kernels
 from dictlp.exact import _rationals_text, common_denominator
@@ -122,25 +130,6 @@ def _ratio_test(labels: tuple[int, ...], consts: Sequence[int], coefs: Sequence[
     return best
 
 
-def choose_entering(d: Dictionary, rule: PivotRule) -> int | None:
-    """Entering variable, or None when the dictionary is optimal (q <= 0).
-
-    Bland: smallest variable index with a positive objective coefficient.
-    Dantzig: largest coefficient, smallest index on ties.
-    """
-    return _pick(d.nonbasis, d.q_num, rule)
-
-
-def choose_leaving(d: Dictionary, s: int) -> int | None:
-    """Ratio-test leaving variable for entering position ``s`` (0-based in N).
-
-    Minimizes p_r / Q[r][s] over rows with Q[r][s] > 0, ties to the smallest
-    variable index; None signals an unbounded direction. Both rules share
-    this test.
-    """
-    return _ratio_test(d.basis, d.p_num, [row[s] for row in d.Q_num])
-
-
 def _cycle_guard(d: Dictionary, rule: PivotRule, visited: set[frozenset[int]]) -> PivotRule:
     """The rule for the next pivot: Bland from the first repeated basis on.
 
@@ -167,18 +156,7 @@ def primal_simplex(
     """
     if not is_primal_feasible(d):
         raise ValueError("primal simplex requires a primal-feasible dictionary")
-    steps: list[PivotStep] = []
-    visited: set[frozenset[int]] = set()
-    while True:
-        rule = _cycle_guard(d, rule, visited)
-        enter = choose_entering(d, rule)
-        if enter is None:
-            return d, steps, None
-        leave = choose_leaving(d, d.nonbasis.index(enter))
-        if leave is None:
-            return d, steps, enter
-        d = pivot(d, enter, leave)
-        steps.append(PivotStep(enter=enter, leave=leave, dictionary=d))
+    return _simplex(d, rule, False)
 
 
 def dual_simplex(
@@ -190,54 +168,72 @@ def dual_simplex(
     loop ended: None when optimal (p >= 0), else the leaving variable of a
     row with a negative constant and no negative coefficient (infeasible).
     Every intermediate dictionary stays dual feasible. On a repeated basis
-    the loop switches to Bland's rule for the rest of the run. Through the
-    negative transpose this is step-for-step the primal method on the
-    flipped dictionary: a pivot (enter j, leave i) here corresponds to
-    (enter i, leave j) there, and both loops end with the same signal.
+    the loop switches to Bland's rule for the rest of the run. This is the
+    primal method run on the negative transpose of ``d``, read in place: a
+    primal pivot (enter i, leave j) there is the pivot (enter j, leave i)
+    here, and the primal method's unbounded signal is the infeasible row.
     """
     if not is_dual_feasible(d):
         raise ValueError("dual simplex requires a dual-feasible dictionary")
+    return _simplex(d, rule, True)
+
+
+def _as_primal(d: Dictionary, dual: bool) -> tuple[
+    tuple[int, ...], Sequence[int], tuple[int, ...], Sequence[int], Callable[[int], list[int]]
+]:
+    """The dictionary the primal method reads: ``d``, or with ``dual`` its negative transpose.
+
+    Returns the nonbasic labels, the objective row, the basic labels, the
+    constants and the column under a nonbasic position. The negative
+    transpose is read in place: nonbasic ``d.basis`` with objective -p,
+    basic ``d.nonbasis`` with constants -q, and column r is -Q[r].
+    """
+    if dual:
+        return (
+            d.basis, [-x for x in d.p_num], d.nonbasis, [-x for x in d.q_num],
+            lambda r: [-x for x in d.Q_num[r]],
+        )
+    return d.nonbasis, d.q_num, d.basis, d.p_num, lambda s: [row[s] for row in d.Q_num]
+
+
+def _simplex(d: Dictionary, rule: PivotRule, dual: bool) -> tuple[Dictionary, list[PivotStep], int | None]:
+    """The primal method on ``_as_primal(d, dual)``, pivoting ``d`` itself.
+
+    On the dual side the primal pivot (enter, leave) is ``d``'s pivot
+    (leave, enter). The signal is the primal method's: None when optimal,
+    else the entering variable of the column with no positive entry.
+    """
     steps: list[PivotStep] = []
     visited: set[frozenset[int]] = set()
     while True:
         rule = _cycle_guard(d, rule, visited)
-        # The primal choices on the negative transpose (-q, -Q^T, -p).
-        leave = _pick(d.basis, [-x for x in d.p_num], rule)
-        if leave is None:
-            return d, steps, None
-        row = d.Q_num[d.basis.index(leave)]
-        enter = _ratio_test(d.nonbasis, [-x for x in d.q_num], [-x for x in row])
+        nonbasis, objective, basis, constants, column = _as_primal(d, dual)
+        enter = _pick(nonbasis, objective, rule)
         if enter is None:
-            return d, steps, leave
+            return d, steps, None
+        leave = _ratio_test(basis, constants, column(nonbasis.index(enter)))
+        if leave is None:
+            return d, steps, enter
+        if dual:
+            enter, leave = leave, enter
         d = pivot(d, enter, leave)
         steps.append(PivotStep(enter=enter, leave=leave, dictionary=d))
 
 
-def _unbounded_ray(d: Dictionary, enter: int, n: int) -> tuple[Fraction, ...]:
-    """Improving recession ray read off the entering column, decision part only."""
-    s = d.nonbasis.index(enter)
-    values = [Fraction(0)] * n
-    if enter <= n:
-        values[enter - 1] = Fraction(1)
-    for v, row in zip(d.basis, d.Q_num):
-        if v <= n:
-            values[v - 1] = Fraction(-row[s], d.D)
-    return tuple(values)
+def _ray(d: Dictionary, enter: int, dual: bool, variables: range) -> tuple[Fraction, ...]:
+    """The improving recession ray of ``_as_primal(d, dual)`` along ``enter``'s column, at ``variables``.
 
-
-def _farkas_vector(d: Dictionary, leave: int) -> tuple[Fraction, ...]:
-    """Infeasibility certificate from the signal row: row r of A_B^{-1}.
-
-    Q = A_B^{-1} A_N, so the column of Q under a nonbasic slack x(n+k) is
-    column k of A_B^{-1}; a basic slack x(n+k) in row i has the unit column
-    e_i there instead. With p_r < 0 and Q[r][.] >= 0, that row u satisfies
-    u >= 0, u.A0 >= 0 and u.b = p_r < 0 exactly.
+    The entering variable moves by 1 and each basic one by minus its column
+    entry. On the primal side the decision part is the unbounded ray. On the
+    dual side the slack part is the Farkas vector: row r of A_B^{-1}, since
+    Q = A_B^{-1} A_N puts column k of A_B^{-1} under a nonbasic slack
+    x(n+k) and a basic slack has a unit column. With p_r < 0 and
+    Q[r][.] >= 0 it satisfies u >= 0, u.A0 >= 0 and u.b = p_r < 0.
     """
-    row = d.Q_num[d.basis.index(leave)]
-    position = {v: j for j, v in enumerate(d.nonbasis)}
+    nonbasis, _, basis, _, column = _as_primal(d, dual)
+    moves = dict(zip(basis, column(nonbasis.index(enter))))
     return tuple(
-        Fraction(row[position[v]], d.D) if v in position else Fraction(1 if v == leave else 0)
-        for v in range(d.n + 1, d.n + d.m + 1)
+        Fraction(1) if v == enter else Fraction(-moves.get(v, 0), d.D) for v in variables
     )
 
 
@@ -246,13 +242,14 @@ def solve(
 ) -> tuple[SolveOutcome, SolveTrace]:
     """Two-phase driver producing an exact outcome certificate.
 
-    Starts primal simplex when the initial dictionary is primal feasible and
-    dual simplex when it is dual feasible. Otherwise phase 1 prices the
-    slack dictionary with the all-(-1) objective (dual feasible by
-    construction) and drives to primal feasibility with dual simplex; phase
-    2 prices phase 1's final dictionary with the true objective and
-    finishes with primal simplex. The outcome passes ``check_outcome``
-    against the slack dictionary before it is returned.
+    Starts primal simplex when the initial dictionary is primal feasible.
+    Otherwise phase 1 drives to primal feasibility with dual simplex. When
+    the initial dictionary is dual feasible it starts there and is the only
+    phase; else it starts from the slack dictionary priced with the
+    all-(-1) objective (dual feasible by construction), and phase 2 prices
+    phase 1's final dictionary with the true objective and finishes with
+    primal simplex. The outcome passes ``check_outcome`` against the slack
+    dictionary before it is returned.
     """
     d0 = initial_dictionary(lp)
     outcome, trace = _two_phase(d0, rule)
@@ -269,19 +266,18 @@ def _two_phase(d0: Dictionary, rule: PivotRule) -> tuple[SolveOutcome, SolveTrac
         trace = SolveTrace(phases=(TracePhase("primal simplex", d0, tuple(steps)),))
         return _primal_outcome(final, enter, n), trace
 
-    if is_dual_feasible(d0):
-        final, steps, leave = dual_simplex(d0, rule)
-        trace = SolveTrace(phases=(TracePhase("dual simplex", d0, tuple(steps)),))
-        if leave is None:
-            return _primal_outcome(final, None, n), trace
-        return Infeasible(farkas=_farkas_vector(final, leave)), trace
-
-    phase1_start = _priced(d0, [-1] * n, 1)
+    # A dual-feasible d0 needs no auxiliary objective: phase 1 starts from
+    # it, and the optimum it reaches is the answer.
+    dual_start = is_dual_feasible(d0)
+    phase1_start = d0 if dual_start else _priced(d0, [-1] * n, 1)
     final1, steps1, leave1 = dual_simplex(phase1_start, rule)
-    phase1 = TracePhase("phase 1: dual simplex, auxiliary objective", phase1_start, tuple(steps1))
+    name = "dual simplex" if dual_start else "phase 1: dual simplex, auxiliary objective"
+    phase1 = TracePhase(name, phase1_start, tuple(steps1))
     if leave1 is not None:
-        trace = SolveTrace(phases=(phase1,))
-        return Infeasible(farkas=_farkas_vector(final1, leave1)), trace
+        farkas = _ray(final1, leave1, True, range(n + 1, n + d0.m + 1))
+        return Infeasible(farkas=farkas), SolveTrace(phases=(phase1,))
+    if dual_start:
+        return _primal_outcome(final1, None, n), SolveTrace(phases=(phase1,))
 
     phase2_start = _priced(final1, list(d0.q_num), d0.D)
     final2, steps2, enter2 = primal_simplex(phase2_start, rule)
@@ -318,7 +314,7 @@ def _primal_outcome(final: Dictionary, enter: int | None, n: int) -> SolveOutcom
     point = basic_solution(final)[:n]
     if enter is None:
         return Optimal(point=point, value=final.z_star)
-    return Unbounded(point=point, ray=_unbounded_ray(final, enter, n))
+    return Unbounded(point=point, ray=_ray(final, enter, False, range(1, n + 1)))
 
 
 def check_outcome(start: Dictionary, outcome: SolveOutcome) -> None:

@@ -267,3 +267,51 @@ def test_library_writes_no_assert():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+def test_library_has_no_dead_private_function_or_unused_import():
+    # A private module-level function with no reference outside its own
+    # definition, or an imported name never read, is code no caller needs.
+    import dictlp
+
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(Path(dictlp.__file__).parent.glob("*.py"))
+    }
+    assert trees
+
+    def referenced(node: ast.AST) -> set[str]:
+        return {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+
+    statements = [(stmt, referenced(stmt)) for tree in trees.values() for stmt in tree.body]
+    dead = [
+        f"{name}: {fn.name}"
+        for name, tree in trees.items()
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+        and not any(fn.name in refs for stmt, refs in statements if stmt is not fn)
+    ]
+    assert dead == [], f"private functions with no reference: {dead}"
+
+    unused = []
+    for name, tree in trees.items():
+        # Names listed in __all__ are the package's re-exports.
+        exported = {
+            n.value
+            for stmt in tree.body
+            if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+            for n in ast.walk(stmt.value)
+            if isinstance(n, ast.Constant)
+        }
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | exported
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [(a.asname or a.name).split(".")[0] for a in node.names]
+                unused += [f"{name}: {b}" for b in bound if b not in used]
+    assert unused == [], f"imported names never used: {unused}"

@@ -1,9 +1,10 @@
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dictlp.dictionary import (
@@ -23,8 +24,8 @@ from dictlp.simplex import (
     Optimal,
     PivotRule,
     Unbounded,
-    choose_entering,
-    choose_leaving,
+    _pick,
+    _ratio_test,
     dual_simplex,
     primal_simplex,
     solve,
@@ -43,43 +44,71 @@ def tiny(a0, b, c) -> StandardLP:
     return StandardLP.from_fractions(a0, qv(b), qv(c))
 
 
+def column(d: Dictionary, s: int) -> list[int]:
+    return [row[s] for row in d.Q_num]
+
+
+@contextmanager
+def pivot_budget(limit: int):
+    """Turn more than ``limit`` solver pivots into a failure instead of an endless loop."""
+    real_pivot = simplex.pivot
+    count = 0
+
+    def budgeted(d, enter, leave):
+        nonlocal count
+        count += 1
+        if count > limit:
+            raise RuntimeError("pivot budget exhausted: the rule cycles")
+        return real_pivot(d, enter, leave)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "pivot", budgeted)
+        yield
+
+
 class TestChooseEntering:
+    """The entering choice: ``_pick`` over the nonbasic labels and the objective row."""
+
     def test_bland_smallest_index(self, e1):
-        assert choose_entering(initial_dictionary(e1), PivotRule.BLAND) == 1
+        d = initial_dictionary(e1)
+        assert _pick(d.nonbasis, d.q_num, PivotRule.BLAND) == 1
 
     def test_dantzig_largest_coefficient(self, e1):
-        assert choose_entering(initial_dictionary(e1), PivotRule.DANTZIG) == 2
+        d = initial_dictionary(e1)
+        assert _pick(d.nonbasis, d.q_num, PivotRule.DANTZIG) == 2
 
     def test_none_when_optimal(self):
         d = initial_dictionary(tiny([[1]], [1], [-1]))
-        assert choose_entering(d, PivotRule.BLAND) is None
-        assert choose_entering(d, PivotRule.DANTZIG) is None
+        assert _pick(d.nonbasis, d.q_num, PivotRule.BLAND) is None
+        assert _pick(d.nonbasis, d.q_num, PivotRule.DANTZIG) is None
 
     def test_dantzig_tie_to_smallest_index(self):
         d = initial_dictionary(tiny([[1, 1]], [1], [3, 3]))
-        assert choose_entering(d, PivotRule.DANTZIG) == 1
+        assert _pick(d.nonbasis, d.q_num, PivotRule.DANTZIG) == 1
 
 
 class TestChooseLeaving:
+    """The ratio test: ``_ratio_test`` over the basic labels, the constants and one column."""
+
     def test_single_eligible_row(self, e1_second):
         # entering x5: column (4, -1), only x4's row eligible, ratio 6/4
         s = e1_second.nonbasis.index(5)
-        assert choose_leaving(e1_second, s) == 4
+        assert _ratio_test(e1_second.basis, e1_second.p_num, column(e1_second, s)) == 4
 
     def test_none_on_nonpositive_column(self):
         d = initial_dictionary(tiny([[-1]], [1], [1]))
-        assert choose_leaving(d, 0) is None
+        assert _ratio_test(d.basis, d.p_num, column(d, 0)) is None
 
     def test_tie_to_smallest_variable_index(self):
         d = initial_dictionary(tiny([[1], [1]], [2, 2], [1]))
-        assert choose_leaving(d, 0) == 2
+        assert _ratio_test(d.basis, d.p_num, column(d, 0)) == 2
 
 
 class TestPrimalSimplex:
     def test_e1_second_dictionary_unbounded(self, e1_second):
         final, steps, signal = primal_simplex(e1_second, PivotRule.DANTZIG)
         assert signal is not None
-        enter = choose_entering(final, PivotRule.DANTZIG)
+        enter = _pick(final.nonbasis, final.q_num, PivotRule.DANTZIG)
         s = final.nonbasis.index(enter)
         assert all(final.Q.entry(r, s) <= 0 for r in range(final.m))
         # deterministic run: ends on basis (5, 2) with objective 99
@@ -90,7 +119,7 @@ class TestPrimalSimplex:
 
     def test_signal_is_the_entering_variable_of_the_unbounded_column(self, e1_second):
         final, _, signal = primal_simplex(e1_second, PivotRule.DANTZIG)
-        assert signal == choose_entering(final, PivotRule.DANTZIG)
+        assert signal == _pick(final.nonbasis, final.q_num, PivotRule.DANTZIG)
         _, _, none = primal_simplex(initial_dictionary(tiny([[1]], [1], [-1])))
         assert none is None
 
@@ -228,6 +257,25 @@ class TestSolveGoldens:
         assert len(trace.phases) == 2
         check_outcome(lp, outcome)
 
+    PHASE1 = "phase 1: dual simplex, auxiliary objective"
+
+    @pytest.mark.parametrize(
+        "a0,b,c,kind,names",
+        [
+            ([[1]], [1], [1], Optimal, ["primal simplex"]),
+            ([[-1, -1]], [-1], [-1, -1], Optimal, ["dual simplex"]),
+            ([[1]], [-1], [0], Infeasible, ["dual simplex"]),
+            ([[1, 1], [-1, 0]], [4, -1], [1, 1], Optimal, [PHASE1, "phase 2: primal simplex"]),
+            ([[1]], [-1], [1], Infeasible, [PHASE1]),
+        ],
+        ids=["primal-start", "dual-start-optimal", "dual-start-infeasible", "two-phase", "phase-1-infeasible"],
+    )
+    def test_phase_names_of_every_driver_path(self, a0, b, c, kind, names):
+        # A one-phase trace prints no header, so only this pins its name.
+        outcome, trace = solve(tiny(a0, b, c))
+        assert type(outcome) is kind
+        assert [ph.name for ph in trace.phases] == names
+
 
 class TestCheckOutcome:
     """The library's certificate re-check against the oracle's assertions."""
@@ -324,20 +372,11 @@ class TestTermination:
             assert len(phase.steps) <= bound
 
     @pytest.fixture
-    def pivot_budget(self, monkeypatch):
+    def pivot_budget(self):
         # Without the cycle guard Dantzig's rule loops forever on Beale's
         # example; a budget far above its 12 pivots turns that into a failure.
-        real_pivot = simplex.pivot
-        count = 0
-
-        def budgeted(d, enter, leave):
-            nonlocal count
-            count += 1
-            if count > 100:
-                raise RuntimeError("pivot budget exhausted: the rule cycles")
-            return real_pivot(d, enter, leave)
-
-        monkeypatch.setattr(simplex, "pivot", budgeted)
+        with pivot_budget(100):
+            yield
 
     def test_dantzig_solves_beale(self, pivot_budget):
         lp = parse_lp((DATA / "beale.lp").read_text(encoding="utf-8"))
@@ -411,3 +450,24 @@ class TestLockstep:
             after = pivot(d, e, l)
             assert negative_transpose(after) == pivot(negative_transpose(d), l, e)
             d = after
+
+    @given(seed=st.integers(0, 500), rule=st.sampled_from(list(PivotRule)))
+    @settings(max_examples=60, deadline=None)
+    def test_farkas_vector_is_the_unbounded_ray_of_the_dual(self, seed, rule):
+        # On the built negative transpose the primal method ends unbounded
+        # where dual simplex ends infeasible; the slack part of that ray,
+        # read off the final entering column, is solve's Farkas vector.
+        # m, n <= 3: each of the three loops makes at most 2 * C(6, 3) pivots.
+        lp = dual_feasible_instance(seed)
+        d0 = initial_dictionary(lp)
+        with pivot_budget(120):
+            outcome, _ = solve(lp, rule)
+            assume(isinstance(outcome, Infeasible))
+            _, _, dual_signal = dual_simplex(d0, rule)
+            final, _, enter = primal_simplex(negative_transpose(d0), rule)
+        assert enter == dual_signal
+        s = final.nonbasis.index(enter)
+        ray = {v: Fraction(-row[s], final.D) for v, row in zip(final.basis, final.Q_num)}
+        ray[enter] = Fraction(1)
+        slacks = range(lp.n + 1, lp.n + lp.m + 1)
+        assert tuple(ray.get(v, Fraction(0)) for v in slacks) == outcome.farkas
