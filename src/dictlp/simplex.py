@@ -233,7 +233,8 @@ def _ray(d: Dictionary, enter: int, dual: bool, variables: range) -> tuple[Fract
     nonbasis, _, basis, _, column = _as_primal(d, dual)
     moves = dict(zip(basis, column(nonbasis.index(enter))))
     return tuple(
-        Fraction(1) if v == enter else Fraction(-moves.get(v, 0), d.D) for v in variables
+        Fraction(-moves[v], d.D) if v in moves else Fraction(1 if v == enter else 0)
+        for v in variables
     )
 
 
