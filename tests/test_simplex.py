@@ -457,7 +457,9 @@ class TestLockstep:
         # On the built negative transpose the primal method ends unbounded
         # where dual simplex ends infeasible; the slack part of that ray,
         # read off the final entering column, is solve's Farkas vector.
-        # m, n <= 3: each of the three loops makes at most 2 * C(6, 3) pivots.
+        # With m, n <= 3 each of the three loops makes at most 2 * C(6, 3)
+        # pivots (Dantzig up to the first repeated basis, then Bland), so a
+        # loop that runs on fails here instead of hanging.
         lp = dual_feasible_instance(seed)
         d0 = initial_dictionary(lp)
         with pivot_budget(120):
