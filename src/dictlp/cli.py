@@ -9,10 +9,14 @@ syntax; exit codes are 0 optimal/ok, 2 unbounded, 3 infeasible, 4 verify
 failure, 5 enumeration budget refusal, 6 a solve whose certificate failed
 its re-check, 1 usage, parse or I/O errors.
 
-A dictionary prints from one table of texts (``_texts``) that formats each
-distinct numerator once. ``trace --dual-view`` prints the negative
-transpose from the same table, reading the columns of Q as rows with the
-signs flipped (``_lines`` with ``flip``), so no dual dictionary is built.
+A dictionary prints from two signed term tables per denominator
+(``_term_tables``): each maps a numerator to its whole term, sign included,
+as a row ``p - Qx`` or as ``z* + qx`` prints it, so ``_lines`` prints a
+term as one lookup plus the variable name. ``trace`` keeps the tables for
+the whole trace and formats each (numerator, D) pair once. ``--dual-view``
+prints the negative transpose from the same tables, reading the columns of
+Q as rows with the tables swapped (``_lines`` with ``flip``), so no dual
+dictionary is built.
 """
 
 from __future__ import annotations
@@ -60,50 +64,75 @@ def format_dictionary(d: Dictionary) -> str:
     the objective constant is skipped when zero unless the line would be
     empty.
     """
-    return "\n".join(_lines(d, _texts(d), flip=False))
+    return "\n".join(_lines(d, _term_tables({}, d), flip=False))
 
 
-def _texts(d: Dictionary) -> dict[int, str]:
-    """Each distinct numerator of ``d`` mapped, formatted once, to its magnitude over D as a coefficient.
+# (minus, plus): numerator -> its term in a row p - Qx, and in z* + qx.
+_TermTables = tuple[dict[int, str], dict[int, str]]
 
-    A magnitude of 1 maps to the empty text, as a coefficient drops it.
+
+def _term_tables(tables: dict[int, _TermTables], d: Dictionary) -> _TermTables:
+    """The two signed term tables of ``d.D`` in ``tables``, filled for the numerators of ``d``.
+
+    ``minus`` maps a numerator x to its term in a row ``p - Qx`` (3/2 to
+    ``" - 3/2"``, -3/2 to ``" + 3/2"``), ``plus`` to its term in ``z* + qx``
+    (``" + 3/2"``, ``" - 3/2"``); a magnitude of 1 leaves the sign alone
+    (``" - "``), and 0 maps to ``" + 0"``. Only the numerators that are new
+    to the tables of ``d.D`` are formatted, so ``tables`` kept across the
+    dictionaries of a trace formats each (numerator, D) pair once.
     """
     D = d.D
-    values = {d.z_num, *d.p_num, *d.q_num}.union(*d.Q_num)
-    return {x: "" if abs(x) == D else format_rational(abs(x), D) for x in values}
+    minus, plus = tables.get(D) or tables.setdefault(D, ({}, {}))
+    for x in {d.z_num, *d.p_num, *d.q_num}.union(*d.Q_num).difference(minus):
+        if x > 0:
+            text = "" if x == D else format_rational(x, D)
+            minus[x], plus[x] = " - " + text, " + " + text
+        elif x < 0:
+            text = "" if x == -D else format_rational(x, D)[1:]
+            minus[x], plus[x] = " + " + text, " - " + text
+        else:  # read only as a constant, which prints "0"
+            minus[x] = plus[x] = " + 0"
+    return minus, plus
 
 
-def _lines(d: Dictionary, texts: dict[int, str], flip: bool) -> list[str]:
-    """The lines of ``d``, or with ``flip`` of its negative transpose, from ``texts = _texts(d)``.
+def _leading(terms: str) -> str:
+    """Signed terms as the start of a line.
+
+    " + 3/2" is "3/2", " - x1 + x2" is "-x1 + x2", and a bare sign is a
+    constant of magnitude 1: " + " is "1".
+    """
+    text = terms[3:] or "1"
+    return text if terms[1] == "+" else "-" + text
+
+
+def _lines(d: Dictionary, tables: _TermTables, flip: bool) -> list[str]:
+    """The lines of ``d``, or with ``flip`` of its negative transpose, from ``tables = _term_tables(..., d)``.
 
     The negative transpose has rows -q, -Q^T, objective -p and constant -z*
     on the swapped partition and the other side, so it reads the same
-    numerators with the signs and the orientation changed; no dictionary is
-    built.
+    numerators in the other orientation, each term from the other table; no
+    dictionary is built.
     """
     primal = (d.side == "primal") != flip
     var = "x" if primal else "y"
+    minus, plus = tables
+    # A row prints p_r - Q_r x_N, the objective z* + q x_N, so a row term is
+    # minus[x] and a constant or objective term plus[x]. Flip negates every
+    # entry, so the tables trade places.
     if flip:
         rows, heads, objective = zip(d.nonbasis, d.q_num, zip(*d.Q_num)), d.basis, d.p_num
+        row_terms, terms = plus, minus
     else:
         rows, heads, objective = zip(d.basis, d.p_num, d.Q_num), d.nonbasis, d.q_num
+        row_terms, terms = minus, plus
     names = [f"{var}{w}" for w in heads]
-
-    def constant(c: int) -> str:
-        text = texts[c] or "1"
-        return "-" + text if c and (c < 0) != flip else text
-
-    def terms(coefs: Sequence[int], negate: bool) -> str:
-        minus, plus = (" + ", " - ") if negate else (" - ", " + ")
-        return "".join([(minus if x < 0 else plus) + texts[x] + name for x, name in zip(coefs, names) if x])
-
-    # A row prints p_r - Q_r x_N, the objective z* + q x_N; flip negates every entry.
-    lines = [f"{var}{v} = {constant(c)}{terms(coefs, not flip)}" for v, c, coefs in rows]
-    tail = terms(objective, flip)
-    if d.z_num or not tail:
-        tail = constant(d.z_num) + tail
-    else:  # no constant: the first term's sign stands alone
-        tail = tail[3:] if tail[1] == "+" else "-" + tail[3:]
+    lines = [
+        f"{var}{v} = {_leading(terms[c])}" + "".join([row_terms[x] + name for x, name in zip(coefs, names) if x])
+        for v, c, coefs in rows
+    ]
+    tail = "".join([terms[x] + name for x, name in zip(objective, names) if x])
+    # The constant is skipped when zero, unless the line would be empty.
+    tail = _leading(terms[d.z_num]) + tail if d.z_num or not tail else _leading(tail)
     lines.append(f"{'z' if primal else '-w'} = {tail}")
     return lines
 
@@ -177,6 +206,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def _solver_trace_lines(trace: SolveTrace, dual_view: bool) -> list[str]:
     lines: list[str] = []
+    tables: dict[int, _TermTables] = {}  # per D, for the whole trace
     multi = len(trace.phases) > 1
     for k, phase in enumerate(trace.phases):
         if k > 0:
@@ -187,13 +217,13 @@ def _solver_trace_lines(trace: SolveTrace, dual_view: bool) -> list[str]:
             d = phase.start if step is None else step.dictionary
             if step is not None:
                 lines += ["", f"pivot: enter x{step.enter}, leave x{step.leave}"]
-            texts = _texts(d)
-            lines += _lines(d, texts, flip=False)
+            terms = _term_tables(tables, d)
+            lines += _lines(d, terms, flip=False)
             if dual_view:
                 lines += ["", "dual:"]
                 if step is not None:
                     lines.append(f"pivot: enter y{step.leave}, leave y{step.enter}")
-                lines += _lines(d, texts, flip=True)
+                lines += _lines(d, terms, flip=True)
     return lines
 
 

@@ -4,7 +4,8 @@
 statements; the library's tuples and ``QMatrix`` views carry none.
 ``format_dictionary_by_fractions`` is the dictionary printer over
 ``Fraction`` entries that ``dictlp.cli.format_dictionary``, which prints
-from the integer numerators, is checked against.
+from the integer numerators, is checked against, and
+``trace_lines_by_fractions`` prints a whole trace with it.
 
 ``fraction_pivot_update`` is the dictionary pivot over ``Fraction`` entries,
 the kernel the library ran before it held dictionaries as integers over one
@@ -22,9 +23,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from dictlp.dictionary import Dictionary, NotABasisError
+from dictlp.dictionary import Dictionary, NotABasisError, negative_transpose
 from dictlp.exact import QMatrix
 from dictlp.model import StandardLP
+from dictlp.simplex import SolveTrace
 
 
 def dot(a, b) -> Fraction:
@@ -49,6 +51,27 @@ def format_dictionary_by_fractions(d: Dictionary) -> str:
     label = "z" if d.side == "primal" else "-w"
     lines.append(f"{label} = " + _affine(d.z_star, list(zip(d.q, names)), always_constant=False))
     return "\n".join(lines)
+
+
+def trace_lines_by_fractions(trace: SolveTrace, dual_view: bool) -> list[str]:
+    """``dictlp.cli._solver_trace_lines``: every dictionary, and its built negative transpose, printed on its own."""
+    lines: list[str] = []
+    for k, phase in enumerate(trace.phases):
+        if k > 0:
+            lines.append("")
+        if len(trace.phases) > 1:
+            lines.append(f"== {phase.name} ==")
+        for step in (None, *phase.steps):
+            d = phase.start if step is None else step.dictionary
+            if step is not None:
+                lines += ["", f"pivot: enter x{step.enter}, leave x{step.leave}"]
+            lines += format_dictionary_by_fractions(d).split("\n")
+            if dual_view:
+                lines += ["", "dual:"]
+                if step is not None:
+                    lines.append(f"pivot: enter y{step.leave}, leave y{step.enter}")
+                lines += format_dictionary_by_fractions(negative_transpose(d)).split("\n")
+    return lines
 
 
 def _affine(constant: Fraction, terms: list[tuple[Fraction, str]], always_constant: bool) -> str:

@@ -9,11 +9,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dictlp import _kernels, duality
-from dictlp.cli import _lines, _texts, format_dictionary, main, random_lp
+from dictlp.cli import _lines, _solver_trace_lines, _term_tables, format_dictionary, main, random_lp
 from dictlp.dictionary import (
     Dictionary,
     PivotError,
@@ -24,10 +24,10 @@ from dictlp.dictionary import (
 )
 from dictlp.duality import enumerate_bases
 from dictlp.model import StandardLP, parse_lp, serialize_lp
-from dictlp.simplex import PivotRule, solve
+from dictlp.simplex import Infeasible, PivotRule, PivotStep, SolveTrace, TracePhase, solve
 
 from conftest import DATA, E1_TEXT, qv, random_pivots, replaced, suite_instance
-from reference import format_dictionary_by_fractions
+from reference import format_dictionary_by_fractions, trace_lines_by_fractions
 
 PRIMAL_INITIAL = """\
 x4 = 18 - 4x1 - 2x2 + 2x3
@@ -205,7 +205,7 @@ class TestFormatDictionary:
 
 
 class TestFlippedRendering:
-    """``_lines(d, _texts(d), flip=True)`` prints the negative transpose from d's own numerators."""
+    """``_lines(d, _term_tables({}, d), flip=True)`` prints the negative transpose from d's own numerators."""
 
     @given(
         m=st.integers(1, 4),
@@ -235,10 +235,10 @@ class TestFlippedRendering:
         z_star = Fraction(0) if data.draw(st.booleans()) else data.draw(entry)
         start = Dictionary.from_fractions(side, tuple(labels[:m]), tuple(labels[m:]), vec(m), rows, vec(n), z_star)
         d = random_pivots(start, picks)[-1]
-        flipped = "\n".join(_lines(d, _texts(d), flip=True))
+        flipped = "\n".join(_lines(d, _term_tables({}, d), flip=True))
         assert flipped == format_dictionary(negative_transpose(d))
         assert flipped == format_dictionary_by_fractions(negative_transpose(d))
-        assert "\n".join(_lines(d, _texts(d), flip=False)) == format_dictionary(d)
+        assert "\n".join(_lines(d, _term_tables({}, d), flip=False)) == format_dictionary(d)
 
     def test_texts_format_each_distinct_numerator_once(self, e1, monkeypatch):
         import dictlp.cli
@@ -247,13 +247,42 @@ class TestFlippedRendering:
         calls = []
         real = dictlp.cli.format_rational
         monkeypatch.setattr(dictlp.cli, "format_rational", lambda *a: calls.append(a) or real(*a))
-        texts = _texts(d)
+        tables = {}
+        minus, plus = terms = _term_tables(tables, d)
         distinct = {d.z_num, *d.p_num, *d.q_num, *(x for row in d.Q_num for x in row)}
-        assert len(calls) <= len(distinct) == len(texts)
+        assert len(calls) <= len(distinct) == len(minus) == len(plus)
+        assert list(tables) == [d.D]
         formatted = len(calls)
-        assert "\n".join(_lines(d, texts, flip=False)) == PRIMAL_SECOND
-        assert "\n".join(_lines(d, texts, flip=True)) == DUAL_SECOND
+        assert "\n".join(_lines(d, terms, flip=False)) == PRIMAL_SECOND
+        assert "\n".join(_lines(d, terms, flip=True)) == DUAL_SECOND
+        assert _term_tables(tables, d) == terms
         assert len(calls) == formatted
+
+    @pytest.mark.parametrize("rule", ["bland", "dantzig"])
+    def test_a_trace_formats_each_numerator_over_each_denominator_once(self, rule, monkeypatch):
+        # Beale's example has fractional data and repeats numerators from
+        # step to step. The term tables live for the whole trace, so a
+        # (numerator, D) pair seen at an earlier step is looked up, not
+        # formatted again.
+        import dictlp.cli
+
+        path = DATA / "beale.lp"
+        _, trace = solve(parse_lp(path.read_text(encoding="utf-8")), PivotRule(rule))
+        numerators = [
+            ({d.z_num, *d.p_num, *d.q_num}.union(*d.Q_num), d.D)
+            for phase in trace.phases
+            for d in (phase.start, *(step.dictionary for step in phase.steps))
+        ]
+        pairs = {(x, D) for values, D in numerators for x in values}
+        assert sum(len(values) for values, _ in numerators) > len(pairs)  # numerators repeat across steps
+        calls = []
+        real = dictlp.cli.format_rational
+        monkeypatch.setattr(dictlp.cli, "format_rational", lambda *a: calls.append(a) or real(*a))
+        code, out = run_main(["trace", str(path), "--dual-view", "--rule", rule])
+        assert code == 0
+        assert out == "\n".join(trace_lines_by_fractions(trace, True)) + "\n"
+        assert len(calls) == len(set(calls)) <= len(pairs)
+        assert set(calls) <= pairs
 
     def test_numerators_beyond_the_digit_limit(self, tmp_path, capsys):
         # 5,001-digit numerators: more than the default limit and than the
@@ -264,10 +293,63 @@ class TestFlippedRendering:
         # x1 = B - x3 + Bx2, z = 1 - 1/Bx3: the transpose has a zero row
         # constant, a magnitude-1 term and a flipped objective constant.
         dual = f"y3 = 1/{big} + y1\ny2 = 0 - {big}y1\n-w = -1 - {big}y1"
-        assert "\n".join(_lines(d, _texts(d), flip=True)) == dual
+        assert "\n".join(_lines(d, _term_tables({}, d), flip=True)) == dual
         assert format_dictionary(negative_transpose(d)) == dual
         assert main(["trace", write_lp(tmp_path, serialize_lp(lp)), "--pivot", "1,3", "--dual-view"]) == 0
         assert capsys.readouterr().out.endswith(f"dual:\npivot: enter y3, leave y1\n{dual}\n")
+
+
+class TestTraceRendering:
+    """A trace prints, step by step, what the ``Fraction`` renderer prints for each dictionary on its own.
+
+    ``_solver_trace_lines`` keeps one pair of term tables per denominator
+    for the whole trace; a table read under another step's D would print
+    the wrong magnitudes.
+    """
+
+    @given(seed=st.integers(0, 500), rule=st.sampled_from(list(PivotRule)), dual_view=st.booleans())
+    # Two-phase traces whose D changes and comes back ([1, 5, 5, 1] on seed
+    # 6), and a phase-1 trace that ends infeasible after two pivots.
+    @example(seed=6, rule=PivotRule.BLAND, dual_view=True)
+    @example(seed=38, rule=PivotRule.DANTZIG, dual_view=True)
+    @example(seed=5, rule=PivotRule.BLAND, dual_view=True)
+    @settings(max_examples=100, deadline=None)
+    def test_solver_traces(self, seed, rule, dual_view):
+        _, trace = solve(suite_instance(seed), rule)
+        assert _solver_trace_lines(trace, dual_view) == trace_lines_by_fractions(trace, dual_view)
+
+    def test_the_examples_cover_returning_denominators_and_infeasible_traces(self):
+        outcome, trace = solve(suite_instance(6), PivotRule.BLAND)
+        denominators = [d.D for phase in trace.phases for d in (phase.start, *(s.dictionary for s in phase.steps))]
+        assert len(trace.phases) == 2 and denominators == [1, 5, 5, 1]
+        outcome, trace = solve(suite_instance(5), PivotRule.BLAND)
+        assert isinstance(outcome, Infeasible) and trace.pivot_count == 2
+
+    @given(
+        m=st.integers(1, 3),
+        n=st.integers(1, 3),
+        side=st.sampled_from(["primal", "dual"]),
+        picks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_forced_pivot_traces(self, m, n, side, picks, data):
+        # What ``trace --pivot`` prints, from dictionaries with fractional
+        # entries, so that D changes from step to step.
+        entry = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+        labels = data.draw(st.permutations(range(1, m + n + 1)))
+        p, q = data.draw(st.lists(entry, min_size=m, max_size=m)), data.draw(st.lists(entry, min_size=n, max_size=n))
+        Q = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+        start = Dictionary.from_fractions(side, tuple(labels[:m]), tuple(labels[m:]), p, Q, q, data.draw(entry))
+        path = random_pivots(start, picks)
+        steps = []
+        for before, after in zip(path, path[1:]):
+            (enter,) = set(after.basis) - set(before.basis)
+            (leave,) = set(before.basis) - set(after.basis)
+            steps.append(PivotStep(enter=enter, leave=leave, dictionary=after))
+        trace = SolveTrace(phases=(TracePhase("forced pivots", start, tuple(steps)),))
+        for dual_view in (False, True):
+            assert _solver_trace_lines(trace, dual_view) == trace_lines_by_fractions(trace, dual_view)
 
 
 class TestSolveCommand:

@@ -1,12 +1,14 @@
 import ast
+import itertools
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictlp.exact import QMatrix, format_rational, parse_rational
+from dictlp.exact import QMatrix, _str, format_rational, parse_rational
 from dictlp.model import StandardLP
 
 from conftest import qm, qv
@@ -67,6 +69,23 @@ class TestRational:
         assert format_rational(-value, 1) == f"-{text}"
         assert format_rational(value * 7, 7 * (10 * value + 1)) == f"{text}/{text}1"
         assert format_rational(10**digits, 1) == "1" + "0" * digits
+
+    def test_str_and_chunks_agree_at_the_bound(self):
+        # format_rational converts with str() while the numerator and the
+        # denominator are both under 10**640, and in chunks otherwise. Around
+        # that bound, with either sign and with a common factor (3, 9, 10 or
+        # the number itself, and k = 3 for all), both ways give one text.
+        bound = 10**640
+
+        def chunked(num, den):
+            g = gcd(num, den)
+            return _str(num // den) if g == den else f"{_str(num // g)}/{_str(den // g)}"
+
+        near = [bound - 1, bound, bound + 1]
+        for num, den, k, sign in itertools.product(near + [3, 9, 10], near + [9, 10], (1, 3), (1, -1)):
+            assert format_rational(sign * k * num, k * den) == chunked(sign * k * num, k * den)
+        assert format_rational(bound - 1, 9) == "1" * 640
+        assert format_rational(-bound, bound + 1) == f"-1{'0' * 640}/1{'0' * 639}1"
 
     @pytest.mark.parametrize("token", ["+3", "3/-2", "1/2/3", "a", "1.5", " 3", ""])
     def test_parse_rejects(self, token):
