@@ -42,7 +42,9 @@ def parse_rational(token: str) -> tuple[int, int]:
 def format_rational(num: int, den: int) -> str:
     """The canonical text of num/den, den > 0: ``str(Fraction(num, den))`` for any length."""
     g = gcd(num, den)
-    if -_CHUNK_BOUND < num < _CHUNK_BOUND and den < _CHUNK_BOUND:  # str() converts both
+    # str() converts both. This repeats _str's bound check to skip its two
+    # calls: trace formats every entry anew when D changes at each pivot.
+    if -_CHUNK_BOUND < num < _CHUNK_BOUND and den < _CHUNK_BOUND:
         return str(num // g) if g == den else f"{num // g}/{den // g}"
     if g == den:
         return _str(num // den)
