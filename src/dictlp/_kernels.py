@@ -2,13 +2,21 @@
 
 The hot loop of the package and its only elimination: the dictionary pivot
 (``pivot_update``), behind every dictionary after the slack one. A
-dictionary is held as integer
-numerators over one positive common denominator D, so entry values are
-p/D, Q/D, q/D and z/D, following Edmonds' and Bareiss' fraction-free
-elimination. Results are reduced by the gcd of D and every numerator
-(``reduced``), which makes the representation of a value unique: D is the
-lcm of the entries' denominators. Inputs are sequences (of sequences) of
-``int`` and are never mutated; results are tuples.
+dictionary is held as integer numerators over one positive common
+denominator D, so entry values are p/D, Q/D, q/D and z/D. Inputs are
+sequences (of sequences) of ``int`` and are never mutated; results are
+tuples. The kernel pivots in one of two forms, chosen by where the chain
+of pivots started:
+
+* Determinant form, for chains that start at D = 1 (integer data), after
+  Edmonds (1967) and Bareiss (1968). D is |det| of the current basis
+  columns in the start's system, and every numerator is a minor of that
+  system, so the division by the old D is exact and no gcd is taken. The
+  numerators need not be in lowest terms.
+* Reduced form, for chains that start at D > 1 (fractional data). The
+  numerators are divided by the gcd of D and all of them (``reduced``), so
+  D is the lcm of the entries' denominators and a value has one
+  representation.
 """
 
 from __future__ import annotations
@@ -27,17 +35,25 @@ def pivot_update(
     D: int,
     r: int,
     s: int,
+    det_form: bool,
 ) -> tuple[Row, tuple[Row, ...], Row, int, int]:
     """One dictionary pivot on the numerators of ``x_B = p - Q x_N``, ``z = z + q.x_N``.
 
     Solves row ``r`` for the entering variable at nonbasic position ``s``
     and substitutes it into every other row and the objective. Position
-    ``s`` of the new nonbasis holds the leaving variable. With ``a = Q[r][s]``
-    (nonzero) the new denominator is ``D*a``: the pivot row is scaled by D
-    with D*D at the pivot, every other row i reads
-    ``T[i][j]*a - T[i][s]*T[r][j]`` and ``-T[i][s]*D`` at column s, and the
-    objective row is the row (z, -q). Returns ``reduced`` of the result.
+    ``s`` of the new nonbasis holds the leaving variable. With ``a =
+    Q[r][s]`` (nonzero), every row i other than r reads ``T[i][j]*a -
+    T[i][s]*T[r][j]`` over ``D*a``; the objective row is the row (z, -q).
+
+    ``det_form`` (a chain that started at D = 1): those numerators divided
+    exactly by the old D, over the new denominator ``|a|``. The pivot row
+    stays as it is with D at the pivot, the pivot column reads ``-T[i][s]``,
+    and all of it is negated when a < 0. Otherwise the pivot row is scaled
+    by D with D*D at the pivot, the pivot column reads ``-T[i][s]*D``, and
+    the result is ``reduced``.
     """
+    if det_form:
+        return _det_pivot(p, Q, q, z, D, r, s)
     a = Q[r][s]
     lead = Q[r]
     p_r = p[r]
@@ -63,8 +79,52 @@ def pivot_update(
     return reduced(new_p, new_Q, new_q, z * a + g * p_r, D * a)
 
 
+def _det_pivot(
+    p: Sequence[int],
+    Q: Sequence[Sequence[int]],
+    q: Sequence[int],
+    z: int,
+    D: int,
+    r: int,
+    s: int,
+) -> tuple[Row, tuple[Row, ...], Row, int, int]:
+    """``pivot_update`` in determinant form, its new denominator ``|a|``."""
+    a = Q[r][s]
+    lead = Q[r]
+    p_r = p[r]
+    # With a < 0 every result is negated to keep the denominator positive:
+    # A = |a| stands for a, sign * f for each row's pivot-column entry f,
+    # and the pivot row is negated.
+    sign = 1 if a > 0 else -1
+    A = a * sign
+    new_p = []
+    new_Q = []
+    for i, row in enumerate(Q):
+        f = row[s] * sign
+        if i == r:
+            new_row = list(row) if sign > 0 else [-x for x in row]
+            new_row[s] = D * sign
+            new_p.append(p_r * sign)
+            new_Q.append(tuple(new_row))
+        elif f:
+            new_row = [(x * A - f * y) // D for x, y in zip(row, lead)]
+            new_row[s] = -f
+            new_p.append((p[i] * A - f * p_r) // D)
+            new_Q.append(tuple(new_row))
+        elif A == D:
+            new_Q.append(tuple(row))
+            new_p.append(p[i])
+        else:
+            new_Q.append(tuple([x * A // D for x in row]))
+            new_p.append(p[i] * A // D)
+    g = q[s] * sign
+    new_q = [(x * A - g * y) // D for x, y in zip(q, lead)]
+    new_q[s] = -g
+    return tuple(new_p), tuple(new_Q), tuple(new_q), (z * A + g * p_r) // D, A
+
+
 def reduced(
-    p: list[int], Q: list[list[int]], q: list[int], z: int, D: int
+    p: Sequence[int], Q: Sequence[Sequence[int]], q: Sequence[int], z: int, D: int
 ) -> tuple[Row, tuple[Row, ...], Row, int, int]:
     """Everything divided by the gcd of D and all numerators, with D made positive."""
     g = gcd(D, z, *p, *q)

@@ -13,10 +13,12 @@ A dictionary prints from two signed term tables per denominator
 (``_term_tables``): each maps a numerator to its whole term, sign included,
 as a row ``p - Qx`` or as ``z* + qx`` prints it, so ``_lines`` prints a
 term as one lookup plus the variable name. ``trace`` keeps the tables for
-the whole trace and formats each (numerator, D) pair once. ``--dual-view``
-prints the negative transpose from the same tables, reading the columns of
-Q as rows with the tables swapped (``_lines`` with ``flip``), so no dual
-dictionary is built.
+the whole trace and formats each (numerator, D) pair once. It prints each
+dictionary in lowest terms (``_lowest_terms``): a determinant-form chain
+changes D at nearly every pivot, while the reduced denominators repeat, so
+the tables keep hitting. ``--dual-view`` prints the negative transpose from
+the same tables, reading the columns of Q as rows with the tables swapped
+(``_lines`` with ``flip``), so no dual dictionary is built.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ import argparse
 import os
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
+from dictlp import _kernels
 from dictlp.dictionary import (
     Dictionary,
     NotABasisError,
@@ -217,6 +221,7 @@ def _solver_trace_lines(trace: SolveTrace, dual_view: bool) -> list[str]:
             d = phase.start if step is None else step.dictionary
             if step is not None:
                 lines += ["", f"pivot: enter x{step.enter}, leave x{step.leave}"]
+            d = _lowest_terms(d)
             terms = _term_tables(tables, d)
             lines += _lines(d, terms, flip=False)
             if dual_view:
@@ -225,6 +230,18 @@ def _solver_trace_lines(trace: SolveTrace, dual_view: bool) -> list[str]:
                     lines.append(f"pivot: enter y{step.leave}, leave y{step.enter}")
                 lines += _lines(d, terms, flip=True)
     return lines
+
+
+def _lowest_terms(d: Dictionary) -> Dictionary:
+    """``d`` with its numerators and D divided by their gcd.
+
+    ``d`` itself when that gcd is known to be 1: at D = 1, and off a
+    determinant-form chain, whose dictionaries are kept reduced.
+    """
+    if d.D == 1 or not d.det_form:
+        return d
+    p, Q, q, z, D = _kernels.reduced(d.p_num, d.Q_num, d.q_num, d.z_num, d.D)
+    return replace(d, p_num=p, Q_num=Q, q_num=q, z_num=z, D=D)
 
 
 def _parse_pivot_flags(raw: list[str]) -> list[tuple[int, int]]:

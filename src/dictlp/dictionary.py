@@ -10,24 +10,36 @@ independent. Dual-side dictionaries use the same algebra with y-variables
 and objective label ``-w``; only printing differs.
 
 A ``Dictionary`` holds integers: the numerators of p, Q, q and z* over one
-positive common denominator D, reduced so that D is the lcm of the entries'
-denominators. That form is unique, so equality and hashing compare values.
-It is the form of a ``StandardLP``, so the slack dictionary
-(``initial_dictionary``) is the instance's own numerators: p = b, Q = A0,
-q = c over the instance's D. ``d.p`` and ``d.q`` (tuples of ``Fraction``),
-``d.Q`` (a ``QMatrix``) and ``d.z_star`` are views built when read; the
-solver's own paths read the integers. ``from_fractions`` builds a
-dictionary from rational entries.
+positive common denominator D. It is the form of a ``StandardLP``, so the
+slack dictionary (``initial_dictionary``) is the instance's own numerators:
+p = b, Q = A0, q = c over the instance's D. ``d.p`` and ``d.q`` (tuples of
+``Fraction``), ``d.Q`` (a ``QMatrix``) and ``d.z_star`` are views built
+when read; the solver's own paths read the integers. ``from_fractions``
+builds a dictionary from rational entries, over the lcm of their
+denominators.
 
 The pivot operation recomputes the numerators by the fraction-free kernel
 (``_kernels.pivot_update``) in O(mn). Every dictionary after the slack one
 is reached that way: ``dictionary_from_basis(start, B)`` pivots the members
-of B in from the dictionary it is given.
+of B in from the dictionary it is given. A chain of pivots keeps the form
+of its start (``Dictionary.det_form``):
+
+* from D = 1 (integer data), determinant form: D is |det| of the basis
+  columns in the start's system, and no gcd is taken. The dual dictionary
+  on N, pivoted the same way from the dual LP's slack dictionary, is then
+  the negative transpose of the primal one number for number, with the
+  same D: the dual basis determinant is the complementary minor.
+* from D > 1 (fractional data), reduced form: D is the lcm of the entries'
+  denominators, so the representation of a value is unique.
+
+Equality and hashing compare the integers, so they compare values between
+two dictionaries of one form. Between forms, compare the ``Fraction``
+views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Sequence
 
@@ -48,11 +60,18 @@ class PivotError(ValueError):
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Numerators of p, Q, q and z* over the common denominator D > 0, gcd-reduced.
+    """Numerators of p, Q, q and z* over the common denominator D > 0.
 
-    The fields are the library's working form: only ``from_fractions``,
-    which validates its input, and the operations of this module, which
-    keep the partition, the shapes and the reduction, create them.
+    ``det_form`` says the chain of pivots that reached this dictionary
+    started at D = 1: D is |det| of the basis columns relative to that
+    start, and the numerators need not be in lowest terms. Otherwise they
+    are gcd-reduced and D is the lcm of the entries' denominators. The flag
+    is set where a chain starts (``initial_dictionary``,
+    ``from_fractions``), inherited by every operation, and left out of
+    equality. The fields are the library's working form: only
+    ``from_fractions``, which validates its input, and the operations of
+    this module, which keep the partition, the shapes and the form, create
+    them.
     """
 
     side: Side
@@ -63,6 +82,7 @@ class Dictionary:
     q_num: tuple[int, ...]
     z_num: int
     D: int
+    det_form: bool = field(compare=False)
 
     @classmethod
     def from_fractions(
@@ -85,7 +105,7 @@ class Dictionary:
             raise ValueError("Q shape must be |B| x |N|")
         rows = [p, q, [Fraction(z_star)], *Q]
         D, (p_num, q_num, (z_num,), *Q_num) = common_denominator(rows)
-        return cls(side, basis, nonbasis, tuple(p_num), tuple(map(tuple, Q_num)), tuple(q_num), z_num, D)
+        return cls(side, basis, nonbasis, tuple(p_num), tuple(map(tuple, Q_num)), tuple(q_num), z_num, D, D == 1)
 
     @property
     def m(self) -> int:
@@ -125,6 +145,7 @@ def initial_dictionary(lp: StandardLP) -> Dictionary:
         q_num=lp.c_num,
         z_num=0,
         D=lp.D,
+        det_form=lp.D == 1,
     )
 
 
@@ -182,12 +203,12 @@ def pivot(d: Dictionary, enter: int, leave: int) -> Dictionary:
     if d.Q_num[r][s] == 0:
         raise PivotError(f"zero pivot element at row {r}, column {s}")
 
-    p, Q, q, z, D = _kernels.pivot_update(d.p_num, d.Q_num, d.q_num, d.z_num, d.D, r, s)
+    p, Q, q, z, D = _kernels.pivot_update(d.p_num, d.Q_num, d.q_num, d.z_num, d.D, r, s, d.det_form)
     basis = list(d.basis)
     nonbasis = list(d.nonbasis)
     basis[r] = enter
     nonbasis[s] = leave
-    return Dictionary(d.side, tuple(basis), tuple(nonbasis), p, Q, q, z, D)
+    return Dictionary(d.side, tuple(basis), tuple(nonbasis), p, Q, q, z, D, d.det_form)
 
 
 def is_primal_feasible(d: Dictionary) -> bool:
@@ -215,6 +236,7 @@ def negative_transpose(d: Dictionary) -> Dictionary:
         q_num=tuple([-x for x in d.p_num]),
         z_num=-d.z_num,
         D=d.D,
+        det_form=d.det_form,
     )
 
 
@@ -248,4 +270,5 @@ def _arrange(d: Dictionary, basis: tuple[int, ...], nonbasis: tuple[int, ...]) -
         tuple([d.q_num[j] for j in cols]),
         d.z_num,
         d.D,
+        d.det_form,
     )

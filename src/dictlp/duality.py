@@ -281,7 +281,10 @@ def _is_negative_transpose(prim: Dictionary, dual: Dictionary) -> bool:
     The sides differ, D agrees, z* is negated, the basic and nonbasic sets
     swap, and each entry of ``dual`` is the negated primal entry at the
     positions of its variables: p'_j = -q_s, q'_k = -p_r and Q'_jk = -Q_rs.
-    No dictionary is built.
+    No dictionary is built. Both sides start in one form, so the integers
+    compare: on integer data both are in determinant form, where the dual
+    basis determinant is the complementary minor of the primal one, and on
+    fractional data both are in lowest terms.
     """
     rows = {v: r for r, v in enumerate(prim.basis)}
     cols = {v: s for s, v in enumerate(prim.nonbasis)}

@@ -43,8 +43,9 @@ class ParseError(ValueError):
 class StandardLP:
     """Max-form instance: maximize c.x subject to A0 x <= b, x >= 0.
 
-    The numerators of A0, b and c over D > 0, in the unique gcd-reduced
-    form of a ``Dictionary``; ``A0``, ``b`` and ``c`` are ``Fraction`` views.
+    The numerators of A0, b and c over D > 0, gcd-reduced so that D is the
+    lcm of the entries' denominators; ``A0``, ``b`` and ``c`` are
+    ``Fraction`` views.
     """
 
     A0_num: tuple[tuple[int, ...], ...]

@@ -294,6 +294,8 @@ def _priced(d: Dictionary, costs: list[int], L: int) -> Dictionary:
     Keeps the rows and sorts the columns ascending; the objective row is
     q = c_N - Q^T c_B and z* = c_B . p. With D the dictionary's denominator
     it is computed in integers over D*L: D*L*q = D*(L*c_N) - (D*Q)^T (L*c_B).
+    A determinant-form chain started at D = 1, so L is 1 there: the row is
+    over D as it stands, and the form is kept without a reduction.
     """
     costs = costs + [0] * d.m
     cols = sorted(range(d.n), key=lambda j: d.nonbasis[j])
@@ -305,9 +307,11 @@ def _priced(d: Dictionary, costs: list[int], L: int) -> Dictionary:
         for j, v in enumerate(nonbasis)
     ]
     z = _dot(c_B, d.p_num)
+    if d.det_form:
+        return Dictionary(d.side, d.basis, nonbasis, d.p_num, tuple(map(tuple, rows)), tuple(q), z, d.D, True)
     p = [x * L for x in d.p_num]
     rows = [[x * L for x in row] for row in rows]
-    return Dictionary(d.side, d.basis, nonbasis, *_kernels.reduced(p, rows, q, z, d.D * L))
+    return Dictionary(d.side, d.basis, nonbasis, *_kernels.reduced(p, rows, q, z, d.D * L), False)
 
 
 def _primal_outcome(final: Dictionary, enter: int | None, n: int) -> SolveOutcome:

@@ -17,11 +17,20 @@ reduction of [A_B | b | A_N]; ``dictionary_from_basis`` is checked against it.
 ``rank``, ``rowspace_contains`` and ``rowspace_equal`` are the exact rank
 tests that the substitution test ``spans_rowspace_of`` is checked against.
 All of them reduce with ``rref``.
+
+A chain of pivots from an integer start keeps its dictionaries in
+determinant form, whose numerators need not be in lowest terms.
+``by_value`` is the one normaliser through which tests compare such a
+dictionary with one built from rationals; ``in_lowest_terms`` is the form
+every other dictionary keeps. ``basis_determinant`` of ``system_rows``
+gives the D that a determinant-form dictionary must carry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 from dictlp.dictionary import Dictionary, NotABasisError, negative_transpose
 from dictlp.exact import QMatrix
@@ -235,3 +244,49 @@ def dictionary_by_elimination(lp: StandardLP, basis: tuple[int, ...] | list[int]
     )
     z_star = sum((cb * pi for cb, pi in zip(c_B, p)), Fraction(0))
     return Dictionary.from_fractions(side="primal", basis=B, nonbasis=N, p=p, Q=Q, q=q, z_star=z_star)
+
+
+def by_value(d: Dictionary) -> Dictionary:
+    """``d`` in lowest terms when it is in determinant form; ``d`` itself otherwise.
+
+    Built from the ``Fraction`` views, so it shares no code with the
+    library's reduction. A dictionary in reduced form is returned as it is,
+    so comparing it still checks that its numerators are reduced.
+    """
+    if not d.det_form:
+        return d
+    return Dictionary.from_fractions(d.side, d.basis, d.nonbasis, d.p, d.Q.row_lists(), d.q, d.z_star)
+
+
+def in_lowest_terms(d: Dictionary) -> bool:
+    """Whether D > 0 and no integer > 1 divides D and every numerator."""
+    return d.D > 0 and gcd(d.D, d.z_num, *d.p_num, *d.q_num, *chain(*d.Q_num)) == 1
+
+
+def system_rows(d: Dictionary) -> list[list[Fraction]]:
+    """The equations x_B + Q x_N = p of ``d`` as rows over the variables 1..m+n, p left out."""
+    rows = []
+    for v, Q_i in zip(d.basis, d.Q.row_lists()):
+        row = [Fraction(0)] * (d.m + d.n)
+        row[v - 1] = Fraction(1)
+        for w, x in zip(d.nonbasis, Q_i):
+            row[w - 1] = x
+        rows.append(row)
+    return rows
+
+
+def basis_determinant(rows: list[list[Fraction]], basis) -> Fraction:
+    """|det| of the columns of ``rows`` at the 1-based variables of ``basis``, by elimination."""
+    m = [[row[v - 1] for v in basis] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pr = next((i for i in range(c, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        m[c], m[pr] = m[pr], m[c]
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            if f:
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return abs(det)

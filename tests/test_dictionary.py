@@ -1,6 +1,5 @@
 from fractions import Fraction
-from itertools import chain, permutations
-from math import gcd
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +21,14 @@ from dictlp.dictionary import (
 from dictlp.model import StandardLP
 
 from conftest import check_point, divided, objective_at, qm, qv, random_pivots, suite_instance
-from reference import dictionary_by_elimination, fraction_pivot_update
+from reference import (
+    basis_determinant,
+    by_value,
+    dictionary_by_elimination,
+    fraction_pivot_update,
+    in_lowest_terms,
+    system_rows,
+)
 
 
 @pytest.fixture
@@ -84,7 +90,8 @@ class TestFromBasis:
                     dictionary_from_basis(initial_dictionary(lp), basis)
                 assert str(got.value) == str(exc)
             else:
-                assert dictionary_from_basis(initial_dictionary(lp), basis) == expected
+                # Integer factors leave D = 1, and the pivots in determinant form.
+                assert by_value(dictionary_from_basis(initial_dictionary(lp), basis)) == by_value(expected)
 
 
 class TestPivot:
@@ -162,15 +169,24 @@ class TestPivot:
         assert objective_at(before, full) == objective_at(after, full)
 
 
-def reference_parity_pivot(d, enter, leave):
-    """``pivot(d, enter, leave)``, asserted equal to the ``Fraction`` reference kernel."""
+def reference_parity_pivot(start, d, enter, leave):
+    """``pivot(d, enter, leave)`` on a chain from ``start``, asserted equal to the ``Fraction`` reference kernel.
+
+    From an integer start (D = 1) the result is in determinant form: D is
+    |det| of its basis columns in ``start``'s equations, which a wrong floor
+    division would not keep. From any other start it is reduced: D is the
+    lcm of the entries' denominators.
+    """
     r, s = d.basis.index(leave), d.nonbasis.index(enter)
     p, Q, q, z = fraction_pivot_update(list(d.p), d.Q.row_lists(), list(d.q), d.z_star, r, s)
     got = pivot(d, enter, leave)
     assert (list(got.p), got.Q.row_lists(), list(got.q), got.z_star) == (p, Q, q, z)
-    # reduced: D is the lcm of the entries' denominators
     assert got.D > 0
-    assert gcd(got.D, got.z_num, *got.p_num, *got.q_num, *chain(*got.Q_num)) == 1
+    assert got.det_form == d.det_form == (start.D == 1)
+    if start.D == 1:
+        assert got.D == basis_determinant(system_rows(start), got.basis)
+    else:
+        assert in_lowest_terms(got)
     return got
 
 
@@ -188,13 +204,13 @@ class TestKernelParity:
         factor = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool)
         k = [data.draw(factor) for _ in range(base.m + 1)]
         lp = divided(base, k)
-        d = initial_dictionary(lp)
+        d = start = initial_dictionary(lp)
         for a, b in picks:
             enter = d.nonbasis[a % d.n]
             s = d.nonbasis.index(enter)
             rows = [v for r, v in enumerate(d.basis) if d.Q_num[r][s] != 0]
             if rows:
-                d = reference_parity_pivot(d, enter, rows[b % len(rows)])
+                d = reference_parity_pivot(start, d, enter, rows[b % len(rows)])
 
     @given(
         m=st.integers(1, 3),
@@ -211,7 +227,7 @@ class TestKernelParity:
         def vec(k):
             return tuple(data.draw(st.lists(entry, min_size=k, max_size=k)))
 
-        d = Dictionary.from_fractions(
+        d = start = Dictionary.from_fractions(
             side="primal",
             basis=tuple(range(n + 1, n + m + 1)),
             nonbasis=tuple(range(1, n + 1)),
@@ -225,7 +241,49 @@ class TestKernelParity:
             s = d.nonbasis.index(enter)
             rows = [v for r, v in enumerate(d.basis) if d.Q_num[r][s] != 0]
             if rows:
-                d = reference_parity_pivot(d, enter, rows[b % len(rows)])
+                d = reference_parity_pivot(start, d, enter, rows[b % len(rows)])
+
+    @given(
+        m=st.integers(1, 4),
+        n=st.integers(1, 4),
+        big=st.booleans(),
+        picks=st.lists(
+            st.tuples(st.integers(0, 10), st.integers(0, 10), st.booleans()), min_size=1, max_size=6
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_determinant_form_on_integer_starts(self, m, n, big, picks, data):
+        # Entries of magnitude 1 and 0 give pivots of magnitude 1 (D stays)
+        # and rows with a zero in the pivot column (only rescaled); 5,001-digit
+        # entries carry the divisions far past machine words. A pick may
+        # first turn the chain to the dual side: the negative transpose of a
+        # determinant-form dictionary is one for the transposed start.
+        entry = st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-9, 9))
+        if big:
+            entry = st.one_of(entry, st.builds(lambda k, j: k * 10**5000 + j, st.sampled_from([-3, -1, 1, 2]), entry))
+
+        def vec(k):
+            return [Fraction(x) for x in data.draw(st.lists(entry, min_size=k, max_size=k))]
+
+        d = start = Dictionary.from_fractions(
+            side="primal",
+            basis=tuple(range(n + 1, n + m + 1)),
+            nonbasis=tuple(range(1, n + 1)),
+            p=vec(m),
+            Q=[vec(n) for _ in range(m)],
+            q=vec(n),
+            z_star=vec(1)[0],
+        )
+        assert start.D == 1 and start.det_form
+        for a, b, flip in picks:
+            if flip:
+                d, start = negative_transpose(d), negative_transpose(start)
+            enter = d.nonbasis[a % d.n]
+            s = d.nonbasis.index(enter)
+            rows = [v for r, v in enumerate(d.basis) if d.Q_num[r][s] != 0]
+            if rows:
+                d = reference_parity_pivot(start, d, enter, rows[b % len(rows)])
 
     def test_from_fractions_is_over_the_lcm(self):
         d = Dictionary.from_fractions(

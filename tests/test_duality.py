@@ -35,9 +35,20 @@ from dictlp.duality import (
 )
 from dictlp.model import StandardLP, dual_lp
 
-from conftest import objective_at, qm, qv, random_pivots, replaced, suite_instance
+from conftest import divided, objective_at, qm, qv, random_pivots, replaced, suite_instance
 from oracle import basic_points
-from reference import dictionary_by_elimination, dot, mul_vec, rank, rowspace_contains, rowspace_equal
+from reference import (
+    augmented_rows,
+    basis_determinant,
+    by_value,
+    dictionary_by_elimination,
+    dot,
+    in_lowest_terms,
+    mul_vec,
+    rank,
+    rowspace_contains,
+    rowspace_equal,
+)
 
 E1_R = [
     [0, 4, 2, -2, 1, 0, -18],
@@ -257,7 +268,8 @@ class TestAnyStart:
                 continue
             d = dictionary_from_basis(start, basis)
             assert canonical(d) == canonical(expected)
-            assert d == dictionary_by_elimination(lp, basis)
+            # Elimination builds lowest terms, the pivots determinant form.
+            assert by_value(d) == by_value(dictionary_by_elimination(lp, basis))
             assert spans_rowspace_of(start, d)
             bad = perturbed(d, data)
             assert spans_rowspace_of(start, bad) == rowspace_equal(
@@ -359,6 +371,31 @@ class TestWalkBases:
             parent_dual = dictionary_from_basis(dual_start, tuple(sorted(set(nonbasis) - {leave} | {enter})))
             assert canonical(pivot(parent_dual, leave, enter)) == canonical(dual)
             assert canonical(pivot(dictionary_from_basis(start, parent), enter, leave)) == canonical(prim)
+
+    @given(seed=st.integers(0, 500), bound=st.sampled_from([1, 5]))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_duals_are_negative_transposes_number_for_number(self, seed, bound):
+        # The paper's bijection on the stored integers: both sides pivot in
+        # determinant form from D = 1, and the dual basis determinant is the
+        # complementary minor, so the dual's D is the primal's.
+        lp = suite_instance(seed, bound)
+        assert lp.D == 1
+        rows = augmented_rows(lp)
+        for prim, dual, _ in walk_bases(initial_dictionary(lp), dual_dictionary_direct(dual_lp(lp))):
+            assert prim.det_form and dual.det_form
+            assert canonical(dual) == canonical(negative_transpose(prim))
+            assert prim.D == dual.D == basis_determinant(rows, prim.basis)
+
+    @given(seed=st.integers(0, 500), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_fractional_walks_stay_in_lowest_terms(self, seed, data):
+        base = suite_instance(seed)
+        factor = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(lambda k: k.denominator > 1)
+        lp = divided(base, [data.draw(factor) for _ in range(base.m + 1)])
+        assume(lp.D > 1)  # entries that are all multiples of the numerators stay integers
+        for prim, dual, _ in walk_bases(initial_dictionary(lp), dual_dictionary_direct(dual_lp(lp))):
+            assert not prim.det_form and in_lowest_terms(prim)
+            assert not dual.det_form and in_lowest_terms(dual)
 
     def test_primal_only_walk_carries_no_dual(self, e1):
         steps = list(walk_bases(initial_dictionary(e1)))
