@@ -9,15 +9,18 @@ every valid basis, and the primal pivot (enter e, leave l) is the dual pivot
 (enter l, leave e). The dual side is named so the pairing is by index: y_j
 pairs with x_j, so y1..yn are the dual slacks and y(n+1)..y(n+m) the dual
 decisions; ``dual_dictionary_direct`` gives the dual LP's slack dictionary
-under those names. ``verify_bases`` reaches every basis by one depth-first
-walk over the basis-exchange graph (``walk_bases``, after Avis and Fukuda's
-reverse search) from the primal slack dictionary, and carries the dual LP's
-own dictionary along by the matching dual pivot, so each basis costs one
-pivot on each side. Per basis it tests the dictionary identity and the
-underlying row-space equality, in exact arithmetic. The identity is read
-entry by entry through the two dictionaries' variable positions
-(``_is_negative_transpose``), so the check builds no transpose and
-rearranges neither side.
+under those names. ``verify_bases`` reaches every basis by Avis and
+Fukuda's reverse search (``walk_bases``) rooted at the primal slack
+dictionary. Each basis after the start is one pivot from its parent, and
+whether a pivot leads to a child is read off the parent's dictionary
+alone, so no visited set is kept. The dual LP's own dictionary comes along
+by the matching dual pivot, so each basis costs one pivot on each side;
+where a dual pivot fails, that basis alone has no dual, and its children
+rebuild theirs from the dual slack dictionary. Per basis it tests the
+dictionary identity and the underlying row-space equality, in exact
+arithmetic. The identity is read entry by entry through the two
+dictionaries' variable positions (``_is_negative_transpose``), so the
+check builds no transpose and rearranges neither side.
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ from typing import Iterator, Sequence
 from dictlp.exact import QMatrix, _str
 from dictlp.dictionary import (
     Dictionary,
+    NotABasisError,
     PivotError,
     basic_solution,
+    dictionary_from_basis,
     initial_dictionary,
     pivot,
 )
@@ -180,57 +185,63 @@ _Step = tuple[Dictionary, Dictionary | None, tuple[int, int] | None]
 
 
 def walk_bases(start: Dictionary, dual_start: Dictionary | None = None) -> Iterator[_Step]:
-    """Each basis reachable from ``start`` once, depth first over the basis-exchange graph.
+    """Each basis reachable from ``start`` once, by reverse search rooted at ``start``'s basis B0.
 
     Yields ``(prim, dual, edge)``: the dictionary for a basis, reached by one
-    ``pivot`` from a dictionary yielded before it, and ``edge = (enter,
-    leave)``, that pivot (None for ``start`` itself). The neighbours of basis
-    B are B - basis[r] + nonbasis[s] for every nonzero Q[r][s]; a basis is
-    keyed by its bitmask. The bases of [A0 I] are the bases of a matroid,
-    whose exchange graph is connected, so from the slack dictionary the walk
-    reaches every basis, with one pivot per basis after the first.
+    ``pivot`` from its parent, a dictionary yielded before it, and ``edge =
+    (enter, leave)``, that pivot (None for ``start`` itself). Every edge
+    swaps a member of B0 out for a non-member, so a basis B lies at depth
+    |B - B0|, at most min(m, n). The parent of B != B0 takes out e =
+    max(B - B0), the variable its edge entered, and puts back the smallest
+    y in B0 - B that gives a basis (Avis and Fukuda, "Reverse search for
+    enumeration", 1996). So the children of B are the pivots (enter e,
+    leave l) with l in B0, e not in B0, e > max(B - B0) and Q[l][e] != 0,
+    where row l has no nonzero under a nonbasic member of B0 below l: a
+    test that reads B's dictionary alone. No visited set is kept; the stack
+    holds the unexpanded children of the bases on the current path. The
+    bases of [A0 I] are the bases of a matroid, so from the slack
+    dictionary the walk reaches every basis, with one pivot per basis after
+    the first.
 
     With ``dual_start`` (the dual dictionary on ``start``'s nonbasis), the
     dual is carried in lockstep: the primal pivot (enter e, leave l) is the
     dual pivot (enter l, leave e), made on the dual's own dictionary. Where
-    that pivot fails, ``dual`` is None for the basis and for every basis
-    first reached through it. Such bases are expanded last, so a failure
-    stays with its own basis whenever the graph reaches the neighbours
-    another way.
+    that pivot fails, ``dual`` is None for that basis alone: its children
+    build their duals from ``dual_start`` (``dictionary_from_basis``).
     """
-    lockstep = dual_start is not None
-    seen = {_mask(start.basis)}
+    start_basic = frozenset(start.basis)
     stack: list[_Step] = [(start, dual_start, None)]
     while stack:
         step = stack.pop()
         yield step
-        prim, dual, _ = step
-        mask = _mask(prim.basis)
+        prim, dual, edge = step
+        top = edge[0] if edge else 0  # max(B - B0), which the last pivot entered
         for leave, row in zip(prim.basis, prim.Q_num):
-            rest = mask ^ (1 << leave)
+            if leave not in start_basic or any(
+                a and y < leave and y in start_basic for y, a in zip(prim.nonbasis, row)
+            ):
+                continue
             for enter, a in zip(prim.nonbasis, row):
-                key = rest | (1 << enter)
-                if a == 0 or key in seen:
-                    continue
-                seen.add(key)
-                child = (pivot(prim, enter, leave), _dual_pivot(dual, leave, enter), (enter, leave))
-                if lockstep and child[1] is None:
-                    stack.insert(0, child)
-                else:
-                    stack.append(child)
+                if a and enter > top and enter not in start_basic:
+                    child = pivot(prim, enter, leave)
+                    stack.append((child, _child_dual(dual_start, dual, child, enter, leave), (enter, leave)))
 
 
-def _mask(basis: tuple[int, ...]) -> int:
-    return sum(1 << v for v in basis)
+def _child_dual(
+    dual_start: Dictionary | None, dual: Dictionary | None, child: Dictionary, enter: int, leave: int
+) -> Dictionary | None:
+    """The dual of ``child``: one pivot (enter ``leave``, leave ``enter``) from its parent's ``dual``.
 
-
-def _dual_pivot(dual: Dictionary | None, enter: int, leave: int) -> Dictionary | None:
-    """``pivot(dual, enter, leave)``, or None when there is no dual or the pivot fails."""
-    if dual is None:
+    Where the parent has no dual, it is built from ``dual_start`` instead.
+    None when there is no ``dual_start``, or when the pivot or the build fails.
+    """
+    if dual_start is None:
         return None
     try:
-        return pivot(dual, enter, leave)
-    except PivotError:
+        if dual is None:
+            return dictionary_from_basis(dual_start, child.nonbasis)
+        return pivot(dual, leave, enter)
+    except (PivotError, NotABasisError):
         return None
 
 

@@ -16,6 +16,7 @@ from dictlp import _kernels, duality
 from dictlp.cli import _lines, _solver_trace_lines, _term_tables, format_dictionary, main, random_lp
 from dictlp.dictionary import (
     Dictionary,
+    NotABasisError,
     PivotError,
     dictionary_from_basis,
     initial_dictionary,
@@ -576,6 +577,56 @@ class TestVerifyCommand:
         assert out[2] == "basis 1,4: FAIL (negative transpose differs from direct dual dictionary on N=(2, 3, 5))"
         assert sum(": pass" in line for line in out) == 9
         assert out[-1] == "verified 9/10 bases"
+
+    def test_broken_lockstep_above_a_subtree_fails_its_basis_alone(self, tmp_path, capsys, monkeypatch):
+        # Basis 1,5,6 of this instance is an interior node of the walk's
+        # search tree: six bases are reached from it by one pivot each. Its
+        # dual pivot (onto N = 2,3,4,7) fails, so its children build their
+        # duals from the dual start instead, and pass.
+        lp = random_lp(3, 4, seed=1)
+        steps = list(duality.walk_bases(initial_dictionary(lp)))
+        parents = [sorted(set(prim.basis) - {enter} | {leave}) for prim, _, (enter, leave) in steps[1:]]
+        assert parents.count([1, 5, 6]) == 6
+        real_pivot = duality.pivot
+
+        def broken(d, enter, leave):
+            if d.side == "dual" and sorted(set(d.basis) - {leave} | {enter}) == [2, 3, 4, 7]:
+                raise PivotError(f"zero pivot element for entering variable {enter}")
+            return real_pivot(d, enter, leave)
+
+        monkeypatch.setattr(duality, "pivot", broken)
+        code = main(["verify", write_lp(tmp_path, serialize_lp(lp))])
+        captured = capsys.readouterr()
+        out = captured.out.splitlines()
+        assert code == 4
+        assert captured.err == ""
+        assert [line for line in out if ": pass" not in line][:-1] == [
+            "basis 1,5,6: FAIL (negative transpose differs from direct dual dictionary on N=(2, 3, 4, 7))"
+        ]
+        assert out[-1] == f"verified {len(steps) - 1}/{len(steps)} bases"
+
+    def test_failed_dual_rebuild_fails_the_children_too(self, e1_file, capsys, monkeypatch):
+        # When the dual pivot onto basis 1,4 fails and so does the rebuild of
+        # its children's duals (1,2 and 1,3), all three print FAIL lines.
+        real_pivot = duality.pivot
+
+        def broken(d, enter, leave):
+            if d.side == "dual" and sorted(set(d.basis) - {leave} | {enter}) == [2, 3, 5]:
+                raise PivotError(f"zero pivot element for entering variable {enter}")
+            return real_pivot(d, enter, leave)
+
+        def no_rebuild(start, basis):
+            raise NotABasisError(f"columns of basis {basis} are linearly dependent")
+
+        monkeypatch.setattr(duality, "pivot", broken)
+        monkeypatch.setattr(duality, "dictionary_from_basis", no_rebuild)
+        code = main(["verify", e1_file])
+        captured = capsys.readouterr()
+        out = captured.out.splitlines()
+        assert code == 4
+        assert captured.err == ""
+        assert [line.split(":")[0] for line in out if "FAIL" in line] == ["basis 1,2", "basis 1,3", "basis 1,4"]
+        assert out[-1] == "verified 7/10 bases"
 
 
 class TestSlackDictionaryBuiltOnce:

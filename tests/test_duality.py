@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dictlp import duality
+from dictlp.cli import random_lp
 from dictlp.dictionary import (
     Dictionary,
     NotABasisError,
@@ -344,7 +347,13 @@ def reports_by_basis(reports):
 
 
 class TestWalkBases:
-    """One depth-first walk over the basis graph, with the dual side in lockstep."""
+    """Reverse search from the start basis B0, with the dual side in lockstep.
+
+    Each basis is reached once, from its parent: the basis that takes out
+    the largest variable outside B0 and puts back the smallest member of B0
+    that gives a basis. A basis whose dual pivot fails has no dual; its
+    children rebuild theirs from the dual start.
+    """
 
     @given(seed=st.integers(0, 500), bound=st.sampled_from([1, 5]))
     @settings(max_examples=60, deadline=None)
@@ -396,6 +405,54 @@ class TestWalkBases:
         for prim, dual, _ in walk_bases(initial_dictionary(lp), dual_dictionary_direct(dual_lp(lp))):
             assert not prim.det_form and in_lowest_terms(prim)
             assert not dual.det_form and in_lowest_terms(dual)
+
+    @given(seed=st.integers(0, 500), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_edge_trades_a_start_basic_variable_for_a_start_nonbasic_one(self, seed, data):
+        # So |B - B0| is the depth in the search tree, at most min(m, n), and
+        # each edge leads one level down from a basis walked earlier.
+        lp = suite_instance(seed, data.draw(st.sampled_from([1, 5]), label="bound"))
+        if data.draw(st.booleans(), label="fractional"):
+            factor = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool)
+            lp = divided(lp, [data.draw(factor) for _ in range(lp.m + 1)])
+        picks = data.draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=3), label="pivots")
+        start = random_pivots(initial_dictionary(lp), picks)[-1]
+        dual_start = dictionary_from_basis(dual_dictionary_direct(dual_lp(lp)), start.nonbasis)
+        start_basic = set(start.basis)
+        depth = {}
+        for prim, dual, edge in walk_bases(start, dual_start):
+            basis = frozenset(prim.basis)
+            assert basis not in depth
+            assert dual is not None and _is_negative_transpose(prim, dual)
+            depth[basis] = len(basis - start_basic)
+            if edge is None:
+                assert depth[basis] == 0
+                continue
+            enter, leave = edge
+            assert enter not in start_basic and leave in start_basic
+            assert depth[basis - {enter} | {leave}] == depth[basis] - 1
+        assert max(depth.values()) <= min(lp.m, lp.n)
+        assert sorted(tuple(sorted(basis)) for basis in depth) == enumerate_bases(lp)
+
+    def test_live_dictionaries_stay_within_the_search_tree(self, monkeypatch):
+        # The stack holds the unexpanded children of the bases on one path:
+        # at most m*n pivots per level, over min(m, n) + 1 levels, on each side.
+        lp = random_lp(6, 6, 3)
+        live = weakref.WeakSet()
+        peak = 0
+        real_pivot = duality.pivot
+
+        def tracked(d, enter, leave):
+            nonlocal peak
+            out = real_pivot(d, enter, leave)
+            live.add(out)
+            peak = max(peak, len(live))
+            return out
+
+        monkeypatch.setattr(duality, "pivot", tracked)
+        steps = walk_bases(initial_dictionary(lp), dual_dictionary_direct(dual_lp(lp)))
+        assert sum(1 for _ in steps) == 915
+        assert peak <= 2 * (min(lp.m, lp.n) + 1) * lp.m * lp.n
 
     def test_primal_only_walk_carries_no_dual(self, e1):
         steps = list(walk_bases(initial_dictionary(e1)))
