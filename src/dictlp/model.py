@@ -14,6 +14,15 @@ uniformly to both sides. Its columns are numbered like any instance's,
 decisions first; the y-index names that pair them with the primal
 variables are applied only where a dual dictionary is built
 (``duality.dual_dictionary_direct``).
+
+The parser (``parse_lp``) reads the file a line at a time, where lines end
+at ``\\n``, ``\\r\\n`` or ``\\r`` only. A row of plain integers, the
+common case, converts with one ``int()`` per token and needs no
+denominator, so an instance of integer rows is over D = 1 with no lcm of
+its entries' denominators and no entry rescaled. Rows with a rational
+token go through ``exact.parse_rational``, as do rows longer than 640
+characters, whose tokens ``int()`` may refuse under ``-X
+int_max_str_digits``.
 """
 
 from __future__ import annotations
@@ -25,10 +34,14 @@ from math import lcm
 from typing import Sequence
 
 from dictlp import _kernels
-from dictlp.exact import QMatrix, common_denominator, format_rational, parse_rational
+from dictlp.exact import _CHUNK, QMatrix, common_denominator, format_rational, parse_rational
 
 # ASCII digits only: int() would also take other scripts' digits, '_' and '+'.
 _DIMENSION_RE = re.compile(r"[0-9]+")
+# A stripped row of plain integers: each token an optional '-' and ASCII
+# digits. \s matches what str.split() splits at. A row of at most _CHUNK
+# characters holds no token that int() refuses under any digit limit.
+_INTEGER_ROW_RE = re.compile(r"-?[0-9]+(?:\s+-?[0-9]+)*")
 
 
 class ParseError(ValueError):
@@ -87,24 +100,32 @@ class StandardLP:
 def parse_lp(text: str) -> StandardLP:
     """Parse the LP file format (see ``serialize_lp`` for the grammar).
 
-    One leading byte-order mark (U+FEFF) is ignored. Each token becomes an
-    integer pair, and one lcm puts them all over a common denominator.
+    One leading byte-order mark (U+FEFF) is ignored. Lines end at ``\\n``,
+    ``\\r\\n`` or ``\\r`` only; every other whitespace character separates
+    tokens. A row of plain integers converts with one ``int()`` per token.
+    A row with a rational token converts each token to an integer pair and
+    its row to numerators over the lcm of its denominators; one lcm then
+    puts all rows over a common denominator.
     """
     text = text.removeprefix("\ufeff")
-    lines: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines: list[tuple[int, str]] = []
+    # str.splitlines() would also end lines at \v, \f, \x1c-\x1e, \x85,
+    # \u2028 and \u2029, which str.split() reads as whitespace inside a line.
+    raw_lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(raw_lines, start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
-            lines.append((lineno, stripped.split()))
+            lines.append((lineno, stripped))
 
     if not lines:
         raise ParseError(1, "empty input")
-    if lines[0][1] != ["lp", "v1"]:
+    if lines[0][1].split() != ["lp", "v1"]:
         raise ParseError(lines[0][0], "expected header 'lp v1'")
     if len(lines) < 2:
         raise ParseError(lines[0][0] + 1, "missing dimension line")
 
-    dim_line, dim_tokens = lines[1]
+    dim_line, dim_text = lines[1]
+    dim_tokens = dim_text.split()
     if len(dim_tokens) != 2:
         raise ParseError(dim_line, "dimension line must be '<m> <n>'")
     if not all(_DIMENSION_RE.fullmatch(tok) for tok in dim_tokens):
@@ -118,21 +139,27 @@ def parse_lp(text: str) -> StandardLP:
         last = lines[-1][0]
         raise ParseError(last, f"expected {format_rational(3 + m, 1)} content lines, found {len(lines)}")
 
-    def parse_row(lineno: int, tokens: list[str], expected: int, what: str) -> list[tuple[int, int]]:
+    def parse_row(lineno: int, row: str, expected: int, what: str) -> tuple[list[int], int]:
+        """The row's numerators over the lcm of its denominators, and that lcm."""
+        tokens = row.split()
         if len(tokens) != expected:
             want = format_rational(expected, 1)
             raise ParseError(lineno, f"{what}: expected {want} values, found {len(tokens)}")
+        if len(row) <= _CHUNK and _INTEGER_ROW_RE.fullmatch(row):
+            return list(map(int, tokens)), 1
         try:
-            return [parse_rational(tok) for tok in tokens]
+            pairs = [parse_rational(tok) for tok in tokens]
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(lineno, str(exc)) from None
+        L = lcm(*(den for _, den in pairs))
+        return [num * (L // den) for num, den in pairs], L
 
     rows = [parse_row(lines[2][0], lines[2][1], n, "objective row")]
     for i in range(m):
-        lineno, tokens = lines[3 + i]
-        rows.append(parse_row(lineno, tokens, n + 1, f"constraint row {i + 1}"))
-    D = lcm(*(den for row in rows for _, den in row))
-    c, *a_rows = [[num * (D // den) for num, den in row] for row in rows]
+        lineno, row = lines[3 + i]
+        rows.append(parse_row(lineno, row, n + 1, f"constraint row {i + 1}"))
+    D = lcm(*(L for _, L in rows))
+    c, *a_rows = [nums if L == D else [x * (D // L) for x in nums] for nums, L in rows]
     # Tokens need not be reduced ("2/4"), so the gcd can exceed 1.
     b, A0, c, _, D = _kernels.reduced([row.pop() for row in a_rows], a_rows, c, 0, D)
     return StandardLP(A0, b, c, D)
@@ -141,7 +168,8 @@ def parse_lp(text: str) -> StandardLP:
 def serialize_lp(lp: StandardLP) -> str:
     """Canonical text form: single spaces, newline-terminated lines.
 
-    Grammar ('#' starts a comment):
+    Grammar ('#' starts a comment; a line ends at ``\\n``, ``\\r\\n`` or
+    ``\\r``, and any other whitespace separates tokens):
       line 1        : ``lp v1``
       line 2        : ``<m> <n>``
       line 3        : n rationals -- the objective c

@@ -31,13 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
 from dictlp import _kernels
 from dictlp.exact import _rationals_text, common_denominator
 from dictlp.dictionary import (
     Dictionary,
-    basic_solution,
     initial_dictionary,
     is_dual_feasible,
     is_primal_feasible,
@@ -298,28 +298,27 @@ def _priced(d: Dictionary, costs: list[int], L: int) -> Dictionary:
     over D as it stands, and the form is kept without a reduction.
     """
     costs = costs + [0] * d.m
-    cols = sorted(range(d.n), key=lambda j: d.nonbasis[j])
-    nonbasis = tuple(d.nonbasis[j] for j in cols)
-    rows = [[row[j] for j in cols] for row in d.Q_num]
+    # Labels are distinct, so the sort never compares two columns.
+    nonbasis, columns = zip(*sorted(zip(d.nonbasis, zip(*d.Q_num))))
     c_B = [costs[v - 1] for v in d.basis]
-    q = [
-        costs[v - 1] * d.D - sum(cb * row[j] for cb, row in zip(c_B, rows))
-        for j, v in enumerate(nonbasis)
-    ]
+    q = [costs[v - 1] * d.D - _dot(c_B, col) for v, col in zip(nonbasis, columns)]
     z = _dot(c_B, d.p_num)
     if d.det_form:
-        return Dictionary(d.side, d.basis, nonbasis, d.p_num, tuple(map(tuple, rows)), tuple(q), z, d.D, True)
+        return Dictionary(d.side, d.basis, nonbasis, d.p_num, tuple(zip(*columns)), tuple(q), z, d.D, True)
     p = [x * L for x in d.p_num]
-    rows = [[x * L for x in row] for row in rows]
+    rows = [[x * L for x in row] for row in zip(*columns)]
     return Dictionary(d.side, d.basis, nonbasis, *_kernels.reduced(p, rows, q, z, d.D * L), False)
 
 
 def _primal_outcome(final: Dictionary, enter: int | None, n: int) -> SolveOutcome:
     """Optimal when ``enter`` is None, else Unbounded along the entering column."""
-    point = basic_solution(final)[:n]
+    point = [Fraction(0)] * n
+    for v, x in zip(final.basis, final.p_num):
+        if v <= n:
+            point[v - 1] = Fraction(x, final.D)
     if enter is None:
-        return Optimal(point=point, value=final.z_star)
-    return Unbounded(point=point, ray=_ray(final, enter, False, range(1, n + 1)))
+        return Optimal(point=tuple(point), value=final.z_star)
+    return Unbounded(point=tuple(point), ray=_ray(final, enter, False, range(1, n + 1)))
 
 
 def check_outcome(start: Dictionary, outcome: SolveOutcome) -> None:
@@ -367,4 +366,4 @@ def check_outcome(start: Dictionary, outcome: SolveOutcome) -> None:
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))

@@ -14,6 +14,9 @@ checked against it step by step. ``rref`` is row reduction to reduced
 echelon form; the library itself eliminates only by dictionary pivots.
 ``dictionary_by_elimination`` builds a dictionary without a pivot, by one
 reduction of [A_B | b | A_N]; ``dictionary_from_basis`` is checked against it.
+``priced_by_fractions`` is the repricing of a dictionary under a new
+objective over ``Fraction`` entries; ``dictlp.simplex._priced``, which
+prices in integers over the dictionary's denominator, is checked against it.
 ``rank``, ``rowspace_contains`` and ``rowspace_equal`` are the exact rank
 tests that the substitution test ``spans_rowspace_of`` is checked against.
 All of them reduce with ``rref``.
@@ -244,6 +247,23 @@ def dictionary_by_elimination(lp: StandardLP, basis: tuple[int, ...] | list[int]
     )
     z_star = sum((cb * pi for cb, pi in zip(c_B, p)), Fraction(0))
     return Dictionary.from_fractions(side="primal", basis=B, nonbasis=N, p=p, Q=Q, q=q, z_star=z_star)
+
+
+def priced_by_fractions(d: Dictionary, costs) -> Dictionary:
+    """``d`` under the objective costs . x, slacks costing 0, its columns sorted ascending.
+
+    q = c_N - Q^T c_B and z* = c_B . p over ``Fraction`` entries, with the
+    rows, p and the basis of ``d`` as they are.
+    """
+    c_ext = list(costs) + [Fraction(0)] * d.m
+    c_B = [c_ext[v - 1] for v in d.basis]
+    order = sorted(range(d.n), key=lambda j: d.nonbasis[j])
+    rows = d.Q.row_lists()
+    columns = [[row[j] for row in rows] for j in order]
+    q = [c_ext[d.nonbasis[j] - 1] - dot(c_B, col) for j, col in zip(order, columns)]
+    Q = [[row[j] for j in order] for row in rows]
+    nonbasis = tuple(d.nonbasis[j] for j in order)
+    return Dictionary.from_fractions(d.side, d.basis, nonbasis, d.p, Q, q, dot(c_B, d.p))
 
 
 def by_value(d: Dictionary) -> Dictionary:

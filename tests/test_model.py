@@ -18,6 +18,47 @@ from conftest import E1_TEXT, qm, qv
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=5)
 
 
+# Tokens as a file may spell them: a '-' on zero, leading zeros, unreduced ratios.
+integer_tokens = st.builds(
+    lambda sign, zeros, value: f"{sign}{'0' * zeros}{value}",
+    st.sampled_from(["", "-"]),
+    st.integers(0, 3),
+    st.integers(0, 10**12),
+)
+rational_tokens = st.builds(
+    lambda num, zeros, den: f"{num}/{'0' * zeros}{den}",
+    integer_tokens,
+    st.integers(0, 3),
+    st.integers(1, 10**6),
+)
+
+
+@st.composite
+def grid_rows(draw, width):
+    """The tokens of one content row: all integers, or integers and rationals mixed.
+
+    Some rows are padded with leading zeros to 640 or 641 characters, on
+    both sides of the length up to which a row of integers converts token
+    by token with ``int()``. The zeros are spread over the tokens, so that
+    none has more than 640 digits and ``Fraction(token)`` reads each one
+    under any digit limit.
+    """
+    kind = draw(st.sampled_from([integer_tokens, st.one_of(integer_tokens, rational_tokens)]))
+    row = draw(st.lists(kind, min_size=width, max_size=width))
+    target = draw(st.sampled_from([None, 640, 641]))
+    if target is not None and width > 1:
+        missing = target - len(" ".join(row))
+        for k, tok in enumerate(row):
+            zeros = "0" * (missing // width + (k < missing % width))
+            sign = "-" if tok.startswith("-") else ""
+            row[k] = sign + zeros + tok.removeprefix("-")
+        assert len(" ".join(row)) == target
+    return row
+
+
+LONG_DIGITS = "12" * 350
+
+
 def instances(max_dim=3):
     return st.integers(1, max_dim).flatmap(
         lambda m: st.integers(1, max_dim).flatmap(
@@ -62,6 +103,73 @@ class TestParse:
             parse_lp("lp v1\nx 1\n1\n1 0\n")
         with pytest.raises(ParseError, match="line 2"):
             parse_lp("lp v1\n0 1\n1\n")
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_instance_of_the_tokens_as_fractions(self, data):
+        m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        c = data.draw(grid_rows(n))
+        rows = [data.draw(grid_rows(n + 1)) for _ in range(m)]
+        text = "\n".join(["lp v1", f"{m} {n}", " ".join(c), *map(" ".join, rows)]) + "\n"
+        expected = StandardLP.from_fractions(
+            [[Fraction(tok) for tok in row[:-1]] for row in rows],
+            [Fraction(row[-1]) for row in rows],
+            [Fraction(tok) for tok in c],
+        )
+        assert parse_lp(text) == expected
+
+    @pytest.mark.parametrize("length", [640, 641])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_row_on_each_side_of_640_characters(self, length, sign):
+        first = sign + "7".rjust(length - 2 - len(sign), "0")
+        row = f"{first} 5"
+        assert len(row) == length
+        lp = parse_lp(f"lp v1\n1 1\n3\n{row}\n")
+        assert (lp.A0_num, lp.b_num, lp.c_num, lp.D) == (((int(sign + "7"),),), (5,), (3,), 1)
+
+    def test_tokens_longer_than_640_digits(self):
+        # Under PYTHONINTMAXSTRDIGITS=640, int() refuses these tokens whole,
+        # in the integer row as in the rational one.
+        value = 12 * (10**700 - 1) // 99  # LONG_DIGITS, without int() of 700 digits
+        lp = parse_lp(f"lp v1\n1 1\n{LONG_DIGITS}/3\n{LONG_DIGITS} -{LONG_DIGITS}\n")
+        assert lp == StandardLP.from_fractions([[Fraction(value)]], [Fraction(-value)], [Fraction(value, 3)])
+
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("lp v1\n1 1\n+1\n1 0\n", 3, "malformed rational '+1'"),
+            ("lp v1\n1 1\n1\n1_000 0\n", 4, "malformed rational '1_000'"),
+            ("lp v1\n1 1\n1\n1 \u0663\n", 4, "malformed rational '\u0663'"),
+            ("lp v1\n1 2\n1 1.5\n1 1 0\n", 3, "malformed rational '1.5'"),
+            ("lp v1\n1 1\n1\n1/0 0\n", 4, "zero denominator in '1/0'"),
+            (f"lp v1\n1 1\n1\n{LONG_DIGITS}x 0\n", 4, f"malformed rational '{LONG_DIGITS}x'"),
+            ("lp v1\n1 2\n1 1 1\n1 1 0\n", 3, "objective row: expected 2 values, found 3"),
+            ("lp v1\n2 1\n1\n1 0\n1\n", 5, "constraint row 2: expected 2 values, found 1"),
+        ],
+    )
+    def test_pinned_errors(self, text, line, message):
+        with pytest.raises(ParseError) as exc:
+            parse_lp(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+
+    @pytest.mark.parametrize(
+        "space", ["\t", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029"]
+    )
+    def test_whitespace_other_than_line_ends_separates_tokens(self, space):
+        assert parse_lp(f"lp v1\n1 2\n1{space}1\n1 1 3\n") == parse_lp("lp v1\n1 2\n1 1\n1 1 3\n")
+
+    def test_line_numbers_count_only_line_ends(self):
+        # str.splitlines() would end a line at the \v and report line 5.
+        with pytest.raises(ParseError) as exc:
+            parse_lp("lp v1\n1 2\n1\v1\n1 1\n")
+        assert str(exc.value) == "line 4: constraint row 1: expected 3 values, found 2"
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_each_line_end(self, end):
+        with pytest.raises(ParseError) as exc:
+            parse_lp(end.join(["lp v1", "1 2", "1 1", "1 1", ""]))
+        assert str(exc.value) == "line 4: constraint row 1: expected 3 values, found 2"
 
     def test_missing_rows(self):
         with pytest.raises(ParseError):

@@ -33,6 +33,7 @@ from dictlp.simplex import (
 
 from conftest import DATA, divided, dual_feasible_instance, fr, qv, suite_instance
 from oracle import check_outcome, oracle_solve, outcome_kind
+from reference import by_value, priced_by_fractions
 
 
 @pytest.fixture
@@ -338,6 +339,38 @@ class TestCheckOutcome:
         with pytest.raises(CertificateError) as exc:
             simplex.check_outcome(initial_dictionary(lp), outcome)
         assert str(exc.value) == message
+
+
+class TestPriced:
+    """``_priced`` against the ``Fraction`` reference, in both dictionary forms."""
+
+    @pytest.mark.parametrize("fractional", [False, True])
+    @given(seed=st.integers(0, 500), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fraction_reference(self, fractional, seed, data):
+        lp = suite_instance(seed)
+        if fractional:
+            factor = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool)
+            lp = divided(lp, [data.draw(factor) for _ in range(lp.m + 1)])
+        d = initial_dictionary(lp)
+        # Integer data pivots in determinant form, fractional data in reduced form.
+        assume(d.det_form is not fractional)
+        for _ in range(data.draw(st.integers(0, 4))):
+            pairs = [
+                (e, l)
+                for s, e in enumerate(d.nonbasis)
+                for r, l in enumerate(d.basis)
+                if d.Q_num[r][s] != 0
+            ]
+            if not pairs:
+                break
+            d = pivot(d, *data.draw(st.sampled_from(pairs)))
+        # A determinant-form chain is priced with costs over L = 1 only.
+        L = 1 if d.det_form else data.draw(st.integers(1, 6))
+        costs = data.draw(st.lists(st.integers(-9, 9), min_size=d.n, max_size=d.n))
+        got = simplex._priced(d, costs, L)
+        assert got.det_form is d.det_form
+        assert by_value(got) == priced_by_fractions(d, [Fraction(x, L) for x in costs])
 
 
 class TestSolveAgainstOracle:
