@@ -6,7 +6,6 @@ arbitrary-precision rationals. There is no floating point anywhere, so
 every comparison and every certificate is exact.
 """
 
-from dictlp.exact import QMatrix
 from dictlp.model import (
     ParseError,
     StandardLP,
@@ -18,8 +17,6 @@ from dictlp.dictionary import (
     Dictionary,
     NotABasisError,
     PivotError,
-    basic_solution,
-    canonical,
     dictionary_from_basis,
     initial_dictionary,
     is_dual_feasible,
@@ -42,12 +39,8 @@ from dictlp.simplex import (
 from dictlp.duality import (
     BasisCountError,
     BijectionReport,
-    build_R,
-    dictionary_matrix,
     dual_dictionary_direct,
     enumerate_bases,
-    in_kernel,
-    spans_rowspace_of,
     verify_bases,
     walk_bases,
 )
@@ -69,21 +62,15 @@ __all__ = [
     "ParseError",
     "PivotError",
     "PivotRule",
-    "QMatrix",
     "SolveOutcome",
     "StandardLP",
     "Unbounded",
-    "basic_solution",
-    "build_R",
-    "canonical",
     "check_outcome",
     "dictionary_from_basis",
-    "dictionary_matrix",
     "dual_dictionary_direct",
     "dual_lp",
     "dual_simplex",
     "enumerate_bases",
-    "in_kernel",
     "initial_dictionary",
     "is_dual_feasible",
     "is_primal_feasible",
@@ -93,7 +80,6 @@ __all__ = [
     "primal_simplex",
     "serialize_lp",
     "solve",
-    "spans_rowspace_of",
     "verify_bases",
     "walk_bases",
 ]

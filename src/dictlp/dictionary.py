@@ -14,9 +14,9 @@ positive common denominator D. It is the form of a ``StandardLP``, so the
 slack dictionary (``initial_dictionary``) is the instance's own numerators:
 p = b, Q = A0, q = c over the instance's D. ``d.p`` and ``d.q`` (tuples of
 ``Fraction``), ``d.Q`` (a ``QMatrix``) and ``d.z_star`` are views built
-when read; the solver's own paths read the integers. ``from_fractions``
-builds a dictionary from rational entries, over the lcm of their
-denominators.
+when read; the library's own paths read the integers. ``from_fractions``
+builds a dictionary from ``int`` or ``Fraction`` entries, over the lcm of
+their denominators.
 
 The pivot operation recomputes the numerators by the fraction-free kernel
 (``_kernels.pivot_update``) in O(mn). Every dictionary after the slack one
@@ -68,10 +68,11 @@ class Dictionary:
     are gcd-reduced and D is the lcm of the entries' denominators. The flag
     is set where a chain starts (``initial_dictionary``,
     ``from_fractions``), inherited by every operation, and left out of
-    equality. The fields are the library's working form: only
-    ``from_fractions``, which validates its input, and the operations of
-    this module, which keep the partition, the shapes and the form, create
-    them.
+    equality. The fields are the library's working form and are not
+    checked: ``from_fractions`` validates its input, and the other
+    constructors (this module's operations, ``simplex._priced``,
+    ``duality.dual_dictionary_direct``, ``cli._lowest_terms``) keep the
+    partition, the shapes and the form of a dictionary they are given.
     """
 
     side: Side
@@ -95,7 +96,9 @@ class Dictionary:
         q: Sequence[Fraction],
         z_star: Fraction,
     ) -> "Dictionary":
-        """The dictionary with these rational entries (Q as rows), over the lcm of their denominators."""
+        """The dictionary with these ``int`` or ``Fraction`` entries (Q as rows), over the lcm of their denominators."""
+        if side not in ("primal", "dual"):
+            raise ValueError(f"side must be 'primal' or 'dual', got {side!r}")
         m, n = len(basis), len(nonbasis)
         if sorted([*basis, *nonbasis]) != list(range(1, m + n + 1)):
             raise ValueError("basis and nonbasis must partition 1..m+n")
@@ -103,7 +106,7 @@ class Dictionary:
             raise ValueError("p/q lengths must match basis/nonbasis")
         if len(Q) != m or any(len(row) != n for row in Q):
             raise ValueError("Q shape must be |B| x |N|")
-        rows = [p, q, [Fraction(z_star)], *Q]
+        rows = [p, q, [z_star], *Q]
         D, (p_num, q_num, (z_num,), *Q_num) = common_denominator(rows)
         return cls(side, basis, nonbasis, tuple(p_num), tuple(map(tuple, Q_num)), tuple(q_num), z_num, D, D == 1)
 
@@ -116,7 +119,8 @@ class Dictionary:
         return len(self.nonbasis)
 
     # The Fraction views are built on every read and never stored, so a long
-    # trace holds integers only; loops read the numerators instead.
+    # trace holds integers only. Only simplex reads one (z_star); they stay
+    # because perfbench/worker.py reads all four.
     @property
     def p(self) -> tuple[Fraction, ...]:
         return tuple([Fraction(x, self.D) for x in self.p_num])
@@ -238,23 +242,6 @@ def negative_transpose(d: Dictionary) -> Dictionary:
         D=d.D,
         det_form=d.det_form,
     )
-
-
-def basic_solution(d: Dictionary) -> tuple[Fraction, ...]:
-    """The point with nonbasic variables at zero, as a full length-(m+n) vector."""
-    values = [Fraction(0)] * (d.m + d.n)
-    for v, x in zip(d.basis, d.p_num):
-        values[v - 1] = Fraction(x, d.D)
-    return tuple(values)
-
-
-def canonical(d: Dictionary) -> Dictionary:
-    """Equivalent dictionary with basis and nonbasis sorted ascending.
-
-    Strict dataclass equality is order-sensitive; theorem checks compare
-    canonical forms instead.
-    """
-    return _arrange(d, tuple(sorted(d.basis)), tuple(sorted(d.nonbasis)))
 
 
 def _arrange(d: Dictionary, basis: tuple[int, ...], nonbasis: tuple[int, ...]) -> Dictionary:

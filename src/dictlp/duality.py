@@ -1,41 +1,45 @@
-"""Orthogonal-subspace view of duality and the executable bijection theorem.
+"""The dual-dictionary bijection, and its check on every basis.
 
-One (m+1) x (m+n+2) matrix R encodes both problems: augmented-feasible
-primal points embed into its kernel, dual points into its row space, and the
-two subspaces are orthogonal complements. On top of that sits the theorem
-this package exists to check: the dual dictionary with basic set N is
-exactly the negative transpose of the primal dictionary with basis B, for
-every valid basis, and the primal pivot (enter e, leave l) is the dual pivot
-(enter l, leave e). The dual side is named so the pairing is by index: y_j
-pairs with x_j, so y1..yn are the dual slacks and y(n+1)..y(n+m) the dual
-decisions; ``dual_dictionary_direct`` gives the dual LP's slack dictionary
-under those names. ``verify_bases`` reaches every basis by Avis and
-Fukuda's reverse search (``walk_bases``) rooted at the primal slack
-dictionary. Each basis after the start is one pivot from its parent, and
-whether a pivot leads to a child is read off the parent's dictionary
-alone, so no visited set is kept. The dual LP's own dictionary comes along
-by the matching dual pivot, so each basis costs one pivot on each side;
-where a dual pivot fails, that basis alone has no dual, and its children
-rebuild theirs from the dual slack dictionary. Per basis it tests the
-dictionary identity and the underlying row-space equality, in exact
-arithmetic. The identity is read entry by entry through the two
-dictionaries' variable positions (``_is_negative_transpose``), so the
-check builds no transpose and rearranges neither side.
+The paper's theorem: the dual dictionary with basic set N is the negative
+transpose of the primal dictionary with basis B, for every basis, and the
+primal pivot (enter e, leave l) is the dual pivot (enter l, leave e). The
+proof puts both LPs in one matrix, over the columns 0 (objective), 1..m+n
+(the augmented variables) and m+n+1 (homogenizing):
+
+    R = [ 0 | A0 | I | -b ]
+        [ 1 | -c | 0 |  0 ]
+
+A primal point x with A0 x_dec + x_slack = b and value x0 = c . x_dec is
+the kernel vector [x0, x, 1]. Dual values u give the row combination
+u . (first m rows) + (last row) = [1, y, -b . u], where y1..yn = A0^T u - c
+are the dual slacks and y(n+1)..y(n+m) = u the dual decisions, so y_j
+pairs with x_j. Kernel and row space are orthogonal complements, so
+x0 + y . x = b . u: the duality gap is y . x. A dictionary's matrix M
+(``_scaled_rows``) is R with its rows recombined: row i reads
+[0 | Q_i under N, 1 under B_i | -p_i] and the objective row
+[1 | -q under N, 0 under B | -z*]. Its kernel is the dictionary's solution
+set, and a row-space vector with first coordinate 1 is the objective row
+plus y_B times the other rows: y_N = -q + Q^T y_B and -w = -z* - p . y_B,
+the dual dictionary (-q, -Q^T, -p, -z*) on N. Both readings hold exactly
+when M spans R's row space, which ``_spans`` tests in integers.
+
+``verify_bases`` reaches every basis once by reverse search
+(``walk_bases``), with the dual LP's dictionary (``dual_dictionary_direct``)
+pivoted in lockstep, and per basis tests the identity through the two
+sides' variable positions (``_is_negative_transpose``) and the row space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from dictlp.exact import QMatrix, _str
+from dictlp.exact import _str
 from dictlp.dictionary import (
     Dictionary,
     NotABasisError,
     PivotError,
-    basic_solution,
     dictionary_from_basis,
     initial_dictionary,
     pivot,
@@ -64,50 +68,8 @@ class BijectionReport:
         return self.negative_transpose_matches and self.rowspace_matches
 
 
-def build_R(lp: StandardLP) -> QMatrix:
-    """R, the combined-system matrix: rows [0 | A0 | I | -b] over [1 | -c | 0 | 0].
-
-    Columns are labeled 0, 1..m+n, m+n+1: the objective coordinate, the
-    augmented variables, and the homogenizing coordinate. It is the
-    ``dictionary_matrix`` of the slack-basis dictionary.
-    """
-    return dictionary_matrix(initial_dictionary(lp))
-
-
-def in_kernel(r: QMatrix, xbar: Sequence[Fraction]) -> bool:
-    """True iff R . xbar = 0 exactly."""
-    if len(xbar) != r.cols:
-        raise ValueError(f"dimension mismatch: {r.cols} vs {len(xbar)}")
-    return all(sum(a * x for a, x in zip(row, xbar)) == 0 for row in r.row_lists())
-
-
-def kernel_embedding(d: Dictionary) -> tuple[Fraction, ...]:
-    """Basic solution lifted to the combined system: [z*, x, 1]."""
-    return (d.z_star, *basic_solution(d), Fraction(1))
-
-
-def rowspace_embedding(d: Dictionary) -> tuple[Fraction, ...]:
-    """Dual basic solution lifted to the combined system: [1, y, objective].
-
-    The last coordinate is the dual dictionary's constant, i.e. the max-form
-    dual objective value -w at its basic solution.
-    """
-    return (Fraction(1), *basic_solution(d), d.z_star)
-
-
-def dictionary_matrix(d: Dictionary) -> QMatrix:
-    """The dictionary as a combined-system matrix, columns labeled like R's.
-
-    Row i reads 0 in column 0, Q[i][j] under the nonbasic variable N_j, 1
-    under its own basic variable B_i and 0 under the others, and -p_i last;
-    the objective row reads 1, -q under N, 0 under B, and -z*. Its row space
-    equals the row space of R.
-    """
-    return QMatrix([Fraction(x, d.D) for x in row] for row in _scaled_rows(d))
-
-
 def _scaled_rows(d: Dictionary) -> list[list[int]]:
-    """D times ``dictionary_matrix(d)``: its rows as integers."""
+    """D times the combined-system matrix M of ``d``, columns labeled like R's, as integer rows."""
     width = d.m + d.n + 2
     rows = []
     for v, p_i, Q_i in zip(d.basis, d.p_num, d.Q_num):
@@ -145,27 +107,17 @@ def dual_dictionary_direct(dual: StandardLP) -> Dictionary:
     )
 
 
-def spans_rowspace_of(start: Dictionary, d: Dictionary) -> bool:
-    """True iff the dictionary matrices of ``start`` and ``d`` span the same row space.
-
-    With ``start`` the slack dictionary that is the row space of R. Exact
-    without a rank computation: both matrices have rank m+1, each with an
-    identity on column 0 and the columns of its own basis (see
-    ``dictionary_matrix``). So the row spaces are equal iff every row rho of
-    ``start``'s matrix equals rho[0] * (objective row) + sum_k rho[B_k] *
-    (row k) of ``d``'s. On column 0 and the columns of B that holds by
-    construction; for R's rows, on the N columns and the last column it
-    reads A_B Q = A_N, A_B p = b, q = c_N - Q^T c_B and z* = c_B . p.
-    """
-    return _spans(_scaled_rows(start), d)
-
-
 def _spans(rows: list[list[int]], d: Dictionary) -> bool:
-    """``spans_rowspace_of`` with ``start``'s integer rows (``_scaled_rows(start)``) given."""
-    # Each equation is linear in rho and scaled by d's common denominator D,
-    # so integer rows of start and d's numerators test exact equality. Over
-    # the N columns and the last one, dictionary row k reads [Q_k | -p_k]
-    # and the objective row [-q | -z*].
+    """True iff M of ``d`` spans the row space of ``rows``, the ``_scaled_rows`` of a start.
+
+    Both have rank m+1, with an identity on column 0 and on their basis's
+    columns, so the spaces are equal iff every row rho of the start's M is
+    rho[0] * (objective row) + sum_k rho[B_k] * (row k) of ``d``'s. That
+    holds by construction on column 0 and B; on the N columns and the last
+    one, where d's rows read [Q_k | -p_k] and [-q | -z*], both sides are
+    compared times D. For R's rows it reads A_B Q = A_N, A_B p = b,
+    q = c_N - Q^T c_B and z* = c_B . p.
+    """
     D = d.D
     cols = (*d.nonbasis, d.m + d.n + 1)
     objective = (*d.q_num, d.z_num)
@@ -287,7 +239,7 @@ def _report(rows: list[list[int]], prim: Dictionary, dual: Dictionary | None) ->
 
 
 def _is_negative_transpose(prim: Dictionary, dual: Dictionary) -> bool:
-    """``canonical(negative_transpose(prim)) == canonical(dual)``, read through index maps.
+    """Whether ``dual`` is ``negative_transpose(prim)`` up to row and column order, read through index maps.
 
     The sides differ, D agrees, z* is negated, the basic and nonbasic sets
     swap, and each entry of ``dual`` is the negated primal entry at the

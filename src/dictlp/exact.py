@@ -4,8 +4,9 @@ Instances (``dictlp.model``) and dictionaries (``dictlp.dictionary``) hold
 integer numerators over one positive denominator. Rationals enter as text
 (``parse_rational``) and leave as text (``format_rational``), in chunks of
 digits that CPython converts under any ``-X int_max_str_digits`` setting.
-``common_denominator`` turns ``Fraction`` rows into the integer form.
-``Fraction`` is left to certificates and to read-only views (``QMatrix``).
+``common_denominator`` turns rows of ``int`` and ``Fraction`` entries, and
+no other type, into the integer form. ``Fraction`` is left to certificates
+and to a dictionary's views (``QMatrix`` is the type of ``d.Q``).
 """
 
 from __future__ import annotations
@@ -57,8 +58,14 @@ def _rationals_text(values: Iterable[Fraction]) -> str:
 
 
 def common_denominator(rows: Iterable[Iterable[Fraction]]) -> tuple[int, list[list[int]]]:
-    """The lcm L of every entry's denominator, and each row's entries times L as ints."""
+    """The lcm L of every entry's denominator, and each row's entries times L as ints.
+
+    Raises ``TypeError`` on an entry that is not an ``int`` or a ``Fraction``.
+    """
     rows = [list(row) for row in rows]
+    bad = [x for row in rows for x in row if not isinstance(x, (int, Fraction))]
+    if bad:
+        raise TypeError(f"entries must be int or Fraction, got {type(bad[0]).__name__} {bad[0]!r}")
     scale = lcm(*(x.denominator for row in rows for x in row))
     return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
@@ -86,23 +93,12 @@ def _str(x: int) -> str:
 
 
 class QMatrix:
-    """Read-only dense matrix of ``Fraction`` entries (row-major): a view, no arithmetic."""
+    """Read-only dense ``Fraction`` matrix (row-major), the type of ``Dictionary.Q``: no arithmetic."""
 
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Iterable[Fraction]]):
         self._rows = tuple(tuple(row) for row in rows)
-
-    @property
-    def rows(self) -> int:
-        return len(self._rows)
-
-    @property
-    def cols(self) -> int:
-        return len(self._rows[0])
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i][j]
 
     def row_lists(self) -> list[list[Fraction]]:
         """Rows as fresh mutable lists."""

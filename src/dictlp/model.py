@@ -8,7 +8,9 @@ augmented constraint matrix is A = [A0 I]. A is never stored.
 A ``StandardLP`` holds the integer numerators of A0, b and c over one
 positive denominator D, the form of a dictionary, from the parser to the
 printer: the slack dictionary is those numerators as they are, and every
-other dictionary is pivoted from it. The dual (``dual_lp``) is another
+other dictionary is pivoted from it. An instance keeps no ``Fraction``
+view: rational entries go in through ``StandardLP.from_fractions`` and
+come out as text through ``serialize_lp``. The dual (``dual_lp``) is another
 max-form instance over the same D, so every dictionary operation applies
 uniformly to both sides. Its columns are numbered like any instance's,
 decisions first; the y-index names that pair them with the primal
@@ -34,7 +36,7 @@ from math import lcm
 from typing import Sequence
 
 from dictlp import _kernels
-from dictlp.exact import _CHUNK, QMatrix, common_denominator, format_rational, parse_rational
+from dictlp.exact import _CHUNK, common_denominator, format_rational, parse_rational
 
 # ASCII digits only: int() would also take other scripts' digits, '_' and '+'.
 _DIMENSION_RE = re.compile(r"[0-9]+")
@@ -57,8 +59,7 @@ class StandardLP:
     """Max-form instance: maximize c.x subject to A0 x <= b, x >= 0.
 
     The numerators of A0, b and c over D > 0, gcd-reduced so that D is the
-    lcm of the entries' denominators; ``A0``, ``b`` and ``c`` are
-    ``Fraction`` views.
+    lcm of the entries' denominators. A0_i,j is ``Fraction(A0_num[i][j], D)``.
     """
 
     A0_num: tuple[tuple[int, ...], ...]
@@ -70,7 +71,7 @@ class StandardLP:
     def from_fractions(
         cls, A0_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction], c: Sequence[Fraction]
     ) -> "StandardLP":
-        """The instance with these rational entries, over the lcm of their denominators."""
+        """The instance with these ``int`` or ``Fraction`` entries, over the lcm of their denominators."""
         if not b or not c or len(b) != len(A0_rows) or any(len(row) != len(c) for row in A0_rows):
             raise ValueError("A0 must be a len(b) x len(c) matrix with at least one entry")
         D, (b_num, c_num, *A0_num) = common_denominator([b, c, *A0_rows])
@@ -83,18 +84,6 @@ class StandardLP:
     @property
     def n(self) -> int:
         return len(self.c_num)
-
-    @property
-    def A0(self) -> QMatrix:
-        return QMatrix([Fraction(x, self.D) for x in row] for row in self.A0_num)
-
-    @property
-    def b(self) -> tuple[Fraction, ...]:
-        return tuple([Fraction(x, self.D) for x in self.b_num])
-
-    @property
-    def c(self) -> tuple[Fraction, ...]:
-        return tuple([Fraction(x, self.D) for x in self.c_num])
 
 
 def parse_lp(text: str) -> StandardLP:

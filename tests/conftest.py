@@ -10,6 +10,8 @@ from dictlp.dictionary import Dictionary, pivot
 from dictlp.exact import QMatrix
 from dictlp.model import StandardLP
 
+from reference import lp_fractions
+
 DATA = Path(__file__).parent / "data"
 
 E1_TEXT = (DATA / "e1.lp").read_text(encoding="utf-8")
@@ -17,6 +19,10 @@ E1_TEXT = (DATA / "e1.lp").read_text(encoding="utf-8")
 
 def qm(rows) -> QMatrix:
     return QMatrix([[Fraction(x) for x in row] for row in rows])
+
+
+def qrows(rows) -> list[list[Fraction]]:
+    return [[Fraction(x) for x in row] for row in rows]
 
 
 def qv(entries) -> tuple[Fraction, ...]:
@@ -52,17 +58,18 @@ def suite_instance(seed: int, bound: int = 5) -> StandardLP:
 
 def divided(lp: StandardLP, k) -> StandardLP:
     """Row i of A0 and b_i divided by k[i], and c by k[m]: fractional data, the same bases."""
+    A0, b, c = lp_fractions(lp)
     return StandardLP.from_fractions(
-        [[x / k[i] for x in row] for i, row in enumerate(lp.A0.row_lists())],
-        [x / k[i] for i, x in enumerate(lp.b)],
-        [x / k[-1] for x in lp.c],
+        [[x / k[i] for x in row] for i, row in enumerate(A0)],
+        [x / k[i] for i, x in enumerate(b)],
+        [x / k[-1] for x in c],
     )
 
 
 def dual_feasible_instance(seed: int, bound: int = 5) -> StandardLP:
     """Like suite_instance but with c forced nonpositive (initial dict dual feasible)."""
-    lp = suite_instance(seed, bound)
-    return StandardLP.from_fractions(lp.A0.row_lists(), lp.b, [-abs(x) for x in lp.c])
+    A0, b, c = lp_fractions(suite_instance(seed, bound))
+    return StandardLP.from_fractions(A0, b, [-abs(x) for x in c])
 
 
 def random_pivots(d: Dictionary, rng_choices) -> list[Dictionary]:
@@ -71,7 +78,7 @@ def random_pivots(d: Dictionary, rng_choices) -> list[Dictionary]:
     for a, b in rng_choices:
         enter = d.nonbasis[a % len(d.nonbasis)]
         leave_candidates = [
-            v for r, v in enumerate(d.basis) if d.Q.entry(r, d.nonbasis.index(enter)) != 0
+            v for v, row in zip(d.basis, d.Q_num) if row[d.nonbasis.index(enter)] != 0
         ]
         if not leave_candidates:
             continue
@@ -83,9 +90,9 @@ def random_pivots(d: Dictionary, rng_choices) -> list[Dictionary]:
 
 def check_point(d, full_values) -> bool:
     """Whether a full assignment (1-based variables) satisfies every dictionary row."""
-    for r, v in enumerate(d.basis):
-        rhs = d.p[r] - sum(
-            (d.Q.entry(r, j) * full_values[w - 1] for j, w in enumerate(d.nonbasis)),
+    for v, p_r, row in zip(d.basis, d.p, d.Q.row_lists()):
+        rhs = p_r - sum(
+            (x * full_values[w - 1] for x, w in zip(row, d.nonbasis)),
             Fraction(0),
         )
         if full_values[v - 1] != rhs:

@@ -35,20 +35,20 @@ def gauss_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
 def _augmented_columns(lp: StandardLP) -> list[list[Fraction]]:
     cols = []
     for j in range(lp.n):
-        cols.append([lp.A0.entry(i, j) for i in range(lp.m)])
+        cols.append([Fraction(row[j], lp.D) for row in lp.A0_num])
     for i in range(lp.m):
         cols.append([Fraction(1) if k == i else Fraction(0) for k in range(lp.m)])
     return cols
 
 
 def _extended_costs(lp: StandardLP) -> list[Fraction]:
-    return list(lp.c) + [Fraction(0)] * lp.m
+    return [Fraction(x, lp.D) for x in lp.c_num] + [Fraction(0)] * lp.m
 
 
 def basic_points(lp: StandardLP):
     """Yield (basis, full_point) for every nonsingular m-subset of columns."""
     cols = _augmented_columns(lp)
-    b = list(lp.b)
+    b = [Fraction(x, lp.D) for x in lp.b_num]
     total = lp.m + lp.n
     for combo in combinations(range(1, total + 1), lp.m):
         a_b = [[cols[v - 1][i] for v in combo] for i in range(lp.m)]
@@ -89,7 +89,7 @@ def oracle_solve(lp: StandardLP) -> tuple[str, Fraction | None]:
                 return "unbounded", None
 
     best = max(
-        sum(ci * xi for ci, xi in zip(lp.c, x[: lp.n])) for _B, x in feasible
+        sum(ci * xi for ci, xi in zip(costs, x[: lp.n])) for _B, x in feasible
     )
     return "optimal", best
 
@@ -99,8 +99,8 @@ def point_is_feasible(lp: StandardLP, point) -> bool:
     if len(values) != lp.n or any(v < 0 for v in values):
         return False
     for i in range(lp.m):
-        lhs = sum(lp.A0.entry(i, j) * values[j] for j in range(lp.n))
-        if lhs > lp.b[i]:
+        lhs = sum(Fraction(lp.A0_num[i][j], lp.D) * values[j] for j in range(lp.n))
+        if lhs > Fraction(lp.b_num[i], lp.D):
             return False
     return True
 
@@ -110,7 +110,7 @@ def check_outcome(lp: StandardLP, outcome) -> None:
     if isinstance(outcome, Optimal):
         assert len(outcome.point) == lp.n
         assert point_is_feasible(lp, outcome.point)
-        value = sum(ci * xi for ci, xi in zip(lp.c, outcome.point))
+        value = sum(Fraction(ci, lp.D) * xi for ci, xi in zip(lp.c_num, outcome.point))
         assert value == outcome.value
     elif isinstance(outcome, Unbounded):
         assert len(outcome.point) == lp.n and len(outcome.ray) == lp.n
@@ -118,15 +118,15 @@ def check_outcome(lp: StandardLP, outcome) -> None:
         ray = list(outcome.ray)
         assert all(v >= 0 for v in ray)
         for i in range(lp.m):
-            assert sum(lp.A0.entry(i, j) * ray[j] for j in range(lp.n)) <= 0
-        assert sum(ci * ri for ci, ri in zip(lp.c, ray)) > 0
+            assert sum(Fraction(lp.A0_num[i][j], lp.D) * ray[j] for j in range(lp.n)) <= 0
+        assert sum(Fraction(ci, lp.D) * ri for ci, ri in zip(lp.c_num, ray)) > 0
     elif isinstance(outcome, Infeasible):
         u = list(outcome.farkas)
         assert len(u) == lp.m
         assert all(v >= 0 for v in u)
         for j in range(lp.n):
-            assert sum(u[i] * lp.A0.entry(i, j) for i in range(lp.m)) >= 0
-        assert sum(ui * bi for ui, bi in zip(u, lp.b)) < 0
+            assert sum(u[i] * Fraction(lp.A0_num[i][j], lp.D) for i in range(lp.m)) >= 0
+        assert sum(ui * Fraction(bi, lp.D) for ui, bi in zip(u, lp.b_num)) < 0
     else:  # pragma: no cover - defensive
         raise AssertionError(f"unknown outcome {outcome!r}")
 

@@ -1,7 +1,10 @@
 """Reference implementations for the library's integer and pivot-only paths (test-only).
 
+Everything here works on plain lists of ``Fraction``; the library keeps no
+``Fraction`` view of an instance and no matrix arithmetic.
+``lp_fractions`` reads an instance's A0, b and c as ``Fraction`` rows.
 ``dot`` and ``mul_vec`` are the vector algebra of the tests' orthogonality
-statements; the library's tuples and ``QMatrix`` views carry none.
+statements.
 ``format_dictionary_by_fractions`` is the dictionary printer over
 ``Fraction`` entries that ``dictlp.cli.format_dictionary``, which prints
 from the integer numerators, is checked against, and
@@ -18,8 +21,17 @@ reduction of [A_B | b | A_N]; ``dictionary_from_basis`` is checked against it.
 objective over ``Fraction`` entries; ``dictlp.simplex._priced``, which
 prices in integers over the dictionary's denominator, is checked against it.
 ``rank``, ``rowspace_contains`` and ``rowspace_equal`` are the exact rank
-tests that the substitution test ``spans_rowspace_of`` is checked against.
-All of them reduce with ``rref``.
+tests, on plain rows, that the substitution test ``dictlp.duality._spans``
+is checked against. All of them reduce with ``rref``.
+
+The paper's orthogonal-subspace statements are checked on matrices built
+here: ``build_R`` is the combined-system matrix R of an instance, built
+from its numerators, and ``dictionary_matrix`` that of a dictionary (the
+``Fraction`` form of ``dictlp.duality._scaled_rows``). ``in_kernel`` is
+membership in R's kernel; ``kernel_embedding`` and ``rowspace_embedding``
+lift a dictionary's ``basic_solution`` into the kernel and the row space.
+``canonical`` sorts a dictionary's rows and columns by variable, so that
+dictionaries that differ only in order compare equal.
 
 A chain of pivots from an integer start keeps its dictionaries in
 determinant form, whose numerators need not be in lowest terms.
@@ -35,8 +47,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd
 
-from dictlp.dictionary import Dictionary, NotABasisError, negative_transpose
-from dictlp.exact import QMatrix
+from dictlp.dictionary import Dictionary, NotABasisError, _arrange, negative_transpose
 from dictlp.model import StandardLP
 from dictlp.simplex import SolveTrace
 
@@ -47,9 +58,93 @@ def dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def mul_vec(m: QMatrix, v) -> tuple[Fraction, ...]:
-    """The matrix-vector product m . v."""
-    return tuple(dot(row, v) for row in m.row_lists())
+def mul_vec(rows: list[list[Fraction]], v) -> tuple[Fraction, ...]:
+    """The matrix-vector product rows . v."""
+    return tuple(dot(row, v) for row in rows)
+
+
+def lp_fractions(lp: StandardLP) -> tuple[list[list[Fraction]], tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """A0 (as a list of rows), b and c of ``lp``: its numerators over D as ``Fraction``."""
+    D = lp.D
+    return (
+        [[Fraction(x, D) for x in row] for row in lp.A0_num],
+        tuple(Fraction(x, D) for x in lp.b_num),
+        tuple(Fraction(x, D) for x in lp.c_num),
+    )
+
+
+def build_R(lp: StandardLP) -> list[list[Fraction]]:
+    """R, the combined-system matrix: rows [0 | A0 | I | -b] over [1 | -c | 0 | 0].
+
+    Columns are labeled 0, 1..m+n, m+n+1: the objective coordinate, the
+    augmented variables, and the homogenizing coordinate.
+    """
+    _, b, c = lp_fractions(lp)
+    rows = [[Fraction(0), *row, -b_i] for row, b_i in zip(augmented_rows(lp), b)]
+    return rows + [[Fraction(1), *(-x for x in c), *[Fraction(0)] * (lp.m + 1)]]
+
+
+def dictionary_matrix(d: Dictionary) -> list[list[Fraction]]:
+    """The dictionary as a combined-system matrix, columns labeled like R's.
+
+    Row i reads 0 in column 0, Q[i][j] under the nonbasic variable N_j, 1
+    under its own basic variable B_i and 0 under the others, and -p_i last;
+    the objective row reads 1, -q under N, 0 under B, and -z*. Its row space
+    equals the row space of R.
+    """
+    width = d.m + d.n + 2
+    rows = []
+    for v, p_i, Q_i in zip(d.basis, d.p, d.Q.row_lists()):
+        row = [Fraction(0)] * width
+        for w, x in zip(d.nonbasis, Q_i):
+            row[w] = x
+        row[v] = Fraction(1)
+        row[-1] = -p_i
+        rows.append(row)
+    last = [Fraction(0)] * width
+    last[0] = Fraction(1)
+    for w, x in zip(d.nonbasis, d.q):
+        last[w] = -x
+    last[-1] = -d.z_star
+    return rows + [last]
+
+
+def in_kernel(rows: list[list[Fraction]], xbar) -> bool:
+    """True iff rows . xbar = 0 exactly."""
+    if len(xbar) != len(rows[0]):
+        raise ValueError(f"dimension mismatch: {len(rows[0])} vs {len(xbar)}")
+    return all(x == 0 for x in mul_vec(rows, xbar))
+
+
+def basic_solution(d: Dictionary) -> tuple[Fraction, ...]:
+    """The point with nonbasic variables at zero, as a full length-(m+n) vector."""
+    values = [Fraction(0)] * (d.m + d.n)
+    for v, x in zip(d.basis, d.p):
+        values[v - 1] = x
+    return tuple(values)
+
+
+def kernel_embedding(d: Dictionary) -> tuple[Fraction, ...]:
+    """Basic solution lifted to the combined system: [z*, x, 1]."""
+    return (d.z_star, *basic_solution(d), Fraction(1))
+
+
+def rowspace_embedding(d: Dictionary) -> tuple[Fraction, ...]:
+    """Dual basic solution lifted to the combined system: [1, y, objective].
+
+    The last coordinate is the dual dictionary's constant, i.e. the max-form
+    dual objective value -w at its basic solution.
+    """
+    return (Fraction(1), *basic_solution(d), d.z_star)
+
+
+def canonical(d: Dictionary) -> Dictionary:
+    """Equivalent dictionary with basis and nonbasis sorted ascending.
+
+    Strict dataclass equality is order-sensitive; theorem checks compare
+    canonical forms instead.
+    """
+    return _arrange(d, tuple(sorted(d.basis)), tuple(sorted(d.nonbasis)))
 
 
 def format_dictionary_by_fractions(d: Dictionary) -> str:
@@ -184,32 +279,30 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], int, list[in
     return m, r, pivot_cols
 
 
-def rank(m: QMatrix) -> int:
-    return rref(m.row_lists())[1]
+def rank(rows: list[list[Fraction]]) -> int:
+    return rref(rows)[1]
 
 
 def augmented_rows(lp: StandardLP) -> list[list[Fraction]]:
     """The rows of A = [A0 I]: the decision columns, then one slack per row."""
     return [
-        list(row) + [Fraction(1) if k == i else Fraction(0) for k in range(lp.m)]
-        for i, row in enumerate(lp.A0.row_lists())
+        row + [Fraction(1) if k == i else Fraction(0) for k in range(lp.m)]
+        for i, row in enumerate(lp_fractions(lp)[0])
     ]
 
 
-def rowspace_contains(m: QMatrix, v) -> bool:
-    """True iff v is a linear combination of the rows of m (exact rank test)."""
-    if len(v) != m.cols:
-        raise ValueError(f"dimension mismatch: {m.cols} vs {len(v)}")
-    return rank(m) == rank(QMatrix(m.row_lists() + [list(v)]))
+def rowspace_contains(rows: list[list[Fraction]], v) -> bool:
+    """True iff v is a linear combination of ``rows`` (exact rank test)."""
+    if len(v) != len(rows[0]):
+        raise ValueError(f"dimension mismatch: {len(rows[0])} vs {len(v)}")
+    return rank(rows) == rank([*rows, list(v)])
 
 
-def rowspace_equal(m1: QMatrix, m2: QMatrix) -> bool:
-    """True iff the two matrices span the same row space."""
-    if m1.cols != m2.cols:
-        raise ValueError(f"column-count mismatch: {m1.cols} vs {m2.cols}")
-    r1 = rank(m1)
-    r2 = rank(m2)
-    return r1 == r2 == rank(QMatrix(m1.row_lists() + m2.row_lists()))
+def rowspace_equal(rows1: list[list[Fraction]], rows2: list[list[Fraction]]) -> bool:
+    """True iff the two matrices, given as rows, span the same row space."""
+    if len(rows1[0]) != len(rows2[0]):
+        raise ValueError(f"column-count mismatch: {len(rows1[0])} vs {len(rows2[0])}")
+    return rank(rows1) == rank(rows2) == rank([*rows1, *rows2])
 
 
 def dictionary_by_elimination(lp: StandardLP, basis: tuple[int, ...] | list[int]) -> Dictionary:
@@ -227,8 +320,9 @@ def dictionary_by_elimination(lp: StandardLP, basis: tuple[int, ...] | list[int]
         raise NotABasisError(f"basis must be distinct indices in 1..{total}: {B}")
     N = tuple(v for v in range(1, total + 1) if v not in set(B))
 
+    _, b, c = lp_fractions(lp)
     rows = []
-    for a_row, b_i in zip(augmented_rows(lp), lp.b):
+    for a_row, b_i in zip(augmented_rows(lp), b):
         row = [a_row[v - 1] for v in B]
         row.append(b_i)
         row.extend(a_row[v - 1] for v in N)
@@ -239,7 +333,7 @@ def dictionary_by_elimination(lp: StandardLP, basis: tuple[int, ...] | list[int]
 
     p = tuple(row[m] for row in reduced)
     Q = [row[m + 1 :] for row in reduced]
-    c_ext = list(lp.c) + [Fraction(0)] * m
+    c_ext = list(c) + [Fraction(0)] * m
     c_B = [c_ext[v - 1] for v in B]
     q = tuple(
         c_ext[N[j] - 1] - sum((c_B[i] * Q[i][j] for i in range(m)), Fraction(0))

@@ -15,18 +15,13 @@ import pytest
 
 from dictlp.cli import main
 from dictlp.dictionary import (
-    basic_solution,
     dictionary_from_basis,
     initial_dictionary,
     negative_transpose,
 )
 from dictlp.duality import (
-    build_R,
     dual_dictionary_direct,
     enumerate_bases,
-    in_kernel,
-    kernel_embedding,
-    rowspace_embedding,
     verify_bases,
 )
 from dictlp.model import dual_lp, parse_lp
@@ -34,7 +29,16 @@ from dictlp.simplex import PivotRule, Unbounded, dual_simplex, primal_simplex, s
 
 from conftest import E1_TEXT, dual_feasible_instance, suite_instance
 from oracle import check_outcome, oracle_solve, outcome_kind
-from reference import dot, mul_vec, rowspace_contains
+from reference import (
+    build_R,
+    dot,
+    in_kernel,
+    kernel_embedding,
+    lp_fractions,
+    mul_vec,
+    rowspace_contains,
+    rowspace_embedding,
+)
 
 BIJECTION_SEEDS = range(100)
 SOLVER_SEEDS = range(50)
@@ -140,14 +144,15 @@ def test_criterion_4_orthogonal_subspace_properties():
             coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(lp.m + 1)]
             ybar = [
                 sum(
-                    (coeffs[i] * r.entry(i, j) for i in range(lp.m + 1)),
+                    (coeffs[i] * r[i][j] for i in range(lp.m + 1)),
                     Fraction(0),
                 )
-                for j in range(r.cols)
+                for j in range(len(r[0]))
             ]
             xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(lp.n)]
-            slack = [bi - ai for bi, ai in zip(lp.b, mul_vec(lp.A0, xs))]
-            xbar = [dot(lp.c, xs)] + xs + slack + [Fraction(1)]
+            A0, b, c = lp_fractions(lp)
+            slack = [bi - ai for bi, ai in zip(b, mul_vec(A0, xs))]
+            xbar = [dot(c, xs)] + xs + slack + [Fraction(1)]
             assert in_kernel(r, xbar)
             assert rowspace_contains(r, ybar)
             assert dot(ybar, xbar) == 0
@@ -207,9 +212,10 @@ def test_criterion_8_e1_unbounded_certificate(e1):
         ray = outcome.ray
         assert len(ray) == e1.n
         assert all(v >= 0 for v in ray)
-        a0_ray = mul_vec(e1.A0, ray)
+        A0, b, c = lp_fractions(e1)
+        a0_ray = mul_vec(A0, ray)
         assert all(v <= 0 for v in a0_ray)
-        assert dot(e1.c, ray) > 0
+        assert dot(c, ray) > 0
         point = outcome.point
         assert all(v >= 0 for v in point)
-        assert all(lhs <= bi for lhs, bi in zip(mul_vec(e1.A0, point), e1.b))
+        assert all(lhs <= bi for lhs, bi in zip(mul_vec(A0, point), b))

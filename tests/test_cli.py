@@ -28,7 +28,7 @@ from dictlp.model import StandardLP, parse_lp, serialize_lp
 from dictlp.simplex import Infeasible, PivotRule, PivotStep, SolveTrace, TracePhase, solve
 
 from conftest import DATA, E1_TEXT, qv, random_pivots, replaced, suite_instance
-from reference import by_value, format_dictionary_by_fractions, trace_lines_by_fractions
+from reference import by_value, format_dictionary_by_fractions, lp_fractions, trace_lines_by_fractions
 
 PRIMAL_INITIAL = """\
 x4 = 18 - 4x1 - 2x2 + 2x3
@@ -452,8 +452,8 @@ class TestTraceCommand:
     @given(seed=st.integers(0, 300), rule=st.sampled_from(["bland", "dantzig"]))
     @settings(max_examples=40, deadline=None)
     def test_solver_pivots_forced_print_the_solver_trace(self, seed, rule):
-        base = suite_instance(seed)
-        lp = StandardLP.from_fractions(base.A0.row_lists(), [abs(x) for x in base.b], base.c)
+        A0, b, c = lp_fractions(suite_instance(seed))
+        lp = StandardLP.from_fractions(A0, [abs(x) for x in b], c)
         _, trace = solve(lp, PivotRule(rule))
         (phase,) = trace.phases
         assume(phase.steps)
@@ -804,7 +804,7 @@ class TestRandomCommand:
         lp = parse_lp(out)
         assert serialize_lp(lp) == out
         assert lp.m == 3 and lp.n == 2
-        assert all(abs(x) <= 5 for row in lp.A0.row_lists() for x in row)
+        assert all(abs(x) <= 5 for row in lp_fractions(lp)[0] for x in row)
 
     def test_seeds_differ(self):
         assert random_lp(2, 2, seed=1) != random_lp(2, 2, seed=2)

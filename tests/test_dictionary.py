@@ -9,8 +9,6 @@ from dictlp.dictionary import (
     Dictionary,
     NotABasisError,
     PivotError,
-    basic_solution,
-    canonical,
     dictionary_from_basis,
     initial_dictionary,
     is_dual_feasible,
@@ -22,8 +20,10 @@ from dictlp.model import StandardLP
 
 from conftest import check_point, divided, objective_at, qm, qv, random_pivots, suite_instance
 from reference import (
+    basic_solution,
     basis_determinant,
     by_value,
+    canonical,
     dictionary_by_elimination,
     fraction_pivot_update,
     in_lowest_terms,
@@ -160,9 +160,9 @@ class TestPivot:
         full = [Fraction(0)] * (before.m + before.n)
         for value, v in zip(xs, before.nonbasis):
             full[v - 1] = value
-        for r, v in enumerate(before.basis):
-            full[v - 1] = before.p[r] - sum(
-                (before.Q.entry(r, j) * full[w - 1] for j, w in enumerate(before.nonbasis)),
+        for v, p_r, row in zip(before.basis, before.p, before.Q.row_lists()):
+            full[v - 1] = p_r - sum(
+                (x * full[w - 1] for x, w in zip(row, before.nonbasis)),
                 Fraction(0),
             )
         assert check_point(after, full)
@@ -304,6 +304,18 @@ class TestKernelParity:
     def test_from_fractions_rejects_bad_shapes(self, basis, nonbasis, p, Q, q):
         with pytest.raises(ValueError):
             Dictionary.from_fractions("primal", basis, nonbasis, qv(p), Q, qv(q), 0)
+
+    @pytest.mark.parametrize("bad", [1.5, "1"], ids=["float", "str"])
+    @pytest.mark.parametrize("field", ["p", "Q", "q", "z_star"])
+    def test_from_fractions_rejects_entries_that_are_not_int_or_fraction(self, field, bad):
+        entries = {"p": (1,), "Q": [[1]], "q": (1,), "z_star": 0}
+        entries[field] = {"p": (bad,), "Q": [[bad]], "q": (bad,), "z_star": bad}[field]
+        with pytest.raises(TypeError, match=f"got {type(bad).__name__} {bad!r}"):
+            Dictionary.from_fractions("primal", (2,), (1,), **entries)
+
+    def test_from_fractions_rejects_an_unknown_side(self):
+        with pytest.raises(ValueError, match="side must be 'primal' or 'dual', got 'sideways'"):
+            Dictionary.from_fractions("sideways", (2,), (1,), (1,), [[1]], (1,), 0)
 
 
 class TestFeasibility:

@@ -13,7 +13,6 @@ from dictlp.dictionary import (
     Dictionary,
     NotABasisError,
     _arrange,
-    canonical,
     dictionary_from_basis,
     initial_dictionary,
     negative_transpose,
@@ -25,31 +24,33 @@ from dictlp.duality import (
     _is_negative_transpose,
     _report,
     _scaled_rows,
-    build_R,
-    dictionary_matrix,
+    _spans,
     dual_dictionary_direct,
     enumerate_bases,
-    in_kernel,
-    kernel_embedding,
-    rowspace_embedding,
-    spans_rowspace_of,
     verify_bases,
     walk_bases,
 )
 from dictlp.model import StandardLP, dual_lp
 
-from conftest import divided, objective_at, qm, qv, random_pivots, replaced, suite_instance
+from conftest import divided, objective_at, qrows, qv, random_pivots, replaced, suite_instance
 from oracle import basic_points
 from reference import (
     augmented_rows,
     basis_determinant,
+    build_R,
     by_value,
+    canonical,
     dictionary_by_elimination,
+    dictionary_matrix,
     dot,
+    in_kernel,
     in_lowest_terms,
+    kernel_embedding,
+    lp_fractions,
     mul_vec,
     rank,
     rowspace_contains,
+    rowspace_embedding,
     rowspace_equal,
 )
 
@@ -82,19 +83,19 @@ SECOND_DUAL = Dictionary.from_fractions(
 
 class TestBuildR:
     def test_e1(self, e1):
-        assert build_R(e1) == qm(E1_R)
+        assert build_R(e1) == qrows(E1_R)
 
     def test_last_row_homogenizing_column_is_zero(self, e1):
         r = build_R(e1)
-        assert r.entry(e1.m, e1.m + e1.n + 1) == 0
+        assert r[e1.m][e1.m + e1.n + 1] == 0
 
     @given(seed=st.integers(0, 300))
     @settings(max_examples=40, deadline=None)
     def test_full_row_rank(self, seed):
         lp = suite_instance(seed)
         r = build_R(lp)
-        assert r.rows == lp.m + 1
-        assert r.cols == lp.m + lp.n + 2
+        assert len(r) == lp.m + 1
+        assert all(len(row) == lp.m + lp.n + 2 for row in r)
         assert rank(r) == lp.m + 1
 
 
@@ -128,9 +129,10 @@ class TestKernelMembership:
         )
         xbar = [x0] + xs + [Fraction(1)]
         dec, slack = xs[: lp.n], xs[lp.n :]
+        A0, b, c = lp_fractions(lp)
         expected = (
-            list(mul_vec(lp.A0, dec)) == [bi - si for bi, si in zip(lp.b, slack)]
-            and x0 == dot(lp.c, dec)
+            list(mul_vec(A0, dec)) == [bi - si for bi, si in zip(b, slack)]
+            and x0 == dot(c, dec)
         )
         assert in_kernel(r, xbar) == expected
 
@@ -138,7 +140,7 @@ class TestKernelMembership:
 class TestRowspaceMembership:
     def test_last_row_of_r(self, e1):
         r = build_R(e1)
-        assert rowspace_contains(r, r.row_lists()[2])
+        assert rowspace_contains(r, r[2])
 
     def test_initial_dual_basic_solution(self, e1):
         assert rowspace_contains(build_R(e1), qv([1, -8, -11, 10, 0, 0, 0]))
@@ -162,8 +164,8 @@ class TestRowspaceMembership:
             )
         )
         ybar = [
-            sum((coeffs[i] * r.entry(i, j) for i in range(lp.m + 1)), Fraction(0))
-            for j in range(r.cols)
+            sum((coeffs[i] * r[i][j] for i in range(lp.m + 1)), Fraction(0))
+            for j in range(len(r[0]))
         ]
         assert rowspace_contains(r, ybar)
         xs = data.draw(
@@ -173,8 +175,9 @@ class TestRowspaceMembership:
                 max_size=lp.n,
             )
         )
-        slack = [bi - ai for bi, ai in zip(lp.b, mul_vec(lp.A0, xs))]
-        xbar = [dot(lp.c, xs)] + xs + slack + [Fraction(1)]
+        A0, b, c = lp_fractions(lp)
+        slack = [bi - ai for bi, ai in zip(b, mul_vec(A0, xs))]
+        xbar = [dot(c, xs)] + xs + slack + [Fraction(1)]
         assert in_kernel(r, xbar)
         assert dot(ybar, xbar) == 0
 
@@ -187,9 +190,9 @@ class TestDictionaryMatrix:
     def test_second_dictionary(self, e1):
         d = pivot(initial_dictionary(e1), 1, 5)
         mat = dictionary_matrix(d)
-        assert mat.rows == 3
+        assert len(mat) == 3
         # rows x4, x1, objective; columns 0, 1..5, 6
-        assert mat == qm(
+        assert mat == qrows(
             [
                 [0, 0, -2, -10, 1, 4, -6],
                 [0, 1, 1, 2, 0, -1, -3],
@@ -203,7 +206,12 @@ class TestDictionaryMatrix:
     def test_row_count(self, seed):
         lp = suite_instance(seed)
         d = initial_dictionary(lp)
-        assert dictionary_matrix(d).rows == lp.m + 1
+        assert len(dictionary_matrix(d)) == lp.m + 1
+
+
+def spans_rowspace_of(start: Dictionary, d: Dictionary) -> bool:
+    """``verify``'s substitution test: whether ``d``'s matrix spans the row space of ``start``'s."""
+    return _spans(_scaled_rows(start), d)
 
 
 class TestSpansRowspaceOf:
@@ -215,10 +223,11 @@ class TestSpansRowspaceOf:
         base = suite_instance(seed)
         # Rows of R with different denominators exercise the integer scaling.
         k = data.draw(st.integers(1, 6))
+        A0, b, c = lp_fractions(base)
         lp = StandardLP.from_fractions(
-            [[x / (k + i) for x in row] for i, row in enumerate(base.A0.row_lists())],
-            [x / (k + i) for i, x in enumerate(base.b)],
-            [x / (k + base.m) for x in base.c],
+            [[x / (k + i) for x in row] for i, row in enumerate(A0)],
+            [x / (k + i) for i, x in enumerate(b)],
+            [x / (k + base.m) for x in c],
         )
         start = initial_dictionary(lp)
         r = build_R(lp)
@@ -541,10 +550,11 @@ class TestEnumerateBases:
         base = suite_instance(seed, bound)
         factor = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool)
         k = [data.draw(factor) for _ in range(base.m)]
+        A0, b, c = lp_fractions(base)
         lp = StandardLP.from_fractions(
-            [[x / k[i] for x in row] for i, row in enumerate(base.A0.row_lists())],
-            [x / k[i] for i, x in enumerate(base.b)],
-            base.c,
+            [[x / k[i] for x in row] for i, row in enumerate(A0)],
+            [x / k[i] for i, x in enumerate(b)],
+            c,
         )
         assert enumerate_bases(lp) == [basis for basis, _ in basic_points(lp)]
 
@@ -580,15 +590,15 @@ class TestSolutionSetEquivalence:
         # row combination with coefficient 1 on the objective row, so y0 = 1
         coeffs = us + [Fraction(1)]
         ybar = [
-            sum((coeffs[i] * r.entry(i, j) for i in range(lp.m + 1)), Fraction(0))
-            for j in range(r.cols)
+            sum((coeffs[i] * r[i][j] for i in range(lp.m + 1)), Fraction(0))
+            for j in range(len(r[0]))
         ]
         assert ybar[0] == 1
         values = ybar[1 : lp.m + lp.n + 1]
         # basic rows of the dual dictionary
-        for row, v in enumerate(dual.basis):
-            rhs = dual.p[row] - sum(
-                (dual.Q.entry(row, k) * values[w - 1] for k, w in enumerate(dual.nonbasis)),
+        for v, p_r, row in zip(dual.basis, dual.p, dual.Q.row_lists()):
+            rhs = p_r - sum(
+                (x * values[w - 1] for x, w in zip(row, dual.nonbasis)),
                 Fraction(0),
             )
             assert values[v - 1] == rhs
@@ -607,9 +617,9 @@ class TestSolutionSetEquivalence:
         full = [Fraction(0)] * (lp.m + lp.n)
         for value, v in zip(ys, dual.nonbasis):
             full[v - 1] = value
-        for row, v in enumerate(dual.basis):
-            full[v - 1] = dual.p[row] - sum(
-                (dual.Q.entry(row, k) * full[w - 1] for k, w in enumerate(dual.nonbasis)),
+        for v, p_r, row in zip(dual.basis, dual.p, dual.Q.row_lists()):
+            full[v - 1] = p_r - sum(
+                (x * full[w - 1] for x, w in zip(row, dual.nonbasis)),
                 Fraction(0),
             )
         embedded = [Fraction(1)] + full + [objective_at(dual, full)]

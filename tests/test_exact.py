@@ -1,5 +1,6 @@
 import ast
 import itertools
+import re
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictlp.exact import QMatrix, _str, format_rational, parse_rational
+from dictlp.exact import _str, format_rational, parse_rational
 from dictlp.model import StandardLP
 
-from conftest import qm, qv
-from reference import augmented_rows, rank, rowspace_contains, rowspace_equal, rref
+from conftest import qrows, qv
+from reference import augmented_rows, build_R, rank, rowspace_contains, rowspace_equal, rref
+
+ROOT = Path(__file__).resolve().parents[1]
 
 rationals = st.fractions(
     min_value=-30, max_value=30, max_denominator=6
@@ -107,25 +110,25 @@ class TestRational:
 
 class TestRref:
     def test_identity_fixed_point(self):
-        m = qm([[1, 0], [0, 1]])
-        reduced, rnk, pivots = rref(m.row_lists())
-        assert QMatrix(reduced) == m
+        m = qrows([[1, 0], [0, 1]])
+        reduced, rnk, pivots = rref(m)
+        assert reduced == m
         assert rnk == 2
         assert pivots == [0, 1]
 
     def test_dependent_rows(self):
-        reduced, rnk, pivots = rref(qm([[1, 2], [2, 4]]).row_lists())
-        assert QMatrix(reduced) == qm([[1, 2], [0, 0]])
+        reduced, rnk, pivots = rref(qrows([[1, 2], [2, 4]]))
+        assert reduced == qrows([[1, 2], [0, 0]])
         assert rnk == 1
         assert pivots == [0]
 
     def test_e1_augmented_rank(self, e1):
-        assert rank(QMatrix(augmented_rows(e1))) == 2
+        assert rank(augmented_rows(e1)) == 2
 
     @given(small_matrix())
     @settings(max_examples=60)
     def test_idempotent(self, rows):
-        reduced, rnk, pivots = rref(qm(rows).row_lists())
+        reduced, rnk, pivots = rref(qrows(rows))
         again, rnk2, pivots2 = rref(reduced)
         assert again == reduced
         assert (rnk2, pivots2) == (rnk, pivots)
@@ -133,42 +136,40 @@ class TestRref:
     @given(small_matrix())
     @settings(max_examples=60)
     def test_pivot_columns_strictly_increasing(self, rows):
-        _, rnk, pivots = rref(qm(rows).row_lists())
+        _, rnk, pivots = rref(qrows(rows))
         assert len(pivots) == rnk
         assert all(a < b for a, b in zip(pivots, pivots[1:]))
 
 
 class TestRowspace:
     def test_identity_contains_everything(self):
-        m = qm([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        m = qrows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert rowspace_contains(m, qv([1, Fraction(-7, 3), 0]))
 
     def test_single_row_misses_orthogonal(self):
-        assert not rowspace_contains(qm([[1, 0, 0]]), qv([0, 1, 0]))
+        assert not rowspace_contains(qrows([[1, 0, 0]]), qv([0, 1, 0]))
 
     def test_contains_own_row(self, e1):
-        from dictlp.duality import build_R
-
         r = build_R(e1)
-        assert rowspace_contains(r, r.row_lists()[2])
+        assert rowspace_contains(r, r[2])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            rowspace_contains(qm([[1, 0]]), qv([1, 0, 0]))
+            rowspace_contains(qrows([[1, 0]]), qv([1, 0, 0]))
 
     def test_equal_same_matrix(self):
-        m = qm([[1, 2], [3, 4]])
+        m = qrows([[1, 2], [3, 4]])
         assert rowspace_equal(m, m)
 
     def test_equal_scaled_spans(self):
-        assert rowspace_equal(qm([[1, 0], [0, 1]]), qm([[2, 0], [0, 3]]))
+        assert rowspace_equal(qrows([[1, 0], [0, 1]]), qrows([[2, 0], [0, 3]]))
 
     def test_unequal(self):
-        assert not rowspace_equal(qm([[1, 0]]), qm([[0, 1]]))
+        assert not rowspace_equal(qrows([[1, 0]]), qrows([[0, 1]]))
 
     def test_column_mismatch(self):
         with pytest.raises(ValueError):
-            rowspace_equal(qm([[1, 0]]), qm([[1, 0, 0]]))
+            rowspace_equal(qrows([[1, 0]]), qrows([[1, 0, 0]]))
 
     @given(small_matrix(3), small_matrix(3))
     @settings(max_examples=60)
@@ -177,10 +178,10 @@ class TestRowspace:
         # nonzero rows of their reduced echelon forms coincide
         width = len(rows_a[0])
         rows_b = [(row + [Fraction(0)] * width)[:width] for row in rows_b]
-        a, b = qm(rows_a), qm(rows_b)
+        a, b = qrows(rows_a), qrows(rows_b)
 
         def canonical_span(m):
-            reduced, rnk, _ = rref(m.row_lists())
+            reduced, rnk, _ = rref(m)
             return tuple(tuple(reduced[i]) for i in range(rnk))
 
         assert rowspace_equal(a, b) == (canonical_span(a) == canonical_span(b))
@@ -191,17 +192,17 @@ class TestRowspace:
     def test_equivalence_under_row_recombination(self, rows, coeffs):
         # symmetric/transitive behavior on matrices constructed to share a span:
         # append random row combinations, which never change the row space
-        base = qm(rows)
+        base = qrows(rows)
 
         def extended(combo_coeffs):
             extra = [
                 sum(
-                    (combo_coeffs[k] * base.entry(k % base.rows, j) for k in range(3)),
+                    (combo_coeffs[k] * base[k % len(base)][j] for k in range(3)),
                     Fraction(0),
                 )
-                for j in range(base.cols)
+                for j in range(len(base[0]))
             ]
-            return qm(rows + [extra])
+            return qrows(rows + [extra])
 
         m1, m2, m3 = extended(coeffs[0]), extended(coeffs[1]), extended(coeffs[2])
         assert rowspace_equal(m1, m2) and rowspace_equal(m2, m1)
@@ -334,3 +335,41 @@ def test_library_has_no_dead_private_function_or_unused_import():
                 bound = [(a.asname or a.name).split(".")[0] for a in node.names]
                 unused += [f"{name}: {b}" for b in bound if b not in used]
     assert unused == [], f"imported names never used: {unused}"
+
+    # A name in dictlp.__all__ is read by library code outside its own
+    # definition, by the benchmark (perfbench/*.py) or by README's Library
+    # section. One that only tests read is code no caller needs.
+    def defines(stmt: ast.stmt, name: str) -> bool:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            return stmt.name == name
+        return isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == name for t in stmt.targets)
+
+    benchmark = set().union(
+        *(referenced(ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(ROOT.glob("perfbench/*.py")))
+    )
+    library_section = readme_library_section()
+    unread = [
+        name
+        for name in dictlp.__all__
+        if not any(name in refs for stmt, refs in statements if not defines(stmt, name))
+        and name not in benchmark
+        and not re.search(rf"\b{name}\b", library_section)
+    ]
+    assert unread == [], f"exported names that only tests read: {unread}"
+
+
+def readme_library_section() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_library_example_runs(monkeypatch):
+    # The example runs from the repository root, and its last line shows True.
+    code = readme_library_section().split("```python\n", 1)[1].split("```", 1)[0]
+    *body, last = ast.parse(code).body
+    assert isinstance(last, ast.Expr)
+    monkeypatch.chdir(ROOT)
+    namespace: dict = {}
+    exec(compile(ast.Module(body, type_ignores=[]), "README.md", "exec"), namespace)
+    assert eval(compile(ast.Expression(last.value), "README.md", "eval"), namespace) is True
+    assert len(namespace["verify_bases"](namespace["lp"])) == 10

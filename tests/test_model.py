@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictlp.dictionary import basic_solution, initial_dictionary
+from dictlp.dictionary import initial_dictionary
 from dictlp.model import (
     ParseError,
     StandardLP,
@@ -13,7 +13,8 @@ from dictlp.model import (
     serialize_lp,
 )
 
-from conftest import E1_TEXT, qm, qv
+from conftest import E1_TEXT, qm, qrows, qv
+from reference import basic_solution, lp_fractions
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=5)
 
@@ -79,7 +80,7 @@ class TestParse:
     def test_degenerate_instance(self):
         lp = parse_lp("lp v1\n1 1\n1\n1 0\n")
         assert lp.m == 1 and lp.n == 1
-        assert lp.b == qv([0])
+        assert lp_fractions(lp)[1] == qv([0])
 
     def test_comments_and_blank_lines(self, e1):
         text = "# a comment\nlp v1\n\n2 3   # dims\n8 11 -10\n4 2 -2 18\n-1 -1 -2 -3\n"
@@ -180,6 +181,16 @@ class TestParse:
             parse_lp("lp v1\n1 1\n1\n1 0\n1 0\n")
 
 
+class TestFromFractions:
+    @pytest.mark.parametrize("bad", [1.5, "1"], ids=["float", "str"])
+    @pytest.mark.parametrize("field", ["A0", "b", "c"])
+    def test_rejects_entries_that_are_not_int_or_fraction(self, field, bad):
+        entries = {"A0_rows": [[1]], "b": [1], "c": [Fraction(1, 2)]}
+        entries["A0_rows" if field == "A0" else field] = [[bad]] if field == "A0" else [bad]
+        with pytest.raises(TypeError, match=f"got {type(bad).__name__} {bad!r}"):
+            StandardLP.from_fractions(**entries)
+
+
 class TestSerialize:
     def test_e1_canonical_bytes(self, e1):
         assert serialize_lp(e1) == "lp v1\n2 3\n8 11 -10\n4 2 -2 18\n-1 -1 -2 -3\n"
@@ -200,15 +211,15 @@ class TestSerialize:
 
 class TestDual:
     def test_e1(self, e1):
-        dual = dual_lp(e1)
-        assert dual.A0 == qm([[-4, 1], [-2, 1], [2, 2]])
-        assert dual.b == qv([-8, -11, 10])
-        assert dual.c == qv([-18, 3])
+        A0, b, c = lp_fractions(dual_lp(e1))
+        assert A0 == qrows([[-4, 1], [-2, 1], [2, 2]])
+        assert b == qv([-8, -11, 10])
+        assert c == qv([-18, 3])
 
     def test_one_by_one_negates(self):
         lp = StandardLP.from_fractions([[5]], qv([2]), qv([3]))
         dual = dual_lp(lp)
-        assert dual.A0 == qm([[-5]])
+        assert lp_fractions(dual)[0] == qrows([[-5]])
 
     @given(instances())
     @settings(max_examples=40)
@@ -222,9 +233,10 @@ class TestInitialDictionary:
         d = initial_dictionary(e1)
         assert d.basis == (4, 5)
         assert d.nonbasis == (1, 2, 3)
-        assert d.p == e1.b
-        assert d.Q == e1.A0
-        assert d.q == e1.c
+        A0, b, c = lp_fractions(e1)
+        assert d.p == b
+        assert d.Q == qm(A0)
+        assert d.q == c
         assert d.z_star == 0
 
     @given(instances())
@@ -237,4 +249,4 @@ class TestInitialDictionary:
     def test_basic_solution_is_slacks_at_b(self, lp):
         x = basic_solution(initial_dictionary(lp))
         assert list(x[: lp.n]) == [Fraction(0)] * lp.n
-        assert list(x[lp.n :]) == list(lp.b)
+        assert list(x[lp.n :]) == list(lp_fractions(lp)[1])

@@ -33,7 +33,7 @@ from dictlp.simplex import (
 
 from conftest import DATA, divided, dual_feasible_instance, fr, qv, suite_instance
 from oracle import check_outcome, oracle_solve, outcome_kind
-from reference import by_value, priced_by_fractions
+from reference import basic_solution, by_value, lp_fractions, priced_by_fractions
 
 
 @pytest.fixture
@@ -111,7 +111,7 @@ class TestPrimalSimplex:
         assert signal is not None
         enter = _pick(final.nonbasis, final.q_num, PivotRule.DANTZIG)
         s = final.nonbasis.index(enter)
-        assert all(final.Q.entry(r, s) <= 0 for r in range(final.m))
+        assert all(row[s] <= 0 for row in final.Q_num)
         # deterministic run: ends on basis (5, 2) with objective 99
         assert final.basis == (5, 2)
         assert final.z_star == 99
@@ -149,8 +149,6 @@ class TestDualSimplex:
         assert signal is None
         assert [(s.enter, s.leave) for s in steps] == [(1, 3)]
         assert final.z_star == -1
-        from dictlp.dictionary import basic_solution
-
         assert list(basic_solution(final))[:2] == [Fraction(1), Fraction(0)]
 
     def test_zero_pivots_when_both_feasible(self):
@@ -171,7 +169,7 @@ class TestDualSimplex:
         assert signal is not None
         r = final.basis.index(signal)
         assert final.p[r] < 0
-        assert all(final.Q.entry(r, k) >= 0 for k in range(final.n))
+        assert all(x >= 0 for x in final.Q_num[r])
 
     def test_dantzig_constant_tie_to_smallest_label(self):
         # x4 and x3 tie at -3, listed larger label first; x2 is the Bland choice
@@ -233,7 +231,8 @@ class TestSolveGoldens:
         check_outcome(lp, outcome)
 
     def test_e1_with_nonpositive_objective(self, e1):
-        lp = StandardLP.from_fractions(e1.A0.row_lists(), e1.b, qv([-1, -1, -1]))
+        A0, b, _ = lp_fractions(e1)
+        lp = StandardLP.from_fractions(A0, b, qv([-1, -1, -1]))
         outcome, _ = solve(lp)
         assert isinstance(outcome, Optimal)
         kind, value = oracle_solve(lp)
@@ -320,6 +319,19 @@ class TestCheckOutcome:
     def test_wrong_length_is_rejected(self, outcome):
         lp = tiny([[1, 1, 1]], [1], [1, 1, 1])
         with pytest.raises(CertificateError):
+            simplex.check_outcome(initial_dictionary(lp), outcome)
+
+    @pytest.mark.parametrize(
+        "outcome",
+        [
+            Optimal(point=(0.5, 0), value=fr(1, 2)),
+            Unbounded(point=qv([0, 0]), ray=(1, "1")),
+            Infeasible(farkas=(0.5,)),
+        ],
+    )
+    def test_entries_that_are_not_int_or_fraction_are_refused(self, outcome):
+        lp = tiny([[1, 1]], [1], [1, 1])
+        with pytest.raises(TypeError, match="entries must be int or Fraction"):
             simplex.check_outcome(initial_dictionary(lp), outcome)
 
     @pytest.mark.parametrize(
@@ -475,7 +487,7 @@ class TestLockstep:
                 (e, l)
                 for s, e in enumerate(d.nonbasis)
                 for r, l in enumerate(d.basis)
-                if d.Q.entry(r, s) != 0
+                if d.Q_num[r][s] != 0
             ]
             if not pairs:
                 break
