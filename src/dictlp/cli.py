@@ -18,7 +18,12 @@ dictionary in lowest terms (``_lowest_terms``): a determinant-form chain
 changes D at nearly every pivot, while the reduced denominators repeat, so
 the tables keep hitting. ``--dual-view`` prints the negative transpose from
 the same tables, reading the columns of Q as rows with the tables swapped
-(``_lines`` with ``flip``), so no dual dictionary is built.
+(``_lines`` with ``flip``), so no dual dictionary is built. Within a phase,
+a row line is carried over from the dictionary one pivot earlier when D,
+the row's label, constant and coefficients are unchanged and its
+coefficient under the relabelled head is 0 (position s of a primal row, r
+of a dual-view row), since it would print the same text. A unit pivot
+(|a| = D) leaves most rows, and in the dual view most columns, unchanged.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import os
 import random
 import sys
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -109,13 +115,19 @@ def _leading(terms: str) -> str:
     return text if terms[1] == "+" else "-" + text
 
 
-def _lines(d: Dictionary, tables: _TermTables, flip: bool) -> list[str]:
+def _lines(d: Dictionary, tables: _TermTables, flip: bool, last: list | None = None) -> list[str]:
     """The lines of ``d``, or with ``flip`` of its negative transpose, from ``tables = _term_tables(..., d)``.
 
     The negative transpose has rows -q, -Q^T, objective -p and constant -z*
     on the swapped partition and the other side, so it reads the same
     numerators in the other orientation, each term from the other table; no
     dictionary is built.
+
+    ``last`` holds what the previous call with it rendered, the dictionary
+    one pivot earlier in the same orientation, and is updated to ``d``. A
+    row line of it is carried over when D is the same, the row's label,
+    constant and coefficients are unchanged, and its coefficient under the
+    one head that the pivot relabelled is 0: then it prints the same text.
     """
     primal = (d.side == "primal") != flip
     var = "x" if primal else "y"
@@ -124,16 +136,28 @@ def _lines(d: Dictionary, tables: _TermTables, flip: bool) -> list[str]:
     # minus[x] and a constant or objective term plus[x]. Flip negates every
     # entry, so the tables trade places.
     if flip:
-        rows, heads, objective = zip(d.nonbasis, d.q_num, zip(*d.Q_num)), d.basis, d.p_num
+        rows, heads, objective = list(zip(d.nonbasis, d.q_num, zip(*d.Q_num))), d.basis, d.p_num
         row_terms, terms = plus, minus
     else:
-        rows, heads, objective = zip(d.basis, d.p_num, d.Q_num), d.nonbasis, d.q_num
+        rows, heads, objective = list(zip(d.basis, d.p_num, d.Q_num)), d.nonbasis, d.q_num
         row_terms, terms = minus, plus
     names = [f"{var}{w}" for w in heads]
-    lines = [
-        f"{var}{v} = {_leading(terms[c])}" + "".join([row_terms[x] + name for x, name in zip(coefs, names) if x])
-        for v, c, coefs in rows
-    ]
+    # The one head position the pivot relabelled, when ``last`` was rendered over the same D.
+    moved = [j for j, (u, w) in enumerate(zip(last[1], heads)) if u != w] if last and last[0] == d.D else ()
+    if len(moved) == 1:
+        (j,) = moved
+        carried = zip(last[2], last[3])
+    else:  # nothing to carry over: no row equals None
+        j, carried = 0, repeat((None, None))
+    lines = []
+    for row, (old, text) in zip(rows, carried):
+        if row != old or row[2][j]:
+            v, c, coefs = row
+            terms_text = "".join([row_terms[x] + name for x, name in zip(coefs, names) if x])
+            text = f"{var}{v} = {_leading(terms[c])}{terms_text}"
+        lines.append(text)
+    if last is not None:
+        last[:] = d.D, heads, rows, lines[:]
     tail = "".join([terms[x] + name for x, name in zip(objective, names) if x])
     # The constant is skipped when zero, unless the line would be empty.
     tail = _leading(terms[d.z_num]) + tail if d.z_num or not tail else _leading(tail)
@@ -217,18 +241,20 @@ def _solver_trace_lines(trace: SolveTrace, dual_view: bool) -> list[str]:
             lines.append("")
         if multi:
             lines.append(f"== {phase.name} ==")
+        primal_last: list = []  # what _lines rendered one pivot earlier, per orientation
+        dual_last: list = []
         for step in (None, *phase.steps):
             d = phase.start if step is None else step.dictionary
             if step is not None:
                 lines += ["", f"pivot: enter x{step.enter}, leave x{step.leave}"]
             d = _lowest_terms(d)
             terms = _term_tables(tables, d)
-            lines += _lines(d, terms, flip=False)
+            lines += _lines(d, terms, False, primal_last)
             if dual_view:
                 lines += ["", "dual:"]
                 if step is not None:
                     lines.append(f"pivot: enter y{step.leave}, leave y{step.enter}")
-                lines += _lines(d, terms, flip=True)
+                lines += _lines(d, terms, True, dual_last)
     return lines
 
 

@@ -96,10 +96,17 @@ class Dictionary:
         q: Sequence[Fraction],
         z_star: Fraction,
     ) -> "Dictionary":
-        """The dictionary with these ``int`` or ``Fraction`` entries (Q as rows), over the lcm of their denominators."""
+        """The dictionary with these ``int`` or ``Fraction`` entries (Q as rows), over the lcm of their denominators.
+
+        The labels in ``basis`` and ``nonbasis`` are ``int`` and partition 1..m+n.
+        """
         if side not in ("primal", "dual"):
             raise ValueError(f"side must be 'primal' or 'dual', got {side!r}")
         m, n = len(basis), len(nonbasis)
+        # 2.0 and True would pass the partition test below, being equal to 2 and 1.
+        bad = next((v for v in (*basis, *nonbasis) if type(v) is not int), None)
+        if bad is not None:
+            raise ValueError(f"labels must be int, got {type(bad).__name__} {bad!r}")
         if sorted([*basis, *nonbasis]) != list(range(1, m + n + 1)):
             raise ValueError("basis and nonbasis must partition 1..m+n")
         if len(p) != m or len(q) != n:

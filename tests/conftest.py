@@ -56,6 +56,39 @@ def suite_instance(seed: int, bound: int = 5) -> StandardLP:
     return random_lp(m, n, seed, bound)
 
 
+def klee_minty(d: int, row_scale: list[int] | None = None) -> StandardLP:
+    """The Klee-Minty cube of dimension d (Klee & Minty 1972), row i and b_i times ``row_scale[i]``.
+
+    maximize sum_j 2^(d-j) x_j subject to sum_{j<i} 2^(i-j+1) x_j + x_i <= 5^i.
+    Unscaled, the bases that either rule visits from the slack basis have
+    determinant +-1, so every pivot of a solve is a unit pivot; a scaled row
+    gives some pivots of magnitude > D.
+    """
+    scale = row_scale or [1] * d
+    rows = [[2 ** (i - j + 1) if j < i else int(j == i) for j in range(1, d + 1)] for i in range(1, d + 1)]
+    return StandardLP.from_fractions(
+        [[x * k for x in row] for row, k in zip(rows, scale)],
+        [5**i * k for i, k in zip(range(1, d + 1), scale)],
+        [2 ** (d - j) for j in range(1, d + 1)],
+    )
+
+
+def transportation_lp() -> StandardLP:
+    """A 3x3 transportation LP: maximize profit.x over the arcs, each source shipping at most its supply, each sink receiving at least its demand.
+
+    Its rows are the node-arc incidence matrix of the bipartite graph (+1 at
+    a source, -1 at a sink), which is totally unimodular, so every basis of
+    [A0 I] has determinant +-1 and every pivot is a unit pivot at D = 1.
+    Some profits are positive and b has negative entries, so the solve takes
+    both phases.
+    """
+    supply, demand = [4, 5, 3], [3, 4, 2]
+    profit = [[4, -6, 9], [5, 3, -8], [-7, 2, 6]]
+    arcs = [(i, j) for i in range(3) for j in range(3)]
+    rows = [[int(a == i) for a, _ in arcs] for i in range(3)] + [[-int(b == j) for _, b in arcs] for j in range(3)]
+    return StandardLP.from_fractions(rows, supply + [-x for x in demand], [profit[i][j] for i, j in arcs])
+
+
 def divided(lp: StandardLP, k) -> StandardLP:
     """Row i of A0 and b_i divided by k[i], and c by k[m]: fractional data, the same bases."""
     A0, b, c = lp_fractions(lp)

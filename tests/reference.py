@@ -13,7 +13,9 @@ from the integer numerators, is checked against, and
 ``fraction_pivot_update`` is the dictionary pivot over ``Fraction`` entries,
 the kernel the library ran before it held dictionaries as integers over one
 denominator; the fraction-free kernel (``dictlp._kernels.pivot_update``) is
-checked against it step by step. ``rref`` is row reduction to reduced
+checked against it step by step. ``det_form_pivot_update`` is the
+determinant-form pivot by its dense formula, which the kernel's unit pivots
+(|a| = D), computed only where the pivot row is nonzero, must equal. ``rref`` is row reduction to reduced
 echelon form; the library itself eliminates only by dictionary pivots.
 ``dictionary_by_elimination`` builds a dictionary without a pivot, by one
 reduction of [A_B | b | A_N]; ``dictionary_from_basis`` is checked against it.
@@ -243,6 +245,41 @@ def fraction_pivot_update(
         new_q[s] = -g * inv
         new_z = z + g * p_r
     return new_p, new_Q, new_q, new_z
+
+
+def det_form_pivot_update(
+    p: tuple[int, ...], Q: tuple[tuple[int, ...], ...], q: tuple[int, ...], z: int, D: int, r: int, s: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...], int, int]:
+    """The determinant-form pivot by its dense formula (Edmonds 1967; Bareiss 1968), every entry computed.
+
+    On the rows (p_i, Q_i) and the objective row (z, -q), with a = Q[r][s]:
+    row r stays with D at the pivot, every other row reads ``(x*a -
+    f*y) // D`` with f its pivot-column entry and y row r's entry, and -f in
+    the pivot column; the new denominator is |a|, and when a < 0 everything
+    is negated so that it stays positive.
+    """
+    a = Q[r][s]
+    sign = 1 if a > 0 else -1
+    rows = [[p_i, *Q_i] for p_i, Q_i in zip(p, Q)] + [[z, *[-x for x in q]]]
+    lead = rows[r]
+    out = []
+    for i, row in enumerate(rows):
+        f = row[s + 1]
+        if i == r:
+            new = list(row)
+            new[s + 1] = D
+        else:
+            new = [(x * a - f * y) // D for x, y in zip(row, lead)]
+            new[s + 1] = -f
+        out.append(tuple(sign * x for x in new))
+    *body, objective = out
+    return (
+        tuple(row[0] for row in body),
+        tuple(row[1:] for row in body),
+        tuple(-x for x in objective[1:]),
+        objective[0],
+        abs(a),
+    )
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], int, list[int]]:

@@ -27,7 +27,7 @@ from dictlp.duality import enumerate_bases
 from dictlp.model import StandardLP, parse_lp, serialize_lp
 from dictlp.simplex import Infeasible, PivotRule, PivotStep, SolveTrace, TracePhase, solve
 
-from conftest import DATA, E1_TEXT, qv, random_pivots, replaced, suite_instance
+from conftest import DATA, E1_TEXT, klee_minty, qv, random_pivots, replaced, suite_instance, transportation_lp
 from reference import by_value, format_dictionary_by_fractions, lp_fractions, trace_lines_by_fractions
 
 PRIMAL_INITIAL = """\
@@ -353,6 +353,67 @@ class TestTraceRendering:
         trace = SolveTrace(phases=(TracePhase("forced pivots", start, tuple(steps)),))
         for dual_view in (False, True):
             assert _solver_trace_lines(trace, dual_view) == trace_lines_by_fractions(trace, dual_view)
+
+
+class TestCarriedLines:
+    """A trace line carried over from the dictionary one pivot earlier prints what rendering it again would.
+
+    Unit pivots (|a| = D) leave most rows, and in ``--dual-view`` most
+    columns, as they were, so these traces carry over the most lines.
+    """
+
+    @pytest.mark.parametrize("rule", list(PivotRule))
+    @pytest.mark.parametrize(
+        "lp",
+        [
+            transportation_lp(),
+            *(klee_minty(d) for d in range(3, 7)),
+            klee_minty(4, row_scale=[1, 1, 3, 1]),
+            parse_lp((DATA / "beale.lp").read_text(encoding="utf-8")),
+        ],
+        ids=["transportation", "km3", "km4", "km5", "km6", "km4-row-scaled", "beale"],
+    )
+    def test_solver_traces(self, lp, rule):
+        _, trace = solve(lp, rule)
+        for dual_view in (False, True):
+            assert _solver_trace_lines(trace, dual_view) == trace_lines_by_fractions(trace, dual_view)
+
+    def test_a_forced_pivot_trace(self, tmp_path):
+        lp = transportation_lp()
+        pivots = [(1, 10), (5, 11), (9, 12), (4, 13)]
+        d = start = initial_dictionary(lp)
+        steps = []
+        for enter, leave in pivots:
+            d = pivot(d, enter, leave)
+            steps.append(PivotStep(enter=enter, leave=leave, dictionary=d))
+        assert {step.dictionary.D for step in steps} == {1}
+        trace = SolveTrace(phases=(TracePhase("forced pivots", start, tuple(steps)),))
+        flags = [f"--pivot={enter},{leave}" for enter, leave in pivots]
+        code, out = run_main(["trace", write_lp(tmp_path, serialize_lp(lp)), *flags, "--dual-view"])
+        assert code == 0 and out.splitlines() == trace_lines_by_fractions(trace, True)
+
+    @pytest.mark.parametrize(
+        "rows,b,c,before,after",
+        [
+            # Row x3 = 0 + x1 becomes x1 = 0 + x3, so x4 keeps its constant
+            # and coefficients, one of them under the relabelled head.
+            ([[-1, 0], [1, 1]], [0, 4], [1, 1], "x4 = 4 - x1 - x2", "x4 = 4 - x3 - x2"),
+            # Column x1 holds only the pivot 1 and q1 = 0, so the dual row y2
+            # keeps its constant and coefficients, one under the relabelled head.
+            ([[1, 1], [0, 1]], [2, 3], [0, 1], "y2 = -1 + y3 + y4", "y2 = -1 + y1 + y4"),
+        ],
+        ids=["primal", "dual"],
+    )
+    def test_a_line_that_changes_only_under_the_relabelled_head_is_rendered_again(
+        self, tmp_path, rows, b, c, before, after
+    ):
+        lp = StandardLP.from_fractions(rows, b, c)
+        start = initial_dictionary(lp)
+        trace = SolveTrace(phases=(TracePhase("forced pivots", start, (PivotStep(1, 3, pivot(start, 1, 3)),)),))
+        code, out = run_main(["trace", write_lp(tmp_path, serialize_lp(lp)), "--pivot", "1,3", "--dual-view"])
+        assert code == 0 and out.splitlines() == trace_lines_by_fractions(trace, True)
+        first, second = out.split("pivot: enter x1, leave x3")
+        assert before in first.splitlines() and after in second.splitlines()
 
 
 class TestSolveCommand:

@@ -16,14 +16,27 @@ from dictlp.dictionary import (
     negative_transpose,
     pivot,
 )
+from dictlp import _kernels
 from dictlp.model import StandardLP
+from dictlp.simplex import PivotRule, solve
 
-from conftest import check_point, divided, objective_at, qm, qv, random_pivots, suite_instance
+from conftest import (
+    check_point,
+    divided,
+    klee_minty,
+    objective_at,
+    qm,
+    qv,
+    random_pivots,
+    suite_instance,
+    transportation_lp,
+)
 from reference import (
     basic_solution,
     basis_determinant,
     by_value,
     canonical,
+    det_form_pivot_update,
     dictionary_by_elimination,
     fraction_pivot_update,
     in_lowest_terms,
@@ -316,6 +329,90 @@ class TestKernelParity:
     def test_from_fractions_rejects_an_unknown_side(self):
         with pytest.raises(ValueError, match="side must be 'primal' or 'dual', got 'sideways'"):
             Dictionary.from_fractions("sideways", (2,), (1,), (1,), [[1]], (1,), 0)
+
+    @pytest.mark.parametrize(
+        "basis,nonbasis,bad", [((2.0,), (1,), "float 2.0"), ((True,), (2,), "bool True")], ids=["float", "bool"]
+    )
+    def test_from_fractions_rejects_labels_that_are_not_int(self, basis, nonbasis, bad):
+        # Both pass the partition test by equality (2.0 == 2, True == 1) and
+        # would print as x2.0 or xTrue.
+        with pytest.raises(ValueError, match=f"labels must be int, got {bad}"):
+            Dictionary.from_fractions("primal", basis, nonbasis, (1,), [[1]], (1,), 0)
+
+
+def solve_parity(lp: StandardLP, rule: PivotRule) -> list[tuple[int, int]]:
+    """Every pivot of ``solve(lp, rule)`` replayed through ``reference_parity_pivot``; the (old D, new D) of each.
+
+    All phases are checked against the slack dictionary's system: a phase
+    start is a repricing, which keeps the rows, so D stays |det| of the
+    basis columns there.
+    """
+    start = initial_dictionary(lp)
+    _, trace = solve(lp, rule)
+    denominators = []
+    for phase in trace.phases:
+        d = phase.start
+        for step in phase.steps:
+            got = reference_parity_pivot(start, d, step.enter, step.leave)
+            assert got == step.dictionary
+            denominators.append((d.D, got.D))
+            d = got
+    return denominators
+
+
+class TestUnitPivots:
+    """Pivots with |a| = D, which the kernel computes only where the pivot row is nonzero."""
+
+    @pytest.mark.parametrize("rule", list(PivotRule))
+    def test_totally_unimodular_transportation(self, rule):
+        denominators = solve_parity(transportation_lp(), rule)
+        assert len(denominators) > 5 and set(denominators) == {(1, 1)}
+
+    @pytest.mark.parametrize("rule", list(PivotRule))
+    @pytest.mark.parametrize("d", range(3, 7))
+    def test_klee_minty_cubes(self, d, rule):
+        denominators = solve_parity(klee_minty(d), rule)
+        assert len(denominators) >= 2 * d - 1 and set(denominators) == {(1, 1)}
+
+    @pytest.mark.parametrize("rule", list(PivotRule))
+    def test_a_chain_mixing_unit_and_non_unit_pivots(self, rule):
+        denominators = solve_parity(klee_minty(4, row_scale=[1, 1, 3, 1]), rule)
+        assert any(before != after for before, after in denominators)
+        # unit pivots at D = 1 and at D = 3, where the update divides by D
+        assert {(1, 1), (3, 3)} <= set(denominators)
+
+    @given(
+        m=st.integers(1, 5),
+        n=st.integers(1, 5),
+        picks=st.lists(st.tuples(st.integers(0, 30), st.booleans()), min_size=1, max_size=8),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_unit_pivots_equal_the_dense_formula(self, m, n, picks, data):
+        # Mostly -1, 0 and 1, so that most pivots keep D; a pick prefers a
+        # unit pivot when one is open.
+        entry = st.one_of(st.sampled_from([-1, 0, 0, 1]), st.integers(-4, 4))
+
+        def vec(k):
+            return [Fraction(x) for x in data.draw(st.lists(entry, min_size=k, max_size=k))]
+
+        d = Dictionary.from_fractions(
+            "primal", tuple(range(n + 1, n + m + 1)), tuple(range(1, n + 1)), vec(m), [vec(n) for _ in range(m)], vec(n), 0
+        )
+        for k, unit in picks:
+            cells = [(r, s) for r, row in enumerate(d.Q_num) for s, x in enumerate(row) if x]
+            units = [(r, s) for r, s in cells if abs(d.Q_num[r][s]) == d.D]
+            if not cells:
+                break
+            choices = units if unit and units else cells
+            r, s = choices[k % len(choices)]
+            args = (d.p_num, d.Q_num, d.q_num, d.z_num, d.D, r, s)
+            got = _kernels.pivot_update(*args, True)
+            assert got == det_form_pivot_update(*args)
+            if abs(d.Q_num[r][s]) == d.D:
+                # a row with nothing in the pivot column is carried over as it is
+                assert all(new is old for new, old in zip(got[1], d.Q_num) if not old[s])
+            d = pivot(d, d.nonbasis[s], d.basis[r])
 
 
 class TestFeasibility:

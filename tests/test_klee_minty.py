@@ -9,19 +9,10 @@ reach the optimum x = (0, ..., 0, 5^d) of value 5^d.
 
 import pytest
 
-from dictlp.model import StandardLP
 from dictlp.simplex import Optimal, PivotRule, solve
 
+from conftest import klee_minty
 from oracle import check_outcome
-
-
-def klee_minty(d: int) -> StandardLP:
-    rows = [[2 ** (i - j + 1) if j < i else int(j == i) for j in range(1, d + 1)] for i in range(1, d + 1)]
-    return StandardLP.from_fractions(
-        rows,
-        [5**i for i in range(1, d + 1)],
-        [2 ** (d - j) for j in range(1, d + 1)],
-    )
 
 
 @pytest.mark.parametrize("d", range(1, 8))
