@@ -171,8 +171,6 @@ def _unit_pivot(
         new_Q[r] = tuple(new_row)
         new_p[r] = -p_r
     g = q[s] * sign
-    if not g:
-        return tuple(new_p), tuple(new_Q), tuple(q), z, D
     new_q = list(q)
     for j, y in support:
         new_q[j] -= g * y // D
