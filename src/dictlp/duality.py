@@ -21,12 +21,21 @@ x0 + y . x = b . u: the duality gap is y . x. A dictionary's matrix M
 set, and a row-space vector with first coordinate 1 is the objective row
 plus y_B times the other rows: y_N = -q + Q^T y_B and -w = -z* - p . y_B,
 the dual dictionary (-q, -Q^T, -p, -z*) on N. Both readings hold exactly
-when M spans R's row space, which ``_spans`` tests in integers.
+when M spans R's row space.
 
-``verify_bases`` reaches every basis once by reverse search
-(``walk_bases``), with the dual LP's dictionary (``dual_dictionary_direct``)
-pivoted in lockstep, and per basis tests the identity through the two
-sides' variable positions (``_is_negative_transpose``) and the row space.
+A pivot is a row operation on M: the pivot row is divided by the pivot
+element and multiples of it are subtracted from the other rows. So M's row
+space never changes along a chain of pivots, and a dictionary pivoted from
+one that spans R spans R. ``verify_bases`` reaches every basis once by
+reverse search (``walk_bases``), each by one pivot from its parent, with
+the dual LP's dictionary (``dual_dictionary_direct``) pivoted in lockstep.
+Per basis it tests the identity through the two sides' variable positions
+(``_is_negative_transpose``) and the row space against the parent's
+(``_spans_parent``): each parent row must be the child's row plus a
+multiple of the child's pivot row, integer identities with no division at
+O(mn) per basis. The root, and every basis whose parent failed that test,
+is tested against R itself (``_spans``, O(m^2 n)), so a faulty dictionary
+fails, and so does every basis pivoted from it, just as against R.
 """
 
 from __future__ import annotations
@@ -133,7 +142,58 @@ def _spans(rows: list[list[int]], d: Dictionary) -> bool:
     return True
 
 
-_Step = tuple[Dictionary, Dictionary | None, tuple[int, int] | None]
+def _spans_parent(parent: Dictionary, r: int, s: int, d: Dictionary) -> bool:
+    """True iff M of ``d``, the pivot at basis position ``r`` and nonbasis position ``s`` of ``parent``, spans M of ``parent``.
+
+    ``d``'s labels are ``parent``'s with the two at r and s swapped, as
+    ``pivot`` leaves them. Both matrices have rank m+1, with an identity on
+    column 0 and on their basis's columns, so the spaces are equal iff each
+    row of ``parent``'s M is the combination of ``d``'s rows that its own
+    entries there name. A row i != r has 1 under its own basic variable and
+    Q_is/D under the entering one, basic in row r of ``d``: it must be
+    ``d``'s row i plus Q_is/D times ``d``'s row r. The pivot row must be
+    Q_rs/D times ``d``'s row r, and the objective row ``d``'s objective row
+    minus q_s/D times ``d``'s row r. Times D*D', with primes for ``d``:
+
+        row i != r:  D*Q'_i + Q_is*Q'_r = D'*Q_i off s,  D*Q'_is + Q_is*Q'_rs = 0,
+                     D*p'_i + Q_is*p'_r = D'*p_i
+        row r:       Q_rs*Q'_r = D'*Q_r off s,  Q_rs*Q'_rs = D*D',  Q_rs*p'_r = D'*p_r
+        objective:   the rows' identities with q for Q_i and -z* for p_i
+
+    That is O(mn) multiplications, with no division. A row with Q_is = 0
+    that a unit pivot carried over as the same tuple (D' = D) needs only
+    its constant compared.
+    """
+    D, D1 = parent.D, d.D
+    a = parent.Q_num[r][s]
+    lead, lead_p = d.Q_num[r], d.p_num[r]
+    want = [D1 * x for x in parent.Q_num[r]]
+    want[s] = D * D1
+    if [a * y for y in lead] != want or a * lead_p != D1 * parent.p_num[r]:
+        return False
+    rows = zip(
+        (*parent.Q_num, parent.q_num),
+        (*d.Q_num, d.q_num),
+        (*parent.p_num, -parent.z_num),
+        (*d.p_num, -d.z_num),
+    )
+    for i, (row, new_row, c, new_c) in enumerate(rows):
+        if i == r:
+            continue
+        f = row[s]
+        if D * new_c + f * lead_p != D1 * c:
+            return False
+        if not f and new_row is row and D1 == D:
+            continue
+        want = [D1 * x for x in row]
+        want[s] = 0
+        if [D * y + f * x for y, x in zip(new_row, lead)] != want:
+            return False
+    return True
+
+
+_Edge = tuple[Dictionary, int, int]
+_Step = tuple[Dictionary, Dictionary | None, _Edge | None]
 
 
 def walk_bases(start: Dictionary, dual_start: Dictionary | None = None) -> Iterator[_Step]:
@@ -141,7 +201,10 @@ def walk_bases(start: Dictionary, dual_start: Dictionary | None = None) -> Itera
 
     Yields ``(prim, dual, edge)``: the dictionary for a basis, reached by one
     ``pivot`` from its parent, a dictionary yielded before it, and ``edge =
-    (enter, leave)``, that pivot (None for ``start`` itself). Every edge
+    (parent, r, s)``, that parent and the basis and nonbasis positions of
+    that pivot (None for ``start`` itself). The pivot entered
+    ``parent.nonbasis[s]``, now ``prim.basis[r]``, and took out
+    ``parent.basis[r]``, now ``prim.nonbasis[s]``. Every edge
     swaps a member of B0 out for a non-member, so a basis B lies at depth
     |B - B0|, at most min(m, n). The parent of B != B0 takes out e =
     max(B - B0), the variable its edge entered, and puts back the smallest
@@ -167,16 +230,16 @@ def walk_bases(start: Dictionary, dual_start: Dictionary | None = None) -> Itera
         step = stack.pop()
         yield step
         prim, dual, edge = step
-        top = edge[0] if edge else 0  # max(B - B0), which the last pivot entered
-        for leave, row in zip(prim.basis, prim.Q_num):
+        top = prim.basis[edge[1]] if edge else 0  # max(B - B0), which the last pivot entered
+        for r, (leave, row) in enumerate(zip(prim.basis, prim.Q_num)):
             if leave not in start_basic or any(
                 a and y < leave and y in start_basic for y, a in zip(prim.nonbasis, row)
             ):
                 continue
-            for enter, a in zip(prim.nonbasis, row):
+            for s, (enter, a) in enumerate(zip(prim.nonbasis, row)):
                 if a and enter > top and enter not in start_basic:
                     child = pivot(prim, enter, leave)
-                    stack.append((child, _child_dual(dual_start, dual, child, enter, leave), (enter, leave)))
+                    stack.append((child, _child_dual(dual_start, dual, child, enter, leave), (prim, r, s)))
 
 
 def _child_dual(
@@ -203,28 +266,45 @@ def verify_bases(lp: StandardLP, limit: int = 100_000) -> list[BijectionReport]:
     Refuses with ``BasisCountError`` when C(m+n, m) exceeds ``limit``. One
     ``walk_bases`` from the primal slack dictionary carries the dual LP's
     slack dictionary (``dual_dictionary_direct``) in lockstep, so each basis
-    after the first costs one primal and one dual pivot, and the start's
-    rows for the row-space test are built once.
+    after the first costs one primal and one dual pivot.
+
+    A pivot is a row operation, so a dictionary spans R's row space iff it
+    spans its parent's, given that the parent spans R's. Each basis is
+    tested against the parent edge it was reached by (``_spans_parent``),
+    O(mn) per basis. The root is tested against R's rows, read from the
+    slack dictionary once (``_spans``, O(m^2 n)), and so is every basis
+    whose parent failed its row-space test. Those are recorded by basis, so
+    a fault in one dictionary fails it and every basis pivoted from it, as
+    a test of each basis against R would.
     """
     _check_count(lp, limit)
     start = initial_dictionary(lp)
     rows = _scaled_rows(start)
-    steps = walk_bases(start, dual_dictionary_direct(dual_lp(lp)))
-    return sorted((_report(rows, prim, dual) for prim, dual, _ in steps), key=lambda r: r.basis)
+    failed: set[tuple[int, ...]] = set()  # the bases whose row-space test failed
+    reports = []
+    for prim, dual, edge in walk_bases(start, dual_dictionary_direct(dual_lp(lp))):
+        if edge is None or edge[0].basis in failed:
+            rs_ok = _spans(rows, prim)
+        else:
+            rs_ok = _spans_parent(*edge, prim)
+        if not rs_ok:
+            failed.add(prim.basis)
+        reports.append(_report(prim, dual, rs_ok))
+    return sorted(reports, key=lambda r: r.basis)
 
 
-def _report(rows: list[list[int]], prim: Dictionary, dual: Dictionary | None) -> BijectionReport:
-    """The two checks of one basis, against the start's rows ``rows``.
+def _report(prim: Dictionary, dual: Dictionary | None, rs_ok: bool) -> BijectionReport:
+    """The two checks of one basis, given the result of its row-space test.
 
     The negative transpose of the primal dictionary must equal (up to
     row/column order) ``dual``, the dual dictionary on N reached on the dual
     LP's own side (None when its lockstep pivot failed), and the primal
-    dictionary's combined-system matrix must span the row space of R. The
-    first is compared through index maps (``_is_negative_transpose``), not
-    by building and sorting both dictionaries.
+    dictionary's combined-system matrix must span the row space of R
+    (``rs_ok``, tested by ``verify_bases``). The first is
+    compared through index maps (``_is_negative_transpose``), not by
+    building and sorting both dictionaries.
     """
     nt_ok = dual is not None and _is_negative_transpose(prim, dual)
-    rs_ok = _spans(rows, prim)
     notes = []
     if not nt_ok:
         notes.append(f"negative transpose differs from direct dual dictionary on N={tuple(sorted(prim.nonbasis))}")

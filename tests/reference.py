@@ -24,7 +24,10 @@ objective over ``Fraction`` entries; ``dictlp.simplex._priced``, which
 prices in integers over the dictionary's denominator, is checked against it.
 ``rank``, ``rowspace_contains`` and ``rowspace_equal`` are the exact rank
 tests, on plain rows, that the substitution test ``dictlp.duality._spans``
-is checked against. All of them reduce with ``rref``.
+is checked against. All of them reduce with ``rref``. ``verify_bases``
+applies ``_spans`` to the root and below a failed parent, and checks every
+other basis against its parent edge (``dictlp.duality._spans_parent``),
+which is checked against ``_spans``.
 
 The paper's orthogonal-subspace statements are checked on matrices built
 here: ``build_R`` is the combined-system matrix R of an instance, built

@@ -599,15 +599,18 @@ class TestVerifyCommand:
 
     def test_corrupted_dictionary_fails_its_basis(self, e1_file, capsys, monkeypatch):
         # The corruption goes into the per-basis check, not into the walk's
-        # pivots, which the bases after this one are reached from.
+        # pivots, which the bases after this one are reached from. The
+        # corrupted dictionary's row space is tested against R's rows.
         real_report = duality._report
+        rows = duality._scaled_rows(initial_dictionary(parse_lp(E1_TEXT)))
 
-        def corrupted(rows, prim, dual):
+        def corrupted(prim, dual, rs_ok):
             if sorted(prim.basis) == [1, 4]:
                 Q = prim.Q.row_lists()
                 Q[0][0] += 1
                 prim = replaced(prim, Q=Q)
-            return real_report(rows, prim, dual)
+                rs_ok = duality._spans(rows, prim)
+            return real_report(prim, dual, rs_ok)
 
         monkeypatch.setattr(duality, "_report", corrupted)
         code = main(["verify", e1_file])
@@ -646,7 +649,7 @@ class TestVerifyCommand:
         # duals from the dual start instead, and pass.
         lp = random_lp(3, 4, seed=1)
         steps = list(duality.walk_bases(initial_dictionary(lp)))
-        parents = [sorted(set(prim.basis) - {enter} | {leave}) for prim, _, (enter, leave) in steps[1:]]
+        parents = [sorted(parent.basis) for _, _, (parent, _, _) in steps[1:]]
         assert parents.count([1, 5, 6]) == 6
         real_pivot = duality.pivot
 

@@ -25,6 +25,7 @@ from dictlp.duality import (
     _report,
     _scaled_rows,
     _spans,
+    _spans_parent,
     dual_dictionary_direct,
     enumerate_bases,
     verify_bases,
@@ -355,6 +356,131 @@ def reports_by_basis(reports):
     return {report.basis: report for report in reports}
 
 
+def walk_instance(seed: int, shape, fractional: bool, data) -> StandardLP:
+    """A suite instance or a random one of ``shape``, with its rows and c divided by fractions if ``fractional``."""
+    # Bound-1 instances have many zeros, so many rows a unit pivot carries over.
+    bound = data.draw(st.sampled_from([1, 5]), label="bound")
+    lp = suite_instance(seed, bound) if shape is None else random_lp(*shape, seed, bound)
+    if fractional:
+        factor = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool)
+        lp = divided(lp, [data.draw(factor, label="factor") for _ in range(lp.m + 1)])
+    return lp
+
+
+WALK_SHAPES = st.sampled_from([None, (3, 7), (7, 3), (4, 4)])
+
+
+class TestSpansParent:
+    """The edge test of ``verify_bases`` against the test against R that it replaces below the root."""
+
+    @given(seed=st.integers(0, 500), shape=WALK_SHAPES, fractional=st.booleans(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_the_test_against_R_on_every_walked_basis(self, seed, shape, fractional, data):
+        lp = walk_instance(seed, shape, fractional, data)
+        start = initial_dictionary(lp)
+        rows = _scaled_rows(start)
+        for prim, _, edge in walk_bases(start):
+            if edge is None:
+                continue
+            assert _spans_parent(*edge, prim) and _spans(rows, prim)
+            bad = perturbed(prim, data)
+            assert _spans_parent(*edge, bad) == _spans(rows, bad)
+            # A constant moved in a row that a unit pivot carried over as
+            # the same tuple, which the edge test compares by its constant.
+            parent = edge[0]
+            carried = [i for i in range(prim.m) if prim.Q_num[i] is parent.Q_num[i]]
+            if carried:
+                i = data.draw(st.sampled_from(carried), label="carried row")
+                bad = replace(prim, p_num=tuple(x + (k == i) for k, x in enumerate(prim.p_num)))
+                assert not _spans_parent(*edge, bad) and not _spans(rows, bad)
+
+    def test_a_wrong_pivot_row_fails_where_no_other_row_reads_it(self):
+        # Pivot x1 in for x3 (row 0, column 0): row 1 and the objective have
+        # 0 in column 0, so only the pivot row's own identity reads its
+        # entries off column 0.
+        lp = StandardLP.from_fractions([[1, 1], [0, 1]], [4, 3], [0, 1])
+        start = initial_dictionary(lp)
+        child = pivot(start, 1, 3)
+        rows = _scaled_rows(start)
+        assert _spans_parent(start, 0, 0, child) and _spans(rows, child)
+        bad = replace(child, Q_num=((child.Q_num[0][0], child.Q_num[0][1] + child.D), child.Q_num[1]))
+        assert not _spans_parent(start, 0, 0, bad) and not _spans(rows, bad)
+
+
+def moved(d: Dictionary, data) -> Dictionary:
+    """``d`` with one value of p, Q, q or z* moved by 1, its numerator by D, in ``d``'s own form.
+
+    The moved dictionary is the one that the same chain of pivots reaches on
+    an instance with other data but the same basis columns, so the pivots
+    from it stay exact and keep its row space, in determinant form too.
+    """
+    field = data.draw(st.sampled_from(["p_num", "Q_num", "q_num", "z_num"]), label="field")
+    if field == "z_num":
+        return replace(d, z_num=d.z_num + d.D)
+    if field == "Q_num":
+        i, j = data.draw(st.integers(0, d.m - 1), label="i"), data.draw(st.integers(0, d.n - 1), label="j")
+        row = list(d.Q_num[i])
+        row[j] += d.D
+        return replace(d, Q_num=(*d.Q_num[:i], tuple(row), *d.Q_num[i + 1 :]))
+    entries = list(getattr(d, field))
+    entries[data.draw(st.integers(0, len(entries) - 1), label="k")] += d.D
+    return replace(d, **{field: tuple(entries)})
+
+
+class TestFaultInTheWalk:
+    """One primal pivot of the walk goes wrong, so a whole subtree descends from a corrupted dictionary."""
+
+    @given(seed=st.integers(0, 500), shape=WALK_SHAPES, fractional=st.booleans(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_the_subtree_fails_as_against_R(self, seed, shape, fractional, data):
+        lp = walk_instance(seed, shape, fractional, data)
+        pivots = sum(1 for _ in walk_bases(initial_dictionary(lp))) - 1
+        assume(pivots > 0)
+        target = data.draw(st.integers(0, pivots - 1), label="target")
+        real_pivot, real_spans, real_walk = duality.pivot, duality._spans, duality.walk_bases
+        made = []  # the primal pivots of the walk, in order
+        steps = []
+        against_R = set()
+
+        def faulty(d, enter, leave):
+            out = real_pivot(d, enter, leave)
+            if d.side == "primal":
+                if len(made) == target:
+                    out = moved(out, data)
+                made.append(out)
+            return out
+
+        def recorded(*args):
+            for step in real_walk(*args):
+                steps.append(step)
+                yield step
+
+        def spans(rows, d):
+            against_R.add(id(d))
+            return real_spans(rows, d)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(duality, "pivot", faulty)
+            mp.setattr(duality, "walk_bases", recorded)
+            mp.setattr(duality, "_spans", spans)
+            reports = verify_bases(lp)
+        bad = made[target]
+        subtree = {id(bad)}
+        for prim, _, edge in steps:
+            if edge is not None and id(edge[0]) in subtree:
+                subtree.add(id(prim))
+        rows = _scaled_rows(initial_dictionary(lp))
+        rowspace = {id(prim): real_spans(rows, prim) for prim, _, _ in steps}
+        # The corrupted dictionary fails its test against its parent; every
+        # basis pivoted from it fails too, tested against R.
+        assert not rowspace[id(bad)] and id(bad) not in against_R
+        assert not any(rowspace[i] for i in subtree)
+        assert subtree - {id(bad)} <= against_R
+        # Every basis passes or fails as it does when each is tested against R.
+        expected = [_report(prim, dual, rowspace[id(prim)]) for prim, dual, _ in steps]
+        assert reports == sorted(expected, key=lambda r: r.basis)
+
+
 class TestWalkBases:
     """Reverse search from the start basis B0, with the dual side in lockstep.
 
@@ -381,11 +507,15 @@ class TestWalkBases:
             assert canonical(dual) == canonical(dictionary_from_basis(dual_start, nonbasis))
             if k == 0:
                 continue
-            # The edge leads from a basis walked earlier; the primal pivot
-            # (enter e, leave l) is a valid dual pivot (enter l, leave e).
-            enter, leave = edge
-            parent = tuple(sorted(set(basis) - {enter} | {leave}))
-            assert parent in walked[:k]
+            # The edge leads from a dictionary walked earlier, by the pivot
+            # at its positions (r, s); the primal pivot (enter e, leave l)
+            # is a valid dual pivot (enter l, leave e).
+            parent_dict, r, s = edge
+            assert any(parent_dict is earlier for earlier, _, _ in steps[:k])
+            enter, leave = parent_dict.nonbasis[s], parent_dict.basis[r]
+            assert (prim.basis[r], prim.nonbasis[s]) == (enter, leave)
+            parent = tuple(sorted(parent_dict.basis))
+            assert parent == tuple(sorted(set(basis) - {enter} | {leave}))
             parent_dual = dictionary_from_basis(dual_start, tuple(sorted(set(nonbasis) - {leave} | {enter})))
             assert canonical(pivot(parent_dual, leave, enter)) == canonical(dual)
             assert canonical(pivot(dictionary_from_basis(start, parent), enter, leave)) == canonical(prim)
@@ -437,7 +567,8 @@ class TestWalkBases:
             if edge is None:
                 assert depth[basis] == 0
                 continue
-            enter, leave = edge
+            parent, r, s = edge
+            enter, leave = parent.nonbasis[s], parent.basis[r]
             assert enter not in start_basic and leave in start_basic
             assert depth[basis - {enter} | {leave}] == depth[basis] - 1
         assert max(depth.values()) <= min(lp.m, lp.n)
@@ -520,7 +651,7 @@ class TestIsNegativeTranspose:
 
     def test_a_missing_dual_still_fails(self, e1):
         start = initial_dictionary(e1)
-        report = _report(_scaled_rows(start), start, None)
+        report = _report(start, None, True)
         assert not report.negative_transpose_matches
         assert report.details == "negative transpose differs from direct dual dictionary on N=(1, 2, 3)"
 
