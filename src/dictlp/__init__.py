@@ -40,7 +40,6 @@ from dictlp.duality import (
     BasisCountError,
     BijectionReport,
     dual_dictionary_direct,
-    enumerate_bases,
     verify_bases,
     walk_bases,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "dual_dictionary_direct",
     "dual_lp",
     "dual_simplex",
-    "enumerate_bases",
     "initial_dictionary",
     "is_dual_feasible",
     "is_primal_feasible",

@@ -168,15 +168,16 @@ def dictionary_from_basis(start: Dictionary, basis: tuple[int, ...] | list[int])
     members of B never leave. From the slack dictionary that is each
     non-slack of B replacing the first basic slack outside B. Rows come in
     B's order, columns in ascending order, and the side is ``start``'s.
-    Raises ``NotABasisError`` when the basis columns are dependent, which is
-    when no such variable is left.
+    Raises ``NotABasisError`` when B is not m distinct ``int`` indices in
+    1..m+n, or when the basis columns are dependent, which is when no such
+    variable is left.
     """
     m, total = start.m, start.m + start.n
     B = tuple(basis)
     if len(B) != m:
         raise NotABasisError(f"basis must have {m} indices, got {len(B)}")
     members = set(B)
-    if len(members) != m or any(not 1 <= v <= total for v in B):
+    if len(members) != m or any(type(v) is not int or not 1 <= v <= total for v in B):
         raise NotABasisError(f"basis must be distinct indices in 1..{total}: {_indices(B)}")
 
     d = start
@@ -217,8 +218,8 @@ def pivot(d: Dictionary, enter: int, leave: int) -> Dictionary:
     p, Q, q, z, D = _kernels.pivot_update(d.p_num, d.Q_num, d.q_num, d.z_num, d.D, r, s, d.det_form)
     basis = list(d.basis)
     nonbasis = list(d.nonbasis)
-    basis[r] = enter
-    nonbasis[s] = leave
+    # Swap the stored labels, not the caller's: 1.0 and True find 1 by equality.
+    basis[r], nonbasis[s] = nonbasis[s], basis[r]
     return Dictionary(d.side, tuple(basis), tuple(nonbasis), p, Q, q, z, D, d.det_form)
 
 

@@ -28,9 +28,10 @@ element and multiples of it are subtracted from the other rows. So M's row
 space never changes along a chain of pivots, and a dictionary pivoted from
 one that spans R spans R. ``verify_bases`` reaches every basis once by
 reverse search (``walk_bases``), each by one pivot from its parent, with
-the dual LP's dictionary (``dual_dictionary_direct``) pivoted in lockstep.
-Per basis it tests the identity through the two sides' variable positions
-(``_is_negative_transpose``) and the row space against the parent's
+the dual LP's dictionary (``dual_dictionary_direct``) pivoted in lockstep:
+the primal pivot at positions (r, s) is the dual pivot at (s, r), so the
+dual's labels stay the primal's swapped, in order. Per basis it tests
+``dual == negative_transpose(prim)`` and the row space against the parent's
 (``_spans_parent``): each parent row must be the child's row plus a
 multiple of the child's pivot row, integer identities with no division at
 O(mn) per basis. The root, and every basis whose parent failed that test,
@@ -49,8 +50,10 @@ from dictlp.dictionary import (
     Dictionary,
     NotABasisError,
     PivotError,
+    _arrange,
     dictionary_from_basis,
     initial_dictionary,
+    negative_transpose,
     pivot,
 )
 from dictlp.model import StandardLP, dual_lp
@@ -218,11 +221,13 @@ def walk_bases(start: Dictionary, dual_start: Dictionary | None = None) -> Itera
     dictionary the walk reaches every basis, with one pivot per basis after
     the first.
 
-    With ``dual_start`` (the dual dictionary on ``start``'s nonbasis), the
-    dual is carried in lockstep: the primal pivot (enter e, leave l) is the
-    dual pivot (enter l, leave e), made on the dual's own dictionary. Where
-    that pivot fails, ``dual`` is None for that basis alone: its children
-    build their duals from ``dual_start`` (``dictionary_from_basis``).
+    With ``dual_start``, the dual dictionary on ``start``'s nonbasis in
+    lockstep order (basis ``start.nonbasis``, nonbasis ``start.basis``),
+    the dual is carried in lockstep: the primal pivot (enter e, leave l) is
+    the dual pivot (enter l, leave e) on the dual's own dictionary, which
+    keeps that order. Where that pivot fails, ``dual`` is None for that
+    basis alone: its children build their duals from ``dual_start``
+    (``dictionary_from_basis``, put back in lockstep order).
     """
     start_basic = frozenset(start.basis)
     stack: list[_Step] = [(start, dual_start, None)]
@@ -247,14 +252,14 @@ def _child_dual(
 ) -> Dictionary | None:
     """The dual of ``child``: one pivot (enter ``leave``, leave ``enter``) from its parent's ``dual``.
 
-    Where the parent has no dual, it is built from ``dual_start`` instead.
+    Where the parent has no dual, it is built from ``dual_start`` instead, in lockstep order.
     None when there is no ``dual_start``, or when the pivot or the build fails.
     """
     if dual_start is None:
         return None
     try:
         if dual is None:
-            return dictionary_from_basis(dual_start, child.nonbasis)
+            return _arrange(dictionary_from_basis(dual_start, child.nonbasis), child.nonbasis, child.basis)
         return pivot(dual, leave, enter)
     except (PivotError, NotABasisError):
         return None
@@ -277,7 +282,9 @@ def verify_bases(lp: StandardLP, limit: int = 100_000) -> list[BijectionReport]:
     a fault in one dictionary fails it and every basis pivoted from it, as
     a test of each basis against R would.
     """
-    _check_count(lp, limit)
+    count = comb(lp.m + lp.n, lp.m)
+    if count > limit:
+        raise BasisCountError(count, limit)
     start = initial_dictionary(lp)
     rows = _scaled_rows(start)
     failed: set[tuple[int, ...]] = set()  # the bases whose row-space test failed
@@ -296,15 +303,16 @@ def verify_bases(lp: StandardLP, limit: int = 100_000) -> list[BijectionReport]:
 def _report(prim: Dictionary, dual: Dictionary | None, rs_ok: bool) -> BijectionReport:
     """The two checks of one basis, given the result of its row-space test.
 
-    The negative transpose of the primal dictionary must equal (up to
-    row/column order) ``dual``, the dual dictionary on N reached on the dual
-    LP's own side (None when its lockstep pivot failed), and the primal
-    dictionary's combined-system matrix must span the row space of R
-    (``rs_ok``, tested by ``verify_bases``). The first is
-    compared through index maps (``_is_negative_transpose``), not by
-    building and sorting both dictionaries.
+    ``dual``, the dual dictionary on N reached on the dual LP's own side
+    (None when its lockstep pivot failed), must equal
+    ``negative_transpose(prim)``, labels in order. Both sides start in one
+    form (determinant form on integer data, where the dual basis
+    determinant is the complementary minor of the primal one, lowest terms
+    otherwise), so the integers compare. The primal dictionary's
+    combined-system matrix must span the row space of R (``rs_ok``, tested
+    by ``verify_bases``).
     """
-    nt_ok = dual is not None and _is_negative_transpose(prim, dual)
+    nt_ok = dual is not None and dual == negative_transpose(prim)
     notes = []
     if not nt_ok:
         notes.append(f"negative transpose differs from direct dual dictionary on N={tuple(sorted(prim.nonbasis))}")
@@ -316,46 +324,3 @@ def _report(prim: Dictionary, dual: Dictionary | None, rs_ok: bool) -> Bijection
         rowspace_matches=rs_ok,
         details="; ".join(notes) if notes else "ok",
     )
-
-
-def _is_negative_transpose(prim: Dictionary, dual: Dictionary) -> bool:
-    """Whether ``dual`` is ``negative_transpose(prim)`` up to row and column order, read through index maps.
-
-    The sides differ, D agrees, z* is negated, the basic and nonbasic sets
-    swap, and each entry of ``dual`` is the negated primal entry at the
-    positions of its variables: p'_j = -q_s, q'_k = -p_r and Q'_jk = -Q_rs.
-    No dictionary is built. Both sides start in one form, so the integers
-    compare: on integer data both are in determinant form, where the dual
-    basis determinant is the complementary minor of the primal one, and on
-    fractional data both are in lowest terms.
-    """
-    rows = {v: r for r, v in enumerate(prim.basis)}
-    cols = {v: s for s, v in enumerate(prim.nonbasis)}
-    if (
-        dual.side == prim.side
-        or dual.D != prim.D
-        or dual.z_num != -prim.z_num
-        or cols.keys() != set(dual.basis)
-        or rows.keys() != set(dual.nonbasis)
-    ):
-        return False
-    Q = [prim.Q_num[rows[v]] for v in dual.nonbasis]  # primal rows in the dual's column order
-    return [-prim.p_num[rows[v]] for v in dual.nonbasis] == list(dual.q_num) and all(
-        x == -prim.q_num[s] and [-row[s] for row in Q] == list(dual_row)
-        for x, s, dual_row in zip(dual.p_num, [cols[v] for v in dual.basis], dual.Q_num)
-    )
-
-
-def enumerate_bases(lp: StandardLP, limit: int = 100_000) -> list[tuple[int, ...]]:
-    """All valid bases (ascending within and across), guarded by a subset budget.
-
-    The bases a primal-only ``walk_bases`` reaches from the slack dictionary.
-    """
-    _check_count(lp, limit)
-    return sorted(tuple(sorted(d.basis)) for d, _, _ in walk_bases(initial_dictionary(lp)))
-
-
-def _check_count(lp: StandardLP, limit: int) -> None:
-    count = comb(lp.m + lp.n, lp.m)
-    if count > limit:
-        raise BasisCountError(count, limit)

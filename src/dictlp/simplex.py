@@ -203,6 +203,7 @@ def _simplex(d: Dictionary, rule: PivotRule, dual: bool) -> tuple[Dictionary, li
     (leave, enter). The signal is the primal method's: None when optimal,
     else the entering variable of the column with no positive entry.
     """
+    rule = PivotRule(rule)  # "bland" is Bland's rule; a value that names no rule raises ValueError
     steps: list[PivotStep] = []
     visited: set[frozenset[int]] = set()
     while True:

@@ -36,7 +36,9 @@ from its numerators, and ``dictionary_matrix`` that of a dictionary (the
 membership in R's kernel; ``kernel_embedding`` and ``rowspace_embedding``
 lift a dictionary's ``basic_solution`` into the kernel and the row space.
 ``canonical`` sorts a dictionary's rows and columns by variable, so that
-dictionaries that differ only in order compare equal.
+dictionaries that differ only in order compare equal. ``enumerate_bases``
+lists the bases a primal-only ``dictlp.duality.walk_bases`` reaches from
+the slack dictionary, sorted; ``verify`` walks them without listing them.
 
 A chain of pivots from an integer start keeps its dictionaries in
 determinant form, whose numerators need not be in lowest terms.
@@ -52,7 +54,8 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd
 
-from dictlp.dictionary import Dictionary, NotABasisError, _arrange, negative_transpose
+from dictlp.dictionary import Dictionary, NotABasisError, _arrange, initial_dictionary, negative_transpose
+from dictlp.duality import walk_bases
 from dictlp.model import StandardLP
 from dictlp.simplex import SolveTrace
 
@@ -150,6 +153,11 @@ def canonical(d: Dictionary) -> Dictionary:
     canonical forms instead.
     """
     return _arrange(d, tuple(sorted(d.basis)), tuple(sorted(d.nonbasis)))
+
+
+def enumerate_bases(lp: StandardLP) -> list[tuple[int, ...]]:
+    """All bases of ``lp``, ascending within and across: those a primal-only walk reaches from the slack dictionary."""
+    return sorted(tuple(sorted(d.basis)) for d, _, _ in walk_bases(initial_dictionary(lp)))
 
 
 def format_dictionary_by_fractions(d: Dictionary) -> str:

@@ -21,7 +21,6 @@ from dictlp.dictionary import (
 )
 from dictlp.duality import (
     dual_dictionary_direct,
-    enumerate_bases,
     verify_bases,
 )
 from dictlp.model import dual_lp, parse_lp
@@ -32,6 +31,7 @@ from oracle import check_outcome, oracle_solve, outcome_kind
 from reference import (
     build_R,
     dot,
+    enumerate_bases,
     in_kernel,
     kernel_embedding,
     lp_fractions,

@@ -23,12 +23,11 @@ from dictlp.dictionary import (
     negative_transpose,
     pivot,
 )
-from dictlp.duality import enumerate_bases
 from dictlp.model import StandardLP, parse_lp, serialize_lp
 from dictlp.simplex import Infeasible, PivotRule, PivotStep, SolveTrace, TracePhase, solve
 
 from conftest import DATA, E1_TEXT, klee_minty, qv, random_pivots, replaced, suite_instance, transportation_lp
-from reference import by_value, format_dictionary_by_fractions, lp_fractions, trace_lines_by_fractions
+from reference import by_value, enumerate_bases, format_dictionary_by_fractions, lp_fractions, trace_lines_by_fractions
 
 PRIMAL_INITIAL = """\
 x4 = 18 - 4x1 - 2x2 + 2x3

@@ -17,6 +17,7 @@ from dictlp.dictionary import (
     pivot,
 )
 from dictlp import _kernels
+from dictlp.cli import format_dictionary
 from dictlp.model import StandardLP
 from dictlp.simplex import PivotRule, solve
 
@@ -78,6 +79,13 @@ class TestFromBasis:
         with pytest.raises(NotABasisError):
             dictionary_from_basis(initial_dictionary(lp), (1,))
 
+    @pytest.mark.parametrize("basis", [(True, 4), (1.0, 4), (4, 1.0)], ids=["bool", "float", "float-last"])
+    def test_labels_that_are_not_int_rejected(self, e1, basis):
+        # True and 1.0 pass the range test by equality with 1, and would
+        # print as xTrue or x1.0.
+        with pytest.raises(NotABasisError, match=r"basis must be distinct indices in 1\.\.5"):
+            dictionary_from_basis(initial_dictionary(e1), basis)
+
     def test_wrong_size_rejected(self, e1):
         with pytest.raises(NotABasisError):
             dictionary_from_basis(initial_dictionary(e1), (4,))
@@ -122,6 +130,15 @@ class TestPivot:
     def test_matches_from_basis_after_reordering(self, e1, e1_second):
         rebuilt = dictionary_from_basis(initial_dictionary(e1), e1_second.basis)
         assert canonical(rebuilt) == canonical(e1_second)
+
+    @pytest.mark.parametrize("enter,leave", [(1.0, 5), (True, 5), (1, 5.0)], ids=["float", "bool", "float-leave"])
+    def test_stores_its_own_labels_not_the_callers(self, e1_initial, e1_second, enter, leave):
+        # 1.0, True and 5.0 find labels 1 and 5 by equality; stored, they
+        # would print as x1.0, xTrue or x5.0.
+        d = pivot(e1_initial, enter, leave)
+        assert all(type(v) is int for v in (*d.basis, *d.nonbasis))
+        assert d == e1_second
+        assert format_dictionary(d) == format_dictionary(e1_second)
 
     def test_enter_not_nonbasic(self, e1_initial):
         with pytest.raises(PivotError):

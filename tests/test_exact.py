@@ -216,23 +216,22 @@ def test_names_the_benchmark_reads(monkeypatch):
     # sys.modules["dictlp._kernels"]; without them every benchmark run fails.
     # The tracer counts kernel cells as len(args[1]) * len(args[2]) on the
     # positional arguments, so the library must pass Q (m rows) and q
-    # (n entries) there. The tracer's after-hook on enumerate_bases calls
-    # len() on its result, so it must stay a list, not a generator.
+    # (n entries) there. Its span dictionary.negative_transpose times
+    # verify's transposes through the name that duality binds.
     import inspect
     import sys
 
     import dictlp
     import dictlp.cli
     from dictlp import _kernels, exact
+    from dictlp import dictionary, duality
     from dictlp.dictionary import initial_dictionary, pivot
-    from dictlp.duality import enumerate_bases
     from dictlp.model import parse_lp
     from dictlp.simplex import solve
 
     assert dictlp.BACKEND == "python"
     assert callable(_kernels.pivot_update)
-    lp = StandardLP.from_fractions([[1, 1]], [1], [1, 1])
-    assert isinstance(enumerate_bases(lp, limit=10), list)
+    assert duality.negative_transpose is dictionary.negative_transpose
 
     # The tracer wraps the public functions of these modules, one span per
     # call, except the per-entry helpers of exact that it names.

@@ -431,6 +431,22 @@ class TestTermination:
         check_outcome(lp, outcome)
         assert oracle_solve(lp) == ("optimal", outcome.value)
 
+    @pytest.mark.parametrize("rule,pivots", [(PivotRule.BLAND, 6), (PivotRule.DANTZIG, 12)])
+    def test_a_rule_given_by_its_value_is_that_rule(self, rule, pivots):
+        # Beale's example tells the rules apart: Bland takes 6 pivots, Dantzig 12.
+        lp = parse_lp((DATA / "beale.lp").read_text(encoding="utf-8"))
+        _, trace = solve(lp, rule.value)
+        assert trace.pivot_count == pivots
+        assert trace == solve(lp, rule)[1]
+
+    @pytest.mark.parametrize("rule", [None, "Bland", 0])
+    def test_a_value_that_names_no_rule_raises(self, rule):
+        lp = parse_lp((DATA / "beale.lp").read_text(encoding="utf-8"))
+        with pytest.raises(ValueError, match="is not a valid PivotRule"):
+            solve(lp, rule)
+        with pytest.raises(ValueError, match="is not a valid PivotRule"):
+            dual_simplex(negative_transpose(initial_dictionary(lp)), rule)
+
     def test_dantzig_dual_loop_terminates_on_beale_negative_transpose(self, pivot_budget):
         lp = parse_lp((DATA / "beale.lp").read_text(encoding="utf-8"))
         final, _, signal = dual_simplex(
