@@ -193,8 +193,8 @@ def dictionary_from_basis(start: Dictionary, basis: tuple[int, ...] | list[int])
 
 
 def _indices(B: tuple[int, ...]) -> str:
-    """``str(B)`` for indices of any length."""
-    return f"({', '.join(map(_str, B))}{',' if len(B) == 1 else ''})"
+    """``str(B)`` for indices of any length, and ``repr`` for members that are not ``int``."""
+    return f"({', '.join(_str(v) if type(v) is int else repr(v) for v in B)}{',' if len(B) == 1 else ''})"
 
 
 def pivot(d: Dictionary, enter: int, leave: int) -> Dictionary:

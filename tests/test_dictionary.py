@@ -79,12 +79,17 @@ class TestFromBasis:
         with pytest.raises(NotABasisError):
             dictionary_from_basis(initial_dictionary(lp), (1,))
 
-    @pytest.mark.parametrize("basis", [(True, 4), (1.0, 4), (4, 1.0)], ids=["bool", "float", "float-last"])
-    def test_labels_that_are_not_int_rejected(self, e1, basis):
+    @pytest.mark.parametrize(
+        "basis,shown",
+        [((True, 4), "(True, 4)"), ((1.0, 4), "(1.0, 4)"), ((4, 1.0), "(4, 1.0)"), (("1", 4), "('1', 4)")],
+        ids=["bool", "float", "float-last", "str"],
+    )
+    def test_labels_that_are_not_int_rejected(self, e1, basis, shown):
         # True and 1.0 pass the range test by equality with 1, and would
-        # print as xTrue or x1.0.
-        with pytest.raises(NotABasisError, match=r"basis must be distinct indices in 1\.\.5"):
+        # print as xTrue or x1.0; "1" fails the comparison itself.
+        with pytest.raises(NotABasisError) as exc_info:
             dictionary_from_basis(initial_dictionary(e1), basis)
+        assert str(exc_info.value) == f"basis must be distinct indices in 1..5: {shown}"
 
     def test_wrong_size_rejected(self, e1):
         with pytest.raises(NotABasisError):
