@@ -75,13 +75,10 @@ def pivot_update(
             new_row = [x * D for x in row]
             new_row[s] = D * D
             new_p.append(p_r * D)
-        elif f:
+        else:
             new_row = [x * a - f * y for x, y in zip(row, lead)]
             new_row[s] = -f * D
             new_p.append(p[i] * a - f * p_r)
-        else:
-            new_row = [x * a for x in row]
-            new_p.append(p[i] * a)
         new_Q.append(new_row)
     g = q[s]
     new_q = [x * a - g * y for x, y in zip(q, lead)]
@@ -118,14 +115,11 @@ def _det_pivot(
             new_row[s] = D * sign
             new_p.append(p_r * sign)
             new_Q.append(tuple(new_row))
-        elif f:
+        else:
             new_row = [(x * A - f * y) // D for x, y in zip(row, lead)]
             new_row[s] = -f
             new_p.append((p[i] * A - f * p_r) // D)
             new_Q.append(tuple(new_row))
-        else:
-            new_Q.append(tuple([x * A // D for x in row]))
-            new_p.append(p[i] * A // D)
     g = q[s] * sign
     new_q = [(x * A - g * y) // D for x, y in zip(q, lead)]
     new_q[s] = -g

@@ -52,7 +52,6 @@ from dictlp.model import _DIMENSION_RE, ParseError, StandardLP, dual_lp, parse_l
 from dictlp.simplex import (
     CertificateError,
     Optimal,
-    PivotRule,
     PivotStep,
     SolveTrace,
     TracePhase,
@@ -202,13 +201,9 @@ def _read_instance(path: str) -> StandardLP:
     return parse_lp(text)
 
 
-def _rule(args: argparse.Namespace) -> PivotRule:
-    return PivotRule(args.rule)
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     lp = _read_instance(args.input)
-    outcome, trace = solve(lp, _rule(args))
+    outcome, trace = solve(lp, args.rule)
     lines: list[str]
     if isinstance(outcome, Optimal):
         code = 0
@@ -293,7 +288,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             steps.append(PivotStep(enter=enter, leave=leave, dictionary=d))
         trace = SolveTrace(phases=(TracePhase("forced pivots", start, tuple(steps)),))
     else:
-        _, trace = solve(lp, _rule(args))
+        _, trace = solve(lp, args.rule)
     print("\n".join(_solver_trace_lines(trace, args.dual_view)))
     return 0
 

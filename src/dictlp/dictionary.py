@@ -126,7 +126,7 @@ class Dictionary:
         return len(self.nonbasis)
 
     # The Fraction views are built on every read and never stored, so a long
-    # trace holds integers only. Only simplex reads one (z_star); they stay
+    # trace holds integers only. No library path reads them; they stay
     # because perfbench/worker.py reads all four.
     @property
     def p(self) -> tuple[Fraction, ...]:

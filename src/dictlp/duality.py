@@ -163,9 +163,7 @@ def _spans_parent(parent: Dictionary, r: int, s: int, d: Dictionary) -> bool:
         row r:       Q_rs*Q'_r = D'*Q_r off s,  Q_rs*Q'_rs = D*D',  Q_rs*p'_r = D'*p_r
         objective:   the rows' identities with q for Q_i and -z* for p_i
 
-    That is O(mn) multiplications, with no division. A row with Q_is = 0
-    that a unit pivot carried over as the same tuple (D' = D) needs only
-    its constant compared.
+    That is O(mn) multiplications, with no division.
     """
     D, D1 = parent.D, d.D
     a = parent.Q_num[r][s]
@@ -186,8 +184,6 @@ def _spans_parent(parent: Dictionary, r: int, s: int, d: Dictionary) -> bool:
         f = row[s]
         if D * new_c + f * lead_p != D1 * c:
             return False
-        if not f and new_row is row and D1 == D:
-            continue
         want = [D1 * x for x in row]
         want[s] = 0
         if [D * y + f * x for y, x in zip(new_row, lead)] != want:

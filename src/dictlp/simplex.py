@@ -318,7 +318,7 @@ def _primal_outcome(final: Dictionary, enter: int | None, n: int) -> SolveOutcom
         if v <= n:
             point[v - 1] = Fraction(x, final.D)
     if enter is None:
-        return Optimal(point=tuple(point), value=final.z_star)
+        return Optimal(point=tuple(point), value=Fraction(final.z_num, final.D))
     return Unbounded(point=tuple(point), ray=_ray(final, enter, False, range(1, n + 1)))
 
 

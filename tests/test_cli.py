@@ -875,6 +875,10 @@ class TestRandomCommand:
     def test_bad_dimensions(self, capsys):
         assert main(["random", "--m", "0", "--n", "2", "--seed", "1"]) == 1
 
+    def test_bound_below_one(self, capsys):
+        assert main(["random", "--m", "2", "--n", "2", "--seed", "1", "--bound", "0"]) == 1
+        assert capsys.readouterr() == ("", "usage error: bound must be at least 1\n")
+
 
 class TestErrorPaths:
     def test_missing_file(self, capsys):

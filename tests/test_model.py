@@ -146,6 +146,11 @@ class TestParse:
             (f"lp v1\n1 1\n1\n{LONG_DIGITS}x 0\n", 4, f"malformed rational '{LONG_DIGITS}x'"),
             ("lp v1\n1 2\n1 1 1\n1 1 0\n", 3, "objective row: expected 2 values, found 3"),
             ("lp v1\n2 1\n1\n1 0\n1\n", 5, "constraint row 2: expected 2 values, found 1"),
+            ("", 1, "empty input"),
+            ("# a comment\n\n  # another\n", 1, "empty input"),
+            ("lp v1\n", 2, "missing dimension line"),
+            ("lp v1\n1\n1\n1 0\n", 2, "dimension line must be '<m> <n>'"),
+            ("lp v1\n1 1 1\n1\n1 0\n", 2, "dimension line must be '<m> <n>'"),
         ],
     )
     def test_pinned_errors(self, text, line, message):
@@ -182,6 +187,15 @@ class TestParse:
 
 
 class TestFromFractions:
+    @pytest.mark.parametrize(
+        "A0_rows,b,c",
+        [([], [], [1]), ([[1], [1]], [1], [1]), ([[1, 1], [1]], [1, 1], [1, 1])],
+        ids=["empty A0", "short b", "short row"],
+    )
+    def test_rejects_a_shape_that_is_not_len_b_by_len_c(self, A0_rows, b, c):
+        with pytest.raises(ValueError, match=r"^A0 must be a len\(b\) x len\(c\) matrix with at least one entry$"):
+            StandardLP.from_fractions(A0_rows, b, c)
+
     @pytest.mark.parametrize("bad", [1.5, "1"], ids=["float", "str"])
     @pytest.mark.parametrize("field", ["A0", "b", "c"])
     def test_rejects_entries_that_are_not_int_or_fraction(self, field, bad):
