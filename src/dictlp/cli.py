@@ -10,20 +10,12 @@ failure, 5 enumeration budget refusal, 6 a solve whose certificate failed
 its re-check, 1 usage, parse or I/O errors.
 
 A dictionary prints from two signed term tables per denominator
-(``_term_tables``): each maps a numerator to its whole term, sign included,
-as a row ``p - Qx`` or as ``z* + qx`` prints it, so ``_lines`` prints a
-term as one lookup plus the variable name. ``trace`` keeps the tables for
-the whole trace and formats each (numerator, D) pair once. It prints each
-dictionary in lowest terms (``_lowest_terms``): a determinant-form chain
-changes D at nearly every pivot, while the reduced denominators repeat, so
-the tables keep hitting. ``--dual-view`` prints the negative transpose from
-the same tables, reading the columns of Q as rows with the tables swapped
-(``_lines`` with ``flip``), so no dual dictionary is built. Within a phase,
-a row line is carried over from the dictionary one pivot earlier when D,
-the row's label, constant and coefficients are unchanged and its
-coefficient under the relabelled head is 0 (position s of a primal row, r
-of a dual-view row), since it would print the same text. A unit pivot
-(|a| = D) leaves most rows, and in the dual view most columns, unchanged.
+(``_term_tables``); ``--dual-view`` reads Q's columns as rows with the
+tables swapped, so no dual dictionary is built. ``trace`` prints each
+dictionary in lowest terms and keeps the tables for the whole trace, so
+each (numerator, D) pair is formatted once. A step one pivot from the step
+before over the same D is drawn again only where the pivot changed it
+(``_patch``); any other step is drawn whole.
 """
 
 from __future__ import annotations
@@ -33,7 +25,7 @@ import os
 import random
 import sys
 from dataclasses import replace
-from itertools import repeat
+from operator import ne
 from pathlib import Path
 from typing import Sequence
 
@@ -80,19 +72,22 @@ def format_dictionary(d: Dictionary) -> str:
 _TermTables = tuple[dict[int, str], dict[int, str]]
 
 
-def _term_tables(tables: dict[int, _TermTables], d: Dictionary) -> _TermTables:
-    """The two signed term tables of ``d.D`` in ``tables``, filled for the numerators of ``d``.
+def _term_tables(tables: dict[int, _TermTables], d: Dictionary, patch=None) -> _TermTables:
+    """The term tables of ``d.D`` in ``tables``, filled for the numerators of ``d`` or those ``patch`` changed.
 
-    ``minus`` maps a numerator x to its term in a row ``p - Qx`` (3/2 to
-    ``" - 3/2"``, -3/2 to ``" + 3/2"``), ``plus`` to its term in ``z* + qx``
-    (``" + 3/2"``, ``" - 3/2"``); a magnitude of 1 leaves the sign alone
-    (``" - "``), and 0 maps to ``" + 0"``. Only the numerators that are new
-    to the tables of ``d.D`` are formatted, so ``tables`` kept across the
-    dictionaries of a trace formats each (numerator, D) pair once.
+    ``minus`` maps 3/2 to ``" - 3/2"`` and -3/2 to ``" + 3/2"``, ``plus``
+    the other way round; magnitude 1 keeps only the sign (``" - "``), and 0
+    maps to ``" + 0"``. Only numerators new to the tables are formatted.
     """
     D = d.D
     minus, plus = tables.get(D) or tables.setdefault(D, ({}, {}))
-    for x in {d.z_num, *d.p_num, *d.q_num}.union(*d.Q_num).difference(minus):
+    if patch is None:
+        numerators = {d.z_num, *d.p_num, *d.q_num}.union(*d.Q_num)
+    else:
+        _, _, rows, cols = patch
+        numerators = {d.z_num, *[d.p_num[i] for i in rows], *[d.q_num[j] for j in cols]}
+        numerators.update([d.Q_num[i][j] for i in rows for j in cols])
+    for x in numerators.difference(minus):
         if x > 0:
             text = "" if x == D else format_rational(x, D)
             minus[x], plus[x] = " - " + text, " + " + text
@@ -102,6 +97,23 @@ def _term_tables(tables: dict[int, _TermTables], d: Dictionary) -> _TermTables:
         else:  # read only as a constant, which prints "0"
             minus[x] = plus[x] = " + 0"
     return minus, plus
+
+
+def _patch(last: Dictionary | None, d: Dictionary) -> tuple | None:
+    """``(r, s, rows, cols)`` when ``d`` is one pivot at (r, s) from ``last`` over the same D, else None.
+
+    Labels that differ by one swap mean that pivot, in one system. It
+    changes numerators only on ``rows`` (Q[i][s] != 0) at ``cols`` (Q[r][j]
+    != 0), and keeps the zeros of row r and column s.
+    """
+    if last is None or last.D != d.D:
+        return None
+    rs = [i for i, x in enumerate(map(ne, last.basis, d.basis)) if x]
+    ss = [j for j, x in enumerate(map(ne, last.nonbasis, d.nonbasis)) if x]
+    if len(rs) != 1 or len(ss) != 1:
+        return None
+    (r,), (s,) = rs, ss
+    return r, s, [i for i, row in enumerate(d.Q_num) if row[s]], [j for j, x in enumerate(d.Q_num[r]) if x]
 
 
 def _leading(terms: str) -> str:
@@ -114,54 +126,52 @@ def _leading(terms: str) -> str:
     return text if terms[1] == "+" else "-" + text
 
 
-def _lines(d: Dictionary, tables: _TermTables, flip: bool, last: list | None = None) -> list[str]:
+def _lines(d: Dictionary, tables: _TermTables, flip: bool, view: list | None = None, patch=None) -> list[str]:
     """The lines of ``d``, or with ``flip`` of its negative transpose, from ``tables = _term_tables(..., d)``.
 
-    The negative transpose has rows -q, -Q^T, objective -p and constant -z*
-    on the swapped partition and the other side, so it reads the same
-    numerators in the other orientation, each term from the other table; no
-    dictionary is built.
-
-    ``last`` holds what the previous call with it rendered, the dictionary
-    one pivot earlier in the same orientation, and is updated to ``d``. A
-    row line of it is carried over when D is the same, the row's label,
-    constant and coefficients are unchanged, and its coefficient under the
-    one head that the pivot relabelled is 0: then it prints the same text.
+    The negative transpose (rows -q, -Q^T, objective -p, constant -z*, on
+    the swapped partition) reads the same numerators transposed, each term
+    from the other table. ``view`` keeps the terms drawn, one per entry (""
+    for a 0); with the ``view`` of ``last`` and ``patch = _patch(last, d)``
+    only the patch is drawn again.
     """
     primal = (d.side == "primal") != flip
     var = "x" if primal else "y"
     minus, plus = tables
-    # A row prints p_r - Q_r x_N, the objective z* + q x_N, so a row term is
-    # minus[x] and a constant or objective term plus[x]. Flip negates every
-    # entry, so the tables trade places.
+    # Rows print p - Qx: Q's terms read minus, the rest plus. Flip swaps them.
     if flip:
-        rows, heads, objective = list(zip(d.nonbasis, d.q_num, zip(*d.Q_num))), d.basis, d.p_num
+        labels, consts, heads, objective, Q = d.nonbasis, d.q_num, d.basis, d.p_num, [*zip(*d.Q_num)]
         row_terms, terms = plus, minus
     else:
-        rows, heads, objective = list(zip(d.basis, d.p_num, d.Q_num)), d.nonbasis, d.q_num
+        labels, consts, heads, objective, Q = d.basis, d.p_num, d.nonbasis, d.q_num, d.Q_num
         row_terms, terms = minus, plus
-    names = [f"{var}{w}" for w in heads]
-    # The one head position the pivot relabelled, when ``last`` was rendered over the same D.
-    moved = [j for j, (u, w) in enumerate(zip(last[1], heads)) if u != w] if last and last[0] == d.D else ()
-    if len(moved) == 1:
-        (j,) = moved
-        carried = zip(last[2], last[3])
-    else:  # nothing to carry over: no row equals None
-        j, carried = 0, repeat((None, None))
-    lines = []
-    for row, (old, text) in zip(rows, carried):
-        if row != old or row[2][j]:
-            v, c, coefs = row
-            terms_text = "".join([row_terms[x] + name for x, name in zip(coefs, names) if x])
-            text = f"{var}{v} = {_leading(terms[c])}{terms_text}"
-        lines.append(text)
-    if last is not None:
-        last[:] = d.D, heads, rows, lines[:]
-    tail = "".join([terms[x] + name for x, name in zip(objective, names) if x])
+    if patch and view:
+        r, s, rows, cols = patch
+        if flip:
+            s, rows, cols = r, cols, rows
+        names, entries, lines, tail = view
+        names[s] = f"{var}{heads[s]}"
+        named = [(j, names[j]) for j in cols]
+        for i in rows:
+            row, coefs = entries[i], Q[i]
+            for j, name in named:
+                x = coefs[j]
+                row[j] = row_terms[x] + name if x else ""
+            lines[i] = f"{var}{labels[i]} = {_leading(terms[consts[i]])}{''.join(row)}"
+        for j, name in named:
+            x = objective[j]
+            tail[j] = terms[x] + name if x else ""
+    else:
+        names = [f"{var}{w}" for w in heads]
+        entries = [[row_terms[x] + name if x else "" for x, name in zip(row, names)] for row in Q]
+        lines = [f"{var}{v} = {_leading(terms[c])}{''.join(row)}" for v, c, row in zip(labels, consts, entries)]
+        tail = [terms[x] + name if x else "" for x, name in zip(objective, names)]
+        if view is not None:
+            view[:] = names, entries, lines, tail
+    text = "".join(tail)
     # The constant is skipped when zero, unless the line would be empty.
-    tail = _leading(terms[d.z_num]) + tail if d.z_num or not tail else _leading(tail)
-    lines.append(f"{'z' if primal else '-w'} = {tail}")
-    return lines
+    text = _leading(terms[d.z_num]) + text if d.z_num or not text else _leading(text)
+    return [*lines, f"{'z' if primal else '-w'} = {text}"]
 
 
 def random_lp(m: int, n: int, seed: int, bound: int = 10) -> StandardLP:
@@ -236,20 +246,20 @@ def _solver_trace_lines(trace: SolveTrace, dual_view: bool) -> list[str]:
             lines.append("")
         if multi:
             lines.append(f"== {phase.name} ==")
-        primal_last: list = []  # what _lines rendered one pivot earlier, per orientation
-        dual_last: list = []
+        views = [], []  # per orientation
+        last = None
         for step in (None, *phase.steps):
-            d = phase.start if step is None else step.dictionary
+            d = _lowest_terms(phase.start if step is None else step.dictionary)
+            patch, last = _patch(last, d), d
+            terms = _term_tables(tables, d, patch)
             if step is not None:
                 lines += ["", f"pivot: enter x{step.enter}, leave x{step.leave}"]
-            d = _lowest_terms(d)
-            terms = _term_tables(tables, d)
-            lines += _lines(d, terms, False, primal_last)
+            lines += _lines(d, terms, False, views[0], patch)
             if dual_view:
                 lines += ["", "dual:"]
                 if step is not None:
                     lines.append(f"pivot: enter y{step.leave}, leave y{step.enter}")
-                lines += _lines(d, terms, True, dual_last)
+                lines += _lines(d, terms, True, views[1], patch)
     return lines
 
 

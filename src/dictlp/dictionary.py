@@ -214,7 +214,11 @@ def pivot(d: Dictionary, enter: int, leave: int) -> Dictionary:
         raise PivotError(f"leaving variable {_str(leave)} is not basic") from None
     if d.Q_num[r][s] == 0:
         raise PivotError(f"zero pivot element at row {r}, column {s}")
+    return _pivot(d, r, s)
 
+
+def _pivot(d: Dictionary, r: int, s: int) -> Dictionary:
+    """``pivot`` at basis position r and nonbasis position s, unchecked: Q[r][s] must be nonzero."""
     p, Q, q, z, D = _kernels.pivot_update(d.p_num, d.Q_num, d.q_num, d.z_num, d.D, r, s, d.det_form)
     basis = list(d.basis)
     nonbasis = list(d.nonbasis)

@@ -8,9 +8,11 @@ Both methods run on ``Dictionary`` values and return exact certificates:
 
 The simplex loop is written once (``_simplex``). Dual simplex is that
 primal loop run on the negative transpose of the dictionary, read in place
-(``_as_primal``): the dual dictionary on N is the negative transpose of
-the primal one on B, and a primal pivot (enter e, leave l) there is the
-pivot (enter l, leave e) here. One reader (``_ray``) gives both rays: the
+through a sign: the dual dictionary on N is the negative transpose of the
+primal one on B, and a primal pivot (enter e, leave l) there is the pivot
+(enter l, leave e) here. Each pivot takes one pass over the objective row
+for the entering position and one over its column for the leaving one,
+and pivots at those positions. One reader (``_ray``) gives both rays: the
 unbounded ray, and the Farkas vector, which is the slack part of the dual's
 unbounded ray.
 
@@ -32,17 +34,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 from dictlp import _kernels
 from dictlp.exact import _rationals_text, common_denominator
-from dictlp.dictionary import (
-    Dictionary,
-    initial_dictionary,
-    is_dual_feasible,
-    is_primal_feasible,
-    pivot,
-)
+from dictlp.dictionary import Dictionary, _pivot, initial_dictionary, is_dual_feasible, is_primal_feasible
 from dictlp.model import StandardLP
 
 
@@ -100,36 +96,6 @@ class CertificateError(RuntimeError):
     """A solve outcome whose certificate does not hold for its instance."""
 
 
-def _pick(labels: tuple[int, ...], values: Sequence[int], rule: PivotRule) -> int | None:
-    """Label of a positive value, or None when no value is positive.
-
-    Bland: the smallest such label. Dantzig: the largest value, smallest
-    label on ties.
-    """
-    candidates = [(v, x) for v, x in zip(labels, values) if x > 0]
-    if not candidates:
-        return None
-    if rule is PivotRule.BLAND:
-        return min(v for v, _ in candidates)
-    best = max(x for _, x in candidates)
-    return min(v for v, x in candidates if x == best)
-
-
-def _ratio_test(labels: tuple[int, ...], consts: Sequence[int], coefs: Sequence[int]) -> int | None:
-    """Label minimizing const / coef over coef > 0, smallest label on ties.
-
-    None when no coefficient is positive. Ratios compare by cross-multiplying.
-    """
-    best: int | None = None
-    best_const, best_coef = 0, 1
-    for v, const, coef in zip(labels, consts, coefs):
-        if coef > 0:
-            lhs, rhs = const * best_coef, best_const * coef
-            if best is None or lhs < rhs or (lhs == rhs and v < best):
-                best, best_const, best_coef = v, const, coef
-    return best
-
-
 def _cycle_guard(d: Dictionary, rule: PivotRule, visited: set[frozenset[int]]) -> PivotRule:
     """The rule for the next pivot: Bland from the first repeated basis on.
 
@@ -178,65 +144,69 @@ def dual_simplex(
     return _simplex(d, rule, True)
 
 
-def _as_primal(d: Dictionary, dual: bool) -> tuple[
-    tuple[int, ...], Sequence[int], tuple[int, ...], Sequence[int], Callable[[int], list[int]]
-]:
-    """The dictionary the primal method reads: ``d``, or with ``dual`` its negative transpose.
-
-    Returns the nonbasic labels, the objective row, the basic labels, the
-    constants and the column under a nonbasic position. The negative
-    transpose is read in place: nonbasic ``d.basis`` with objective -p,
-    basic ``d.nonbasis`` with constants -q, and column r is -Q[r].
-    """
-    if dual:
-        return (
-            d.basis, [-x for x in d.p_num], d.nonbasis, [-x for x in d.q_num],
-            lambda r: [-x for x in d.Q_num[r]],
-        )
-    return d.nonbasis, d.q_num, d.basis, d.p_num, lambda s: [row[s] for row in d.Q_num]
-
-
 def _simplex(d: Dictionary, rule: PivotRule, dual: bool) -> tuple[Dictionary, list[PivotStep], int | None]:
-    """The primal method on ``_as_primal(d, dual)``, pivoting ``d`` itself.
+    """The primal method on ``d``, or with ``dual`` on its negative transpose, pivoting ``d`` itself.
 
-    On the dual side the primal pivot (enter, leave) is ``d``'s pivot
-    (leave, enter). The signal is the primal method's: None when optimal,
-    else the entering variable of the column with no positive entry.
+    The negative transpose has nonbasic labels ``d.basis`` with objective
+    -p, basic labels ``d.nonbasis`` with constants -q, and -Q[r] under
+    nonbasic position r. The loop reads them through ``sign = -1`` instead
+    of building them, so its pivot at entering position e and leaving
+    position l is ``d``'s pivot at basis position e and nonbasis position
+    l. The signal is the primal method's: None when optimal, else the
+    entering variable of the column with no positive entry.
     """
     rule = PivotRule(rule)  # "bland" is Bland's rule; a value that names no rule raises ValueError
+    sign = -1 if dual else 1
     steps: list[PivotStep] = []
     visited: set[frozenset[int]] = set()
     while True:
-        rule = _cycle_guard(d, rule, visited)
-        nonbasis, objective, basis, constants, column = _as_primal(d, dual)
-        enter = _pick(nonbasis, objective, rule)
-        if enter is None:
-            return d, steps, None
-        leave = _ratio_test(basis, constants, column(nonbasis.index(enter)))
-        if leave is None:
-            return d, steps, enter
+        if rule is PivotRule.DANTZIG:  # Bland never repeats a basis
+            rule = _cycle_guard(d, rule, visited)
+        bland = rule is PivotRule.BLAND
         if dual:
-            enter, leave = leave, enter
-        d = pivot(d, enter, leave)
-        steps.append(PivotStep(enter=enter, leave=leave, dictionary=d))
+            heads, objective, labels, constants = d.basis, d.p_num, d.nonbasis, d.q_num
+        else:
+            heads, objective, labels, constants = d.nonbasis, d.q_num, d.basis, d.p_num
+        # Entering: of the positive objective entries, Bland's smallest
+        # label, or Dantzig's largest entry with the smallest label on ties.
+        e = None
+        for k, x in enumerate(objective):
+            x *= sign
+            if x > 0 and (e is None or (heads[k] < heads[e] if bland or x == top else x > top)):
+                e, top = k, x
+        if e is None:
+            return d, steps, None
+        # Leaving: of the positive column entries a, the least constant / a,
+        # the smallest label on ties. Ratios compare by cross-multiplying, and
+        # on the dual side -q / -Q[r] reads as q / Q[r].
+        l = None
+        for k, (c, a) in enumerate(zip(constants, d.Q_num[e] if dual else [row[e] for row in d.Q_num])):
+            if a * sign > 0 and (l is None or c * ba < bc * a or c * ba == bc * a and labels[k] < labels[l]):
+                l, bc, ba = k, c, a
+        if l is None:
+            return d, steps, heads[e]
+        r, s = (e, l) if dual else (l, e)
+        d = _pivot(d, r, s)
+        steps.append(PivotStep(enter=d.basis[r], leave=d.nonbasis[s], dictionary=d))
 
 
 def _ray(d: Dictionary, enter: int, dual: bool, variables: range) -> tuple[Fraction, ...]:
-    """The improving recession ray of ``_as_primal(d, dual)`` along ``enter``'s column, at ``variables``.
+    """The improving recession ray of ``_simplex``'s dictionary along ``enter``'s column, at ``variables``.
 
     The entering variable moves by 1 and each basic one by minus its column
-    entry. On the primal side the decision part is the unbounded ray. On the
-    dual side the slack part is the Farkas vector: row r of A_B^{-1}, since
-    Q = A_B^{-1} A_N puts column k of A_B^{-1} under a nonbasic slack
-    x(n+k) and a basic slack has a unit column. With p_r < 0 and
-    Q[r][.] >= 0 it satisfies u >= 0, u.A0 >= 0 and u.b = p_r < 0.
+    entry: -Q[i][s] on the primal side, Q[r][j] on the dual. On the primal
+    side the decision part is the unbounded ray. On the dual side the slack
+    part is the Farkas vector: row r of A_B^{-1}, since Q = A_B^{-1} A_N
+    puts column k of A_B^{-1} under a nonbasic slack x(n+k) and a basic
+    slack has a unit column. With p_r < 0 and Q[r][.] >= 0 it satisfies
+    u >= 0, u.A0 >= 0 and u.b = p_r < 0.
     """
-    nonbasis, _, basis, _, column = _as_primal(d, dual)
-    moves = dict(zip(basis, column(nonbasis.index(enter))))
-    return tuple(
-        Fraction(-moves[v], d.D) if v in moves else Fraction(1 if v == enter else 0)
-        for v in variables
-    )
+    if dual:
+        moves = dict(zip(d.nonbasis, d.Q_num[d.basis.index(enter)]))
+    else:
+        s = d.nonbasis.index(enter)
+        moves = {v: -row[s] for v, row in zip(d.basis, d.Q_num)}
+    return tuple(Fraction(moves[v], d.D) if v in moves else Fraction(1 if v == enter else 0) for v in variables)
 
 
 def solve(

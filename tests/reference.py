@@ -22,6 +22,11 @@ reduction of [A_B | b | A_N]; ``dictionary_from_basis`` is checked against it.
 ``priced_by_fractions`` is the repricing of a dictionary under a new
 objective over ``Fraction`` entries; ``dictlp.simplex._priced``, which
 prices in integers over the dictionary's denominator, is checked against it.
+``pick``, ``ratio_test`` and ``as_primal`` are the simplex loop's pivot
+choice by candidate list and by negated copies of the dual side, and
+``simplex_by_reference`` runs that loop with the public ``pivot``;
+``dictlp.simplex._simplex``, which reads the dual side through a sign in
+one pass per choice, must make the same pivots.
 ``rank``, ``rowspace_contains`` and ``rowspace_equal`` are the exact rank
 tests, on plain rows, that the substitution test ``dictlp.duality._spans``
 is checked against. All of them reduce with ``rref``. ``verify_bases``
@@ -54,10 +59,10 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd
 
-from dictlp.dictionary import Dictionary, NotABasisError, _arrange, initial_dictionary, negative_transpose
+from dictlp.dictionary import Dictionary, NotABasisError, _arrange, initial_dictionary, negative_transpose, pivot
 from dictlp.duality import walk_bases
 from dictlp.model import StandardLP
-from dictlp.simplex import SolveTrace
+from dictlp.simplex import PivotRule, SolveTrace
 
 
 def dot(a, b) -> Fraction:
@@ -406,6 +411,77 @@ def priced_by_fractions(d: Dictionary, costs) -> Dictionary:
     Q = [[row[j] for j in order] for row in rows]
     nonbasis = tuple(d.nonbasis[j] for j in order)
     return Dictionary.from_fractions(d.side, d.basis, nonbasis, d.p, Q, q, dot(c_B, d.p))
+
+
+def pick(labels: tuple[int, ...], values, rule: PivotRule) -> int | None:
+    """Label of a positive value, or None when no value is positive.
+
+    Bland: the smallest such label. Dantzig: the largest value, smallest
+    label on ties.
+    """
+    candidates = [(v, x) for v, x in zip(labels, values) if x > 0]
+    if not candidates:
+        return None
+    if rule is PivotRule.BLAND:
+        return min(v for v, _ in candidates)
+    best = max(x for _, x in candidates)
+    return min(v for v, x in candidates if x == best)
+
+
+def ratio_test(labels: tuple[int, ...], consts, coefs) -> int | None:
+    """Label minimizing const / coef over coef > 0, smallest label on ties.
+
+    None when no coefficient is positive. Ratios compare by cross-multiplying.
+    """
+    best = None
+    best_const, best_coef = 0, 1
+    for v, const, coef in zip(labels, consts, coefs):
+        if coef > 0:
+            lhs, rhs = const * best_coef, best_const * coef
+            if best is None or lhs < rhs or (lhs == rhs and v < best):
+                best, best_const, best_coef = v, const, coef
+    return best
+
+
+def as_primal(d: Dictionary, dual: bool):
+    """The dictionary the primal method reads: ``d``, or with ``dual`` its negative transpose.
+
+    Returns the nonbasic labels, the objective row, the basic labels, the
+    constants and the column under a nonbasic position. The negative
+    transpose is built from negated copies: nonbasic ``d.basis`` with
+    objective -p, basic ``d.nonbasis`` with constants -q, and column r is
+    -Q[r].
+    """
+    if dual:
+        return (
+            d.basis, [-x for x in d.p_num], d.nonbasis, [-x for x in d.q_num],
+            lambda r: [-x for x in d.Q_num[r]],
+        )  # fmt: skip
+    return d.nonbasis, d.q_num, d.basis, d.p_num, lambda s: [row[s] for row in d.Q_num]
+
+
+def simplex_by_reference(d: Dictionary, rule: PivotRule, dual: bool) -> tuple[list[tuple[int, int]], int | None]:
+    """The (enter, leave) pivots and the signal of ``dictlp.simplex._simplex``, chosen by ``pick`` and ``ratio_test``.
+
+    Bland's rule from the first repeated basis on, as the library's loop does.
+    """
+    pivots: list[tuple[int, int]] = []
+    visited: set[frozenset[int]] = set()
+    while True:
+        if frozenset(d.basis) in visited:
+            rule = PivotRule.BLAND
+        visited.add(frozenset(d.basis))
+        nonbasis, objective, basis, constants, column = as_primal(d, dual)
+        enter = pick(nonbasis, objective, rule)
+        if enter is None:
+            return pivots, None
+        leave = ratio_test(basis, constants, column(nonbasis.index(enter)))
+        if leave is None:
+            return pivots, enter
+        if dual:
+            enter, leave = leave, enter
+        pivots.append((enter, leave))
+        d = pivot(d, enter, leave)
 
 
 def by_value(d: Dictionary) -> Dictionary:

@@ -13,11 +13,21 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dictlp import _kernels, duality
-from dictlp.cli import _lines, _solver_trace_lines, _term_tables, format_dictionary, main, random_lp
+from dictlp.cli import (
+    _lines,
+    _lowest_terms,
+    _patch,
+    _solver_trace_lines,
+    _term_tables,
+    format_dictionary,
+    main,
+    random_lp,
+)
 from dictlp.dictionary import (
     Dictionary,
     NotABasisError,
     PivotError,
+    _arrange,
     dictionary_from_basis,
     initial_dictionary,
     negative_transpose,
@@ -26,7 +36,7 @@ from dictlp.dictionary import (
 from dictlp.model import StandardLP, parse_lp, serialize_lp
 from dictlp.simplex import Infeasible, PivotRule, PivotStep, SolveTrace, TracePhase, solve
 
-from conftest import DATA, E1_TEXT, klee_minty, qv, random_pivots, replaced, suite_instance, transportation_lp
+from conftest import DATA, E1_TEXT, divided, klee_minty, qv, random_pivots, replaced, suite_instance, transportation_lp
 from reference import by_value, enumerate_bases, format_dictionary_by_fractions, lp_fractions, trace_lines_by_fractions
 
 PRIMAL_INITIAL = """\
@@ -413,6 +423,79 @@ class TestCarriedLines:
         assert code == 0 and out.splitlines() == trace_lines_by_fractions(trace, True)
         first, second = out.split("pivot: enter x1, leave x3")
         assert before in first.splitlines() and after in second.splitlines()
+
+
+class TestPatchedSteps:
+    """A step one pivot from the step before over the same printed D is drawn from what the pivot changed.
+
+    ``_patch`` lists the changed rows and columns; ``_lines`` draws only
+    those again and keeps the rest of the previous step's terms. Every other
+    step is drawn whole. Either way a trace prints what the ``Fraction``
+    renderer prints for each dictionary on its own.
+    """
+
+    @given(
+        m=st.integers(1, 5),
+        n=st.integers(1, 5),
+        seed=st.integers(0, 10_000),
+        data_kind=st.sampled_from(["integer", "row-divided", "entry denominators"]),
+        rule=st.sampled_from(list(PivotRule)),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_lp_traces(self, m, n, seed, data_kind, rule, data):
+        lp = random_lp(m, n, seed)
+        if data_kind == "row-divided":
+            lp = divided(lp, data.draw(st.lists(st.integers(1, 6), min_size=m + 1, max_size=m + 1)))
+        elif data_kind == "entry denominators":
+            A0, b, c = lp_fractions(lp)
+
+            def over(row):
+                return [x / data.draw(st.integers(1, 6)) for x in row]
+
+            lp = StandardLP.from_fractions([over(row) for row in A0], over(b), over(c))
+        _, trace = solve(lp, rule)
+        for dual_view in (False, True):
+            assert _solver_trace_lines(trace, dual_view) == trace_lines_by_fractions(trace, dual_view)
+
+    def test_a_non_unit_pivot_that_keeps_the_printed_denominator(self):
+        # Pivot element 4 (value 4, not +-1) between two dictionaries printed over D = 4.
+        _, trace = solve(random_lp(3, 3, 3, 5), PivotRule.BLAND)
+        (phase,) = trace.phases
+        path = [phase.start, *(step.dictionary for step in phase.steps)]
+        patched = []
+        for before, step in zip(path, phase.steps):
+            r, s = before.basis.index(step.leave), before.nonbasis.index(step.enter)
+            last, d = _lowest_terms(before), _lowest_terms(step.dictionary)
+            if _patch(last, d) is not None:
+                patched.append((Fraction(before.Q_num[r][s], before.D), last.D, d.D))
+        assert (4, 4, 4) in patched
+        for dual_view in (False, True):
+            assert _solver_trace_lines(trace, dual_view) == trace_lines_by_fractions(trace, dual_view)
+
+    def test_a_denominator_that_changes_and_comes_back_within_a_phase(self):
+        _, trace = solve(random_lp(3, 3, 0, 5), PivotRule.BLAND)
+        phase = trace.phases[1]
+        path = [_lowest_terms(d) for d in (phase.start, *(step.dictionary for step in phase.steps))]
+        assert [d.D for d in path] == [3, 2, 3]
+        assert [_patch(last, d) for last, d in zip(path, path[1:])] == [None, None]
+        for dual_view in (False, True):
+            assert _solver_trace_lines(trace, dual_view) == trace_lines_by_fractions(trace, dual_view)
+
+    def test_a_step_that_is_not_one_pivot_from_the_step_before_is_drawn_whole(self):
+        # Every pivot of the cube is a unit pivot at D = 1, so only the
+        # labels decide: two pivots at once, one pivot, then the same
+        # dictionary with two rows swapped.
+        d0 = initial_dictionary(klee_minty(3))
+        d1 = pivot(pivot(d0, 1, 4), 2, 5)
+        d2 = pivot(d1, 3, 6)
+        d3 = _arrange(d2, (d2.basis[1], d2.basis[0], d2.basis[2]), d2.nonbasis)
+        assert {d.D for d in (d0, d1, d2, d3)} == {1}
+        assert [_patch(last, d) is None for last, d in [(d0, d1), (d1, d2), (d2, d3)]] == [True, False, True]
+        steps = (PivotStep(2, 5, d1), PivotStep(3, 6, d2), PivotStep(3, 6, d3))
+        trace = SolveTrace(phases=(TracePhase("forced pivots", d0, steps),))
+        for dual_view in (False, True):
+            assert _solver_trace_lines(trace, dual_view) == trace_lines_by_fractions(trace, dual_view)
 
 
 class TestSolveCommand:

@@ -1,3 +1,4 @@
+import random
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from dictlp.dictionary import (
     Dictionary,
+    _arrange,
     dictionary_from_basis,
     initial_dictionary,
     is_dual_feasible,
@@ -17,6 +19,7 @@ from dictlp.dictionary import (
     pivot,
 )
 from dictlp import simplex
+from dictlp.cli import random_lp
 from dictlp.model import StandardLP, parse_lp
 from dictlp.simplex import (
     CertificateError,
@@ -24,8 +27,6 @@ from dictlp.simplex import (
     Optimal,
     PivotRule,
     Unbounded,
-    _pick,
-    _ratio_test,
     dual_simplex,
     primal_simplex,
     solve,
@@ -33,7 +34,16 @@ from dictlp.simplex import (
 
 from conftest import DATA, divided, dual_feasible_instance, fr, qv, suite_instance
 from oracle import check_outcome, oracle_solve, outcome_kind
-from reference import basic_solution, by_value, lp_fractions, priced_by_fractions
+from reference import (
+    as_primal,
+    basic_solution,
+    by_value,
+    lp_fractions,
+    pick,
+    priced_by_fractions,
+    ratio_test,
+    simplex_by_reference,
+)
 
 
 @pytest.fixture
@@ -52,64 +62,64 @@ def column(d: Dictionary, s: int) -> list[int]:
 @contextmanager
 def pivot_budget(limit: int):
     """Turn more than ``limit`` solver pivots into a failure instead of an endless loop."""
-    real_pivot = simplex.pivot
+    real_pivot = simplex._pivot
     count = 0
 
-    def budgeted(d, enter, leave):
+    def budgeted(d, r, s):
         nonlocal count
         count += 1
         if count > limit:
             raise RuntimeError("pivot budget exhausted: the rule cycles")
-        return real_pivot(d, enter, leave)
+        return real_pivot(d, r, s)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simplex, "pivot", budgeted)
+        mp.setattr(simplex, "_pivot", budgeted)
         yield
 
 
 class TestChooseEntering:
-    """The entering choice: ``_pick`` over the nonbasic labels and the objective row."""
+    """The entering choice: the reference ``pick`` over the nonbasic labels and the objective row."""
 
     def test_bland_smallest_index(self, e1):
         d = initial_dictionary(e1)
-        assert _pick(d.nonbasis, d.q_num, PivotRule.BLAND) == 1
+        assert pick(d.nonbasis, d.q_num, PivotRule.BLAND) == 1
 
     def test_dantzig_largest_coefficient(self, e1):
         d = initial_dictionary(e1)
-        assert _pick(d.nonbasis, d.q_num, PivotRule.DANTZIG) == 2
+        assert pick(d.nonbasis, d.q_num, PivotRule.DANTZIG) == 2
 
     def test_none_when_optimal(self):
         d = initial_dictionary(tiny([[1]], [1], [-1]))
-        assert _pick(d.nonbasis, d.q_num, PivotRule.BLAND) is None
-        assert _pick(d.nonbasis, d.q_num, PivotRule.DANTZIG) is None
+        assert pick(d.nonbasis, d.q_num, PivotRule.BLAND) is None
+        assert pick(d.nonbasis, d.q_num, PivotRule.DANTZIG) is None
 
     def test_dantzig_tie_to_smallest_index(self):
         d = initial_dictionary(tiny([[1, 1]], [1], [3, 3]))
-        assert _pick(d.nonbasis, d.q_num, PivotRule.DANTZIG) == 1
+        assert pick(d.nonbasis, d.q_num, PivotRule.DANTZIG) == 1
 
 
 class TestChooseLeaving:
-    """The ratio test: ``_ratio_test`` over the basic labels, the constants and one column."""
+    """The ratio test: the reference ``ratio_test`` over the basic labels, the constants and one column."""
 
     def test_single_eligible_row(self, e1_second):
         # entering x5: column (4, -1), only x4's row eligible, ratio 6/4
         s = e1_second.nonbasis.index(5)
-        assert _ratio_test(e1_second.basis, e1_second.p_num, column(e1_second, s)) == 4
+        assert ratio_test(e1_second.basis, e1_second.p_num, column(e1_second, s)) == 4
 
     def test_none_on_nonpositive_column(self):
         d = initial_dictionary(tiny([[-1]], [1], [1]))
-        assert _ratio_test(d.basis, d.p_num, column(d, 0)) is None
+        assert ratio_test(d.basis, d.p_num, column(d, 0)) is None
 
     def test_tie_to_smallest_variable_index(self):
         d = initial_dictionary(tiny([[1], [1]], [2, 2], [1]))
-        assert _ratio_test(d.basis, d.p_num, column(d, 0)) == 2
+        assert ratio_test(d.basis, d.p_num, column(d, 0)) == 2
 
 
 class TestPrimalSimplex:
     def test_e1_second_dictionary_unbounded(self, e1_second):
         final, steps, signal = primal_simplex(e1_second, PivotRule.DANTZIG)
         assert signal is not None
-        enter = _pick(final.nonbasis, final.q_num, PivotRule.DANTZIG)
+        enter = pick(final.nonbasis, final.q_num, PivotRule.DANTZIG)
         s = final.nonbasis.index(enter)
         assert all(row[s] <= 0 for row in final.Q_num)
         # deterministic run: ends on basis (5, 2) with objective 99
@@ -120,7 +130,7 @@ class TestPrimalSimplex:
 
     def test_signal_is_the_entering_variable_of_the_unbounded_column(self, e1_second):
         final, _, signal = primal_simplex(e1_second, PivotRule.DANTZIG)
-        assert signal == _pick(final.nonbasis, final.q_num, PivotRule.DANTZIG)
+        assert signal == pick(final.nonbasis, final.q_num, PivotRule.DANTZIG)
         _, _, none = primal_simplex(initial_dictionary(tiny([[1]], [1], [-1])))
         assert none is None
 
@@ -466,6 +476,75 @@ class TestTermination:
                 assert all(a >= b for a, b in zip(values, values[1:]))
             else:
                 assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+def feasible_starts(lp: StandardLP, seed: int) -> list[tuple[bool, Dictionary]]:
+    """The slack dictionaries of ``lp`` with b made nonnegative (primal feasible) and with c made nonpositive (dual feasible).
+
+    Rows and columns are shuffled by ``seed``, so that a position's order is
+    not its label's and a tie broken by position would show.
+    """
+    A0, b, c = lp_fractions(lp)
+    rng = random.Random(seed)
+    starts = []
+    for dual, start in [
+        (False, StandardLP.from_fractions(A0, [abs(x) for x in b], c)),
+        (True, StandardLP.from_fractions(A0, b, [-abs(x) for x in c])),
+    ]:
+        d = initial_dictionary(start)
+        starts.append((dual, _arrange(d, tuple(rng.sample(d.basis, d.m)), tuple(rng.sample(d.nonbasis, d.n)))))
+    return starts
+
+
+class TestLoopAgainstReference:
+    """Every pivot of ``primal_simplex`` and ``dual_simplex`` is the one the reference loop chooses.
+
+    The reference (``simplex_by_reference``) picks by candidate list, reads
+    the dual side from negated copies and pivots with the public ``pivot``.
+    Entries in [-1, 1] make Dantzig's rule meet ties of the largest entry
+    and ratio ties on both sides.
+    """
+
+    @given(
+        m=st.integers(1, 5),
+        n=st.integers(1, 5),
+        seed=st.integers(0, 10_000),
+        bound=st.sampled_from([1, 1, 5]),
+        rule=st.sampled_from(list(PivotRule)),
+        fractional=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_pivot_is_the_references(self, m, n, seed, bound, rule, fractional):
+        lp = random_lp(m, n, seed, bound)
+        if fractional:
+            lp = divided(lp, [2, 3, 5, 7, 2, 3][:m] + [3])
+        for dual, d in feasible_starts(lp, seed):
+            final, steps, signal = (dual_simplex if dual else primal_simplex)(d, rule)
+            pivots, reference_signal = simplex_by_reference(d, rule, dual)
+            assert [(step.enter, step.leave) for step in steps] == pivots
+            assert signal == reference_signal
+            assert final == (steps[-1].dictionary if steps else d)
+
+    def test_dantzig_meets_ties_on_both_sides(self):
+        # Counted on the reference's choices over 40 of the instances above:
+        # ties among the largest objective entries and among the least
+        # ratios whose smallest label is not at the first tied position, on
+        # the primal and on the dual side.
+        ties = {(dual, kind): 0 for dual in (False, True) for kind in ("enter", "leave")}
+        for seed in range(40):
+            for dual, d in feasible_starts(random_lp(4, 4, seed, 1), seed):
+                _, steps, _ = (dual_simplex if dual else primal_simplex)(d, PivotRule.DANTZIG)
+                for before in [d, *(step.dictionary for step in steps)]:
+                    nonbasis, objective, basis, constants, column = as_primal(before, dual)
+                    tied = [v for v, x in zip(nonbasis, objective) if x == max(objective) > 0]
+                    ties[dual, "enter"] += len(tied) > 1 and tied[0] != min(tied)
+                    enter = pick(nonbasis, objective, PivotRule.DANTZIG)
+                    if enter is None:
+                        continue
+                    ratios = [(Fraction(x, a), v) for v, x, a in zip(basis, constants, column(nonbasis.index(enter))) if a > 0]
+                    tied = [v for ratio, v in ratios if ratio == min(ratios)[0]]
+                    ties[dual, "leave"] += len(tied) > 1 and tied[0] != min(tied)
+        assert all(ties.values()), ties
 
 
 class TestLockstep:
