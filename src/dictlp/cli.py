@@ -7,15 +7,8 @@ Commands: ``solve`` (two-phase simplex with exact certificates), ``trace``
 (seeded instance generator). Every number is printed in canonical rational
 syntax; exit codes are 0 optimal/ok, 2 unbounded, 3 infeasible, 4 verify
 failure, 5 enumeration budget refusal, 6 a solve whose certificate failed
-its re-check, 1 usage, parse or I/O errors.
-
-A dictionary prints from two signed term tables per denominator
-(``_term_tables``); ``--dual-view`` reads Q's columns as rows with the
-tables swapped, so no dual dictionary is built. ``trace`` prints each
-dictionary in lowest terms and keeps the tables for the whole trace, so
-each (numerator, D) pair is formatted once. A step one pivot from the step
-before over the same D is drawn again only where the pivot changed it
-(``_patch``); any other step is drawn whole.
+its re-check, 1 usage, parse or I/O errors. Dictionaries and traces
+print through ``render``.
 """
 
 from __future__ import annotations
@@ -24,14 +17,10 @@ import argparse
 import os
 import random
 import sys
-from dataclasses import replace
-from operator import ne
 from pathlib import Path
 from typing import Sequence
 
-from dictlp import _kernels
 from dictlp.dictionary import (
-    Dictionary,
     NotABasisError,
     PivotError,
     dictionary_from_basis,
@@ -39,8 +28,9 @@ from dictlp.dictionary import (
     pivot,
 )
 from dictlp.duality import BasisCountError, verify_bases
-from dictlp.exact import _int, _rationals_text, format_rational
+from dictlp.exact import _int, _rationals_text
 from dictlp.model import _DIMENSION_RE, ParseError, StandardLP, dual_lp, parse_lp, serialize_lp
+from dictlp.render import _solver_trace_lines, format_dictionary
 from dictlp.simplex import (
     CertificateError,
     Optimal,
@@ -54,124 +44,6 @@ from dictlp.simplex import (
 
 class UsageError(ValueError):
     pass
-
-
-def format_dictionary(d: Dictionary) -> str:
-    """Render a dictionary in the classic display style.
-
-    One line per basic row (``x4 = 18 - 4x1 - 2x2 + 2x3``), then the
-    objective line, labeled ``z`` on the primal side and ``-w`` on the dual.
-    Magnitude-1 coefficients drop the ``1``; zero coefficients are skipped;
-    the objective constant is skipped when zero unless the line would be
-    empty.
-    """
-    return "\n".join(_lines(d, _term_tables({}, d), flip=False))
-
-
-# (minus, plus): numerator -> its term in a row p - Qx, and in z* + qx.
-_TermTables = tuple[dict[int, str], dict[int, str]]
-
-
-def _term_tables(tables: dict[int, _TermTables], d: Dictionary, patch=None) -> _TermTables:
-    """The term tables of ``d.D`` in ``tables``, filled for the numerators of ``d`` or those ``patch`` changed.
-
-    ``minus`` maps 3/2 to ``" - 3/2"`` and -3/2 to ``" + 3/2"``, ``plus``
-    the other way round; magnitude 1 keeps only the sign (``" - "``), and 0
-    maps to ``" + 0"``. Only numerators new to the tables are formatted.
-    """
-    D = d.D
-    minus, plus = tables.get(D) or tables.setdefault(D, ({}, {}))
-    if patch is None:
-        numerators = {d.z_num, *d.p_num, *d.q_num}.union(*d.Q_num)
-    else:
-        _, _, rows, cols = patch
-        numerators = {d.z_num, *[d.p_num[i] for i in rows], *[d.q_num[j] for j in cols]}
-        numerators.update([d.Q_num[i][j] for i in rows for j in cols])
-    for x in numerators.difference(minus):
-        if x > 0:
-            text = "" if x == D else format_rational(x, D)
-            minus[x], plus[x] = " - " + text, " + " + text
-        elif x < 0:
-            text = "" if x == -D else format_rational(x, D)[1:]
-            minus[x], plus[x] = " + " + text, " - " + text
-        else:  # read only as a constant, which prints "0"
-            minus[x] = plus[x] = " + 0"
-    return minus, plus
-
-
-def _patch(last: Dictionary | None, d: Dictionary) -> tuple | None:
-    """``(r, s, rows, cols)`` when ``d`` is one pivot at (r, s) from ``last`` over the same D, else None.
-
-    Labels that differ by one swap mean that pivot, in one system. It
-    changes numerators only on ``rows`` (Q[i][s] != 0) at ``cols`` (Q[r][j]
-    != 0), and keeps the zeros of row r and column s.
-    """
-    if last is None or last.D != d.D:
-        return None
-    rs = [i for i, x in enumerate(map(ne, last.basis, d.basis)) if x]
-    ss = [j for j, x in enumerate(map(ne, last.nonbasis, d.nonbasis)) if x]
-    if len(rs) != 1 or len(ss) != 1:
-        return None
-    (r,), (s,) = rs, ss
-    return r, s, [i for i, row in enumerate(d.Q_num) if row[s]], [j for j, x in enumerate(d.Q_num[r]) if x]
-
-
-def _leading(terms: str) -> str:
-    """Signed terms as the start of a line.
-
-    " + 3/2" is "3/2", " - x1 + x2" is "-x1 + x2", and a bare sign is a
-    constant of magnitude 1: " + " is "1".
-    """
-    text = terms[3:] or "1"
-    return text if terms[1] == "+" else "-" + text
-
-
-def _lines(d: Dictionary, tables: _TermTables, flip: bool, view: list | None = None, patch=None) -> list[str]:
-    """The lines of ``d``, or with ``flip`` of its negative transpose, from ``tables = _term_tables(..., d)``.
-
-    The negative transpose (rows -q, -Q^T, objective -p, constant -z*, on
-    the swapped partition) reads the same numerators transposed, each term
-    from the other table. ``view`` keeps the terms drawn, one per entry (""
-    for a 0); with the ``view`` of ``last`` and ``patch = _patch(last, d)``
-    only the patch is drawn again.
-    """
-    primal = (d.side == "primal") != flip
-    var = "x" if primal else "y"
-    minus, plus = tables
-    # Rows print p - Qx: Q's terms read minus, the rest plus. Flip swaps them.
-    if flip:
-        labels, consts, heads, objective, Q = d.nonbasis, d.q_num, d.basis, d.p_num, [*zip(*d.Q_num)]
-        row_terms, terms = plus, minus
-    else:
-        labels, consts, heads, objective, Q = d.basis, d.p_num, d.nonbasis, d.q_num, d.Q_num
-        row_terms, terms = minus, plus
-    if patch and view:
-        r, s, rows, cols = patch
-        if flip:
-            s, rows, cols = r, cols, rows
-        names, entries, lines, tail = view
-        names[s] = f"{var}{heads[s]}"
-        named = [(j, names[j]) for j in cols]
-        for i in rows:
-            row, coefs = entries[i], Q[i]
-            for j, name in named:
-                x = coefs[j]
-                row[j] = row_terms[x] + name if x else ""
-            lines[i] = f"{var}{labels[i]} = {_leading(terms[consts[i]])}{''.join(row)}"
-        for j, name in named:
-            x = objective[j]
-            tail[j] = terms[x] + name if x else ""
-    else:
-        names = [f"{var}{w}" for w in heads]
-        entries = [[row_terms[x] + name if x else "" for x, name in zip(row, names)] for row in Q]
-        lines = [f"{var}{v} = {_leading(terms[c])}{''.join(row)}" for v, c, row in zip(labels, consts, entries)]
-        tail = [terms[x] + name if x else "" for x, name in zip(objective, names)]
-        if view is not None:
-            view[:] = names, entries, lines, tail
-    text = "".join(tail)
-    # The constant is skipped when zero, unless the line would be empty.
-    text = _leading(terms[d.z_num]) + text if d.z_num or not text else _leading(text)
-    return [*lines, f"{'z' if primal else '-w'} = {text}"]
 
 
 def random_lp(m: int, n: int, seed: int, bound: int = 10) -> StandardLP:
@@ -235,44 +107,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     lines.append(f"pivots = {trace.pivot_count}")
     print("\n".join(lines))
     return code
-
-
-def _solver_trace_lines(trace: SolveTrace, dual_view: bool) -> list[str]:
-    lines: list[str] = []
-    tables: dict[int, _TermTables] = {}  # per D, for the whole trace
-    multi = len(trace.phases) > 1
-    for k, phase in enumerate(trace.phases):
-        if k > 0:
-            lines.append("")
-        if multi:
-            lines.append(f"== {phase.name} ==")
-        views = [], []  # per orientation
-        last = None
-        for step in (None, *phase.steps):
-            d = _lowest_terms(phase.start if step is None else step.dictionary)
-            patch, last = _patch(last, d), d
-            terms = _term_tables(tables, d, patch)
-            if step is not None:
-                lines += ["", f"pivot: enter x{step.enter}, leave x{step.leave}"]
-            lines += _lines(d, terms, False, views[0], patch)
-            if dual_view:
-                lines += ["", "dual:"]
-                if step is not None:
-                    lines.append(f"pivot: enter y{step.leave}, leave y{step.enter}")
-                lines += _lines(d, terms, True, views[1], patch)
-    return lines
-
-
-def _lowest_terms(d: Dictionary) -> Dictionary:
-    """``d`` with its numerators and D divided by their gcd.
-
-    ``d`` itself when that gcd is known to be 1: at D = 1, and off a
-    determinant-form chain, whose dictionaries are kept reduced.
-    """
-    if d.D == 1 or not d.det_form:
-        return d
-    p, Q, q, z, D = _kernels.reduced(d.p_num, d.Q_num, d.q_num, d.z_num, d.D)
-    return replace(d, p_num=p, Q_num=Q, q_num=q, z_num=z, D=D)
 
 
 def _parse_pivot_flags(raw: list[str]) -> list[tuple[int, int]]:

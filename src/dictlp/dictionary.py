@@ -71,7 +71,7 @@ class Dictionary:
     equality. The fields are the library's working form and are not
     checked: ``from_fractions`` validates its input, and the other
     constructors (this module's operations, ``simplex._priced``,
-    ``duality.dual_dictionary_direct``, ``cli._lowest_terms``) keep the
+    ``duality.dual_dictionary_direct``, ``render._lowest_terms``) keep the
     partition, the shapes and the form of a dictionary they are given.
     """
 

@@ -6,7 +6,7 @@ Everything here works on plain lists of ``Fraction``; the library keeps no
 ``dot`` and ``mul_vec`` are the vector algebra of the tests' orthogonality
 statements.
 ``format_dictionary_by_fractions`` is the dictionary printer over
-``Fraction`` entries that ``dictlp.cli.format_dictionary``, which prints
+``Fraction`` entries that ``dictlp.render.format_dictionary``, which prints
 from the integer numerators, is checked against, and
 ``trace_lines_by_fractions`` prints a whole trace with it.
 
@@ -166,7 +166,7 @@ def enumerate_bases(lp: StandardLP) -> list[tuple[int, ...]]:
 
 
 def format_dictionary_by_fractions(d: Dictionary) -> str:
-    """``dictlp.cli.format_dictionary`` computed on the ``Fraction`` views."""
+    """``dictlp.render.format_dictionary`` computed on the ``Fraction`` views."""
     var = "x" if d.side == "primal" else "y"
     names = [f"{var}{w}" for w in d.nonbasis]
     lines = []
@@ -179,7 +179,7 @@ def format_dictionary_by_fractions(d: Dictionary) -> str:
 
 
 def trace_lines_by_fractions(trace: SolveTrace, dual_view: bool) -> list[str]:
-    """``dictlp.cli._solver_trace_lines``: every dictionary, and its built negative transpose, printed on its own."""
+    """``dictlp.render._solver_trace_lines``: every dictionary, and its built negative transpose, printed on its own."""
     lines: list[str] = []
     for k, phase in enumerate(trace.phases):
         if k > 0:

@@ -13,16 +13,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dictlp import _kernels, duality
-from dictlp.cli import (
-    _lines,
-    _lowest_terms,
-    _patch,
-    _solver_trace_lines,
-    _term_tables,
-    format_dictionary,
-    main,
-    random_lp,
-)
+from dictlp.cli import main, random_lp
+from dictlp.render import _lines, _lowest_terms, _patch, _solver_trace_lines, _term_tables, format_dictionary
 from dictlp.dictionary import (
     Dictionary,
     NotABasisError,
@@ -253,12 +245,12 @@ class TestFlippedRendering:
         assert "\n".join(_lines(d, _term_tables({}, d), flip=False)) == format_dictionary(d)
 
     def test_texts_format_each_distinct_numerator_once(self, e1, monkeypatch):
-        import dictlp.cli
+        import dictlp.render
 
         d = pivot(initial_dictionary(e1), 1, 5)
         calls = []
-        real = dictlp.cli.format_rational
-        monkeypatch.setattr(dictlp.cli, "format_rational", lambda *a: calls.append(a) or real(*a))
+        real = dictlp.render.format_rational
+        monkeypatch.setattr(dictlp.render, "format_rational", lambda *a: calls.append(a) or real(*a))
         tables = {}
         minus, plus = terms = _term_tables(tables, d)
         distinct = {d.z_num, *d.p_num, *d.q_num, *(x for row in d.Q_num for x in row)}
@@ -276,7 +268,7 @@ class TestFlippedRendering:
         # step to step. The term tables live for the whole trace, so a
         # (numerator, D) pair seen at an earlier step is looked up, not
         # formatted again.
-        import dictlp.cli
+        import dictlp.render
 
         path = DATA / "beale.lp"
         _, trace = solve(parse_lp(path.read_text(encoding="utf-8")), PivotRule(rule))
@@ -288,8 +280,8 @@ class TestFlippedRendering:
         pairs = {(x, D) for values, D in numerators for x in values}
         assert sum(len(values) for values, _ in numerators) > len(pairs)  # numerators repeat across steps
         calls = []
-        real = dictlp.cli.format_rational
-        monkeypatch.setattr(dictlp.cli, "format_rational", lambda *a: calls.append(a) or real(*a))
+        real = dictlp.render.format_rational
+        monkeypatch.setattr(dictlp.render, "format_rational", lambda *a: calls.append(a) or real(*a))
         code, out = run_main(["trace", str(path), "--dual-view", "--rule", rule])
         assert code == 0
         assert out == "\n".join(trace_lines_by_fractions(trace, True)) + "\n"
@@ -852,7 +844,7 @@ class TestHugeNumbers:
         # calls main(): every library conversion must go through chunks.
         script = """if True:
             import sys
-            from dictlp.cli import format_dictionary
+            from dictlp.render import format_dictionary
             from dictlp.dictionary import initial_dictionary
             from dictlp.exact import format_rational
             from dictlp.model import ParseError, dual_lp, parse_lp, serialize_lp

@@ -17,7 +17,7 @@ from dictlp.dictionary import (
     pivot,
 )
 from dictlp import _kernels
-from dictlp.cli import format_dictionary
+from dictlp.render import format_dictionary
 from dictlp.model import StandardLP
 from dictlp.simplex import PivotRule, solve
 
