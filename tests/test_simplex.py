@@ -479,7 +479,7 @@ class TestTermination:
 
 
 def feasible_starts(lp: StandardLP, seed: int) -> list[tuple[bool, Dictionary]]:
-    """The slack dictionaries of ``lp`` with b made nonnegative (primal feasible) and with c made nonpositive (dual feasible).
+    """The slack dictionaries of ``lp`` with b made nonnegative and with c made nonpositive: primal and dual feasible.
 
     Rows and columns are shuffled by ``seed``, so that a position's order is
     not its label's and a tie broken by position would show.
@@ -541,7 +541,8 @@ class TestLoopAgainstReference:
                     enter = pick(nonbasis, objective, PivotRule.DANTZIG)
                     if enter is None:
                         continue
-                    ratios = [(Fraction(x, a), v) for v, x, a in zip(basis, constants, column(nonbasis.index(enter))) if a > 0]
+                    coefs = column(nonbasis.index(enter))
+                    ratios = [(Fraction(x, a), v) for v, x, a in zip(basis, constants, coefs) if a > 0]
                     tied = [v for ratio, v in ratios if ratio == min(ratios)[0]]
                     ties[dual, "leave"] += len(tied) > 1 and tied[0] != min(tied)
         assert all(ties.values()), ties
