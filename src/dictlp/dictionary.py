@@ -71,8 +71,8 @@ class Dictionary:
     equality. The fields are the library's working form and are not
     checked: ``from_fractions`` validates its input, and the other
     constructors (this module's operations, ``simplex._priced``,
-    ``duality.dual_dictionary_direct``, ``render._lowest_terms``) keep the
-    partition, the shapes and the form of a dictionary they are given.
+    ``duality.dual_dictionary_direct``) keep the partition, the shapes and
+    the form of a dictionary they are given.
     """
 
     side: Side

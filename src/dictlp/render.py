@@ -4,21 +4,19 @@ A dictionary prints from two signed term tables per denominator
 (``_term_tables``), which map a numerator to its whole term in a row
 ``p - Qx`` and in ``z* + qx``. ``--dual-view`` prints the negative
 transpose from the same tables, reading Q's columns as rows with the
-tables swapped, so no dual dictionary is built. A trace prints each
-dictionary in lowest terms and keeps the tables for the whole trace, so
-each (numerator, D) pair is formatted once. A step one pivot from the step
-before over the same printed D is drawn again only where that pivot
-changed it (``_patch``); any other step is drawn whole. This module is
-apart from ``cli`` because a process without cached bytecode compiles each
-from source, and the memory of one compile grows with the module.
+tables swapped, so no dual dictionary is built. A trace keeps the tables
+for the whole trace, keyed by the stored D, so each (numerator, D) pair is
+formatted once. A step one pivot from the step before is drawn again only
+where that pivot changed it (``_patch``), whatever D stores it: a term's
+text depends on its value alone. Any other step is drawn whole. This module
+is apart from ``cli`` because a process without cached bytecode compiles
+each from source, and the memory of one compile grows with the module.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from operator import ne
 
-from dictlp import _kernels
 from dictlp.dictionary import Dictionary
 from dictlp.exact import format_rational
 from dictlp.simplex import SolveTrace
@@ -45,7 +43,8 @@ def _term_tables(tables: dict[int, _TermTables], d: Dictionary, patch=None) -> _
 
     ``minus`` maps 3/2 to ``" - 3/2"`` and -3/2 to ``" + 3/2"``, ``plus``
     the other way round; magnitude 1 keeps only the sign (``" - "``), and 0
-    maps to ``" + 0"``. Only numerators new to the tables are formatted.
+    maps to ``" + 0"``. Only numerators new to the tables are formatted,
+    over the stored D, which need not be in lowest terms.
     """
     D = d.D
     minus, plus = tables.get(D) or tables.setdefault(D, ({}, {}))
@@ -68,13 +67,14 @@ def _term_tables(tables: dict[int, _TermTables], d: Dictionary, patch=None) -> _
 
 
 def _patch(last: Dictionary | None, d: Dictionary) -> tuple | None:
-    """``(r, s, rows, cols)`` when ``d`` is one pivot at (r, s) from ``last`` over the same D, else None.
+    """``(r, s, rows, cols)`` when ``d`` is one pivot at (r, s) from ``last``, else None.
 
-    Labels that differ by one swap mean that pivot, in one system. It
-    changes numerators only on ``rows`` (Q[i][s] != 0) at ``cols`` (Q[r][j]
-    != 0), and keeps the zeros of row r and column s.
+    Labels on one side that differ by one swap mean that pivot, in one
+    system. Whatever D stores either, it changes values only on ``rows``
+    (Q[i][s] != 0) at ``cols`` (Q[r][j] != 0), and keeps the zeros of row r
+    and column s.
     """
-    if last is None or last.D != d.D:
+    if last is None or last.side != d.side:
         return None
     rs = [i for i, x in enumerate(map(ne, last.basis, d.basis)) if x]
     ss = [j for j, x in enumerate(map(ne, last.nonbasis, d.nonbasis)) if x]
@@ -154,7 +154,7 @@ def _solver_trace_lines(trace: SolveTrace, dual_view: bool) -> list[str]:
         views = [], []  # per orientation
         last = None
         for step in (None, *phase.steps):
-            d = _lowest_terms(phase.start if step is None else step.dictionary)
+            d = phase.start if step is None else step.dictionary
             patch, last = _patch(last, d), d
             terms = _term_tables(tables, d, patch)
             if step is not None:
@@ -166,15 +166,3 @@ def _solver_trace_lines(trace: SolveTrace, dual_view: bool) -> list[str]:
                     lines.append(f"pivot: enter y{step.leave}, leave y{step.enter}")
                 lines += _lines(d, terms, True, views[1], patch)
     return lines
-
-
-def _lowest_terms(d: Dictionary) -> Dictionary:
-    """``d`` with its numerators and D divided by their gcd.
-
-    ``d`` itself when that gcd is known to be 1: at D = 1, and off a
-    determinant-form chain, whose dictionaries are kept reduced.
-    """
-    if d.D == 1 or not d.det_form:
-        return d
-    p, Q, q, z, D = _kernels.reduced(d.p_num, d.Q_num, d.q_num, d.z_num, d.D)
-    return replace(d, p_num=p, Q_num=Q, q_num=q, z_num=z, D=D)

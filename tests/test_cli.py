@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from dictlp import _kernels, duality
 from dictlp.cli import main, random_lp
-from dictlp.render import _lines, _lowest_terms, _patch, _solver_trace_lines, _term_tables, format_dictionary
+from dictlp.render import _lines, _patch, _solver_trace_lines, _term_tables, format_dictionary
 from dictlp.dictionary import (
     Dictionary,
     NotABasisError,
@@ -418,13 +419,29 @@ class TestCarriedLines:
 
 
 class TestPatchedSteps:
-    """A step one pivot from the step before over the same printed D is drawn from what the pivot changed.
+    """A step one pivot from the step before is drawn from what the pivot changed, whatever its D.
 
     ``_patch`` lists the changed rows and columns; ``_lines`` draws only
-    those again and keeps the rest of the previous step's terms. Every other
-    step is drawn whole. Either way a trace prints what the ``Fraction``
-    renderer prints for each dictionary on its own.
+    those again and keeps the rest of the previous step's terms, whose text
+    depends on their values alone. Every other step is drawn whole. Either
+    way a trace prints what the ``Fraction`` renderer prints for each
+    dictionary on its own.
     """
+
+    @staticmethod
+    def assert_patched_where_the_pivot_changed(before, step):
+        # Rows and columns from the step before's values, and every value
+        # the pivot changed lies in them.
+        d = step.dictionary
+        r, s = before.basis.index(step.leave), before.nonbasis.index(step.enter)
+        Q0, Q1 = before.Q.row_lists(), d.Q.row_lists()
+        rows = [i for i, row in enumerate(Q0) if row[s]]
+        cols = [j for j, x in enumerate(Q0[r]) if x]
+        assert _patch(before, d) == (r, s, rows, cols)
+        assert {i for i in range(d.m) if before.p[i] != d.p[i]} <= {*rows}
+        assert {j for j in range(d.n) if before.q[j] != d.q[j]} <= {*cols}
+        changed = {(i, j) for i in range(d.m) for j in range(d.n) if Q0[i][j] != Q1[i][j]}
+        assert changed <= {(i, j) for i in rows for j in cols}
 
     @given(
         m=st.integers(1, 5),
@@ -451,28 +468,64 @@ class TestPatchedSteps:
             assert _solver_trace_lines(trace, dual_view) == trace_lines_by_fractions(trace, dual_view)
 
     def test_a_non_unit_pivot_that_keeps_the_printed_denominator(self):
-        # Pivot element 4 (value 4, not +-1) between two dictionaries printed over D = 4.
+        # Pivot element 4 (value 4, not +-1) between two dictionaries printed
+        # over D = 4, though the second stores D = 16: patched all the same.
         _, trace = solve(random_lp(3, 3, 3, 5), PivotRule.BLAND)
         (phase,) = trace.phases
         path = [phase.start, *(step.dictionary for step in phase.steps)]
-        patched = []
+        printed = []
         for before, step in zip(path, phase.steps):
             r, s = before.basis.index(step.leave), before.nonbasis.index(step.enter)
-            last, d = _lowest_terms(before), _lowest_terms(step.dictionary)
-            if _patch(last, d) is not None:
-                patched.append((Fraction(before.Q_num[r][s], before.D), last.D, d.D))
-        assert (4, 4, 4) in patched
+            self.assert_patched_where_the_pivot_changed(before, step)
+            printed.append((Fraction(before.Q_num[r][s], before.D), by_value(before).D, by_value(step.dictionary).D))
+        assert (4, 4, 4) in printed
+        assert [d.D for d in path] == [1, 4, 16]
         for dual_view in (False, True):
             assert _solver_trace_lines(trace, dual_view) == trace_lines_by_fractions(trace, dual_view)
 
     def test_a_denominator_that_changes_and_comes_back_within_a_phase(self):
         _, trace = solve(random_lp(3, 3, 0, 5), PivotRule.BLAND)
         phase = trace.phases[1]
-        path = [_lowest_terms(d) for d in (phase.start, *(step.dictionary for step in phase.steps))]
-        assert [d.D for d in path] == [3, 2, 3]
-        assert [_patch(last, d) for last, d in zip(path, path[1:])] == [None, None]
+        path = [phase.start, *(step.dictionary for step in phase.steps)]
+        assert [by_value(d).D for d in path] == [3, 2, 3]
+        for before, step in zip(path, phase.steps):
+            self.assert_patched_where_the_pivot_changed(before, step)
         for dual_view in (False, True):
             assert _solver_trace_lines(trace, dual_view) == trace_lines_by_fractions(trace, dual_view)
+
+    @pytest.mark.parametrize(
+        "lp",
+        [
+            *[klee_minty(d, row_scale=[3, 1, 2, 5, 7, 4][:d]) for d in range(3, 7)],
+            divided(random_lp(6, 6, 11), [2, 3, 5, 7, 2, 3, 5]),
+        ],
+        ids=["km3-scaled", "km4-scaled", "km5-scaled", "km6-scaled", "divided-6x6"],
+    )
+    def test_bland_traces_patch_every_step_after_the_start(self, lp):
+        # Scaled rows give non-unit pivots, so the stored D changes along the
+        # path; the divided LP pivots in reduced form with D > 1 throughout.
+        _, trace = solve(lp, PivotRule.BLAND)
+        steps = 0
+        for phase in trace.phases:
+            path = [phase.start, *(step.dictionary for step in phase.steps)]
+            for before, step in zip(path, phase.steps):
+                self.assert_patched_where_the_pivot_changed(before, step)
+            steps += len(phase.steps)
+        assert steps >= 3 and len({step.dictionary.D for phase in trace.phases for step in phase.steps}) > 1
+        for dual_view in (False, True):
+            assert _solver_trace_lines(trace, dual_view) == trace_lines_by_fractions(trace, dual_view)
+
+    def test_a_step_on_the_other_side_is_drawn_whole(self):
+        # One swap from the step before, but a dual dictionary: its rows name
+        # y variables, which no term of the primal step before could give.
+        d0 = initial_dictionary(klee_minty(3))
+        d1 = replace(pivot(d0, 1, 4), side="dual")
+        assert _patch(d0, d1) is None
+        trace = SolveTrace(phases=(TracePhase("forced pivots", d0, (PivotStep(1, 4, d1),)),))
+        for dual_view in (False, True):
+            lines = _solver_trace_lines(trace, dual_view)
+            assert lines == trace_lines_by_fractions(trace, dual_view)
+            assert "y5 = 5 + 4y4 - y2" in lines
 
     def test_a_step_that_is_not_one_pivot_from_the_step_before_is_drawn_whole(self):
         # Every pivot of the cube is a unit pivot at D = 1, so only the
