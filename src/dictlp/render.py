@@ -8,9 +8,11 @@ tables swapped, so no dual dictionary is built. A trace keeps the tables
 for the whole trace, keyed by the stored D, so each (numerator, D) pair is
 formatted once. A step one pivot from the step before is drawn again only
 where that pivot changed it (``_patch``), whatever D stores it: a term's
-text depends on its value alone. Any other step is drawn whole. This module
-is apart from ``cli`` because a process without cached bytecode compiles
-each from source, and the memory of one compile grows with the module.
+text depends on its value alone. Any other step, such as a phase's first,
+is drawn by the same loop as the patch of every row and column of a blank
+view. This module is apart from ``cli`` because a process without cached
+bytecode compiles each from source, and the memory of one compile grows
+with the module.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def format_dictionary(d: Dictionary) -> str:
     the objective constant is skipped when zero unless the line would be
     empty.
     """
-    return "\n".join(_lines(d, _term_tables({}, d), flip=False))
+    return "\n".join(_lines(d, _term_tables({}, d), False, []))
 
 
 # (minus, plus): numerator -> its term in a row p - Qx, and in z* + qx.
@@ -39,21 +41,19 @@ _TermTables = tuple[dict[int, str], dict[int, str]]
 
 
 def _term_tables(tables: dict[int, _TermTables], d: Dictionary, patch=None) -> _TermTables:
-    """The term tables of ``d.D`` in ``tables``, filled for the numerators of ``d`` or those ``patch`` changed.
+    """The term tables of ``d.D`` in ``tables``, filled for the numerators at ``patch``'s rows and columns.
 
     ``minus`` maps 3/2 to ``" - 3/2"`` and -3/2 to ``" + 3/2"``, ``plus``
     the other way round; magnitude 1 keeps only the sign (``" - "``), and 0
-    maps to ``" + 0"``. Only numerators new to the tables are formatted,
-    over the stored D, which need not be in lowest terms.
+    maps to ``" + 0"``. Without a patch, every row and column of ``d`` and
+    its objective are read. Only numerators new to the tables are
+    formatted, over the stored D, which need not be in lowest terms.
     """
     D = d.D
     minus, plus = tables.get(D) or tables.setdefault(D, ({}, {}))
-    if patch is None:
-        numerators = {d.z_num, *d.p_num, *d.q_num}.union(*d.Q_num)
-    else:
-        _, _, rows, cols = patch
-        numerators = {d.z_num, *[d.p_num[i] for i in rows], *[d.q_num[j] for j in cols]}
-        numerators.update([d.Q_num[i][j] for i in rows for j in cols])
+    _, _, rows, cols = patch or (0, 0, range(len(d.p_num)), range(len(d.q_num)))
+    numerators = {d.z_num, *[d.p_num[i] for i in rows], *[d.q_num[j] for j in cols]}
+    numerators.update([d.Q_num[i][j] for i in rows for j in cols])
     for x in numerators.difference(minus):
         if x > 0:
             text = "" if x == D else format_rational(x, D)
@@ -94,14 +94,15 @@ def _leading(terms: str) -> str:
     return text if terms[1] == "+" else "-" + text
 
 
-def _lines(d: Dictionary, tables: _TermTables, flip: bool, view: list | None = None, patch=None) -> list[str]:
+def _lines(d: Dictionary, tables: _TermTables, flip: bool, view: list, patch=None) -> list[str]:
     """The lines of ``d``, or with ``flip`` of its negative transpose, from ``tables = _term_tables(..., d)``.
 
     The negative transpose (rows -q, -Q^T, objective -p, constant -z*, on
     the swapped partition) reads the same numerators transposed, each term
     from the other table. ``view`` keeps the terms drawn, one per entry (""
-    for a 0); with the ``view`` of ``last`` and ``patch = _patch(last, d)``
-    only the patch is drawn again.
+    for a 0). With the ``view`` of ``last`` and ``patch = _patch(last, d)``,
+    only the patch is drawn again; otherwise ``view`` is made blank, with
+    every head named, and patched at every row and column.
     """
     primal = (d.side == "primal") != flip
     var = "x" if primal else "y"
@@ -117,25 +118,21 @@ def _lines(d: Dictionary, tables: _TermTables, flip: bool, view: list | None = N
         r, s, rows, cols = patch
         if flip:
             s, rows, cols = r, cols, rows
-        names, entries, lines, tail = view
-        names[s] = f"{var}{heads[s]}"
-        named = [(j, names[j]) for j in cols]
-        for i in rows:
-            row, coefs = entries[i], Q[i]
-            for j, name in named:
-                x = coefs[j]
-                row[j] = row_terms[x] + name if x else ""
-            lines[i] = f"{var}{labels[i]} = {_leading(terms[consts[i]])}{''.join(row)}"
+        view[0][s] = f"{var}{heads[s]}"
+    else:  # drawn whole: a blank view, every head named, patched at every row and column
+        rows, cols = range(len(labels)), range(len(heads))
+        view[:] = [f"{var}{w}" for w in heads], [[""] * len(heads) for _ in rows], [""] * len(labels), [""] * len(heads)
+    names, entries, lines, tail = view
+    named = [(j, names[j]) for j in cols]
+    for i in rows:
+        row, coefs = entries[i], Q[i]
         for j, name in named:
-            x = objective[j]
-            tail[j] = terms[x] + name if x else ""
-    else:
-        names = [f"{var}{w}" for w in heads]
-        entries = [[row_terms[x] + name if x else "" for x, name in zip(row, names)] for row in Q]
-        lines = [f"{var}{v} = {_leading(terms[c])}{''.join(row)}" for v, c, row in zip(labels, consts, entries)]
-        tail = [terms[x] + name if x else "" for x, name in zip(objective, names)]
-        if view is not None:
-            view[:] = names, entries, lines, tail
+            x = coefs[j]
+            row[j] = row_terms[x] + name if x else ""
+        lines[i] = f"{var}{labels[i]} = {_leading(terms[consts[i]])}{''.join(row)}"
+    for j, name in named:
+        x = objective[j]
+        tail[j] = terms[x] + name if x else ""
     text = "".join(tail)
     # The constant is skipped when zero, unless the line would be empty.
     text = _leading(terms[d.z_num]) + text if d.z_num or not text else _leading(text)

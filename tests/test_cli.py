@@ -210,7 +210,7 @@ class TestFormatDictionary:
 
 
 class TestFlippedRendering:
-    """``_lines(d, _term_tables({}, d), flip=True)`` prints the negative transpose from d's own numerators."""
+    """``_lines(d, _term_tables({}, d), flip=True, view=[])`` prints the negative transpose from d's own numerators."""
 
     @given(
         m=st.integers(1, 4),
@@ -240,10 +240,10 @@ class TestFlippedRendering:
         z_star = Fraction(0) if data.draw(st.booleans()) else data.draw(entry)
         start = Dictionary.from_fractions(side, tuple(labels[:m]), tuple(labels[m:]), vec(m), rows, vec(n), z_star)
         d = random_pivots(start, picks)[-1]
-        flipped = "\n".join(_lines(d, _term_tables({}, d), flip=True))
+        flipped = "\n".join(_lines(d, _term_tables({}, d), flip=True, view=[]))
         assert flipped == format_dictionary(negative_transpose(d))
         assert flipped == format_dictionary_by_fractions(negative_transpose(d))
-        assert "\n".join(_lines(d, _term_tables({}, d), flip=False)) == format_dictionary(d)
+        assert "\n".join(_lines(d, _term_tables({}, d), flip=False, view=[])) == format_dictionary(d)
 
     def test_texts_format_each_distinct_numerator_once(self, e1, monkeypatch):
         import dictlp.render
@@ -258,8 +258,8 @@ class TestFlippedRendering:
         assert len(calls) <= len(distinct) == len(minus) == len(plus)
         assert list(tables) == [d.D]
         formatted = len(calls)
-        assert "\n".join(_lines(d, terms, flip=False)) == PRIMAL_SECOND
-        assert "\n".join(_lines(d, terms, flip=True)) == DUAL_SECOND
+        assert "\n".join(_lines(d, terms, flip=False, view=[])) == PRIMAL_SECOND
+        assert "\n".join(_lines(d, terms, flip=True, view=[])) == DUAL_SECOND
         assert _term_tables(tables, d) == terms
         assert len(calls) == formatted
 
@@ -298,7 +298,7 @@ class TestFlippedRendering:
         # x1 = B - x3 + Bx2, z = 1 - 1/Bx3: the transpose has a zero row
         # constant, a magnitude-1 term and a flipped objective constant.
         dual = f"y3 = 1/{big} + y1\ny2 = 0 - {big}y1\n-w = -1 - {big}y1"
-        assert "\n".join(_lines(d, _term_tables({}, d), flip=True)) == dual
+        assert "\n".join(_lines(d, _term_tables({}, d), flip=True, view=[])) == dual
         assert format_dictionary(negative_transpose(d)) == dual
         assert main(["trace", write_lp(tmp_path, serialize_lp(lp)), "--pivot", "1,3", "--dual-view"]) == 0
         assert capsys.readouterr().out.endswith(f"dual:\npivot: enter y3, leave y1\n{dual}\n")
