@@ -30,19 +30,22 @@ one that spans R spans R. ``verify_bases`` reaches every basis once by
 reverse search (``walk_bases``), each by one pivot from its parent, with
 the dual LP's dictionary (``dual_dictionary_direct``) pivoted in lockstep:
 the primal pivot at positions (r, s) is the dual pivot at (s, r), so the
-dual's labels stay the primal's swapped, in order. Per basis it tests
-``dual == negative_transpose(prim)`` and the row space against the parent's
-(``_spans_parent``): each parent row must be the child's row plus a
-multiple of the child's pivot row, integer identities with no division at
-O(mn) per basis. The root, and every basis whose parent failed that test,
-is tested against R itself (``_spans``, O(m^2 n)), so a faulty dictionary
-fails, and so does every basis pivoted from it, just as against R.
+dual's labels stay the primal's swapped, in order. Per basis it tests that
+the dual is the primal's negative transpose, reading the primal's fields in
+place (``_is_negative_transpose``; no transposed dictionary is built), and
+the row space against the parent's (``_spans_parent``): each parent row
+must be the child's row plus a multiple of the child's pivot row, integer
+identities with no division at O(mn) per basis. The root, and every basis
+whose parent failed that test, is tested against R itself (``_spans``,
+O(m^2 n)), so a faulty dictionary fails, and so does every basis pivoted
+from it, just as against R.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import comb
+from operator import neg
 from typing import Iterator
 
 from dictlp.exact import _str
@@ -53,7 +56,6 @@ from dictlp.dictionary import (
     _arrange,
     dictionary_from_basis,
     initial_dictionary,
-    negative_transpose,
     pivot,
 )
 from dictlp.model import StandardLP, dual_lp
@@ -182,11 +184,11 @@ def _spans_parent(parent: Dictionary, r: int, s: int, d: Dictionary) -> bool:
         if i == r:
             continue
         f = row[s]
-        if D * new_c + f * lead_p != D1 * c:
+        if D * new_c + f * lead_p != D1 * c or len(new_row) != len(row):
             return False
-        want = [D1 * x for x in row]
-        want[s] = 0
-        if [D * y + f * x for y, x in zip(new_row, lead)] != want:
+        diff = [D * y + f * x - D1 * z for y, x, z in zip(new_row, lead, row)]
+        diff[s] += D1 * f
+        if any(diff):
             return False
     return True
 
@@ -232,13 +234,15 @@ def walk_bases(start: Dictionary, dual_start: Dictionary | None = None) -> Itera
         yield step
         prim, dual, edge = step
         top = prim.basis[edge[1]] if edge else 0  # max(B - B0), which the last pivot entered
+        back = [(j, y) for j, y in enumerate(prim.nonbasis) if y in start_basic]  # nonbasic members of B0
+        entering = [(s, e) for s, e in enumerate(prim.nonbasis) if e > top and e not in start_basic]
+        if not entering:
+            continue
         for r, (leave, row) in enumerate(zip(prim.basis, prim.Q_num)):
-            if leave not in start_basic or any(
-                a and y < leave and y in start_basic for y, a in zip(prim.nonbasis, row)
-            ):
+            if leave not in start_basic or any(row[j] for j, y in back if y < leave):
                 continue
-            for s, (enter, a) in enumerate(zip(prim.nonbasis, row)):
-                if a and enter > top and enter not in start_basic:
+            for s, enter in entering:
+                if row[s]:
                     child = pivot(prim, enter, leave)
                     stack.append((child, _child_dual(dual_start, dual, child, enter, leave), (prim, r, s)))
 
@@ -286,7 +290,7 @@ def verify_bases(lp: StandardLP, limit: int = 100_000) -> list[BijectionReport]:
     failed: set[tuple[int, ...]] = set()  # the bases whose row-space test failed
     reports = []
     for prim, dual, edge in walk_bases(start, dual_dictionary_direct(dual_lp(lp))):
-        if edge is None or edge[0].basis in failed:
+        if edge is None or failed and edge[0].basis in failed:
             rs_ok = _spans(rows, prim)
         else:
             rs_ok = _spans_parent(*edge, prim)
@@ -300,15 +304,15 @@ def _report(prim: Dictionary, dual: Dictionary | None, rs_ok: bool) -> Bijection
     """The two checks of one basis, given the result of its row-space test.
 
     ``dual``, the dual dictionary on N reached on the dual LP's own side
-    (None when its lockstep pivot failed), must equal
-    ``negative_transpose(prim)``, labels in order. Both sides start in one
-    form (determinant form on integer data, where the dual basis
-    determinant is the complementary minor of the primal one, lowest terms
-    otherwise), so the integers compare. The primal dictionary's
+    (None when its lockstep pivot failed), must be the negative transpose
+    of ``prim``, labels in order (``_is_negative_transpose``). Both sides
+    start in one form (determinant form on integer data, where the dual
+    basis determinant is the complementary minor of the primal one, lowest
+    terms otherwise), so the integers compare. The primal dictionary's
     combined-system matrix must span the row space of R (``rs_ok``, tested
     by ``verify_bases``).
     """
-    nt_ok = dual is not None and dual == negative_transpose(prim)
+    nt_ok = dual is not None and _is_negative_transpose(prim, dual)
     notes = []
     if not nt_ok:
         notes.append(f"negative transpose differs from direct dual dictionary on N={tuple(sorted(prim.nonbasis))}")
@@ -319,4 +323,23 @@ def _report(prim: Dictionary, dual: Dictionary | None, rs_ok: bool) -> Bijection
         negative_transpose_matches=nt_ok,
         rowspace_matches=rs_ok,
         details="; ".join(notes) if notes else "ok",
+    )
+
+
+def _is_negative_transpose(prim: Dictionary, dual: Dictionary) -> bool:
+    """``dual == negative_transpose(prim)``, read field by field with no ``Dictionary`` built.
+
+    The flipped side, the swapped labels in order, D, z*, p and q, and Q's
+    negated columns as rows, ``n`` empty rows when ``prim`` has no basic
+    variable: as strict as that equality, which leaves ``det_form`` out.
+    """
+    return (
+        dual.side == ("dual" if prim.side == "primal" else "primal")
+        and dual.basis == prim.nonbasis
+        and dual.nonbasis == prim.basis
+        and dual.D == prim.D
+        and dual.z_num == -prim.z_num
+        and dual.p_num == tuple(map(neg, prim.q_num))
+        and dual.q_num == tuple(map(neg, prim.p_num))
+        and dual.Q_num == (tuple(zip(*[map(neg, row) for row in prim.Q_num])) or ((),) * len(prim.nonbasis))
     )

@@ -3,8 +3,9 @@
 A dictionary prints from two signed term tables per denominator
 (``_term_tables``), which map a numerator to its whole term in a row
 ``p - Qx`` and in ``z* + qx``. ``--dual-view`` prints the negative
-transpose from the same tables, reading Q's columns as rows with the
-tables swapped, so no dual dictionary is built. A trace keeps the tables
+transpose from the same tables, reading Q's columns in place as rows with
+the tables swapped, so neither a dual dictionary nor a transposed Q is
+built. A trace keeps the tables
 for the whole trace, keyed by the stored D, so each (numerator, D) pair is
 formatted once. A step one pivot from the step before is drawn again only
 where that pivot changed it (``_patch``), whatever D stores it: a term's
@@ -98,8 +99,8 @@ def _lines(d: Dictionary, tables: _TermTables, flip: bool, view: list, patch=Non
     """The lines of ``d``, or with ``flip`` of its negative transpose, from ``tables = _term_tables(..., d)``.
 
     The negative transpose (rows -q, -Q^T, objective -p, constant -z*, on
-    the swapped partition) reads the same numerators transposed, each term
-    from the other table. ``view`` keeps the terms drawn, one per entry (""
+    the swapped partition) reads the same numerators in place, Q[j][i] at
+    each drawn cell, each term from the other table. ``view`` keeps the terms drawn, one per entry (""
     for a 0). With the ``view`` of ``last`` and ``patch = _patch(last, d)``,
     only the patch is drawn again; otherwise ``view`` is made blank, with
     every head named, and patched at every row and column.
@@ -107,12 +108,13 @@ def _lines(d: Dictionary, tables: _TermTables, flip: bool, view: list, patch=Non
     primal = (d.side == "primal") != flip
     var = "x" if primal else "y"
     minus, plus = tables
+    Q = d.Q_num
     # Rows print p - Qx: Q's terms read minus, the rest plus. Flip swaps them.
     if flip:
-        labels, consts, heads, objective, Q = d.nonbasis, d.q_num, d.basis, d.p_num, [*zip(*d.Q_num)]
+        labels, consts, heads, objective = d.nonbasis, d.q_num, d.basis, d.p_num
         row_terms, terms = plus, minus
     else:
-        labels, consts, heads, objective, Q = d.basis, d.p_num, d.nonbasis, d.q_num, d.Q_num
+        labels, consts, heads, objective = d.basis, d.p_num, d.nonbasis, d.q_num
         row_terms, terms = minus, plus
     if patch and view:
         r, s, rows, cols = patch
@@ -125,9 +127,9 @@ def _lines(d: Dictionary, tables: _TermTables, flip: bool, view: list, patch=Non
     names, entries, lines, tail = view
     named = [(j, names[j]) for j in cols]
     for i in rows:
-        row, coefs = entries[i], Q[i]
+        row = entries[i]
         for j, name in named:
-            x = coefs[j]
+            x = Q[j][i] if flip else Q[i][j]
             row[j] = row_terms[x] + name if x else ""
         lines[i] = f"{var}{labels[i]} = {_leading(terms[consts[i]])}{''.join(row)}"
     for j, name in named:
