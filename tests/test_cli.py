@@ -245,6 +245,15 @@ class TestFlippedRendering:
         assert flipped == format_dictionary_by_fractions(negative_transpose(d))
         assert "\n".join(_lines(d, _term_tables({}, d), flip=False, view=[])) == format_dictionary(d)
 
+    def test_an_empty_basis_keeps_its_rows_when_flipped(self):
+        # No basic variable: Q has no rows, so its transpose has n rows of length 0.
+        d = Dictionary.from_fractions("primal", (), (1, 2), [], [], [3, -1], 2)
+        dual = "y1 = -3\ny2 = 1\n-w = -2"
+        assert negative_transpose(d).Q_num == ((), ())
+        assert format_dictionary(negative_transpose(d)) == dual
+        assert format_dictionary_by_fractions(negative_transpose(d)) == dual
+        assert "\n".join(_lines(d, _term_tables({}, d), flip=True, view=[])) == dual
+
     def test_texts_format_each_distinct_numerator_once(self, e1, monkeypatch):
         import dictlp.render
 

@@ -412,6 +412,21 @@ class TestSpansParent:
         bad = replace(child, Q_num=((child.Q_num[0][0], child.Q_num[0][1] + child.D), child.Q_num[1]))
         assert not _spans_parent(start, 0, 0, bad) and not _spans(rows, bad)
 
+    @pytest.mark.parametrize("objective", [False, True])
+    def test_a_child_row_of_the_wrong_length_fails(self, e1, objective):
+        # x1 enters for x5 (row 1, column 0). Row 0, or the objective, one
+        # entry too short or too long: the entries there still satisfy the
+        # identities, so only the length tells.
+        start = initial_dictionary(e1)
+        child = pivot(start, 1, 5)
+        assert _spans_parent(start, 1, 0, child)
+        for cut in (lambda row: row[:-1], lambda row: (*row, 0)):
+            if objective:
+                bad = replace(child, q_num=cut(child.q_num))
+            else:
+                bad = replace(child, Q_num=(cut(child.Q_num[0]), child.Q_num[1]))
+            assert not _spans_parent(start, 1, 0, bad)
+
 
 def moved(d: Dictionary, data) -> Dictionary:
     """``d`` with one value of p, Q, q or z* moved by 1, its numerator by D, in ``d``'s own form.
@@ -614,12 +629,13 @@ class TestWalkBases:
 
 
 class TestLockstepEquality:
-    """``_report``'s check, ``dual == negative_transpose(prim)``, on the walk's lockstep pairs.
+    """``_report``'s check that the dual is the negative transpose of the primal, on the walk's lockstep pairs.
 
     The primal pivot at positions (r, s) is the dual pivot at (s, r), so the
     dual's basis and nonbasis are the primal's nonbasis and basis, position
-    for position, and the comparison is ``Dictionary`` equality: side,
-    labels in order, numerators and D.
+    for position. The check reads the primal in place, field by field
+    (``_is_negative_transpose``), and is exactly ``dual ==
+    negative_transpose(prim)``: side, labels in order, numerators and D.
     """
 
     @staticmethod
@@ -689,6 +705,65 @@ class TestLockstepEquality:
             assert (dual.basis, dual.nonbasis) == (prim.nonbasis, prim.basis)
             assert self.matches(prim, dual)
         assert all(self.matches(prim, dual) for prim, dual, _ in steps if dual is not None)
+
+    @given(seed=st.integers(0, 300), shape=WALK_SHAPES, fractional=st.booleans(), data=st.data())
+    @settings(max_examples=40, deadline=None, phases=UNSHRUNK)
+    def test_the_check_is_the_equality_with_the_built_transpose(self, seed, shape, fractional, data):
+        # The first test's mutations, labels moved off their rows or columns,
+        # and shapes that a Dictionary does not check, on either side of each
+        # walked pair. zip reads the primal's Q rows only up to the shortest
+        # one's length, in the built transpose as in place, so a long row
+        # there passes both.
+        lp = walk_instance(seed, shape, fractional, data)
+        for prim, dual, _ in walk_bases(initial_dictionary(lp), dual_dictionary_direct(dual_lp(lp))):
+            assert self.matches(prim, dual) and dual == negative_transpose(prim)
+            d = data.draw(st.sampled_from([prim, dual]), label="side")
+            i = data.draw(st.integers(0, d.m - 1), label="i")
+            j = data.draw(st.integers(0, d.n - 1), label="j")
+            row = d.Q_num[i]
+            b, v = d.basis[j % d.m], d.nonbasis[i % d.n]
+            swap = {b: v, v: b}
+
+            def with_row(new_row):
+                return replace(d, Q_num=(*d.Q_num[:i], tuple(new_row), *d.Q_num[i + 1 :]))
+
+            mutations = {
+                "entry": with_row(x + (k == j) for k, x in enumerate(row)),
+                "p": replace(d, p_num=tuple(x + (k == i) for k, x in enumerate(d.p_num))),
+                "q": replace(d, q_num=tuple(x + (k == j) for k, x in enumerate(d.q_num))),
+                "D": replace(d, D=2 * d.D),
+                "z*": replace(d, z_num=d.z_num + 1),
+                "label swap": replace(
+                    d, basis=tuple(swap.get(w, w) for w in d.basis), nonbasis=tuple(swap.get(w, w) for w in d.nonbasis)
+                ),
+                "reordered": _arrange(
+                    d,
+                    tuple(data.draw(st.permutations(d.basis), label="rows")),
+                    tuple(data.draw(st.permutations(d.nonbasis), label="columns")),
+                ),
+                "rows relabelled": replace(d, basis=(*d.basis[1:], d.basis[0])),
+                "columns relabelled": replace(d, nonbasis=(*d.nonbasis[1:], d.nonbasis[0])),
+                "side": replace(d, side="dual" if d.side == "primal" else "primal"),
+                "short Q row": with_row(row[:-1]),
+                "long Q row": with_row((*row, 0)),
+                "short p": replace(d, p_num=d.p_num[:-1]),
+                "long p": replace(d, p_num=(*d.p_num, 0)),
+                "short q": replace(d, q_num=d.q_num[:-1]),
+                "long q": replace(d, q_num=(*d.q_num, 0)),
+            }
+            for name, bad in mutations.items():
+                pair = (bad, dual) if d is prim else (prim, bad)
+                assert self.matches(*pair) == (pair[1] == negative_transpose(pair[0])), name
+                if d is dual and bad != dual:
+                    assert not self.matches(*pair), name
+
+    def test_an_empty_basis_transposes_to_empty_rows(self):
+        # No basic variable: the transpose has n rows of length 0, not none.
+        d = Dictionary.from_fractions("primal", (), (1, 2), [], [], [3, -1], 2)
+        dual = negative_transpose(d)
+        assert dual.Q_num == ((), ())
+        assert self.matches(d, dual) and self.matches(dual, d)
+        assert not self.matches(d, replace(dual, Q_num=()))
 
     def test_a_missing_dual_still_fails(self, e1):
         start = initial_dictionary(e1)
