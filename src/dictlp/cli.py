@@ -85,7 +85,8 @@ def _read_instance(path: str) -> StandardLP:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     lp = _read_instance(args.input)
-    outcome, trace = solve(lp, args.rule)
+    # Only the pivot count is read: the path is kept as positions, never replayed.
+    outcome, trace = solve(lp, args.rule, keep=False)
     lines: list[str]
     if isinstance(outcome, Optimal):
         code = 0
@@ -132,6 +133,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             steps.append(PivotStep(enter=enter, leave=leave, dictionary=d))
         trace = SolveTrace(phases=(TracePhase("forced pivots", start, tuple(steps)),))
     else:
+        # Every dictionary is rendered: kept as the loop makes it, so none is pivoted twice.
         _, trace = solve(lp, args.rule)
     print("\n".join(_solver_trace_lines(trace, args.dual_view)))
     return 0

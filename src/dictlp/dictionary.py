@@ -242,14 +242,15 @@ def negative_transpose(d: Dictionary) -> Dictionary:
 
     Basic variables of the result are the nonbasic ones of the input, in the
     same order (and vice versa). Applying it twice is the identity. With no
-    basic variable, the result has n rows of length 0.
+    basic variable, the result has n rows of length 0. Q rows of unequal
+    lengths raise ``ValueError``.
     """
     return Dictionary(
         side="dual" if d.side == "primal" else "primal",
         basis=d.nonbasis,
         nonbasis=d.basis,
         p_num=tuple([-x for x in d.q_num]),
-        Q_num=tuple(tuple([-x for x in col]) for col in zip(*d.Q_num)) or ((),) * d.n,
+        Q_num=tuple(tuple([-x for x in col]) for col in zip(*d.Q_num, strict=True)) or ((),) * d.n,
         q_num=tuple([-x for x in d.p_num]),
         z_num=-d.z_num,
         D=d.D,

@@ -332,8 +332,10 @@ def _is_negative_transpose(prim: Dictionary, dual: Dictionary) -> bool:
     The flipped side, the swapped labels in order, D, z*, p and q, and Q's
     negated columns as rows, ``n`` empty rows when ``prim`` has no basic
     variable: as strict as that equality, which leaves ``det_form`` out.
+    Q rows of unequal lengths in ``prim`` fail, where ``negative_transpose``
+    raises ``ValueError``.
     """
-    return (
+    if not (
         dual.side == ("dual" if prim.side == "primal" else "primal")
         and dual.basis == prim.nonbasis
         and dual.nonbasis == prim.basis
@@ -341,5 +343,10 @@ def _is_negative_transpose(prim: Dictionary, dual: Dictionary) -> bool:
         and dual.z_num == -prim.z_num
         and dual.p_num == tuple(map(neg, prim.q_num))
         and dual.q_num == tuple(map(neg, prim.p_num))
-        and dual.Q_num == (tuple(zip(*[map(neg, row) for row in prim.Q_num])) or ((),) * len(prim.nonbasis))
-    )
+    ):
+        return False
+    try:
+        columns = tuple(zip(*[map(neg, row) for row in prim.Q_num], strict=True))
+    except ValueError:  # Q rows of unequal lengths
+        return False
+    return dual.Q_num == (columns or ((),) * len(prim.nonbasis))

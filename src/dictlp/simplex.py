@@ -18,23 +18,29 @@ unbounded ray.
 
 ``solve`` re-checks its certificate against the instance's slack dictionary
 (``check_outcome``) before it returns, and raises ``CertificateError`` if it
-does not hold.
+does not hold. Its trace holds every dictionary of the path, or with
+``keep=False`` only each phase's start and the positions of its pivots
+(``_Replay``), which pivot again when the steps are read.
 
 The default rule is Bland's (termination guaranteed); Dantzig's largest-
 coefficient rule is opt-in, with ties always broken toward the smallest
 variable index so every run is deterministic. A loop that meets a basis it
 has already visited finishes under Bland's rule, so every run terminates.
+It remembers the bases since its last nondegenerate pivot only: no basis
+from before that pivot can recur.
 Pivot choices read the dictionary's integer numerators: over one positive
 denominator they order exactly as the values do.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import mul
-from typing import Sequence
+from itertools import islice
+from operator import eq, mul
+from typing import Iterator, Sequence
 
 from dictlp import _kernels
 from dictlp.exact import _rationals_text, common_denominator
@@ -54,13 +60,57 @@ class PivotStep:
     dictionary: Dictionary
 
 
+class _Replay(Sequence[PivotStep]):
+    """A phase's pivots kept as their positions (r, s), read by pivoting again from the phase start.
+
+    Each read of a step pivots from ``start`` up to it, and iteration pivots
+    once per step, so the path holds one dictionary at a time. It equals the
+    tuple of the same steps, by value, and hashes as that tuple does.
+    """
+
+    __slots__ = ("_start", "_positions")
+
+    def __init__(self, start: Dictionary, positions: array) -> None:
+        self._start = start
+        self._positions = positions  # r, s of each pivot in turn
+
+    def __len__(self) -> int:
+        return len(self._positions) // 2
+
+    def __iter__(self) -> Iterator[PivotStep]:
+        d = self._start
+        rs = iter(self._positions)
+        for r, s in zip(rs, rs):
+            d = _pivot(d, r, s)
+            yield PivotStep(enter=d.basis[r], leave=d.nonbasis[s], dictionary=d)
+
+    def __getitem__(self, index: int | slice) -> PivotStep | tuple[PivotStep, ...]:
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        return next(islice(self, range(len(self))[index], None))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (_Replay, tuple)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"_Replay({len(self)} pivots)"
+
+
 @dataclass(frozen=True)
 class TracePhase:
-    """One simplex run: a starting dictionary and the pivots applied to it."""
+    """One simplex run: a starting dictionary and the pivots applied to it.
+
+    ``steps`` is a tuple, or a ``_Replay`` when the solve kept positions only.
+    """
 
     name: str
     start: Dictionary
-    steps: tuple[PivotStep, ...]
+    steps: Sequence[PivotStep]
 
 
 @dataclass(frozen=True)
@@ -100,7 +150,10 @@ def _cycle_guard(d: Dictionary, rule: PivotRule, visited: set[frozenset[int]]) -
     """The rule for the next pivot: Bland from the first repeated basis on.
 
     Every pivot choice depends only on the basis set, so a basis seen before
-    means the rule is cycling. Bland never repeats a basis.
+    means the rule is cycling. Bland never repeats a basis. ``visited``
+    holds the bases since the loop's last nondegenerate pivot: that pivot
+    moved the objective strictly, and a basis fixes the objective's value,
+    so no basis from before it can recur.
     """
     basis_set = frozenset(d.basis)
     if basis_set in visited:
@@ -110,41 +163,46 @@ def _cycle_guard(d: Dictionary, rule: PivotRule, visited: set[frozenset[int]]) -
 
 
 def primal_simplex(
-    d: Dictionary, rule: PivotRule = PivotRule.BLAND
-) -> tuple[Dictionary, list[PivotStep], int | None]:
+    d: Dictionary, rule: PivotRule = PivotRule.BLAND, keep: bool = True
+) -> tuple[Dictionary, Sequence[PivotStep], int | None]:
     """Run primal simplex from a primal-feasible dictionary.
 
     Returns the final dictionary, the pivots and a signal saying how the
     loop ended: None when optimal (q <= 0), else the entering variable whose
     column has no positive entry (unbounded). Every intermediate dictionary
     stays primal feasible. On a repeated basis the loop switches to Bland's
-    rule for the rest of the run.
+    rule for the rest of the run. The pivots are a list of ``PivotStep``,
+    or without ``keep`` a sequence of the same steps that pivots again from
+    ``d`` when read.
     """
     if not is_primal_feasible(d):
         raise ValueError("primal simplex requires a primal-feasible dictionary")
-    return _simplex(d, rule, False)
+    return _simplex(d, rule, False, keep)
 
 
 def dual_simplex(
-    d: Dictionary, rule: PivotRule = PivotRule.BLAND
-) -> tuple[Dictionary, list[PivotStep], int | None]:
+    d: Dictionary, rule: PivotRule = PivotRule.BLAND, keep: bool = True
+) -> tuple[Dictionary, Sequence[PivotStep], int | None]:
     """Run dual simplex from a dual-feasible dictionary.
 
-    Returns the final dictionary, the pivots and a signal saying how the
-    loop ended: None when optimal (p >= 0), else the leaving variable of a
-    row with a negative constant and no negative coefficient (infeasible).
-    Every intermediate dictionary stays dual feasible. On a repeated basis
-    the loop switches to Bland's rule for the rest of the run. This is the
-    primal method run on the negative transpose of ``d``, read in place: a
-    primal pivot (enter i, leave j) there is the pivot (enter j, leave i)
-    here, and the primal method's unbounded signal is the infeasible row.
+    Returns the final dictionary, the pivots (as ``primal_simplex`` does)
+    and a signal saying how the loop ended: None when optimal (p >= 0), else
+    the leaving variable of a row with a negative constant and no negative
+    coefficient (infeasible). Every intermediate dictionary stays dual
+    feasible. On a repeated basis the loop switches to Bland's rule for the
+    rest of the run. This is the primal method run on the negative
+    transpose of ``d``, read in place: a primal pivot (enter i, leave j)
+    there is the pivot (enter j, leave i) here, and the primal method's
+    unbounded signal is the infeasible row.
     """
     if not is_dual_feasible(d):
         raise ValueError("dual simplex requires a dual-feasible dictionary")
-    return _simplex(d, rule, True)
+    return _simplex(d, rule, True, keep)
 
 
-def _simplex(d: Dictionary, rule: PivotRule, dual: bool) -> tuple[Dictionary, list[PivotStep], int | None]:
+def _simplex(
+    d: Dictionary, rule: PivotRule, dual: bool, keep: bool
+) -> tuple[Dictionary, Sequence[PivotStep], int | None]:
     """The primal method on ``d``, or with ``dual`` on its negative transpose, pivoting ``d`` itself.
 
     The negative transpose has nonbasic labels ``d.basis`` with objective
@@ -153,11 +211,13 @@ def _simplex(d: Dictionary, rule: PivotRule, dual: bool) -> tuple[Dictionary, li
     of building them, so its pivot at entering position e and leaving
     position l is ``d``'s pivot at basis position e and nonbasis position
     l. The signal is the primal method's: None when optimal, else the
-    entering variable of the column with no positive entry.
+    entering variable of the column with no positive entry. Each pivot is
+    kept as a ``PivotStep``, or without ``keep`` as its positions only.
     """
     rule = PivotRule(rule)  # "bland" is Bland's rule; a value that names no rule raises ValueError
     sign = -1 if dual else 1
-    steps: list[PivotStep] = []
+    positions = array("q")
+    steps: Sequence[PivotStep] = [] if keep else _Replay(d, positions)
     visited: set[frozenset[int]] = set()
     while True:
         if rule is PivotRule.DANTZIG:  # Bland never repeats a basis
@@ -185,9 +245,14 @@ def _simplex(d: Dictionary, rule: PivotRule, dual: bool) -> tuple[Dictionary, li
                 l, bc, ba = k, c, a
         if l is None:
             return d, steps, heads[e]
+        if bc:  # a nondegenerate pivot: no basis visited so far can recur
+            visited.clear()
         r, s = (e, l) if dual else (l, e)
         d = _pivot(d, r, s)
-        steps.append(PivotStep(enter=d.basis[r], leave=d.nonbasis[s], dictionary=d))
+        if keep:
+            steps.append(PivotStep(enter=d.basis[r], leave=d.nonbasis[s], dictionary=d))
+        else:
+            positions.extend((r, s))
 
 
 def _ray(d: Dictionary, enter: int, dual: bool, variables: range) -> tuple[Fraction, ...]:
@@ -210,7 +275,7 @@ def _ray(d: Dictionary, enter: int, dual: bool, variables: range) -> tuple[Fract
 
 
 def solve(
-    lp: StandardLP, rule: PivotRule = PivotRule.BLAND
+    lp: StandardLP, rule: PivotRule = PivotRule.BLAND, keep: bool = True
 ) -> tuple[SolveOutcome, SolveTrace]:
     """Two-phase driver producing an exact outcome certificate.
 
@@ -222,29 +287,35 @@ def solve(
     phase 1's final dictionary with the true objective and finishes with
     primal simplex. The outcome passes ``check_outcome`` against the slack
     dictionary before it is returned.
+
+    With ``keep`` (the default) the trace holds every dictionary of the
+    path. Without it, each phase keeps its start and the positions of its
+    pivots, and reading its steps pivots again from the start: the same
+    steps, equal by value, in memory that does not grow with the path.
     """
     d0 = initial_dictionary(lp)
-    outcome, trace = _two_phase(d0, rule)
+    outcome, trace = _two_phase(d0, rule, keep)
     check_outcome(d0, outcome)
     return outcome, trace
 
 
-def _two_phase(d0: Dictionary, rule: PivotRule) -> tuple[SolveOutcome, SolveTrace]:
+def _two_phase(d0: Dictionary, rule: PivotRule, keep: bool) -> tuple[SolveOutcome, SolveTrace]:
     """``solve`` from the slack dictionary ``d0``, without the re-check."""
     n = d0.n
+    frozen = tuple if keep else lambda steps: steps  # a _Replay is read-only already
 
     if is_primal_feasible(d0):
-        final, steps, enter = primal_simplex(d0, rule)
-        trace = SolveTrace(phases=(TracePhase("primal simplex", d0, tuple(steps)),))
+        final, steps, enter = primal_simplex(d0, rule, keep)
+        trace = SolveTrace(phases=(TracePhase("primal simplex", d0, frozen(steps)),))
         return _primal_outcome(final, enter, n), trace
 
     # A dual-feasible d0 needs no auxiliary objective: phase 1 starts from
     # it, and the optimum it reaches is the answer.
     dual_start = is_dual_feasible(d0)
     phase1_start = d0 if dual_start else _priced(d0, [-1] * n, 1)
-    final1, steps1, leave1 = dual_simplex(phase1_start, rule)
+    final1, steps1, leave1 = dual_simplex(phase1_start, rule, keep)
     name = "dual simplex" if dual_start else "phase 1: dual simplex, auxiliary objective"
-    phase1 = TracePhase(name, phase1_start, tuple(steps1))
+    phase1 = TracePhase(name, phase1_start, frozen(steps1))
     if leave1 is not None:
         farkas = _ray(final1, leave1, True, range(n + 1, n + d0.m + 1))
         return Infeasible(farkas=farkas), SolveTrace(phases=(phase1,))
@@ -252,9 +323,9 @@ def _two_phase(d0: Dictionary, rule: PivotRule) -> tuple[SolveOutcome, SolveTrac
         return _primal_outcome(final1, None, n), SolveTrace(phases=(phase1,))
 
     phase2_start = _priced(final1, list(d0.q_num), d0.D)
-    final2, steps2, enter2 = primal_simplex(phase2_start, rule)
+    final2, steps2, enter2 = primal_simplex(phase2_start, rule, keep)
     trace = SolveTrace(
-        phases=(phase1, TracePhase("phase 2: primal simplex", phase2_start, tuple(steps2)))
+        phases=(phase1, TracePhase("phase 2: primal simplex", phase2_start, frozen(steps2)))
     )
     return _primal_outcome(final2, enter2, n), trace
 

@@ -27,6 +27,9 @@ choice by candidate list and by negated copies of the dual side, and
 ``simplex_by_reference`` runs that loop with the public ``pivot``;
 ``dictlp.simplex._simplex``, which reads the dual side through a sign in
 one pass per choice, must make the same pivots.
+``cycle_guard_keeping_every_basis`` is the reference loop's cycle guard,
+which remembers every basis; the library's forgets the bases before each
+nondegenerate pivot and must switch to Bland's rule at the same pivot.
 ``rank``, ``rowspace_contains`` and ``rowspace_equal`` are the exact rank
 tests, on plain rows, that the substitution test ``dictlp.duality._spans``
 is checked against. All of them reduce with ``rref``. ``verify_bases``
@@ -460,17 +463,30 @@ def as_primal(d: Dictionary, dual: bool):
     return d.nonbasis, d.q_num, d.basis, d.p_num, lambda s: [row[s] for row in d.Q_num]
 
 
+def cycle_guard_keeping_every_basis(d: Dictionary, rule: PivotRule, visited: set[frozenset[int]]) -> PivotRule:
+    """The rule for the next pivot: Bland from the first repeated basis on, ``visited`` never cleared.
+
+    ``dictlp.simplex._cycle_guard`` forgets the bases before each
+    nondegenerate pivot; a loop run with this guard on a set of its own
+    must switch at the same pivot.
+    """
+    if frozenset(d.basis) in visited:
+        return PivotRule.BLAND
+    visited.add(frozenset(d.basis))
+    return rule
+
+
 def simplex_by_reference(d: Dictionary, rule: PivotRule, dual: bool) -> tuple[list[tuple[int, int]], int | None]:
     """The (enter, leave) pivots and the signal of ``dictlp.simplex._simplex``, chosen by ``pick`` and ``ratio_test``.
 
-    Bland's rule from the first repeated basis on, as the library's loop does.
+    Bland's rule from the first repeated basis on, as the library's loop
+    does, with every visited basis kept (``cycle_guard_keeping_every_basis``).
     """
     pivots: list[tuple[int, int]] = []
     visited: set[frozenset[int]] = set()
     while True:
-        if frozenset(d.basis) in visited:
-            rule = PivotRule.BLAND
-        visited.add(frozenset(d.basis))
+        if rule is PivotRule.DANTZIG:
+            rule = cycle_guard_keeping_every_basis(d, rule, visited)
         nonbasis, objective, basis, constants, column = as_primal(d, dual)
         enter = pick(nonbasis, objective, rule)
         if enter is None:

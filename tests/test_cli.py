@@ -1,9 +1,11 @@
 import io
 import os
+import random
 import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
@@ -620,6 +622,54 @@ class TestSolveCommand:
         assert code == 6
         assert captured.out == ""
         assert captured.err.startswith("certificate error: objective at the point is not ")
+
+
+def permuted_klee_minty(d: int, seed: int) -> StandardLP:
+    """``klee_minty(d)`` with its rows and columns shuffled; no objective entries or ratios tie, so Dantzig still takes 2^d - 1 pivots."""
+    A0, b, c = lp_fractions(klee_minty(d))
+    rng = random.Random(seed)
+    rows, cols = rng.sample(range(d), d), rng.sample(range(d), d)
+    return StandardLP.from_fractions([[A0[i][j] for j in cols] for i in rows], [b[i] for i in rows], [c[j] for j in cols])
+
+
+class TestPivotPathMemory:
+    """``solve`` keeps its pivot path as positions and never reads it; ``trace`` keeps every dictionary and never pivots twice."""
+
+    @pytest.fixture
+    def pivot_updates(self, monkeypatch) -> list[int]:
+        """A one-entry list counting the kernel's pivots from here on."""
+        count = [0]
+        real = _kernels.pivot_update
+
+        def counted(*args):
+            count[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(_kernels, "pivot_update", counted)
+        return count
+
+    def test_solve_pivots_once_per_pivot_in_memory_that_does_not_grow_with_the_path(self, tmp_path, pivot_updates):
+        # Keeping every dictionary of the path took 2.9 MB (Python 3.11, Linux x86-64).
+        path = write_lp(tmp_path, serialize_lp(permuted_klee_minty(10, 1)))
+        argv = ["solve", path, "--rule", "dantzig"]
+        run_main(argv)  # first calls fill caches that a second call reuses
+        pivot_updates[0] = 0
+        tracemalloc.start()
+        try:
+            code, out = run_main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out.endswith("pivots = 1023\n")
+        assert pivot_updates[0] == 1023
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("dual_view", [False, True])
+    def test_trace_pivots_once_per_step(self, tmp_path, pivot_updates, dual_view):
+        path = write_lp(tmp_path, serialize_lp(permuted_klee_minty(6, 1)))
+        code, out = run_main(["trace", path, "--rule", "dantzig", *(["--dual-view"] if dual_view else [])])
+        assert code == 0
+        assert out.count("pivot: enter x") == pivot_updates[0] == 63
 
 
 class TestTraceCommand:

@@ -711,9 +711,9 @@ class TestLockstepEquality:
     def test_the_check_is_the_equality_with_the_built_transpose(self, seed, shape, fractional, data):
         # The first test's mutations, labels moved off their rows or columns,
         # and shapes that a Dictionary does not check, on either side of each
-        # walked pair. zip reads the primal's Q rows only up to the shortest
-        # one's length, in the built transpose as in place, so a long row
-        # there passes both.
+        # walked pair. A primal Q row one entry short or long fails both: the
+        # built transpose raises on rows of unequal lengths, the in-place
+        # check returns False, and a lone row transposes to other columns.
         lp = walk_instance(seed, shape, fractional, data)
         for prim, dual, _ in walk_bases(initial_dictionary(lp), dual_dictionary_direct(dual_lp(lp))):
             assert self.matches(prim, dual) and dual == negative_transpose(prim)
@@ -753,6 +753,14 @@ class TestLockstepEquality:
             }
             for name, bad in mutations.items():
                 pair = (bad, dual) if d is prim else (prim, bad)
+                if d is prim and name in ("short Q row", "long Q row"):
+                    assert not self.matches(*pair), name
+                    if bad.m > 1:
+                        with pytest.raises(ValueError):
+                            negative_transpose(bad)
+                    else:
+                        assert dual != negative_transpose(bad), name
+                    continue
                 assert self.matches(*pair) == (pair[1] == negative_transpose(pair[0])), name
                 if d is dual and bad != dual:
                     assert not self.matches(*pair), name

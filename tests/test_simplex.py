@@ -1,3 +1,4 @@
+import itertools
 import random
 from contextlib import contextmanager
 from dataclasses import replace
@@ -21,6 +22,7 @@ from dictlp.dictionary import (
 from dictlp import simplex
 from dictlp.cli import random_lp
 from dictlp.model import StandardLP, parse_lp
+from dictlp.render import _solver_trace_lines
 from dictlp.simplex import (
     CertificateError,
     Infeasible,
@@ -32,7 +34,8 @@ from dictlp.simplex import (
     solve,
 )
 
-from conftest import DATA, divided, dual_feasible_instance, fr, qv, suite_instance
+import reference
+from conftest import DATA, divided, dual_feasible_instance, fr, klee_minty, qv, suite_instance
 from oracle import check_outcome, oracle_solve, outcome_kind
 from reference import (
     as_primal,
@@ -614,3 +617,202 @@ class TestLockstep:
         ray[enter] = Fraction(1)
         slacks = range(lp.n + 1, lp.n + lp.m + 1)
         assert tuple(ray.get(v, Fraction(0)) for v in slacks) == outcome.farkas
+
+
+REPLAY_KINDS = ["integer", "row-divided", "entry denominators"]
+
+
+def replay_instance(m: int, n: int, seed: int, bound: int, kind: str) -> StandardLP:
+    """``random_lp(m, n, seed, bound)`` as drawn, with its rows divided, or with a denominator in 1-6 per entry."""
+    lp = random_lp(m, n, seed, bound)
+    rng = random.Random(seed)
+    if kind == "row-divided":
+        return divided(lp, [rng.randint(1, 6) for _ in range(m + 1)])
+    if kind == "entry denominators":
+        A0, b, c = lp_fractions(lp)
+        over = lambda row: [x / rng.randint(1, 6) for x in row]  # noqa: E731
+        return StandardLP.from_fractions([over(row) for row in A0], over(b), over(c))
+    return lp
+
+
+class TestReplayedPath:
+    """``solve(lp, rule, keep=False)``: each phase keeps its start and its pivots' positions.
+
+    Reading the steps pivots again from the phase start. The outcome, the
+    pivot count, every phase's start and steps (enter, leave and
+    dictionary), the trace and its printed lines in both views are those of
+    the solve that keeps every dictionary.
+    """
+
+    @staticmethod
+    def compare(lp: StandardLP, rule: PivotRule) -> tuple[str, int]:
+        """Both solves of ``lp`` agree; returns the outcome kind and the number of phases."""
+        outcome, kept = solve(lp, rule)
+        replayed_outcome, replayed = solve(lp, rule, keep=False)
+        assert replayed_outcome == outcome
+        assert replayed.pivot_count == kept.pivot_count
+        assert len(replayed.phases) == len(kept.phases)
+        for phase, kept_phase in zip(replayed.phases, kept.phases):
+            assert not isinstance(phase.steps, tuple)
+            assert (phase.name, phase.start) == (kept_phase.name, kept_phase.start)
+            assert list(phase.steps) == list(kept_phase.steps)
+            if kept_phase.steps:
+                assert phase.steps[-1] == kept_phase.steps[-1]
+                assert phase.steps[1:] == kept_phase.steps[1:]
+        assert replayed == kept and kept == replayed and hash(replayed) == hash(kept)
+        for dual_view in (False, True):
+            assert _solver_trace_lines(replayed, dual_view) == _solver_trace_lines(kept, dual_view)
+        return outcome_kind(outcome), len(kept.phases)
+
+    @given(
+        m=st.integers(1, 6),
+        n=st.integers(1, 6),
+        seed=st.integers(0, 10_000),
+        bound=st.sampled_from([1, 5, 10]),
+        kind=st.sampled_from(REPLAY_KINDS),
+        rule=st.sampled_from(list(PivotRule)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_the_replayed_path_is_the_kept_one(self, m, n, seed, bound, kind, rule):
+        self.compare(replay_instance(m, n, seed, bound, kind), rule)
+
+    def test_the_instances_reach_every_outcome_in_one_and_two_phases(self):
+        reached = set()
+        for seed in range(24):
+            kind = REPLAY_KINDS[seed % 3]
+            for rule in PivotRule:
+                reached.add(self.compare(replay_instance(seed % 6 + 1, (seed // 6) % 6 + 1, seed, 5, kind), rule))
+        assert {outcome for outcome, _ in reached} == {"optimal", "unbounded", "infeasible"}
+        assert {phases for _, phases in reached} == {1, 2}
+
+    def test_reading_the_steps_pivots_again(self):
+        pivots = 0
+        real_pivot = simplex._pivot
+
+        def counted(d, r, s):
+            nonlocal pivots
+            pivots += 1
+            return real_pivot(d, r, s)
+
+        lp = klee_minty(4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simplex, "_pivot", counted)
+            _, trace = solve(lp, PivotRule.DANTZIG, keep=False)
+            (phase,) = trace.phases
+            assert pivots == len(phase.steps) == 15
+            assert [step.enter for step in phase.steps] and pivots == 30
+            assert phase.steps[2] == phase.steps[-13] and pivots == 36
+            with pytest.raises(IndexError):
+                phase.steps[15]
+        assert pivots == 36
+
+
+def beale_lp() -> StandardLP:
+    return parse_lp((DATA / "beale.lp").read_text(encoding="utf-8"))
+
+
+@contextmanager
+def recorded_guard(module, name: str):
+    """``module.name``, a cycle guard, recording per call the bases ``visited`` held before it and the rule it gave."""
+    guard = getattr(module, name)
+    calls: list[tuple[set[frozenset[int]], PivotRule]] = []
+
+    def recorded(d, rule, visited):
+        held = set(visited)
+        chosen = guard(d, rule, visited)
+        calls.append((held, chosen))
+        return chosen
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, name, recorded)
+        yield calls
+
+
+def switch(calls) -> int | None:
+    """The pivot at which a recorded guard switched to Bland's rule, or None."""
+    return next((k for k, (_, chosen) in enumerate(calls) if chosen is PivotRule.BLAND), None)
+
+
+def degenerate_start(seed: int) -> Dictionary:
+    """A primal-feasible slack dictionary of a random LP whose b is mostly zeros, on {-1, 0, 1} data."""
+    rng = random.Random(seed)
+    lp = random_lp(rng.randint(2, 6), rng.randint(2, 6), seed, 1)
+    A0, b, c = lp_fractions(lp)
+    return initial_dictionary(StandardLP.from_fractions(A0, [abs(x) * (rng.random() < 0.3) for x in b], c))
+
+
+class TestCycleGuard:
+    """Dantzig's cycle guard remembers the bases since the last nondegenerate pivot, and switches where one that keeps every basis does.
+
+    A nondegenerate pivot moves the objective strictly, and a basis fixes
+    the objective's value, so no earlier basis can recur. The reference
+    loop (``simplex_by_reference``) keeps every basis it visited
+    (``reference.cycle_guard_keeping_every_basis``). Only Beale's example
+    cycles among the sized instances, so its variants are named here.
+    """
+
+    @staticmethod
+    def same_path(d: Dictionary, dual: bool):
+        """The library's and the reference's pivots, signals and switch agree; returns the steps and guard calls."""
+        with recorded_guard(simplex, "_cycle_guard") as calls:
+            _, steps, signal = (dual_simplex if dual else primal_simplex)(d, PivotRule.DANTZIG)
+        with recorded_guard(reference, "cycle_guard_keeping_every_basis") as reference_calls:
+            pivots, reference_signal = simplex_by_reference(d, PivotRule.DANTZIG, dual)
+        assert [(step.enter, step.leave) for step in steps] == pivots
+        assert signal == reference_signal
+        assert switch(calls) == switch(reference_calls)
+        return steps, calls
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["primal loop", "dual loop"])
+    def test_beale_switches_where_the_reference_does(self, dual):
+        d = initial_dictionary(beale_lp())
+        steps, calls = self.same_path(negative_transpose(d) if dual else d, dual)
+        assert switch(calls) == 6 and len(steps) == 12
+
+    @pytest.mark.parametrize(
+        "row_scale,col_scale", [((1, 1, 1), (1, 1, 1, 1)), ((1, 1, 5), (1, 3, 1, 3)), ((2, 3, 4), (2, 1, 1, 1))]
+    )
+    def test_permuted_and_scaled_beale_takes_the_references_path(self, row_scale, col_scale):
+        # 18 of the 24 * 6 orders still cycle unscaled, or with the x3 <= 1
+        # row and x2, x4 scaled; any other scale leaves Dantzig's first
+        # choices and none cycles.
+        A0, b, c = lp_fractions(beale_lp())
+        switched = 0
+        for rows in itertools.permutations(range(3)):
+            for cols in itertools.permutations(range(4)):
+                lp = StandardLP.from_fractions(
+                    [[A0[i][j] * row_scale[i] * col_scale[j] for j in cols] for i in rows],
+                    [b[i] * row_scale[i] for i in rows],
+                    [c[j] * col_scale[j] for j in cols],
+                )
+                d = initial_dictionary(lp)
+                _, calls = self.same_path(d, False)
+                _, dual_calls = self.same_path(negative_transpose(d), True)
+                assert switch(calls) == switch(dual_calls)
+                switched += switch(calls) is not None
+        assert switched == (0 if row_scale == (2, 3, 4) else 18)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_degenerate_random_lps_take_the_references_path(self, seed):
+        d = degenerate_start(seed)
+        self.same_path(d, False)
+        self.same_path(negative_transpose(d), True)
+
+    def test_no_basis_is_remembered_across_a_nondegenerate_pivot(self):
+        # At the guard's call before pivot k, it holds exactly the bases
+        # from the first one after the last nondegenerate pivot up to pivot
+        # k - 1. Klee-Minty pivots are all nondegenerate; the random LPs mix
+        # both kinds.
+        starts = [initial_dictionary(klee_minty(5)), *map(degenerate_start, range(40))]
+        forgotten = 0
+        for d in starts:
+            for start, dual in ((d, False), (negative_transpose(d), True)):
+                steps, calls = self.same_path(start, dual)
+                path = [start, *(step.dictionary for step in steps)]
+                since = 0
+                for k, (held, _) in enumerate(calls):
+                    if k and path[k].z_star != path[k - 1].z_star:
+                        since = k
+                    assert held == {frozenset(x.basis) for x in path[since:k]}
+                    forgotten += since
+        assert forgotten
