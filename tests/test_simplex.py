@@ -754,7 +754,8 @@ class TestCycleGuard:
     @staticmethod
     def same_path(d: Dictionary, dual: bool):
         """The library's and the reference's pivots, signals and switch agree; returns the steps and guard calls."""
-        with recorded_guard(simplex, "_cycle_guard") as calls:
+        # A guard that forgets a basis it must remember loops forever on Beale.
+        with recorded_guard(simplex, "_cycle_guard") as calls, pivot_budget(1000):
             _, steps, signal = (dual_simplex if dual else primal_simplex)(d, PivotRule.DANTZIG)
         with recorded_guard(reference, "cycle_guard_keeping_every_basis") as reference_calls:
             pivots, reference_signal = simplex_by_reference(d, PivotRule.DANTZIG, dual)
@@ -773,9 +774,10 @@ class TestCycleGuard:
         "row_scale,col_scale", [((1, 1, 1), (1, 1, 1, 1)), ((1, 1, 5), (1, 3, 1, 3)), ((2, 3, 4), (2, 1, 1, 1))]
     )
     def test_permuted_and_scaled_beale_takes_the_references_path(self, row_scale, col_scale):
-        # 18 of the 24 * 6 orders still cycle unscaled, or with the x3 <= 1
-        # row and x2, x4 scaled; any other scale leaves Dantzig's first
-        # choices and none cycles.
+        # Ties go to the smallest label, so an order decides whether Dantzig
+        # cycles: 18 of the 3! * 4! orders do, unscaled or with the x3 <= 1
+        # row and x2, x4 scaled. With every row scaled and x1 doubled the
+        # entering choices change and none does.
         A0, b, c = lp_fractions(beale_lp())
         switched = 0
         for rows in itertools.permutations(range(3)):
