@@ -3,10 +3,10 @@
 A dictionary prints from two signed term tables per denominator
 (``_term_tables``), which map a numerator to its whole term in a row
 ``p - Qx`` and in ``z* + qx``. ``--dual-view`` prints the negative
-transpose from the same tables, reading Q's columns in place as rows with
-the tables swapped, so neither a dual dictionary nor a transposed Q is
-built. A trace keeps the tables
-for the whole trace, keyed by the stored D, so each (numerator, D) pair is
+transpose in the same pass (``_draw``): each drawn cell of Q is read once
+and written in both views, each from its own table, so neither a dual
+dictionary nor a transposed Q is built. A trace keeps the tables for the
+whole trace, keyed by the stored D, so each (numerator, D) pair is
 formatted once. A step one pivot from the step before is drawn again only
 where that pivot changed it (``_patch``), whatever D stores it: a term's
 text depends on its value alone. Any other step, such as a phase's first,
@@ -34,7 +34,7 @@ def format_dictionary(d: Dictionary) -> str:
     the objective constant is skipped when zero unless the line would be
     empty.
     """
-    return "\n".join(_lines(d, _term_tables({}, d), False, []))
+    return "\n".join(_draw(d, _term_tables({}, d), False, [])[0])
 
 
 # (minus, plus): numerator -> its term in a row p - Qx, and in z* + qx.
@@ -95,50 +95,63 @@ def _leading(terms: str) -> str:
     return text if terms[1] == "+" else "-" + text
 
 
-def _lines(d: Dictionary, tables: _TermTables, flip: bool, view: list, patch=None) -> list[str]:
-    """The lines of ``d``, or with ``flip`` of its negative transpose, from ``tables = _term_tables(..., d)``.
+def _draw(d: Dictionary, tables: _TermTables, dual: bool, view: list, patch=None) -> tuple[list, list | None]:
+    """The lines of ``d``, and with ``dual`` those of its negative transpose, from ``tables = _term_tables(..., d)``.
 
-    The negative transpose (rows -q, -Q^T, objective -p, constant -z*, on
-    the swapped partition) reads the same numerators in place, Q[j][i] at
-    each drawn cell, each term from the other table. ``view`` keeps the terms drawn, one per entry (""
-    for a 0). With the ``view`` of ``last`` and ``patch = _patch(last, d)``,
-    only the patch is drawn again; otherwise ``view`` is made blank, with
-    every head named, and patched at every row and column.
+    One pass over the drawn cells writes both: Q[i][j] = a is the term
+    ``minus[a]`` under head j of row i, and in the negative transpose (rows
+    -q, -Q^T, objective -p, constant -z*, on the swapped partition) the term
+    ``plus[a]`` under head i of row j. ``view`` keeps the terms drawn, one
+    per entry ("" for a 0), and the lines, the objective last; a row of the
+    transpose is kept as a column of ``d``. With the ``view`` of ``last`` and
+    ``patch = _patch(last, d)``, only the patch is drawn again; otherwise
+    ``view`` is made blank, with every head named, and patched at every row
+    and column. Returns the view's lines, and the transpose's or None.
     """
-    primal = (d.side == "primal") != flip
-    var = "x" if primal else "y"
     minus, plus = tables
-    Q = d.Q_num
-    # Rows print p - Qx: Q's terms read minus, the rest plus. Flip swaps them.
-    if flip:
-        labels, consts, heads, objective = d.nonbasis, d.q_num, d.basis, d.p_num
-        row_terms, terms = plus, minus
-    else:
-        labels, consts, heads, objective = d.basis, d.p_num, d.nonbasis, d.q_num
-        row_terms, terms = minus, plus
+    Q, basis, nonbasis, p, q, z = d.Q_num, d.basis, d.nonbasis, d.p_num, d.q_num, d.z_num
+    x, y, z_label, w_label = ("x", "y", "z", "-w") if d.side == "primal" else ("y", "x", "-w", "z")
     if patch and view:
         r, s, rows, cols = patch
-        if flip:
-            s, rows, cols = r, cols, rows
-        view[0][s] = f"{var}{heads[s]}"
-    else:  # drawn whole: a blank view, every head named, patched at every row and column
-        rows, cols = range(len(labels)), range(len(heads))
-        view[:] = [f"{var}{w}" for w in heads], [[""] * len(heads) for _ in rows], [""] * len(labels), [""] * len(heads)
-    names, entries, lines, tail = view
-    named = [(j, names[j]) for j in cols]
+        view[0][s] = f"{x}{nonbasis[s]}"
+        if dual:  # the transpose's heads
+            view[4][r] = f"{y}{basis[r]}"
+    else:  # drawn whole: blank views, every head named, patched at every row and column
+        m, n = len(basis), len(nonbasis)
+        rows, cols = range(m), range(n)
+        view[:] = [f"{x}{v}" for v in nonbasis], [[""] * n for _ in rows], [""] * (m + 1), [""] * n
+        view += ([f"{y}{v}" for v in basis], [[""] * m for _ in cols], [""] * (n + 1), [""] * m) if dual else [None] * 4
+    names, entries, lines, tail, heads, columns, dual_lines, dual_tail = view
+    if dual:
+        named = [(j, names[j], columns[j]) for j in cols]
+        for i in rows:
+            row, Q_i, head = entries[i], Q[i], heads[i]
+            for j, name, column in named:
+                a = Q_i[j]
+                if a:
+                    row[j], column[i] = minus[a] + name, plus[a] + head
+                else:
+                    row[j] = column[i] = ""
+            dual_tail[i] = minus[p[i]] + head if p[i] else ""
+        for j, _, column in named:
+            dual_lines[j] = f"{y}{nonbasis[j]} = {_leading(minus[q[j]])}{''.join(column)}"
+        text = "".join(dual_tail)
+        dual_lines[-1] = f"{w_label} = {_leading(minus[z]) + text if z or not text else _leading(text)}"
+    else:
+        named = [(j, names[j]) for j in cols]
+        for i in rows:
+            row, Q_i = entries[i], Q[i]
+            for j, name in named:
+                a = Q_i[j]
+                row[j] = minus[a] + name if a else ""
     for i in rows:
-        row = entries[i]
-        for j, name in named:
-            x = Q[j][i] if flip else Q[i][j]
-            row[j] = row_terms[x] + name if x else ""
-        lines[i] = f"{var}{labels[i]} = {_leading(terms[consts[i]])}{''.join(row)}"
-    for j, name in named:
-        x = objective[j]
-        tail[j] = terms[x] + name if x else ""
+        lines[i] = f"{x}{basis[i]} = {_leading(plus[p[i]])}{''.join(entries[i])}"
+    for j in cols:
+        tail[j] = plus[q[j]] + names[j] if q[j] else ""
     text = "".join(tail)
     # The constant is skipped when zero, unless the line would be empty.
-    text = _leading(terms[d.z_num]) + text if d.z_num or not text else _leading(text)
-    return [*lines, f"{'z' if primal else '-w'} = {text}"]
+    lines[-1] = f"{z_label} = {_leading(plus[z]) + text if z or not text else _leading(text)}"
+    return lines, dual_lines
 
 
 def _solver_trace_lines(trace: SolveTrace, dual_view: bool) -> list[str]:
@@ -150,18 +163,18 @@ def _solver_trace_lines(trace: SolveTrace, dual_view: bool) -> list[str]:
             lines.append("")
         if multi:
             lines.append(f"== {phase.name} ==")
-        views = [], []  # per orientation
+        view = []  # both views' terms and lines, carried from step to step
         last = None
         for step in (None, *phase.steps):
             d = phase.start if step is None else step.dictionary
             patch, last = _patch(last, d), d
-            terms = _term_tables(tables, d, patch)
+            primal, dual = _draw(d, _term_tables(tables, d, patch), dual_view, view, patch)
             if step is not None:
                 lines += ["", f"pivot: enter x{step.enter}, leave x{step.leave}"]
-            lines += _lines(d, terms, False, views[0], patch)
+            lines += primal
             if dual_view:
                 lines += ["", "dual:"]
                 if step is not None:
                     lines.append(f"pivot: enter y{step.leave}, leave y{step.enter}")
-                lines += _lines(d, terms, True, views[1], patch)
+                lines += dual
     return lines

@@ -27,7 +27,8 @@ coefficient rule is opt-in, with ties always broken toward the smallest
 variable index so every run is deterministic. A loop that meets a basis it
 has already visited finishes under Bland's rule, so every run terminates.
 It remembers the bases since its last nondegenerate pivot only: no basis
-from before that pivot can recur.
+from before that pivot can recur. So it looks a basis up only inside a run
+of degenerate pivots, and hashes none on a path without one.
 Pivot choices read the dictionary's integer numerators: over one positive
 denominator they order exactly as the values do.
 """
@@ -153,7 +154,8 @@ def _cycle_guard(d: Dictionary, rule: PivotRule, visited: set[frozenset[int]]) -
     means the rule is cycling. Bland never repeats a basis. ``visited``
     holds the bases since the loop's last nondegenerate pivot: that pivot
     moved the objective strictly, and a basis fixes the objective's value,
-    so no basis from before it can recur.
+    so no basis from before it can recur. The loop calls this only at a
+    dictionary reached by a degenerate pivot, when ``visited`` is not empty.
     """
     basis_set = frozenset(d.basis)
     if basis_set in visited:
@@ -213,6 +215,12 @@ def _simplex(
     l. The signal is the primal method's: None when optimal, else the
     entering variable of the column with no positive entry. Each pivot is
     kept as a ``PivotStep``, or without ``keep`` as its positions only.
+
+    Under Dantzig's rule ``visited`` holds the bases of the degenerate run
+    in hand: the run's first pivot adds the basis it pivots from, each
+    dictionary the run reaches goes through ``_cycle_guard``, and a
+    nondegenerate pivot clears the set. A basis can recur only within such
+    a run, so the guard hashes no other.
     """
     rule = PivotRule(rule)  # "bland" is Bland's rule; a value that names no rule raises ValueError
     sign = -1 if dual else 1
@@ -220,7 +228,7 @@ def _simplex(
     steps: Sequence[PivotStep] = [] if keep else _Replay(d, positions)
     visited: set[frozenset[int]] = set()
     while True:
-        if rule is PivotRule.DANTZIG:  # Bland never repeats a basis
+        if visited and rule is PivotRule.DANTZIG:  # a basis recurs only within a degenerate run
             rule = _cycle_guard(d, rule, visited)
         bland = rule is PivotRule.BLAND
         if dual:
@@ -247,6 +255,8 @@ def _simplex(
             return d, steps, heads[e]
         if bc:  # a nondegenerate pivot: no basis visited so far can recur
             visited.clear()
+        elif not (visited or bland):  # a degenerate run starts at d
+            visited.add(frozenset(d.basis))
         r, s = (e, l) if dual else (l, e)
         d = _pivot(d, r, s)
         if keep:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from dictlp import _kernels, duality
 from dictlp.cli import main, random_lp
-from dictlp.render import _lines, _patch, _solver_trace_lines, _term_tables, format_dictionary
+from dictlp.render import _draw, _patch, _solver_trace_lines, _term_tables, format_dictionary
 from dictlp.dictionary import (
     Dictionary,
     NotABasisError,
@@ -211,8 +211,14 @@ class TestFormatDictionary:
         assert by_value(parse_dictionary_text(format_dictionary(dual), lp.m + lp.n)) == by_value(dual)
 
 
+def both_views(d: Dictionary, terms=None) -> tuple[str, str]:
+    """``d`` and its negative transpose as ``_draw`` prints them in one pass, drawn whole."""
+    primal, dual = _draw(d, terms or _term_tables({}, d), True, [])
+    return "\n".join(primal), "\n".join(dual)
+
+
 class TestFlippedRendering:
-    """``_lines(d, _term_tables({}, d), flip=True, view=[])`` prints the negative transpose from d's own numerators."""
+    """``_draw(d, _term_tables({}, d), True, [])`` prints the negative transpose from d's own numerators, beside d."""
 
     @given(
         m=st.integers(1, 4),
@@ -242,10 +248,11 @@ class TestFlippedRendering:
         z_star = Fraction(0) if data.draw(st.booleans()) else data.draw(entry)
         start = Dictionary.from_fractions(side, tuple(labels[:m]), tuple(labels[m:]), vec(m), rows, vec(n), z_star)
         d = random_pivots(start, picks)[-1]
-        flipped = "\n".join(_lines(d, _term_tables({}, d), flip=True, view=[]))
+        primal, flipped = both_views(d)
         assert flipped == format_dictionary(negative_transpose(d))
         assert flipped == format_dictionary_by_fractions(negative_transpose(d))
-        assert "\n".join(_lines(d, _term_tables({}, d), flip=False, view=[])) == format_dictionary(d)
+        assert primal == format_dictionary(d) == format_dictionary_by_fractions(d)
+        assert _draw(d, _term_tables({}, d), False, [])[1] is None
 
     def test_an_empty_basis_keeps_its_rows_when_flipped(self):
         # No basic variable: Q has no rows, so its transpose has n rows of length 0.
@@ -254,7 +261,7 @@ class TestFlippedRendering:
         assert negative_transpose(d).Q_num == ((), ())
         assert format_dictionary(negative_transpose(d)) == dual
         assert format_dictionary_by_fractions(negative_transpose(d)) == dual
-        assert "\n".join(_lines(d, _term_tables({}, d), flip=True, view=[])) == dual
+        assert both_views(d) == (format_dictionary(d), dual) == ("z = 2 + 3x1 - x2", dual)
 
     def test_texts_format_each_distinct_numerator_once(self, e1, monkeypatch):
         import dictlp.render
@@ -269,8 +276,7 @@ class TestFlippedRendering:
         assert len(calls) <= len(distinct) == len(minus) == len(plus)
         assert list(tables) == [d.D]
         formatted = len(calls)
-        assert "\n".join(_lines(d, terms, flip=False, view=[])) == PRIMAL_SECOND
-        assert "\n".join(_lines(d, terms, flip=True, view=[])) == DUAL_SECOND
+        assert both_views(d, terms) == (PRIMAL_SECOND, DUAL_SECOND)
         assert _term_tables(tables, d) == terms
         assert len(calls) == formatted
 
@@ -309,7 +315,7 @@ class TestFlippedRendering:
         # x1 = B - x3 + Bx2, z = 1 - 1/Bx3: the transpose has a zero row
         # constant, a magnitude-1 term and a flipped objective constant.
         dual = f"y3 = 1/{big} + y1\ny2 = 0 - {big}y1\n-w = -1 - {big}y1"
-        assert "\n".join(_lines(d, _term_tables({}, d), flip=True, view=[])) == dual
+        assert both_views(d)[1] == dual
         assert format_dictionary(negative_transpose(d)) == dual
         assert main(["trace", write_lp(tmp_path, serialize_lp(lp)), "--pivot", "1,3", "--dual-view"]) == 0
         assert capsys.readouterr().out.endswith(f"dual:\npivot: enter y3, leave y1\n{dual}\n")
@@ -342,17 +348,26 @@ class TestTraceRendering:
         assert isinstance(outcome, Infeasible) and trace.pivot_count == 2
 
     @given(
-        m=st.integers(1, 3),
+        m=st.integers(0, 3),
         n=st.integers(1, 3),
         side=st.sampled_from(["primal", "dual"]),
+        fractional=st.booleans(),
         picks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=6),
         data=st.data(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_forced_pivot_traces(self, m, n, side, picks, data):
-        # What ``trace --pivot`` prints, from dictionaries with fractional
-        # entries, so that D changes from step to step.
-        entry = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+    def test_forced_pivot_traces(self, m, n, side, fractional, picks, data):
+        # What ``trace --pivot`` prints, from dictionaries with integer or
+        # fractional entries, so that D changes from step to step. Every
+        # step is one swap, so both views are drawn as patches. On the dual
+        # side d's view names y and -w, and the transpose's x and z. With
+        # m = 0 no pivot applies: a start whose transpose has n rows of no
+        # terms.
+        entry = (
+            st.fractions(min_value=-6, max_value=6, max_denominator=6)
+            if fractional
+            else st.integers(-3, 3).map(Fraction)
+        )
         labels = data.draw(st.permutations(range(1, m + n + 1)))
         p, q = data.draw(st.lists(entry, min_size=m, max_size=m)), data.draw(st.lists(entry, min_size=n, max_size=n))
         Q = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
@@ -360,6 +375,7 @@ class TestTraceRendering:
         path = random_pivots(start, picks)
         steps = []
         for before, after in zip(path, path[1:]):
+            assert _patch(before, after) is not None
             (enter,) = set(after.basis) - set(before.basis)
             (leave,) = set(before.basis) - set(after.basis)
             steps.append(PivotStep(enter=enter, leave=leave, dictionary=after))
@@ -432,9 +448,10 @@ class TestCarriedLines:
 class TestPatchedSteps:
     """A step one pivot from the step before is drawn from what the pivot changed, whatever its D.
 
-    ``_patch`` lists the changed rows and columns; ``_lines`` draws only
-    those again and keeps the rest of the previous step's terms, whose text
-    depends on their values alone. Every other step is drawn whole. Either
+    ``_patch`` lists the changed rows and columns; ``_draw`` draws only
+    those again, in both views at once, and keeps the rest of the previous
+    step's terms, whose text depends on their values alone. Every other
+    step is drawn whole. Either
     way a trace prints what the ``Fraction`` renderer prints for each
     dictionary on its own.
     """
@@ -552,6 +569,29 @@ class TestPatchedSteps:
         trace = SolveTrace(phases=(TracePhase("forced pivots", d0, steps),))
         for dual_view in (False, True):
             assert _solver_trace_lines(trace, dual_view) == trace_lines_by_fractions(trace, dual_view)
+
+
+class TestOnePassDrawing:
+    """``_draw`` writes each drawn cell of Q in both views at once, so ``--dual-view`` walks each step once."""
+
+    @pytest.mark.parametrize("dual_view", [False, True])
+    @pytest.mark.parametrize("rule", ["bland", "dantzig"])
+    def test_each_step_is_drawn_once_in_either_view(self, dual_view, rule, monkeypatch):
+        import dictlp.render
+
+        lp = parse_lp((DATA / "beale.lp").read_text(encoding="utf-8"))
+        _, trace = solve(lp, PivotRule(rule))
+        calls = []
+        real = dictlp.render._draw
+
+        def counted(d, tables, dual, view, patch=None):
+            calls.append(dual)
+            return real(d, tables, dual, view, patch)
+
+        monkeypatch.setattr(dictlp.render, "_draw", counted)
+        assert _solver_trace_lines(trace, dual_view) == trace_lines_by_fractions(trace, dual_view)
+        assert calls == [dual_view] * sum(1 + len(phase.steps) for phase in trace.phases)
+        assert len(calls) > 6
 
 
 class TestSolveCommand:

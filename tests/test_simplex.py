@@ -713,14 +713,14 @@ def beale_lp() -> StandardLP:
 
 @contextmanager
 def recorded_guard(module, name: str):
-    """``module.name``, a cycle guard, recording per call the bases ``visited`` held before it and the rule it gave."""
+    """``module.name``, a cycle guard, recording per call its dictionary, the bases ``visited`` held before it and the rule it gave."""
     guard = getattr(module, name)
-    calls: list[tuple[set[frozenset[int]], PivotRule]] = []
+    calls: list[tuple[Dictionary, set[frozenset[int]], PivotRule]] = []
 
     def recorded(d, rule, visited):
         held = set(visited)
         chosen = guard(d, rule, visited)
-        calls.append((held, chosen))
+        calls.append((d, held, chosen))
         return chosen
 
     with pytest.MonkeyPatch.context() as mp:
@@ -728,32 +728,45 @@ def recorded_guard(module, name: str):
         yield calls
 
 
-def switch(calls) -> int | None:
-    """The pivot at which a recorded guard switched to Bland's rule, or None."""
-    return next((k for k, (_, chosen) in enumerate(calls) if chosen is PivotRule.BLAND), None)
+def positions(calls, path: list[Dictionary]) -> list[int]:
+    """The position on ``path`` of each recorded guard call's dictionary, the very object the loop held."""
+    return [next(k for k, x in enumerate(path) if x is d) for d, _, _ in calls]
 
 
-def degenerate_start(seed: int) -> Dictionary:
-    """A primal-feasible slack dictionary of a random LP whose b is mostly zeros, on {-1, 0, 1} data."""
+def switch(calls, path: list[Dictionary]) -> int | None:
+    """The position on ``path`` at which a recorded guard switched to Bland's rule, or None."""
+    return next((k for k, (_, _, chosen) in zip(positions(calls, path), calls) if chosen is PivotRule.BLAND), None)
+
+
+def degenerate_start(seed: int, tied: bool = False) -> Dictionary:
+    """A primal-feasible slack dictionary of a random LP on {-1, 0, 1} data whose b is mostly zeros, or with ``tied`` all ones.
+
+    With b all ones the ratio tests tie, so degenerate pivots also follow
+    nondegenerate ones; from mostly zeros they come first.
+    """
     rng = random.Random(seed)
     lp = random_lp(rng.randint(2, 6), rng.randint(2, 6), seed, 1)
     A0, b, c = lp_fractions(lp)
-    return initial_dictionary(StandardLP.from_fractions(A0, [abs(x) * (rng.random() < 0.3) for x in b], c))
+    b = [1] * len(b) if tied else [abs(x) * (rng.random() < 0.3) for x in b]
+    return initial_dictionary(StandardLP.from_fractions(A0, b, c))
 
 
 class TestCycleGuard:
-    """Dantzig's cycle guard remembers the bases since the last nondegenerate pivot, and switches where one that keeps every basis does.
+    """Dantzig's cycle guard remembers the bases of the degenerate run in hand, and switches where one that keeps every basis does.
 
     A nondegenerate pivot moves the objective strictly, and a basis fixes
-    the objective's value, so no earlier basis can recur. The reference
-    loop (``simplex_by_reference``) keeps every basis it visited
-    (``reference.cycle_guard_keeping_every_basis``). Only Beale's example
-    cycles among the sized instances, so its variants are named here.
+    the objective's value, so no earlier basis can recur: the guard is
+    called only at a dictionary reached by a degenerate pivot. The
+    reference loop (``simplex_by_reference``) calls its guard at every
+    dictionary and keeps every basis it visited
+    (``reference.cycle_guard_keeping_every_basis``), so its calls are its
+    path. Only Beale's example cycles among the sized instances, so its
+    variants are named here.
     """
 
     @staticmethod
     def same_path(d: Dictionary, dual: bool):
-        """The library's and the reference's pivots, signals and switch agree; returns the steps and guard calls."""
+        """The library's and the reference's pivots, signals and switch agree; returns the path and guard calls."""
         # A guard that forgets a basis it must remember loops forever on Beale.
         with recorded_guard(simplex, "_cycle_guard") as calls, pivot_budget(1000):
             _, steps, signal = (dual_simplex if dual else primal_simplex)(d, PivotRule.DANTZIG)
@@ -761,14 +774,17 @@ class TestCycleGuard:
             pivots, reference_signal = simplex_by_reference(d, PivotRule.DANTZIG, dual)
         assert [(step.enter, step.leave) for step in steps] == pivots
         assert signal == reference_signal
-        assert switch(calls) == switch(reference_calls)
-        return steps, calls
+        path = [d, *(step.dictionary for step in steps)]
+        reference_path = [x for x, _, _ in reference_calls]
+        assert reference_path == path[: len(reference_path)]
+        assert switch(calls, path) == switch(reference_calls, reference_path)
+        return path, calls
 
     @pytest.mark.parametrize("dual", [False, True], ids=["primal loop", "dual loop"])
     def test_beale_switches_where_the_reference_does(self, dual):
         d = initial_dictionary(beale_lp())
-        steps, calls = self.same_path(negative_transpose(d) if dual else d, dual)
-        assert switch(calls) == 6 and len(steps) == 12
+        path, calls = self.same_path(negative_transpose(d) if dual else d, dual)
+        assert switch(calls, path) == 6 and len(path) == 13
 
     @pytest.mark.parametrize(
         "row_scale,col_scale", [((1, 1, 1), (1, 1, 1, 1)), ((1, 1, 5), (1, 3, 1, 3)), ((2, 3, 4), (2, 1, 1, 1))]
@@ -788,10 +804,10 @@ class TestCycleGuard:
                     [c[j] * col_scale[j] for j in cols],
                 )
                 d = initial_dictionary(lp)
-                _, calls = self.same_path(d, False)
-                _, dual_calls = self.same_path(negative_transpose(d), True)
-                assert switch(calls) == switch(dual_calls)
-                switched += switch(calls) is not None
+                path, calls = self.same_path(d, False)
+                dual_path, dual_calls = self.same_path(negative_transpose(d), True)
+                assert switch(calls, path) == switch(dual_calls, dual_path)
+                switched += switch(calls, path) is not None
         assert switched == (0 if row_scale == (2, 3, 4) else 18)
 
     @pytest.mark.parametrize("seed", range(40))
@@ -801,20 +817,29 @@ class TestCycleGuard:
         self.same_path(negative_transpose(d), True)
 
     def test_no_basis_is_remembered_across_a_nondegenerate_pivot(self):
-        # At the guard's call before pivot k, it holds exactly the bases
+        # The guard is called before pivot k exactly when pivot k - 1 was
+        # degenerate, up to its switch, and then holds exactly the bases
         # from the first one after the last nondegenerate pivot up to pivot
-        # k - 1. Klee-Minty pivots are all nondegenerate; the random LPs mix
-        # both kinds.
-        starts = [initial_dictionary(klee_minty(5)), *map(degenerate_start, range(40))]
-        forgotten = 0
+        # k - 1. Klee-Minty pivots are all nondegenerate, so the guard is
+        # never called; the random LPs mix both kinds, and with tied ratios
+        # a degenerate run also follows a nondegenerate pivot.
+        starts = [
+            initial_dictionary(klee_minty(5)),
+            *map(degenerate_start, range(40)),
+            *(degenerate_start(seed, tied=True) for seed in range(40)),
+        ]
+        forgotten = called = 0
         for d in starts:
             for start, dual in ((d, False), (negative_transpose(d), True)):
-                steps, calls = self.same_path(start, dual)
-                path = [start, *(step.dictionary for step in steps)]
-                since = 0
-                for k, (held, _) in enumerate(calls):
-                    if k and path[k].z_star != path[k - 1].z_star:
-                        since = k
+                path, calls = self.same_path(start, dual)
+                end = switch(calls, path)
+                degenerate = [k for k in range(1, len(path)) if path[k].z_star == path[k - 1].z_star]
+                at = positions(calls, path)
+                assert at == [k for k in degenerate if end is None or k <= end]
+                for k, (_, held, _) in zip(at, calls):
+                    assert path[k].z_star == path[k - 1].z_star  # never at a basis reached by a nondegenerate pivot
+                    since = max(j for j in range(k + 1) if j == 0 or path[j].z_star != path[j - 1].z_star)
                     assert held == {frozenset(x.basis) for x in path[since:k]}
                     forgotten += since
-        assert forgotten
+                called += len(calls)
+        assert forgotten and called
