@@ -35,17 +35,24 @@ of its start (``Dictionary.det_form``):
 Equality and hashing compare the integers, so they compare values between
 two dictionaries of one form. Between forms, compare the ``Fraction``
 views.
+
+The paper's bijection, (-q, -Q^T, -p, -z*) on the flipped partition, is
+written once, in ``_negative_transpose_fields``, with -Q^T from
+``model._negated_transpose``. ``negative_transpose`` builds a dictionary
+from it, and ``duality._is_negative_transpose`` compares a dual's fields
+with it, building none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import neg
 from typing import Literal, Sequence
 
 from dictlp import _kernels
 from dictlp.exact import QMatrix, _str, common_denominator
-from dictlp.model import StandardLP
+from dictlp.model import StandardLP, _negated_transpose
 
 Side = Literal["primal", "dual"]
 
@@ -243,18 +250,27 @@ def negative_transpose(d: Dictionary) -> Dictionary:
     Basic variables of the result are the nonbasic ones of the input, in the
     same order (and vice versa). Applying it twice is the identity. With no
     basic variable, the result has n rows of length 0. Q rows of unequal
-    lengths raise ``ValueError``.
+    lengths raise ``ValueError``. Its fields are ``_negative_transpose_fields``,
+    which ``verify`` compares with a dual in place, and ``d.det_form``.
     """
-    return Dictionary(
-        side="dual" if d.side == "primal" else "primal",
-        basis=d.nonbasis,
-        nonbasis=d.basis,
-        p_num=tuple([-x for x in d.q_num]),
-        Q_num=tuple(tuple([-x for x in col]) for col in zip(*d.Q_num, strict=True)) or ((),) * d.n,
-        q_num=tuple([-x for x in d.p_num]),
-        z_num=-d.z_num,
-        D=d.D,
-        det_form=d.det_form,
+    return Dictionary(*_negative_transpose_fields(d), d.det_form)
+
+
+def _negative_transpose_fields(d: Dictionary) -> tuple:
+    """The compared fields of ``negative_transpose(d)``, in ``Dictionary``'s field order.
+
+    -Q^T is ``model._negated_transpose`` of Q, or n empty rows when ``d``
+    has no basic variable; Q rows of unequal lengths raise ``ValueError``.
+    """
+    return (
+        "dual" if d.side == "primal" else "primal",
+        d.nonbasis,
+        d.basis,
+        tuple(map(neg, d.q_num)),
+        _negated_transpose(d.Q_num) or ((),) * len(d.nonbasis),
+        tuple(map(neg, d.p_num)),
+        -d.z_num,
+        d.D,
     )
 
 

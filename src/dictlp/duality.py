@@ -31,9 +31,10 @@ reverse search (``walk_bases``), each by one pivot from its parent, with
 the dual LP's dictionary (``dual_dictionary_direct``) pivoted in lockstep:
 the primal pivot at positions (r, s) is the dual pivot at (s, r), so the
 dual's labels stay the primal's swapped, in order. Per basis it tests that
-the dual is the primal's negative transpose, reading the primal's fields in
-place (``_is_negative_transpose``; no transposed dictionary is built), and
-the row space against the parent's (``_spans_parent``): each parent row
+the dual is the primal's negative transpose: the dual's fields against
+``dictionary._negative_transpose_fields`` of the primal, the map that
+``negative_transpose`` builds from (``_is_negative_transpose``; no
+transposed dictionary is built), and the row space against the parent's (``_spans_parent``): each parent row
 must be the child's row plus a multiple of the child's pivot row, integer
 identities with no division at O(mn) per basis. The root, and every basis
 whose parent failed that test, is tested against R itself (``_spans``,
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import comb
-from operator import neg
 from typing import Iterator
 
 from dictlp.exact import _str
@@ -54,6 +54,7 @@ from dictlp.dictionary import (
     NotABasisError,
     PivotError,
     _arrange,
+    _negative_transpose_fields,
     dictionary_from_basis,
     initial_dictionary,
     pivot,
@@ -327,26 +328,16 @@ def _report(prim: Dictionary, dual: Dictionary | None, rs_ok: bool) -> Bijection
 
 
 def _is_negative_transpose(prim: Dictionary, dual: Dictionary) -> bool:
-    """``dual == negative_transpose(prim)``, read field by field with no ``Dictionary`` built.
+    """``dual == negative_transpose(prim)``, with no ``Dictionary`` built.
 
-    The flipped side, the swapped labels in order, D, z*, p and q, and Q's
-    negated columns as rows, ``n`` empty rows when ``prim`` has no basic
-    variable: as strict as that equality, which leaves ``det_form`` out.
-    Q rows of unequal lengths in ``prim`` fail, where ``negative_transpose``
-    raises ``ValueError``.
+    The dual's compared fields, as a tuple, against
+    ``dictionary._negative_transpose_fields(prim)``, the fields that
+    ``negative_transpose`` builds from: as strict as that equality, which
+    leaves ``det_form`` out. Q rows of unequal lengths in ``prim`` fail,
+    where ``negative_transpose`` raises ``ValueError``.
     """
-    if not (
-        dual.side == ("dual" if prim.side == "primal" else "primal")
-        and dual.basis == prim.nonbasis
-        and dual.nonbasis == prim.basis
-        and dual.D == prim.D
-        and dual.z_num == -prim.z_num
-        and dual.p_num == tuple(map(neg, prim.q_num))
-        and dual.q_num == tuple(map(neg, prim.p_num))
-    ):
-        return False
+    fields = dual.side, dual.basis, dual.nonbasis, dual.p_num, dual.Q_num, dual.q_num, dual.z_num, dual.D
     try:
-        columns = tuple(zip(*[map(neg, row) for row in prim.Q_num], strict=True))
+        return fields == _negative_transpose_fields(prim)
     except ValueError:  # Q rows of unequal lengths
         return False
-    return dual.Q_num == (columns or ((),) * len(prim.nonbasis))

@@ -12,10 +12,12 @@ other dictionary is pivoted from it. An instance keeps no ``Fraction``
 view: rational entries go in through ``StandardLP.from_fractions`` and
 come out as text through ``serialize_lp``. The dual (``dual_lp``) is another
 max-form instance over the same D, so every dictionary operation applies
-uniformly to both sides. Its columns are numbered like any instance's,
-decisions first; the y-index names that pair them with the primal
-variables are applied only where a dual dictionary is built
-(``duality.dual_dictionary_direct``).
+uniformly to both sides. Its A0 is the primal's through
+``_negated_transpose``, the library's one writing of -M^T, which
+``dictionary.negative_transpose`` and ``verify``'s check read too. Its
+columns are numbered like any instance's, decisions first; the y-index
+names that pair them with the primal variables are applied only where a
+dual dictionary is built (``duality.dual_dictionary_direct``).
 
 The parser (``parse_lp``) reads the file a line at a time, where lines end
 at ``\\n``, ``\\r\\n`` or ``\\r`` only. A row of plain integers, the
@@ -33,6 +35,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import neg
 from typing import Sequence
 
 from dictlp import _kernels
@@ -171,14 +174,21 @@ def serialize_lp(lp: StandardLP) -> str:
     return "\n".join(out) + "\n"
 
 
+def _negated_transpose(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """-M^T of the matrix M with these rows: its negated columns, as rows.
+
+    The one place the library writes the paper's transpose: ``dual_lp``
+    applies it to A0, and ``dictionary._negative_transpose_fields`` to a
+    dictionary's Q. Rows of unequal lengths raise ``ValueError``; no rows
+    give ``()``.
+    """
+    return tuple(zip(*[map(neg, row) for row in rows], strict=True))
+
+
 def dual_lp(lp: StandardLP) -> StandardLP:
     """The dual, itself in max form: maximize -b.y s.t. -A0^T y <= -c, y >= 0.
 
-    The same numerators over the same D, transposed and negated.
+    The same numerators over the same D: A0 through ``_negated_transpose``,
+    b and c negated. A0 rows of unequal lengths raise ``ValueError``.
     """
-    return StandardLP(
-        A0_num=tuple(tuple([-x for x in col]) for col in zip(*lp.A0_num)),
-        b_num=tuple([-x for x in lp.c_num]),
-        c_num=tuple([-x for x in lp.b_num]),
-        D=lp.D,
-    )
+    return StandardLP(_negated_transpose(lp.A0_num), tuple(map(neg, lp.c_num)), tuple(map(neg, lp.b_num)), lp.D)

@@ -95,6 +95,10 @@ def _leading(terms: str) -> str:
     return text if terms[1] == "+" else "-" + text
 
 
+# By side: the letter and objective label of a dictionary's view, then those of its negative transpose's.
+_NAMES = {"primal": ("x", "y", "z", "-w"), "dual": ("y", "x", "-w", "z")}
+
+
 def _draw(d: Dictionary, tables: _TermTables, dual: bool, view: list, patch=None) -> tuple[list, list | None]:
     """The lines of ``d``, and with ``dual`` those of its negative transpose, from ``tables = _term_tables(..., d)``.
 
@@ -110,7 +114,7 @@ def _draw(d: Dictionary, tables: _TermTables, dual: bool, view: list, patch=None
     """
     minus, plus = tables
     Q, basis, nonbasis, p, q, z = d.Q_num, d.basis, d.nonbasis, d.p_num, d.q_num, d.z_num
-    x, y, z_label, w_label = ("x", "y", "z", "-w") if d.side == "primal" else ("y", "x", "-w", "z")
+    x, y, z_label, w_label = _NAMES[d.side]
     if patch and view:
         r, s, rows, cols = patch
         view[0][s] = f"{x}{nonbasis[s]}"
@@ -169,12 +173,13 @@ def _solver_trace_lines(trace: SolveTrace, dual_view: bool) -> list[str]:
             d = phase.start if step is None else step.dictionary
             patch, last = _patch(last, d), d
             primal, dual = _draw(d, _term_tables(tables, d, patch), dual_view, view, patch)
+            x, y, _, _ = _NAMES[d.side]  # each pivot line names its section's variables
             if step is not None:
-                lines += ["", f"pivot: enter x{step.enter}, leave x{step.leave}"]
+                lines += ["", f"pivot: enter {x}{step.enter}, leave {x}{step.leave}"]
             lines += primal
             if dual_view:
                 lines += ["", "dual:"]
                 if step is not None:
-                    lines.append(f"pivot: enter y{step.leave}, leave y{step.enter}")
+                    lines.append(f"pivot: enter {y}{step.leave}, leave {y}{step.enter}")
                 lines += dual
     return lines

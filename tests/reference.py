@@ -191,13 +191,15 @@ def trace_lines_by_fractions(trace: SolveTrace, dual_view: bool) -> list[str]:
             lines.append(f"== {phase.name} ==")
         for step in (None, *phase.steps):
             d = phase.start if step is None else step.dictionary
+            # Each pivot line names the variables of the dictionary printed below it.
+            x, y = ("x", "y") if d.side == "primal" else ("y", "x")
             if step is not None:
-                lines += ["", f"pivot: enter x{step.enter}, leave x{step.leave}"]
+                lines += ["", f"pivot: enter {x}{step.enter}, leave {x}{step.leave}"]
             lines += format_dictionary_by_fractions(d).split("\n")
             if dual_view:
                 lines += ["", "dual:"]
                 if step is not None:
-                    lines.append(f"pivot: enter y{step.leave}, leave y{step.enter}")
+                    lines.append(f"pivot: enter {y}{step.leave}, leave {y}{step.enter}")
                 lines += format_dictionary_by_fractions(negative_transpose(d)).split("\n")
     return lines
 

@@ -383,6 +383,34 @@ class TestTraceRendering:
         for dual_view in (False, True):
             assert _solver_trace_lines(trace, dual_view) == trace_lines_by_fractions(trace, dual_view)
 
+    def test_each_pivot_line_names_the_variables_of_its_section(self, e1):
+        # The dual-side trace is built as the CI render step builds it: each
+        # phase start and step negatively transposed, enter and leave swapped.
+        # Its own sections name y and its "dual:" sections x, and so must
+        # their pivot lines, as on e1's first phase-2 step.
+        _, trace = solve(e1, PivotRule.BLAND)
+        dual_side = SolveTrace(
+            tuple(
+                TracePhase(
+                    phase.name,
+                    negative_transpose(phase.start),
+                    tuple(PivotStep(s.leave, s.enter, negative_transpose(s.dictionary)) for s in phase.steps),
+                )
+                for phase in trace.phases
+            )
+        )
+        text = "\n".join(_solver_trace_lines(dual_side, True))
+        assert "\npivot: enter y3, leave y1\ny3 = 26 - 10y4 + 2y1\n" in text
+        assert "\ndual:\npivot: enter x1, leave x3\nx4 = 6 + 10x3 + 2x2 - 4x5\nx1 = 3 - 2x3 - x2 + x5\n" in text
+        for t in (trace, dual_side):
+            for dual_view in (False, True):
+                lines = _solver_trace_lines(t, dual_view)
+                assert lines == trace_lines_by_fractions(t, dual_view)
+                pivots = [(line, below) for line, below in zip(lines, lines[1:]) if line.startswith("pivot:")]
+                assert len(pivots) == (1 + dual_view) * t.pivot_count
+                for line, below in pivots:
+                    assert set(re.findall(r"([xy])\d+", line)) == {below[0]}, (line, below)
+
 
 class TestCarriedLines:
     """A trace line carried over from the dictionary one pivot earlier prints what rendering it again would.

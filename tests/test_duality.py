@@ -1,5 +1,5 @@
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -14,6 +14,7 @@ from dictlp.dictionary import (
     NotABasisError,
     PivotError,
     _arrange,
+    _negative_transpose_fields,
     dictionary_from_basis,
     initial_dictionary,
     negative_transpose,
@@ -22,6 +23,7 @@ from dictlp.dictionary import (
 from dictlp.duality import (
     BasisCountError,
     BijectionReport,
+    _is_negative_transpose,
     _report,
     _scaled_rows,
     _spans,
@@ -317,6 +319,31 @@ class TestDualDictionaryDirect:
         assert got.basis == (3, 4, 5)
         assert got.nonbasis == (1, 2)
         assert got == canonical(negative_transpose(dictionary_from_basis(initial_dictionary(e1), (1, 2))))
+
+    @given(
+        seed=st.integers(0, 500),
+        shape=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        kind=st.sampled_from(["integer", "row-divided", "entry denominators"]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_is_the_negative_transpose_of_the_slack_dictionary(self, seed, shape, kind, data):
+        # The bijection at the slack basis, built from the dual LP on one
+        # side and by transposing the primal dictionary on the other.
+        lp = random_lp(*shape, seed)
+        if kind == "row-divided":
+            factor = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool)
+            lp = divided(lp, [data.draw(factor, label="factor") for _ in range(lp.m + 1)])
+        elif kind == "entry denominators":
+            A0, b, c = lp_fractions(lp)
+
+            def over(row):
+                return [x / data.draw(st.integers(1, 6), label="denominator") for x in row]
+
+            lp = StandardLP.from_fractions([over(row) for row in A0], over(b), over(c))
+        direct = dual_dictionary_direct(dual_lp(lp))
+        assert direct == negative_transpose(initial_dictionary(lp))
+        assert (direct.D, direct.det_form) == (lp.D, lp.D == 1)
 
     # Rotated, each of these would be a valid dual basis: (2, 3, 4) and (3, 1, 2).
     @pytest.mark.parametrize("dual_basis", [(0, 1, 2), (6, 4, 5)])
@@ -772,6 +799,23 @@ class TestLockstepEquality:
         assert dual.Q_num == ((), ())
         assert self.matches(d, dual) and self.matches(dual, d)
         assert not self.matches(d, replace(dual, Q_num=()))
+
+    def test_the_check_reads_every_compared_field_in_order(self, e1):
+        # A field added to Dictionary's equality must fail here, not drop
+        # silently out of the check. The fields are checked against the dual
+        # LP's own slack dictionary, which no transpose of a dictionary built.
+        compared = [f.name for f in fields(Dictionary) if f.compare]
+        prim, direct = initial_dictionary(e1), dual_dictionary_direct(dual_lp(e1))
+        read = []
+
+        class Recorded:
+            def __getattr__(self, name):
+                read.append(name)
+                return getattr(direct, name)
+
+        assert _is_negative_transpose(prim, Recorded())
+        assert read == compared
+        assert _negative_transpose_fields(prim) == tuple(getattr(direct, name) for name in compared)
 
     def test_a_missing_dual_still_fails(self, e1):
         start = initial_dictionary(e1)

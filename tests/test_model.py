@@ -241,6 +241,13 @@ class TestDual:
         again = dual_lp(dual_lp(lp))
         assert again == lp
 
+    @pytest.mark.parametrize("A0", [((1, 2), (3,)), ((1,), (2, 3))])
+    def test_ragged_rows_raise(self, A0):
+        # Only a hand-built instance has rows of unequal lengths; transposed
+        # up to its shortest row, it would lose a constraint's entries.
+        with pytest.raises(ValueError):
+            dual_lp(StandardLP(A0, (1, 1), (1, 1), 1))
+
 
 class TestInitialDictionary:
     def test_e1(self, e1):
