@@ -803,7 +803,7 @@ class TestLockstepEquality:
     def test_the_check_reads_every_compared_field_in_order(self, e1):
         # A field added to Dictionary's equality must fail here, not drop
         # silently out of the check. The fields are checked against the dual
-        # LP's own slack dictionary, which no transpose of a dictionary built.
+        # LP's own slack dictionary, which is built without a transpose of Q.
         compared = [f.name for f in fields(Dictionary) if f.compare]
         prim, direct = initial_dictionary(e1), dual_dictionary_direct(dual_lp(e1))
         read = []
