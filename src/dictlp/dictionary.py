@@ -220,7 +220,7 @@ def pivot(d: Dictionary, enter: int, leave: int) -> Dictionary:
     except ValueError:
         raise PivotError(f"leaving variable {_str(leave)} is not basic") from None
     if d.Q_num[r][s] == 0:
-        raise PivotError(f"zero pivot element at row {r}, column {s}")
+        raise PivotError(f"zero pivot element for entering variable {_str(enter)} and leaving variable {_str(leave)}")
     return _pivot(d, r, s)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from dictlp.cli import random_lp
-from dictlp.dictionary import Dictionary, pivot
+from dictlp.dictionary import Dictionary, initial_dictionary, pivot
 from dictlp.exact import QMatrix
 from dictlp.model import StandardLP
 
@@ -42,6 +42,12 @@ def replaced(d: Dictionary, **changes) -> Dictionary:
 @pytest.fixture
 def e1() -> StandardLP:
     return StandardLP.from_fractions([[4, 2, -2], [-1, -1, -2]], qv([18, -3]), qv([8, 11, -10]))
+
+
+@pytest.fixture
+def e1_second(e1) -> Dictionary:
+    """The worked pivot: x1 enters, x5 leaves."""
+    return pivot(initial_dictionary(e1), 1, 5)
 
 
 @pytest.fixture
@@ -97,6 +103,22 @@ def divided(lp: StandardLP, k) -> StandardLP:
         [x / k[i] for i, x in enumerate(b)],
         [x / k[-1] for x in c],
     )
+
+
+def entry_denominators(lp: StandardLP, denominator) -> StandardLP:
+    """Each entry of A0, then of b, then of c divided by the next ``denominator()``, row by row."""
+    A0, b, c = lp_fractions(lp)
+    over = lambda row: [x / denominator() for x in row]  # noqa: E731
+    return StandardLP.from_fractions([over(row) for row in A0], over(b), over(c))
+
+
+@pytest.fixture(params=[False, True], ids=["integer", "fractional"])
+def eight_by_eight(request) -> StandardLP:
+    """``random_lp(8, 8, 1)``, whose 12,838 bases make the largest walk the tests take, and then with its rows divided."""
+    lp = random_lp(8, 8, 1)
+    lp = divided(lp, [2, 3, 5, 7, 2, 3, 5, 7, 3]) if request.param else lp
+    assert (lp.D > 1) == request.param
+    return lp
 
 
 def dual_feasible_instance(seed: int, bound: int = 5) -> StandardLP:

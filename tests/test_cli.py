@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dictlp import _kernels, duality
+from dictlp import _kernels, duality, render
 from dictlp.cli import main, random_lp
 from dictlp.render import _draw, _patch, _solver_trace_lines, _term_tables, format_dictionary
 from dictlp.dictionary import (
@@ -29,10 +29,25 @@ from dictlp.dictionary import (
     pivot,
 )
 from dictlp.model import StandardLP, parse_lp, serialize_lp
-from dictlp.simplex import Infeasible, PivotRule, PivotStep, SolveTrace, TracePhase, solve
+from dictlp.simplex import Infeasible, PivotRule, PivotStep, SolveTrace, TracePhase, Unbounded, solve
 
-from conftest import DATA, E1_TEXT, divided, klee_minty, qv, random_pivots, replaced, suite_instance, transportation_lp
+from conftest import DATA, E1_TEXT, divided, entry_denominators, klee_minty, qv, random_pivots
+from conftest import replaced, suite_instance, transportation_lp
+from oracle import check_outcome
 from reference import by_value, enumerate_bases, format_dictionary_by_fractions, lp_fractions, trace_lines_by_fractions
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from corpus import klee_minty as corpus_klee_minty  # noqa: E402  # builds inputs only; never imports dictlp
+
+# The environment of a child interpreter that imports this checkout's package.
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
+def run_child(*argv: str, stdin: str | None = None) -> subprocess.CompletedProcess:
+    """``python ARGV...`` in a child interpreter, its output as text."""
+    return subprocess.run([sys.executable, *argv], input=stdin, capture_output=True, text=True, env=CHILD_ENV, timeout=120)
+
 
 PRIMAL_INITIAL = """\
 x4 = 18 - 4x1 - 2x2 + 2x3
@@ -160,14 +175,10 @@ class TestFormatDictionary:
         assert format_dictionary(negative_transpose(d)) == DUAL_SECOND
 
     def test_zero_objective(self):
-        from dictlp.model import StandardLP
-
         lp = StandardLP.from_fractions([[1]], qv([2]), qv([0]))
         assert format_dictionary(initial_dictionary(lp)) == "x2 = 2 - x1\nz = 0"
 
     def test_fractional_coefficients(self):
-        from dictlp.model import StandardLP
-
         lp = StandardLP.from_fractions([[Fraction(1, 2)]], qv([Fraction(-3, 2)]), qv([Fraction(7, 3)]))
         out = format_dictionary(initial_dictionary(lp))
         assert out == "x2 = -3/2 - 1/2x1\nz = 7/3x1"
@@ -264,12 +275,10 @@ class TestFlippedRendering:
         assert both_views(d) == (format_dictionary(d), dual) == ("z = 2 + 3x1 - x2", dual)
 
     def test_texts_format_each_distinct_numerator_once(self, e1, monkeypatch):
-        import dictlp.render
-
         d = pivot(initial_dictionary(e1), 1, 5)
         calls = []
-        real = dictlp.render.format_rational
-        monkeypatch.setattr(dictlp.render, "format_rational", lambda *a: calls.append(a) or real(*a))
+        real = render.format_rational
+        monkeypatch.setattr(render, "format_rational", lambda *a: calls.append(a) or real(*a))
         tables = {}
         minus, plus = terms = _term_tables(tables, d)
         distinct = {d.z_num, *d.p_num, *d.q_num, *(x for row in d.Q_num for x in row)}
@@ -286,8 +295,6 @@ class TestFlippedRendering:
         # step to step. The term tables live for the whole trace, so a
         # (numerator, D) pair seen at an earlier step is looked up, not
         # formatted again.
-        import dictlp.render
-
         path = DATA / "beale.lp"
         _, trace = solve(parse_lp(path.read_text(encoding="utf-8")), PivotRule(rule))
         numerators = [
@@ -298,8 +305,8 @@ class TestFlippedRendering:
         pairs = {(x, D) for values, D in numerators for x in values}
         assert sum(len(values) for values, _ in numerators) > len(pairs)  # numerators repeat across steps
         calls = []
-        real = dictlp.render.format_rational
-        monkeypatch.setattr(dictlp.render, "format_rational", lambda *a: calls.append(a) or real(*a))
+        real = render.format_rational
+        monkeypatch.setattr(render, "format_rational", lambda *a: calls.append(a) or real(*a))
         code, out = run_main(["trace", str(path), "--dual-view", "--rule", rule])
         assert code == 0
         assert out == "\n".join(trace_lines_by_fractions(trace, True)) + "\n"
@@ -319,6 +326,64 @@ class TestFlippedRendering:
         assert format_dictionary(negative_transpose(d)) == dual
         assert main(["trace", write_lp(tmp_path, serialize_lp(lp)), "--pivot", "1,3", "--dual-view"]) == 0
         assert capsys.readouterr().out.endswith(f"dual:\npivot: enter y3, leave y1\n{dual}\n")
+
+
+def dual_side(trace: SolveTrace) -> SolveTrace:
+    """``trace`` with each dictionary negatively transposed: a pivot (enter e, leave l) of d is (enter l, leave e) there."""
+
+    def flipped(phase: TracePhase) -> TracePhase:
+        steps = tuple(PivotStep(s.leave, s.enter, negative_transpose(s.dictionary)) for s in phase.steps)
+        return TracePhase(phase.name, negative_transpose(phase.start), steps)
+
+    return SolveTrace(tuple(map(flipped, trace.phases)))
+
+
+def assert_both_sides_render(trace: SolveTrace, monkeypatch) -> None:
+    """``trace`` and its dual side print in both views what the ``Fraction`` renderer prints.
+
+    One pivot line per pivot and section names the letter of the lines below
+    it, and only phase starts are drawn whole: each step is one pivot on.
+    """
+    whole = []
+    patch = render._patch
+
+    def counted(last, d):
+        got = patch(last, d)
+        whole.append(got is None)
+        return got
+
+    monkeypatch.setattr(render, "_patch", counted)
+    for t in (trace, dual_side(trace)):
+        whole.clear()
+        for dual_view in (False, True):
+            lines = _solver_trace_lines(t, dual_view)
+            assert lines == trace_lines_by_fractions(t, dual_view)
+            pivots = [(line, below) for line, below in zip(lines, lines[1:]) if line.startswith("pivot:")]
+            assert len(pivots) == (1 + dual_view) * t.pivot_count
+            for line, below in pivots:
+                assert set(re.findall(r"([xy])\d+", line)) == {below[0]}, (line, below)
+        assert sum(whole) == 2 * len(t.phases)
+
+
+def traces_at_size() -> list:
+    """(lp, rule) at sizes the 5x5 properties never reach, all drawn in this order from one ``random.Random(1)``.
+
+    Klee-Minty d = 8 as the benchmark's corpus builds it for each rule, then
+    10x10 random LPs on three kinds of data under both rules.
+    """
+    rng = random.Random(1)
+    cases = []
+    for rule in ("bland", "dantzig"):
+        km = corpus_klee_minty(8, rng, rule)
+        lp = StandardLP.from_fractions([list(row) for row in km.A], list(km.b), list(km.c))
+        cases.append(pytest.param(lp, rule, id=f"{km.key}-{rule}"))
+    for seed in range(1, 6):
+        lp = random_lp(10, 10, seed)
+        kinds = {"integer": lp, "row-divided": divided(lp, [rng.randint(1, 6) for _ in range(11)])}
+        kinds["entry-denominators"] = entry_denominators(lp, lambda: rng.randint(1, 6))
+        for kind, data in kinds.items():
+            cases += [pytest.param(data, rule, id=f"10x10-seed{seed}-{kind}-{rule}") for rule in ("bland", "dantzig")]
+    return cases
 
 
 class TestTraceRendering:
@@ -383,33 +448,20 @@ class TestTraceRendering:
         for dual_view in (False, True):
             assert _solver_trace_lines(trace, dual_view) == trace_lines_by_fractions(trace, dual_view)
 
-    def test_each_pivot_line_names_the_variables_of_its_section(self, e1):
-        # The dual-side trace is built as the CI render step builds it: each
-        # phase start and step negatively transposed, enter and leave swapped.
-        # Its own sections name y and its "dual:" sections x, and so must
-        # their pivot lines, as on e1's first phase-2 step.
+    def test_each_pivot_line_names_the_variables_of_its_section(self, e1, monkeypatch):
+        # On the dual side the trace's own sections name y and its "dual:"
+        # sections x, and so must their pivot lines, as on e1's first
+        # phase-2 step.
         _, trace = solve(e1, PivotRule.BLAND)
-        dual_side = SolveTrace(
-            tuple(
-                TracePhase(
-                    phase.name,
-                    negative_transpose(phase.start),
-                    tuple(PivotStep(s.leave, s.enter, negative_transpose(s.dictionary)) for s in phase.steps),
-                )
-                for phase in trace.phases
-            )
-        )
-        text = "\n".join(_solver_trace_lines(dual_side, True))
+        text = "\n".join(_solver_trace_lines(dual_side(trace), True))
         assert "\npivot: enter y3, leave y1\ny3 = 26 - 10y4 + 2y1\n" in text
         assert "\ndual:\npivot: enter x1, leave x3\nx4 = 6 + 10x3 + 2x2 - 4x5\nx1 = 3 - 2x3 - x2 + x5\n" in text
-        for t in (trace, dual_side):
-            for dual_view in (False, True):
-                lines = _solver_trace_lines(t, dual_view)
-                assert lines == trace_lines_by_fractions(t, dual_view)
-                pivots = [(line, below) for line, below in zip(lines, lines[1:]) if line.startswith("pivot:")]
-                assert len(pivots) == (1 + dual_view) * t.pivot_count
-                for line, below in pivots:
-                    assert set(re.findall(r"([xy])\d+", line)) == {below[0]}, (line, below)
+        assert_both_sides_render(trace, monkeypatch)
+
+    @pytest.mark.parametrize("lp, rule", traces_at_size())
+    def test_traces_at_size(self, lp, rule, monkeypatch):
+        _, trace = solve(lp, rule)
+        assert_both_sides_render(trace, monkeypatch)
 
 
 class TestCarriedLines:
@@ -513,12 +565,7 @@ class TestPatchedSteps:
         if data_kind == "row-divided":
             lp = divided(lp, data.draw(st.lists(st.integers(1, 6), min_size=m + 1, max_size=m + 1)))
         elif data_kind == "entry denominators":
-            A0, b, c = lp_fractions(lp)
-
-            def over(row):
-                return [x / data.draw(st.integers(1, 6)) for x in row]
-
-            lp = StandardLP.from_fractions([over(row) for row in A0], over(b), over(c))
+            lp = entry_denominators(lp, lambda: data.draw(st.integers(1, 6)))
         _, trace = solve(lp, rule)
         for dual_view in (False, True):
             assert _solver_trace_lines(trace, dual_view) == trace_lines_by_fractions(trace, dual_view)
@@ -605,18 +652,16 @@ class TestOnePassDrawing:
     @pytest.mark.parametrize("dual_view", [False, True])
     @pytest.mark.parametrize("rule", ["bland", "dantzig"])
     def test_each_step_is_drawn_once_in_either_view(self, dual_view, rule, monkeypatch):
-        import dictlp.render
-
         lp = parse_lp((DATA / "beale.lp").read_text(encoding="utf-8"))
         _, trace = solve(lp, PivotRule(rule))
         calls = []
-        real = dictlp.render._draw
+        real = render._draw
 
         def counted(d, tables, dual, view, patch=None):
             calls.append(dual)
             return real(d, tables, dual, view, patch)
 
-        monkeypatch.setattr(dictlp.render, "_draw", counted)
+        monkeypatch.setattr(render, "_draw", counted)
         assert _solver_trace_lines(trace, dual_view) == trace_lines_by_fractions(trace, dual_view)
         assert calls == [dual_view] * sum(1 + len(phase.steps) for phase in trace.phases)
         assert len(calls) > 6
@@ -631,9 +676,6 @@ class TestSolveCommand:
         assert lines["outcome"] == "unbounded"
         ray = [Fraction(tok) for tok in lines["ray"].split()]
         point = [Fraction(tok) for tok in lines["point"].split()]
-        from oracle import check_outcome
-        from dictlp.simplex import Unbounded
-
         check_outcome(parse_lp(E1_TEXT), Unbounded(point=qv(point), ray=qv(ray)))
 
     def test_infeasible(self, tmp_path, capsys):
@@ -797,6 +839,10 @@ class TestTraceCommand:
         assert main(["trace", e1_file, "--pivot", "4,5"]) == 1
         assert "not nonbasic" in capsys.readouterr().err
 
+    def test_zero_pivot_element_names_the_variables(self, tmp_path, capsys):
+        assert main(["trace", write_lp(tmp_path, "lp v1\n1 1\n0\n0 0\n"), "--pivot", "1,2"]) == 1
+        assert capsys.readouterr().err == "error: zero pivot element for entering variable 1 and leaving variable 2\n"
+
 
 class TestDualCommand:
     def test_e1(self, e1_file, capsys):
@@ -850,6 +896,36 @@ class TestVerifyCommand:
         assert code == 0
         assert re.search(r"verified (\d+)/\1 bases", out)
 
+    def test_an_8x8_instance_passes_in_bounded_memory(self, tmp_path, eight_by_eight):
+        # 12,838 bases in a fresh process. The walk's stack holds the unexpanded
+        # children of one search-tree path, not one entry per basis: the whole
+        # process peaks at about 20 MB on either data kind (Python 3.11, Linux
+        # x86-64), against 108 MB for a walk that keeps a visited set.
+        verify = [sys.executable, "-m", "dictlp.cli", "verify", write_lp(tmp_path, serialize_lp(eight_by_eight))]
+        proc = run_child(str(ROOT / "tests" / "peak_rss.py"), *verify)
+        assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "verified 12838/12838 bases")
+        rss = re.fullmatch(r"max RSS KiB = (\d+)\n", proc.stderr)
+        assert rss and int(rss[1]) <= 48 * 1024
+
+    @staticmethod
+    def failing_verify(path: str, capsys) -> list[str]:
+        """The output lines of a ``verify`` of ``path`` that exits 4 with no error line."""
+        code = main(["verify", path])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (4, "")
+        return captured.out.splitlines()
+
+    @staticmethod
+    def fail_dual_pivot_onto(dual_basis: list[int], monkeypatch) -> None:
+        """Make the walk's dual pivot onto ``dual_basis`` (sorted) fail."""
+        real_pivot = duality.pivot
+
+        def broken(d, enter, leave):
+            if d.side == "dual" and sorted(set(d.basis) - {leave} | {enter}) == dual_basis:
+                raise PivotError(f"zero pivot element for entering variable {enter}")
+            return real_pivot(d, enter, leave)
+
+        monkeypatch.setattr(duality, "pivot", broken)
 
     def test_corrupted_dictionary_fails_its_basis(self, e1_file, capsys, monkeypatch):
         # The corruption goes into the per-basis check, not into the walk's
@@ -879,19 +955,8 @@ class TestVerifyCommand:
     def test_broken_lockstep_fails_its_basis(self, e1_file, capsys, monkeypatch):
         # The dual pivot that should follow the primal one onto basis 1,4
         # (dual basic set N = 2,3,5) fails: that basis has no dual to compare.
-        real_pivot = duality.pivot
-
-        def broken(d, enter, leave):
-            if d.side == "dual" and sorted(set(d.basis) - {leave} | {enter}) == [2, 3, 5]:
-                raise PivotError(f"zero pivot element for entering variable {enter}")
-            return real_pivot(d, enter, leave)
-
-        monkeypatch.setattr(duality, "pivot", broken)
-        code = main(["verify", e1_file])
-        captured = capsys.readouterr()
-        out = captured.out.splitlines()
-        assert code == 4
-        assert captured.err == ""
+        self.fail_dual_pivot_onto([2, 3, 5], monkeypatch)
+        out = self.failing_verify(e1_file, capsys)
         assert out[2] == "basis 1,4: FAIL (negative transpose differs from direct dual dictionary on N=(2, 3, 5))"
         assert sum(": pass" in line for line in out) == 9
         assert out[-1] == "verified 9/10 bases"
@@ -905,19 +970,8 @@ class TestVerifyCommand:
         steps = list(duality.walk_bases(initial_dictionary(lp)))
         parents = [sorted(parent.basis) for _, _, (parent, _, _) in steps[1:]]
         assert parents.count([1, 5, 6]) == 6
-        real_pivot = duality.pivot
-
-        def broken(d, enter, leave):
-            if d.side == "dual" and sorted(set(d.basis) - {leave} | {enter}) == [2, 3, 4, 7]:
-                raise PivotError(f"zero pivot element for entering variable {enter}")
-            return real_pivot(d, enter, leave)
-
-        monkeypatch.setattr(duality, "pivot", broken)
-        code = main(["verify", write_lp(tmp_path, serialize_lp(lp))])
-        captured = capsys.readouterr()
-        out = captured.out.splitlines()
-        assert code == 4
-        assert captured.err == ""
+        self.fail_dual_pivot_onto([2, 3, 4, 7], monkeypatch)
+        out = self.failing_verify(write_lp(tmp_path, serialize_lp(lp)), capsys)
         assert [line for line in out if ": pass" not in line][:-1] == [
             "basis 1,5,6: FAIL (negative transpose differs from direct dual dictionary on N=(2, 3, 4, 7))"
         ]
@@ -926,23 +980,12 @@ class TestVerifyCommand:
     def test_failed_dual_rebuild_fails_the_children_too(self, e1_file, capsys, monkeypatch):
         # When the dual pivot onto basis 1,4 fails and so does the rebuild of
         # its children's duals (1,2 and 1,3), all three print FAIL lines.
-        real_pivot = duality.pivot
-
-        def broken(d, enter, leave):
-            if d.side == "dual" and sorted(set(d.basis) - {leave} | {enter}) == [2, 3, 5]:
-                raise PivotError(f"zero pivot element for entering variable {enter}")
-            return real_pivot(d, enter, leave)
-
         def no_rebuild(start, basis):
             raise NotABasisError(f"columns of basis {basis} are linearly dependent")
 
-        monkeypatch.setattr(duality, "pivot", broken)
+        self.fail_dual_pivot_onto([2, 3, 5], monkeypatch)
         monkeypatch.setattr(duality, "dictionary_from_basis", no_rebuild)
-        code = main(["verify", e1_file])
-        captured = capsys.readouterr()
-        out = captured.out.splitlines()
-        assert code == 4
-        assert captured.err == ""
+        out = self.failing_verify(e1_file, capsys)
         assert [line.split(":")[0] for line in out if "FAIL" in line] == ["basis 1,2", "basis 1,3", "basis 1,4"]
         assert out[-1] == "verified 7/10 bases"
 
@@ -1048,16 +1091,7 @@ class TestHugeNumbers:
             ]
             print("\\n---\\n".join(texts))
         """
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-X", "int_max_str_digits=640", "-c", script],
-            input=self.BIG,
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
+        proc = run_child("-X", "int_max_str_digits=640", "-c", script, stdin=self.BIG)
         assert proc.stderr == ""
         big = self.BIG
         assert proc.stdout.split("\n---\n") == [
@@ -1073,17 +1107,9 @@ class TestHugeNumbers:
         # Flag values of 5,000 digits, in a fresh interpreter at the lowest
         # limit: each command ends in its result or in one error line.
         big = "7" * 5000
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
         def run(*argv):
-            proc = subprocess.run(
-                [sys.executable, "-X", "int_max_str_digits=640", "-m", "dictlp.cli", *argv],
-                capture_output=True,
-                text=True,
-                env=env,
-                timeout=120,
-            )
+            proc = run_child("-X", "int_max_str_digits=640", "-m", "dictlp.cli", *argv)
             return proc.returncode, proc.stdout, proc.stderr
 
         code, out, err = run("verify", e1_file, "--limit", big)
@@ -1217,14 +1243,12 @@ class TestClosedStdout:
         # About 84 KB of output: more than a pipe holds, so the CLI is still
         # writing when the reader goes away.
         path = write_lp(tmp_path, serialize_lp(random_lp(15, 15, seed=3)))
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.Popen(
             [sys.executable, "-m", "dictlp.cli", "trace", path, "--dual-view"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             bufsize=0,
-            env=env,
+            env=CHILD_ENV,
         )
         try:
             first = proc.stdout.readline()

@@ -50,12 +50,6 @@ def e1_initial(e1):
     return initial_dictionary(e1)
 
 
-@pytest.fixture
-def e1_second(e1):
-    # the worked pivot: x1 enters, x5 leaves
-    return pivot(initial_dictionary(e1), 1, 5)
-
-
 class TestFromBasis:
     def test_slack_basis_is_initial(self, e1, e1_initial):
         assert dictionary_from_basis(initial_dictionary(e1), (4, 5)) == e1_initial

@@ -792,6 +792,13 @@ class TestLockstepEquality:
                 if d is dual and bad != dual:
                     assert not self.matches(*pair), name
 
+    def test_the_check_and_the_built_transpose_accept_every_pair_of_an_8x8_walk(self, eight_by_eight):
+        # The fractional walk pivots in reduced form, so every pair is
+        # compared on gcd-reduced numerators at scale.
+        walk = walk_bases(initial_dictionary(eight_by_eight), dual_dictionary_direct(dual_lp(eight_by_eight)))
+        agree = [self.matches(prim, dual) and dual == negative_transpose(prim) for prim, dual, _ in walk]
+        assert agree.count(True) == len(agree) == 12_838
+
     def test_an_empty_basis_transposes_to_empty_rows(self):
         # No basic variable: the transpose has n rows of length 0, not none.
         d = Dictionary.from_fractions("primal", (), (1, 2), [], [], [3, -1], 2)

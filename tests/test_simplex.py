@@ -21,7 +21,7 @@ from dictlp.dictionary import (
 )
 from dictlp import simplex
 from dictlp.cli import random_lp
-from dictlp.model import StandardLP, parse_lp
+from dictlp.model import StandardLP, dual_lp, parse_lp
 from dictlp.render import _solver_trace_lines
 from dictlp.simplex import (
     CertificateError,
@@ -35,7 +35,7 @@ from dictlp.simplex import (
 )
 
 import reference
-from conftest import DATA, divided, dual_feasible_instance, fr, klee_minty, qv, suite_instance
+from conftest import DATA, divided, dual_feasible_instance, entry_denominators, fr, klee_minty, qv, suite_instance
 from oracle import check_outcome, oracle_solve, outcome_kind
 from reference import (
     as_primal,
@@ -47,11 +47,6 @@ from reference import (
     ratio_test,
     simplex_by_reference,
 )
-
-
-@pytest.fixture
-def e1_second(e1):
-    return pivot(initial_dictionary(e1), 1, 5)
 
 
 def tiny(a0, b, c) -> StandardLP:
@@ -629,9 +624,7 @@ def replay_instance(m: int, n: int, seed: int, bound: int, kind: str) -> Standar
     if kind == "row-divided":
         return divided(lp, [rng.randint(1, 6) for _ in range(m + 1)])
     if kind == "entry denominators":
-        A0, b, c = lp_fractions(lp)
-        over = lambda row: [x / rng.randint(1, 6) for x in row]  # noqa: E731
-        return StandardLP.from_fractions([over(row) for row in A0], over(b), over(c))
+        return entry_denominators(lp, lambda: rng.randint(1, 6))
     return lp
 
 
@@ -705,6 +698,56 @@ class TestReplayedPath:
             with pytest.raises(IndexError):
                 phase.steps[15]
         assert pivots == 36
+
+
+class TestDualPairing:
+    """``solve(lp)`` against ``solve(dual_lp(lp))``: weak and strong duality (Chvatal 1983, ch. 5).
+
+    The primal's ray is a Farkas vector of the dual, and its Farkas vector a
+    ray of the dual, each checked on the dual's slack dictionary.
+    """
+
+    @staticmethod
+    def pair(lp: StandardLP, rule: PivotRule) -> tuple[str, str]:
+        dual = dual_lp(lp)
+        (outcome, _), (dual_outcome, _) = solve(lp, rule), solve(dual, rule)
+        if isinstance(outcome, Optimal):
+            assert isinstance(dual_outcome, Optimal) and dual_outcome.value == -outcome.value
+        elif isinstance(outcome, Unbounded):
+            assert isinstance(dual_outcome, Infeasible)
+            simplex.check_outcome(initial_dictionary(dual), Infeasible(farkas=outcome.ray))
+        elif isinstance(dual_outcome, Unbounded):
+            simplex.check_outcome(initial_dictionary(dual), Unbounded(point=dual_outcome.point, ray=outcome.farkas))
+        else:
+            assert isinstance(dual_outcome, Infeasible)
+        return outcome_kind(outcome), outcome_kind(dual_outcome)
+
+    @given(
+        m=st.integers(1, 8),
+        n=st.integers(1, 8),
+        seed=st.integers(0, 10_000),
+        bound=st.sampled_from([1, 5, 10]),
+        kind=st.sampled_from(REPLAY_KINDS),
+        rule=st.sampled_from(list(PivotRule)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_the_dual_lp_takes_the_paired_outcome(self, m, n, seed, bound, kind, rule):
+        self.pair(replay_instance(m, n, seed, bound, kind), rule)
+
+    @pytest.mark.parametrize("rule", list(PivotRule))
+    def test_an_infeasible_lp_whose_dual_is_infeasible(self, rule):
+        lp = parse_lp("lp v1\n2 2\n2 -1\n1 -1 1\n-1 1 -2\n")
+        assert self.pair(lp, rule) == ("infeasible", "infeasible")
+
+    @pytest.mark.parametrize("k", [30, 40, 50])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_at_size(self, k, seed):
+        # Sizes the brute-force oracle cannot reach. Each instance as drawn is
+        # infeasible; with b replaced by |b| each takes 27-89 pivots to optimal.
+        lp = random_lp(k, k, seed)
+        A0, b, c = lp_fractions(lp)
+        assert self.pair(lp, PivotRule.DANTZIG) == ("infeasible", "unbounded")
+        assert self.pair(StandardLP.from_fractions(A0, [abs(x) for x in b], c), PivotRule.DANTZIG) == ("optimal", "optimal")
 
 
 def beale_lp() -> StandardLP:
