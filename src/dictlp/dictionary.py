@@ -76,10 +76,12 @@ class Dictionary:
     is set where a chain starts (``initial_dictionary``,
     ``from_fractions``), inherited by every operation, and left out of
     equality. The fields are the library's working form and are not
-    checked: ``from_fractions`` validates its input, and the other
-    constructors (this module's operations, ``simplex._priced``,
-    ``duality.dual_dictionary_direct``) keep the partition, the shapes and
-    the form of a dictionary they are given.
+    checked: ``from_fractions`` validates its input, the slack
+    dictionaries (``initial_dictionary`` of an instance,
+    ``duality.dual_dictionary_direct`` of its dual LP) hold the instance's
+    numerators, and the other constructors (this module's operations,
+    ``simplex._priced``) keep the partition, the shapes and the form of a
+    dictionary they are given.
     """
 
     side: Side
@@ -199,9 +201,14 @@ def dictionary_from_basis(start: Dictionary, basis: tuple[int, ...] | list[int])
     return _arrange(d, B, tuple(v for v in range(1, total + 1) if v not in members))
 
 
+def _label(v: int) -> str:
+    """A variable label as a refusal names it: its digits for an ``int`` of any length, else its ``repr``."""
+    return _str(v) if type(v) is int else repr(v)
+
+
 def _indices(B: tuple[int, ...]) -> str:
-    """``str(B)`` for indices of any length, and ``repr`` for members that are not ``int``."""
-    return f"({', '.join(_str(v) if type(v) is int else repr(v) for v in B)}{',' if len(B) == 1 else ''})"
+    """``str(B)`` for indices of any length, each member named by ``_label``."""
+    return f"({', '.join(map(_label, B))}{',' if len(B) == 1 else ''})"
 
 
 def pivot(d: Dictionary, enter: int, leave: int) -> Dictionary:
@@ -214,13 +221,13 @@ def pivot(d: Dictionary, enter: int, leave: int) -> Dictionary:
     try:
         s = d.nonbasis.index(enter)
     except ValueError:
-        raise PivotError(f"entering variable {_str(enter)} is not nonbasic") from None
+        raise PivotError(f"entering variable {_label(enter)} is not nonbasic") from None
     try:
         r = d.basis.index(leave)
     except ValueError:
-        raise PivotError(f"leaving variable {_str(leave)} is not basic") from None
+        raise PivotError(f"leaving variable {_label(leave)} is not basic") from None
     if d.Q_num[r][s] == 0:
-        raise PivotError(f"zero pivot element for entering variable {_str(enter)} and leaving variable {_str(leave)}")
+        raise PivotError(f"zero pivot element for entering variable {_label(enter)} and leaving variable {_label(leave)}")
     return _pivot(d, r, s)
 
 

@@ -103,22 +103,20 @@ def _scaled_rows(d: Dictionary) -> list[list[int]]:
     return rows
 
 
-def dual_dictionary_direct(dual: StandardLP) -> Dictionary:
-    """The dual LP's slack dictionary under y-indices, on the dual side.
+def dual_dictionary_direct(lp: StandardLP) -> Dictionary:
+    """The slack dictionary of ``dual_lp(lp)`` under y-indices, on the dual side.
 
-    ``dual`` is ``dual_lp(lp)``, with n rows and m columns. Its slacks
-    (columns m+1..m+n) are named y1..yn and its decisions (columns 1..m)
-    y(n+1)..y(n+m), so y_j pairs with x_j. Pivots from this dictionary
-    (``dictionary_from_basis``, or the lockstep of ``walk_bases``) build the
-    dual dictionary for any basic set from the dual LP itself, no transpose
-    involved.
+    The dual LP has n rows and m columns. Its slacks (columns m+1..m+n) are
+    named y1..yn and its decisions (columns 1..m) y(n+1)..y(n+m), so y_j
+    pairs with x_j. Pivots from this dictionary (``dictionary_from_basis``,
+    or the lockstep of ``walk_bases``) build the dual dictionary for any
+    basic set from the dual LP itself, no transpose involved.
     """
-    d = initial_dictionary(dual)
     return replace(
-        d,
+        initial_dictionary(dual_lp(lp)),
         side="dual",
-        basis=tuple(range(1, dual.m + 1)),
-        nonbasis=tuple(range(dual.m + 1, dual.m + dual.n + 1)),
+        basis=tuple(range(1, lp.n + 1)),
+        nonbasis=tuple(range(lp.n + 1, lp.n + lp.m + 1)),
     )
 
 
@@ -290,7 +288,7 @@ def verify_bases(lp: StandardLP, limit: int = 100_000) -> list[BijectionReport]:
     rows = _scaled_rows(start)
     failed: set[tuple[int, ...]] = set()  # the bases whose row-space test failed
     reports = []
-    for prim, dual, edge in walk_bases(start, dual_dictionary_direct(dual_lp(lp))):
+    for prim, dual, edge in walk_bases(start, dual_dictionary_direct(lp)):
         if edge is None or failed and edge[0].basis in failed:
             rs_ok = _spans(rows, prim)
         else:

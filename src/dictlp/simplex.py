@@ -4,7 +4,8 @@ Both methods run on ``Dictionary`` values and return exact certificates:
 
 * Optimal(point, value) -- point feasible, objective equals value exactly;
 * Unbounded(point, ray) -- feasible point plus an improving recession ray;
-* Infeasible(farkas)    -- u >= 0 with u.A0 >= 0 and u.b < 0.
+* Infeasible(farkas)    -- an improving ray u of the dual LP: u >= 0,
+                           u.A0 >= 0 and u.b < 0.
 
 The simplex loop is written once (``_simplex``). Dual simplex is that
 primal loop run on the negative transpose of the dictionary, read in place
@@ -16,11 +17,12 @@ and pivots at those positions. One reader (``_ray``) gives both rays: the
 unbounded ray, and the Farkas vector, which is the slack part of the dual's
 unbounded ray.
 
-``solve`` re-checks its certificate against the instance's slack dictionary
-(``check_outcome``) before it returns, and raises ``CertificateError`` if it
-does not hold. Its trace holds every dictionary of the path, or with
-``keep=False`` only each phase's start and the positions of its pivots
-(``_Replay``), which pivot again when the steps are read.
+``solve`` re-checks its certificate against the instance (``check_outcome``,
+one improving-ray test for the ray on the LP and the Farkas vector on its
+dual) before it returns, and raises ``CertificateError`` if it does not
+hold. Its trace holds every dictionary of the path, or with ``keep=False``
+only each phase's start and the positions of its pivots (``_Replay``),
+which pivot again when the steps are read.
 
 The default rule is Bland's (termination guaranteed); Dantzig's largest-
 coefficient rule is opt-in, with ties always broken toward the smallest
@@ -46,7 +48,7 @@ from typing import Iterator, Sequence
 from dictlp import _kernels
 from dictlp.exact import _rationals_text, common_denominator
 from dictlp.dictionary import Dictionary, _pivot, initial_dictionary, is_dual_feasible, is_primal_feasible
-from dictlp.model import StandardLP
+from dictlp.model import StandardLP, dual_lp
 
 
 class PivotRule(Enum):
@@ -295,17 +297,16 @@ def solve(
     phase; else it starts from the slack dictionary priced with the
     all-(-1) objective (dual feasible by construction), and phase 2 prices
     phase 1's final dictionary with the true objective and finishes with
-    primal simplex. The outcome passes ``check_outcome`` against the slack
-    dictionary before it is returned.
+    primal simplex. The outcome passes ``check_outcome`` against ``lp``
+    before it is returned.
 
     With ``keep`` (the default) the trace holds every dictionary of the
     path. Without it, each phase keeps its start and the positions of its
     pivots, and reading its steps pivots again from the start: the same
     steps, equal by value, in memory that does not grow with the path.
     """
-    d0 = initial_dictionary(lp)
-    outcome, trace = _two_phase(d0, rule, keep)
-    check_outcome(d0, outcome)
+    outcome, trace = _two_phase(initial_dictionary(lp), rule, keep)
+    check_outcome(lp, outcome)
     return outcome, trace
 
 
@@ -373,48 +374,46 @@ def _primal_outcome(final: Dictionary, enter: int | None, n: int) -> SolveOutcom
     return Unbounded(point=tuple(point), ray=_ray(final, enter, False, range(1, n + 1)))
 
 
-def check_outcome(start: Dictionary, outcome: SolveOutcome) -> None:
-    """Raise ``CertificateError`` unless the outcome's certificate holds for the instance.
+def check_outcome(lp: StandardLP, outcome: SolveOutcome) -> None:
+    """Raise ``CertificateError`` unless the outcome's certificate holds for ``lp``.
 
-    ``start`` is the instance's slack dictionary (``initial_dictionary``),
-    whose numerators over its D are A0, b and c. Optimal: the point is
-    feasible (x >= 0, A0 x <= b) and c.x equals the value. Unbounded: the
-    point is feasible, ray >= 0, A0 ray <= 0 and c.ray > 0. Infeasible:
-    u >= 0, u.A0 >= 0 and u.b < 0. O(mn) substitution in integers, each
-    certificate vector over the lcm of its own denominators.
+    Optimal: the point is feasible (x >= 0, A0 x <= b) and c.x equals the
+    value. Unbounded: the point is feasible and the ray is an improving ray
+    of ``lp``. Infeasible: the Farkas vector is an improving ray of
+    ``dual_lp(lp)``, whose -A0^T u <= 0 and -b.u > 0 read u.A0 >= 0 and
+    u.b < 0. O(mn) substitution in integers, each certificate vector over
+    the lcm of its own denominators.
     """
-    A, b, c = start.Q_num, start.p_num, start.q_num
     if isinstance(outcome, Infeasible):
-        _, (u,) = common_denominator([outcome.farkas])
-        if not (
-            len(u) == start.m
-            and all(x >= 0 for x in u)
-            and all(_dot(u, col) >= 0 for col in zip(*A))
-            and _dot(u, b) < 0
-        ):
+        if not _is_improving_ray(dual_lp(lp), outcome.farkas):
             farkas = _rationals_text(outcome.farkas)
             raise CertificateError(f"farkas vector fails u >= 0, u.A0 >= 0, u.b < 0: {farkas}")
         return
     L, (x,) = common_denominator([outcome.point])
     if not (
-        len(x) == start.n
+        len(x) == lp.n
         and all(v >= 0 for v in x)
-        and all(_dot(row, x) <= b_i * L for row, b_i in zip(A, b))
+        and all(_dot(row, x) <= b_i * L for row, b_i in zip(lp.A0_num, lp.b_num))
     ):
         raise CertificateError(f"point is not feasible: {_rationals_text(outcome.point)}")
     if isinstance(outcome, Optimal):
         value = outcome.value
-        if _dot(c, x) * value.denominator != value.numerator * start.D * L:
+        if _dot(lp.c_num, x) * value.denominator != value.numerator * lp.D * L:
             raise CertificateError(f"objective at the point is not {_rationals_text([value])}")
         return
-    _, (ray,) = common_denominator([outcome.ray])
-    if not (
-        len(ray) == start.n
-        and all(v >= 0 for v in ray)
-        and all(_dot(row, ray) <= 0 for row in A)
-        and _dot(c, ray) > 0
-    ):
+    if not _is_improving_ray(lp, outcome.ray):
         raise CertificateError(f"ray fails ray >= 0, A0.ray <= 0, c.ray > 0: {_rationals_text(outcome.ray)}")
+
+
+def _is_improving_ray(lp: StandardLP, ray: Sequence[Fraction]) -> bool:
+    """Whether ``ray`` has length n, ray >= 0, A0 ray <= 0 and c.ray > 0, over the lcm of its denominators."""
+    _, (v,) = common_denominator([ray])
+    return (
+        len(v) == lp.n
+        and all(x >= 0 for x in v)
+        and all(_dot(row, v) <= 0 for row in lp.A0_num)
+        and _dot(lp.c_num, v) > 0
+    )
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:

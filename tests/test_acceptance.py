@@ -23,7 +23,7 @@ from dictlp.duality import (
     dual_dictionary_direct,
     verify_bases,
 )
-from dictlp.model import dual_lp, parse_lp
+from dictlp.model import parse_lp
 from dictlp.simplex import PivotRule, Unbounded, dual_simplex, primal_simplex, solve
 
 from conftest import E1_TEXT, dual_feasible_instance, suite_instance
@@ -160,7 +160,7 @@ def test_criterion_4_orthogonal_subspace_properties():
             for basis in enumerate_bases(lp):
                 prim = dictionary_from_basis(initial_dictionary(lp), basis)
                 assert in_kernel(r, kernel_embedding(prim))
-                dual = dictionary_from_basis(dual_dictionary_direct(dual_lp(lp)), prim.nonbasis)
+                dual = dictionary_from_basis(dual_dictionary_direct(lp), prim.nonbasis)
                 assert rowspace_contains(r, rowspace_embedding(dual))
 
 

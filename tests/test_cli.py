@@ -49,6 +49,14 @@ def run_child(*argv: str, stdin: str | None = None) -> subprocess.CompletedProce
     return subprocess.run([sys.executable, *argv], input=stdin, capture_output=True, text=True, env=CHILD_ENV, timeout=120)
 
 
+def test_the_suite_and_its_children_run_at_the_lowest_digit_limit():
+    # conftest.py sets both; without it no tier-1 test would catch a library
+    # path that needs a lifted limit.
+    assert CHILD_ENV["PYTHONINTMAXSTRDIGITS"] == "640"
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert sys.get_int_max_str_digits() == 640
+
+
 PRIMAL_INITIAL = """\
 x4 = 18 - 4x1 - 2x2 + 2x3
 x5 = -3 + x1 + x2 + 2x3

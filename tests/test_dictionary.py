@@ -147,6 +147,21 @@ class TestPivot:
         with pytest.raises(PivotError):
             pivot(e1_initial, 1, 2)
 
+    @pytest.mark.parametrize(
+        "enter,leave,message",
+        [
+            ("1", 5, "entering variable '1' is not nonbasic"),
+            (None, 5, "entering variable None is not nonbasic"),
+            (1, "5", "leaving variable '5' is not basic"),
+            (1, None, "leaving variable None is not basic"),
+        ],
+    )
+    def test_labels_that_are_not_int_are_named_by_repr(self, e1_initial, enter, leave, message):
+        # As dictionary_from_basis names them: "1" and None are no variable's label.
+        with pytest.raises(PivotError) as exc:
+            pivot(e1_initial, enter, leave)
+        assert str(exc.value) == message
+
     def test_zero_pivot_element(self):
         lp = StandardLP.from_fractions([[0, 1]], qv([1]), qv([1, 1]))
         with pytest.raises(PivotError, match="zero pivot element"):

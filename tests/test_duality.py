@@ -32,7 +32,7 @@ from dictlp.duality import (
     verify_bases,
     walk_bases,
 )
-from dictlp.model import StandardLP, dual_lp
+from dictlp.model import StandardLP
 
 from conftest import divided, objective_at, qrows, qv, random_pivots, replaced, suite_instance
 from oracle import basic_points
@@ -294,19 +294,19 @@ class TestAnyStart:
 
 class TestDualDictionaryDirect:
     def test_initial(self, e1):
-        got = dictionary_from_basis(dual_dictionary_direct(dual_lp(e1)), (1, 2, 3))
+        got = dictionary_from_basis(dual_dictionary_direct(e1), (1, 2, 3))
         assert got.side == "dual"
         assert canonical(got) == canonical(INITIAL_DUAL)
 
     def test_second(self, e1):
-        got = dictionary_from_basis(dual_dictionary_direct(dual_lp(e1)), (5, 2, 3))
+        got = dictionary_from_basis(dual_dictionary_direct(e1), (5, 2, 3))
         assert canonical(got) == canonical(SECOND_DUAL)
 
     @given(seed=st.integers(0, 200))
     @settings(max_examples=30, deadline=None)
     def test_succeeds_on_complement_of_any_valid_basis(self, seed):
         lp = suite_instance(seed)
-        dual_start = dual_dictionary_direct(dual_lp(lp))
+        dual_start = dual_dictionary_direct(lp)
         for basis in enumerate_bases(lp):
             prim = dictionary_from_basis(initial_dictionary(lp), basis)
             dual = dictionary_from_basis(dual_start, prim.nonbasis)
@@ -315,7 +315,7 @@ class TestDualDictionaryDirect:
     def test_y_indices_rotate_onto_dual_columns(self, e1):
         # m=2, n=3: the dual slacks y1..y3 are dual columns 3..5 and the dual
         # decisions y4, y5 are columns 1, 2; the result is named by y-index.
-        got = dictionary_from_basis(dual_dictionary_direct(dual_lp(e1)), (3, 4, 5))
+        got = dictionary_from_basis(dual_dictionary_direct(e1), (3, 4, 5))
         assert got.basis == (3, 4, 5)
         assert got.nonbasis == (1, 2)
         assert got == canonical(negative_transpose(dictionary_from_basis(initial_dictionary(e1), (1, 2))))
@@ -341,7 +341,7 @@ class TestDualDictionaryDirect:
                 return [x / data.draw(st.integers(1, 6), label="denominator") for x in row]
 
             lp = StandardLP.from_fractions([over(row) for row in A0], over(b), over(c))
-        direct = dual_dictionary_direct(dual_lp(lp))
+        direct = dual_dictionary_direct(lp)
         assert direct == negative_transpose(initial_dictionary(lp))
         assert (direct.D, direct.det_form) == (lp.D, lp.D == 1)
 
@@ -349,7 +349,7 @@ class TestDualDictionaryDirect:
     @pytest.mark.parametrize("dual_basis", [(0, 1, 2), (6, 4, 5)])
     def test_y_index_out_of_range(self, e1, dual_basis):
         with pytest.raises(NotABasisError):
-            dictionary_from_basis(dual_dictionary_direct(dual_lp(e1)), dual_basis)
+            dictionary_from_basis(dual_dictionary_direct(e1), dual_basis)
 
 
 class TestVerifyBijection:
@@ -544,7 +544,7 @@ class TestWalkBases:
         # Bound-1 instances have many singular subsets.
         lp = suite_instance(seed, bound)
         start = initial_dictionary(lp)
-        dual_start = dual_dictionary_direct(dual_lp(lp))
+        dual_start = dual_dictionary_direct(lp)
         steps = list(walk_bases(start, dual_start))
         walked = [tuple(sorted(prim.basis)) for prim, _, _ in steps]
         assert sorted(walked) == [basis for basis, _ in basic_points(lp)]
@@ -577,7 +577,7 @@ class TestWalkBases:
         lp = suite_instance(seed, bound)
         assert lp.D == 1
         rows = augmented_rows(lp)
-        for prim, dual, _ in walk_bases(initial_dictionary(lp), dual_dictionary_direct(dual_lp(lp))):
+        for prim, dual, _ in walk_bases(initial_dictionary(lp), dual_dictionary_direct(lp)):
             assert prim.det_form and dual.det_form
             assert canonical(dual) == canonical(negative_transpose(prim))
             assert prim.D == dual.D == basis_determinant(rows, prim.basis)
@@ -589,7 +589,7 @@ class TestWalkBases:
         factor = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(lambda k: k.denominator > 1)
         lp = divided(base, [data.draw(factor) for _ in range(base.m + 1)])
         assume(lp.D > 1)  # entries that are all multiples of the numerators stay integers
-        for prim, dual, _ in walk_bases(initial_dictionary(lp), dual_dictionary_direct(dual_lp(lp))):
+        for prim, dual, _ in walk_bases(initial_dictionary(lp), dual_dictionary_direct(lp)):
             assert not prim.det_form and in_lowest_terms(prim)
             assert not dual.det_form and in_lowest_terms(dual)
 
@@ -605,7 +605,7 @@ class TestWalkBases:
         picks = data.draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=3), label="pivots")
         start = random_pivots(initial_dictionary(lp), picks)[-1]
         dual_start = _arrange(
-            dictionary_from_basis(dual_dictionary_direct(dual_lp(lp)), start.nonbasis), start.nonbasis, start.basis
+            dictionary_from_basis(dual_dictionary_direct(lp), start.nonbasis), start.nonbasis, start.basis
         )
         start_basic = set(start.basis)
         depth = {}
@@ -640,7 +640,7 @@ class TestWalkBases:
             return out
 
         monkeypatch.setattr(duality, "pivot", tracked)
-        steps = walk_bases(initial_dictionary(lp), dual_dictionary_direct(dual_lp(lp)))
+        steps = walk_bases(initial_dictionary(lp), dual_dictionary_direct(lp))
         assert sum(1 for _ in steps) == 915
         assert peak <= 2 * (min(lp.m, lp.n) + 1) * lp.m * lp.n
 
@@ -673,7 +673,7 @@ class TestLockstepEquality:
     @settings(max_examples=60, deadline=None, phases=UNSHRUNK)
     def test_every_walked_dual_is_in_lockstep_order_and_matches(self, seed, shape, fractional, data):
         lp = walk_instance(seed, shape, fractional, data)
-        for prim, dual, _ in walk_bases(initial_dictionary(lp), dual_dictionary_direct(dual_lp(lp))):
+        for prim, dual, _ in walk_bases(initial_dictionary(lp), dual_dictionary_direct(lp)):
             assert (dual.basis, dual.nonbasis) == (prim.nonbasis, prim.basis)
             assert self.matches(prim, dual)
             # Rows and columns moved away from lockstep order fail, though
@@ -714,7 +714,7 @@ class TestLockstepEquality:
         # 1 has no dual and each one at depth 2 rebuilds its dual from the
         # dual start, whose builder puts columns in ascending order.
         lp = walk_instance(seed, shape, fractional, data)
-        dual_start = dual_dictionary_direct(dual_lp(lp))
+        dual_start = dual_dictionary_direct(lp)
 
         def failing(d, enter, leave):
             if d is dual_start:
@@ -742,7 +742,7 @@ class TestLockstepEquality:
         # built transpose raises on rows of unequal lengths, the in-place
         # check returns False, and a lone row transposes to other columns.
         lp = walk_instance(seed, shape, fractional, data)
-        for prim, dual, _ in walk_bases(initial_dictionary(lp), dual_dictionary_direct(dual_lp(lp))):
+        for prim, dual, _ in walk_bases(initial_dictionary(lp), dual_dictionary_direct(lp)):
             assert self.matches(prim, dual) and dual == negative_transpose(prim)
             d = data.draw(st.sampled_from([prim, dual]), label="side")
             i = data.draw(st.integers(0, d.m - 1), label="i")
@@ -795,7 +795,7 @@ class TestLockstepEquality:
     def test_the_check_and_the_built_transpose_accept_every_pair_of_an_8x8_walk(self, eight_by_eight):
         # The fractional walk pivots in reduced form, so every pair is
         # compared on gcd-reduced numerators at scale.
-        walk = walk_bases(initial_dictionary(eight_by_eight), dual_dictionary_direct(dual_lp(eight_by_eight)))
+        walk = walk_bases(initial_dictionary(eight_by_eight), dual_dictionary_direct(eight_by_eight))
         agree = [self.matches(prim, dual) and dual == negative_transpose(prim) for prim, dual, _ in walk]
         assert agree.count(True) == len(agree) == 12_838
 
@@ -812,7 +812,7 @@ class TestLockstepEquality:
         # silently out of the check. The fields are checked against the dual
         # LP's own slack dictionary, which is built without a transpose of Q.
         compared = [f.name for f in fields(Dictionary) if f.compare]
-        prim, direct = initial_dictionary(e1), dual_dictionary_direct(dual_lp(e1))
+        prim, direct = initial_dictionary(e1), dual_dictionary_direct(e1)
         read = []
 
         class Recorded:
