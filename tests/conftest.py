@@ -15,10 +15,10 @@ from dictlp.model import StandardLP
 from reference import lp_fractions
 
 # No library path may depend on a lifted int/str digit limit, so the suite
-# runs at the lowest one CPython accepts (640, which 3.10 lacks), and so
-# does every child a test starts: tests/test_cli.py builds its child
-# environment from os.environ. TestHugeNumbers starts each of its tests
-# from the default limit instead.
+# runs at the lowest one CPython accepts, 640 (where the interpreter has a
+# limit), and so does every child a test starts: tests/test_cli.py builds
+# its child environment from os.environ. TestHugeNumbers starts each of
+# its tests from the default limit instead.
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(sys.int_info.str_digits_check_threshold)
 os.environ["PYTHONINTMAXSTRDIGITS"] = "640"
