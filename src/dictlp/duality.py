@@ -196,7 +196,7 @@ _Edge = tuple[Dictionary, int, int]
 _Step = tuple[Dictionary, Dictionary | None, _Edge | None]
 
 
-def walk_bases(start: Dictionary, dual_start: Dictionary | None = None) -> Iterator[_Step]:
+def walk_bases(start: Dictionary, dual_start: Dictionary) -> Iterator[_Step]:
     """Each basis reachable from ``start`` once, by reverse search rooted at ``start``'s basis B0.
 
     Yields ``(prim, dual, edge)``: the dictionary for a basis, reached by one
@@ -218,12 +218,12 @@ def walk_bases(start: Dictionary, dual_start: Dictionary | None = None) -> Itera
     dictionary the walk reaches every basis, with one pivot per basis after
     the first.
 
-    With ``dual_start``, the dual dictionary on ``start``'s nonbasis in
+    ``dual_start`` is the dual dictionary on ``start``'s nonbasis in
     lockstep order (basis ``start.nonbasis``, nonbasis ``start.basis``),
-    the dual is carried in lockstep: the primal pivot (enter e, leave l) is
-    the dual pivot (enter l, leave e) on the dual's own dictionary, which
-    keeps that order. Where that pivot fails, ``dual`` is None for that
-    basis alone: its children build their duals from ``dual_start``
+    and the dual is carried in lockstep: the primal pivot (enter e, leave
+    l) is the dual pivot (enter l, leave e) on the dual's own dictionary,
+    which keeps that order. Where that pivot fails, ``dual`` is None for
+    that basis alone: its children build their duals from ``dual_start``
     (``dictionary_from_basis``, put back in lockstep order).
     """
     start_basic = frozenset(start.basis)
@@ -247,15 +247,13 @@ def walk_bases(start: Dictionary, dual_start: Dictionary | None = None) -> Itera
 
 
 def _child_dual(
-    dual_start: Dictionary | None, dual: Dictionary | None, child: Dictionary, enter: int, leave: int
+    dual_start: Dictionary, dual: Dictionary | None, child: Dictionary, enter: int, leave: int
 ) -> Dictionary | None:
     """The dual of ``child``: one pivot (enter ``leave``, leave ``enter``) from its parent's ``dual``.
 
     Where the parent has no dual, it is built from ``dual_start`` instead, in lockstep order.
-    None when there is no ``dual_start``, or when the pivot or the build fails.
+    None when the pivot or the build fails.
     """
-    if dual_start is None:
-        return None
     try:
         if dual is None:
             return _arrange(dictionary_from_basis(dual_start, child.nonbasis), child.nonbasis, child.basis)

@@ -21,8 +21,8 @@ unbounded ray.
 one improving-ray test for the ray on the LP and the Farkas vector on its
 dual) before it returns, and raises ``CertificateError`` if it does not
 hold. Its trace holds every dictionary of the path, or with ``keep=False``
-only each phase's start and the positions of its pivots (``_Replay``),
-which pivot again when the steps are read.
+only each phase's start and the positions of its pivots (``_Replay``):
+its steps have a length, and pivot again when they are iterated.
 
 The default rule is Bland's (termination guaranteed); Dantzig's largest-
 coefficient rule is opt-in, with ties always broken toward the smallest
@@ -41,8 +41,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
-from operator import eq, mul
+from operator import mul
 from typing import Iterator, Sequence
 
 from dictlp import _kernels
@@ -63,12 +62,12 @@ class PivotStep:
     dictionary: Dictionary
 
 
-class _Replay(Sequence[PivotStep]):
+class _Replay:
     """A phase's pivots kept as their positions (r, s), read by pivoting again from the phase start.
 
-    Each read of a step pivots from ``start`` up to it, and iteration pivots
-    once per step, so the path holds one dictionary at a time. It equals the
-    tuple of the same steps, by value, and hashes as that tuple does.
+    Its length is the pivot count, read without a pivot. Iteration pivots
+    from ``start`` once per step, so the path holds one dictionary at a
+    time. It equals only itself.
     """
 
     __slots__ = ("_start", "_positions")
@@ -87,33 +86,18 @@ class _Replay(Sequence[PivotStep]):
             d = _pivot(d, r, s)
             yield PivotStep(enter=d.basis[r], leave=d.nonbasis[s], dictionary=d)
 
-    def __getitem__(self, index: int | slice) -> PivotStep | tuple[PivotStep, ...]:
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        return next(islice(self, range(len(self))[index], None))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (_Replay, tuple)):
-            return len(self) == len(other) and all(map(eq, self, other))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"_Replay({len(self)} pivots)"
-
 
 @dataclass(frozen=True)
 class TracePhase:
     """One simplex run: a starting dictionary and the pivots applied to it.
 
-    ``steps`` is a tuple, or a ``_Replay`` when the solve kept positions only.
+    ``steps`` is a tuple, or a ``_Replay`` when the solve kept positions
+    only: an iterable with a length, which pivots again when iterated.
     """
 
     name: str
     start: Dictionary
-    steps: Sequence[PivotStep]
+    steps: tuple[PivotStep, ...] | _Replay
 
 
 @dataclass(frozen=True)
@@ -168,7 +152,7 @@ def _cycle_guard(d: Dictionary, rule: PivotRule, visited: set[frozenset[int]]) -
 
 def primal_simplex(
     d: Dictionary, rule: PivotRule = PivotRule.BLAND, keep: bool = True
-) -> tuple[Dictionary, Sequence[PivotStep], int | None]:
+) -> tuple[Dictionary, list[PivotStep] | _Replay, int | None]:
     """Run primal simplex from a primal-feasible dictionary.
 
     Returns the final dictionary, the pivots and a signal saying how the
@@ -176,8 +160,8 @@ def primal_simplex(
     column has no positive entry (unbounded). Every intermediate dictionary
     stays primal feasible. On a repeated basis the loop switches to Bland's
     rule for the rest of the run. The pivots are a list of ``PivotStep``,
-    or without ``keep`` a sequence of the same steps that pivots again from
-    ``d`` when read.
+    or without ``keep`` an iterable of the same steps, with a length, that
+    pivots again from ``d`` when iterated.
     """
     if not is_primal_feasible(d):
         raise ValueError("primal simplex requires a primal-feasible dictionary")
@@ -186,7 +170,7 @@ def primal_simplex(
 
 def dual_simplex(
     d: Dictionary, rule: PivotRule = PivotRule.BLAND, keep: bool = True
-) -> tuple[Dictionary, Sequence[PivotStep], int | None]:
+) -> tuple[Dictionary, list[PivotStep] | _Replay, int | None]:
     """Run dual simplex from a dual-feasible dictionary.
 
     Returns the final dictionary, the pivots (as ``primal_simplex`` does)
@@ -206,7 +190,7 @@ def dual_simplex(
 
 def _simplex(
     d: Dictionary, rule: PivotRule, dual: bool, keep: bool
-) -> tuple[Dictionary, Sequence[PivotStep], int | None]:
+) -> tuple[Dictionary, list[PivotStep] | _Replay, int | None]:
     """The primal method on ``d``, or with ``dual`` on its negative transpose, pivoting ``d`` itself.
 
     The negative transpose has nonbasic labels ``d.basis`` with objective
@@ -227,7 +211,7 @@ def _simplex(
     rule = PivotRule(rule)  # "bland" is Bland's rule; a value that names no rule raises ValueError
     sign = -1 if dual else 1
     positions = array("q")
-    steps: Sequence[PivotStep] = [] if keep else _Replay(d, positions)
+    steps: list[PivotStep] | _Replay = [] if keep else _Replay(d, positions)
     visited: set[frozenset[int]] = set()
     while True:
         if visited and rule is PivotRule.DANTZIG:  # a basis recurs only within a degenerate run
@@ -302,8 +286,9 @@ def solve(
 
     With ``keep`` (the default) the trace holds every dictionary of the
     path. Without it, each phase keeps its start and the positions of its
-    pivots, and reading its steps pivots again from the start: the same
-    steps, equal by value, in memory that does not grow with the path.
+    pivots: its steps have a length, read without a pivot, and iterating
+    them pivots again from the start, giving the same steps in memory that
+    does not grow with the path.
     """
     outcome, trace = _two_phase(initial_dictionary(lp), rule, keep)
     check_outcome(lp, outcome)

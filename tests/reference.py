@@ -45,8 +45,9 @@ membership in R's kernel; ``kernel_embedding`` and ``rowspace_embedding``
 lift a dictionary's ``basic_solution`` into the kernel and the row space.
 ``canonical`` sorts a dictionary's rows and columns by variable, so that
 dictionaries that differ only in order compare equal. ``enumerate_bases``
-lists the bases a primal-only ``dictlp.duality.walk_bases`` reaches from
-the slack dictionary, sorted; ``verify`` walks them without listing them.
+lists the bases that ``dictlp.duality.walk_bases`` reaches from the slack
+dictionary, with the dual LP's dictionary in lockstep, sorted; ``verify``
+walks them without listing them.
 
 A chain of pivots from an integer start keeps its dictionaries in
 determinant form, whose numerators need not be in lowest terms.
@@ -63,7 +64,7 @@ from itertools import chain
 from math import gcd
 
 from dictlp.dictionary import Dictionary, NotABasisError, _arrange, initial_dictionary, negative_transpose, pivot
-from dictlp.duality import walk_bases
+from dictlp.duality import dual_dictionary_direct, walk_bases
 from dictlp.model import StandardLP
 from dictlp.simplex import PivotRule, SolveTrace
 
@@ -164,8 +165,9 @@ def canonical(d: Dictionary) -> Dictionary:
 
 
 def enumerate_bases(lp: StandardLP) -> list[tuple[int, ...]]:
-    """All bases of ``lp``, ascending within and across: those a primal-only walk reaches from the slack dictionary."""
-    return sorted(tuple(sorted(d.basis)) for d, _, _ in walk_bases(initial_dictionary(lp)))
+    """All bases of ``lp``, ascending within and across: those the walk reaches from the slack dictionary."""
+    walk = walk_bases(initial_dictionary(lp), dual_dictionary_direct(lp))
+    return sorted(tuple(sorted(d.basis)) for d, _, _ in walk)
 
 
 def format_dictionary_by_fractions(d: Dictionary) -> str:

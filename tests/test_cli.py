@@ -975,7 +975,7 @@ class TestVerifyCommand:
         # dual pivot (onto N = 2,3,4,7) fails, so its children build their
         # duals from the dual start instead, and pass.
         lp = random_lp(3, 4, seed=1)
-        steps = list(duality.walk_bases(initial_dictionary(lp)))
+        steps = list(duality.walk_bases(initial_dictionary(lp), duality.dual_dictionary_direct(lp)))
         parents = [sorted(parent.basis) for _, _, (parent, _, _) in steps[1:]]
         assert parents.count([1, 5, 6]) == 6
         self.fail_dual_pivot_onto([2, 3, 4, 7], monkeypatch)

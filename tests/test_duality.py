@@ -412,7 +412,7 @@ class TestSpansParent:
         lp = walk_instance(seed, shape, fractional, data)
         start = initial_dictionary(lp)
         rows = _scaled_rows(start)
-        for prim, _, edge in walk_bases(start):
+        for prim, _, edge in walk_bases(start, dual_dictionary_direct(lp)):
             if edge is None:
                 continue
             assert _spans_parent(*edge, prim) and _spans(rows, prim)
@@ -482,7 +482,7 @@ class TestFaultInTheWalk:
     @settings(max_examples=40, deadline=None, phases=UNSHRUNK)
     def test_the_subtree_fails_as_against_R(self, seed, shape, fractional, data):
         lp = walk_instance(seed, shape, fractional, data)
-        pivots = sum(1 for _ in walk_bases(initial_dictionary(lp))) - 1
+        pivots = sum(1 for _ in walk_bases(initial_dictionary(lp), dual_dictionary_direct(lp))) - 1
         assume(pivots > 0)
         target = data.draw(st.integers(0, pivots - 1), label="target")
         real_pivot, real_spans, real_walk = duality.pivot, duality._spans, duality.walk_bases
@@ -644,14 +644,12 @@ class TestWalkBases:
         assert sum(1 for _ in steps) == 915
         assert peak <= 2 * (min(lp.m, lp.n) + 1) * lp.m * lp.n
 
-    def test_primal_only_walk_carries_no_dual(self, e1):
-        steps = list(walk_bases(initial_dictionary(e1)))
-        assert len(steps) == 10
-        assert all(dual is None for _, dual, _ in steps)
-
     def test_walk_from_a_pivoted_start(self, e1):
         start = pivot(initial_dictionary(e1), 1, 5)
-        walked = sorted(tuple(sorted(prim.basis)) for prim, _, _ in walk_bases(start))
+        dual_start = _arrange(
+            dictionary_from_basis(dual_dictionary_direct(e1), start.nonbasis), start.nonbasis, start.basis
+        )
+        walked = sorted(tuple(sorted(prim.basis)) for prim, _, _ in walk_bases(start, dual_start))
         assert walked == enumerate_bases(e1)
 
 

@@ -251,18 +251,24 @@ def test_names_the_benchmark_reads(monkeypatch):
     assert public <= {"parse_rational", "format_rational", "common_denominator"}
 
     # perfbench/worker.py reads the size of each instance, and the phases,
-    # steps and Fraction views of every dictionary in a solve's trace.
+    # steps and Fraction views of every dictionary in a solve's trace: each
+    # phase's len(steps), then its steps by iteration. Every `dictlp solve`
+    # op makes a replayed trace (keep=False); it must read as the kept one.
     parsed = parse_lp("lp v1\n2 2\n1 1/2\n1 2 4\n-1 -1 -1\n")
     assert (parsed.m, parsed.n) == (2, 2)
-    _, trace = solve(parsed)
-    dictionaries = []
-    for phase in trace.phases:
-        assert isinstance(phase.name, str)
-        dictionaries += [phase.start] + [step.dictionary for step in phase.steps]
-    assert len(dictionaries) > 1
-    for d in dictionaries:
-        entries = [*d.p, *d.q, d.z_star, *(x for row in d.Q.row_lists() for x in row)]
-        assert all(isinstance(x.numerator, int) and isinstance(x.denominator, int) for x in entries)
+    read = []
+    for keep in (True, False):
+        _, trace = solve(parsed, keep=keep)
+        pivots, entries = 0, []
+        for phase in trace.phases:
+            assert isinstance(phase.name, str)
+            pivots += len(phase.steps)
+            for d in [phase.start] + [step.dictionary for step in phase.steps]:
+                entries.append([*d.p, *d.q, d.z_star, *(x for row in d.Q.row_lists() for x in row)])
+        assert pivots > 0 and len(entries) == len(trace.phases) + pivots
+        assert all(isinstance(x.numerator, int) and isinstance(x.denominator, int) for row in entries for x in row)
+        read.append(entries)
+    assert read[0] == read[1]
 
     calls = []
     real = _kernels.pivot_update
