@@ -830,7 +830,7 @@ class TestLockstepEquality:
 
 
 class TestEnumerateBases:
-    """``reference.enumerate_bases``: a primal-only walk from the slack dictionary reaches every basis."""
+    """``reference.enumerate_bases``: the walk from the slack dictionary reaches every basis."""
 
     def test_e1_has_all_ten(self, e1):
         assert enumerate_bases(e1) == [
