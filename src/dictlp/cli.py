@@ -17,7 +17,7 @@ import argparse
 import os
 import random
 import sys
-from pathlib import Path
+from contextlib import nullcontext
 from typing import Sequence
 
 from dictlp.dictionary import (
@@ -79,8 +79,16 @@ def integer(text: str) -> int:
 
 
 def _read_instance(path: str) -> StandardLP:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    return parse_lp(text)
+    """The instance in the file ``path``, or on standard input for ``-``, read as bytes and decoded as UTF-8.
+
+    Both sources take this one path, so the locale and ``PYTHONIOENCODING``
+    change nothing: the same bytes parse the same way, and a byte that is
+    not UTF-8 raises ``UnicodeDecodeError`` wherever it stands, a comment
+    included. ``parse_lp`` drops a leading byte-order mark. Standard input
+    is read to its end and left open.
+    """
+    with nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as f:
+        return parse_lp(f.read().decode("utf-8"))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

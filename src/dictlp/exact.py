@@ -89,7 +89,11 @@ def _str(x: int) -> str:
 
 
 class QMatrix:
-    """Read-only dense ``Fraction`` matrix (row-major), the type of ``Dictionary.Q``: no arithmetic."""
+    """Read-only dense ``Fraction`` matrix (row-major), the type of ``Dictionary.Q``: no arithmetic.
+
+    It is read through ``row_lists()``, and two compare by value the same
+    way: a ``QMatrix`` equals only itself.
+    """
 
     __slots__ = ("_rows",)
 
@@ -99,11 +103,4 @@ class QMatrix:
     def row_lists(self) -> list[list[Fraction]]:
         """Rows as fresh mutable lists."""
         return [list(row) for row in self._rows]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QMatrix) and self._rows == other._rows
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(map(str, row)) for row in self._rows)
-        return f"QMatrix[{body}]"
 

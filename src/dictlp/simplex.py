@@ -17,12 +17,14 @@ and pivots at those positions. One reader (``_ray``) gives both rays: the
 unbounded ray, and the Farkas vector, which is the slack part of the dual's
 unbounded ray.
 
-``solve`` re-checks its certificate against the instance (``check_outcome``,
+``solve`` is the one two-phase driver. It runs each phase through
+``primal_simplex`` or ``dual_simplex``, and every path leaves by one exit,
+which re-checks the certificate against the instance (``check_outcome``,
 one improving-ray test for the ray on the LP and the Farkas vector on its
-dual) before it returns, and raises ``CertificateError`` if it does not
-hold. Its trace holds every dictionary of the path, or with ``keep=False``
-only each phase's start and the positions of its pivots (``_Replay``):
-its steps have a length, and pivot again when they are iterated.
+dual) and raises ``CertificateError`` if it does not hold. Its trace holds
+every dictionary of the path, or with ``keep=False`` only each phase's
+start and the positions of its pivots (``_Replay``): its steps have a
+length, and pivot again when they are iterated.
 
 The default rule is Bland's (termination guaranteed); Dantzig's largest-
 coefficient rule is opt-in, with ties always broken toward the smallest
@@ -281,8 +283,9 @@ def solve(
     phase; else it starts from the slack dictionary priced with the
     all-(-1) objective (dual feasible by construction), and phase 2 prices
     phase 1's final dictionary with the true objective and finishes with
-    primal simplex. The outcome passes ``check_outcome`` against ``lp``
-    before it is returned.
+    primal simplex. Each phase runs through ``primal_simplex`` or
+    ``dual_simplex``. Every path ends at one exit, where the outcome passes
+    ``check_outcome`` against ``lp`` before it is returned with the trace.
 
     With ``keep`` (the default) the trace holds every dictionary of the
     path. Without it, each phase keeps its start and the positions of its
@@ -290,40 +293,32 @@ def solve(
     them pivots again from the start, giving the same steps in memory that
     does not grow with the path.
     """
-    outcome, trace = _two_phase(initial_dictionary(lp), rule, keep)
-    check_outcome(lp, outcome)
-    return outcome, trace
-
-
-def _two_phase(d0: Dictionary, rule: PivotRule, keep: bool) -> tuple[SolveOutcome, SolveTrace]:
-    """``solve`` from the slack dictionary ``d0``, without the re-check."""
+    d0 = initial_dictionary(lp)
     n = d0.n
-    frozen = tuple if keep else lambda steps: steps  # a _Replay is read-only already
+    phases: list[TracePhase] = []
 
+    def phase(name: str, method, start: Dictionary) -> tuple[Dictionary, int | None]:
+        final, steps, signal = method(start, rule, keep)
+        phases.append(TracePhase(name, start, tuple(steps) if keep else steps))  # a _Replay is read-only already
+        return final, signal
+
+    leave = enter = None
     if is_primal_feasible(d0):
-        final, steps, enter = primal_simplex(d0, rule, keep)
-        trace = SolveTrace(phases=(TracePhase("primal simplex", d0, frozen(steps)),))
-        return _primal_outcome(final, enter, n), trace
-
-    # A dual-feasible d0 needs no auxiliary objective: phase 1 starts from
-    # it, and the optimum it reaches is the answer.
-    dual_start = is_dual_feasible(d0)
-    phase1_start = d0 if dual_start else _priced(d0, [-1] * n, 1)
-    final1, steps1, leave1 = dual_simplex(phase1_start, rule, keep)
-    name = "dual simplex" if dual_start else "phase 1: dual simplex, auxiliary objective"
-    phase1 = TracePhase(name, phase1_start, frozen(steps1))
-    if leave1 is not None:
-        farkas = _ray(final1, leave1, True, range(n + 1, n + d0.m + 1))
-        return Infeasible(farkas=farkas), SolveTrace(phases=(phase1,))
-    if dual_start:
-        return _primal_outcome(final1, None, n), SolveTrace(phases=(phase1,))
-
-    phase2_start = _priced(final1, list(d0.q_num), d0.D)
-    final2, steps2, enter2 = primal_simplex(phase2_start, rule, keep)
-    trace = SolveTrace(
-        phases=(phase1, TracePhase("phase 2: primal simplex", phase2_start, frozen(steps2)))
-    )
-    return _primal_outcome(final2, enter2, n), trace
+        final, enter = phase("primal simplex", primal_simplex, d0)
+    else:
+        # A dual-feasible d0 needs no auxiliary objective: phase 1 starts
+        # from it, and the optimum it reaches is the answer.
+        dual_start = is_dual_feasible(d0)
+        name = "dual simplex" if dual_start else "phase 1: dual simplex, auxiliary objective"
+        final, leave = phase(name, dual_simplex, d0 if dual_start else _priced(d0, [-1] * n, 1))
+        if leave is None and not dual_start:
+            final, enter = phase("phase 2: primal simplex", primal_simplex, _priced(final, list(d0.q_num), d0.D))
+    if leave is None:
+        outcome = _primal_outcome(final, enter, n)
+    else:
+        outcome = Infeasible(farkas=_ray(final, leave, True, range(n + 1, n + d0.m + 1)))
+    check_outcome(lp, outcome)
+    return outcome, SolveTrace(phases=tuple(phases))
 
 
 def _priced(d: Dictionary, costs: list[int], L: int) -> Dictionary:
@@ -366,25 +361,28 @@ def check_outcome(lp: StandardLP, outcome: SolveOutcome) -> None:
     value. Unbounded: the point is feasible and the ray is an improving ray
     of ``lp``. Infeasible: the Farkas vector is an improving ray of
     ``dual_lp(lp)``, whose -A0^T u <= 0 and -b.u > 0 read u.A0 >= 0 and
-    u.b < 0. O(mn) substitution in integers, each certificate vector over
-    the lcm of its own denominators.
+    u.b < 0. O(mn) substitution in integers. Each certificate converts in
+    one ``common_denominator`` call: a ray or a Farkas vector alone, a point
+    together with its optimal value, so that over their lcm the objective
+    test reads c_num.x == value * D. An entry that is not an ``int`` or a
+    ``Fraction``, the value included, raises ``TypeError``.
     """
     if isinstance(outcome, Infeasible):
         if not _is_improving_ray(dual_lp(lp), outcome.farkas):
             farkas = _rationals_text(outcome.farkas)
             raise CertificateError(f"farkas vector fails u >= 0, u.A0 >= 0, u.b < 0: {farkas}")
         return
-    L, (x,) = common_denominator([outcome.point])
+    optimal = isinstance(outcome, Optimal)
+    L, (x, value) = common_denominator([outcome.point, [outcome.value] if optimal else []])
     if not (
         len(x) == lp.n
         and all(v >= 0 for v in x)
         and all(_dot(row, x) <= b_i * L for row, b_i in zip(lp.A0_num, lp.b_num))
     ):
         raise CertificateError(f"point is not feasible: {_rationals_text(outcome.point)}")
-    if isinstance(outcome, Optimal):
-        value = outcome.value
-        if _dot(lp.c_num, x) * value.denominator != value.numerator * lp.D * L:
-            raise CertificateError(f"objective at the point is not {_rationals_text([value])}")
+    if optimal:
+        if _dot(lp.c_num, x) != value[0] * lp.D:
+            raise CertificateError(f"objective at the point is not {_rationals_text([outcome.value])}")
         return
     if not _is_improving_ray(lp, outcome.ray):
         raise CertificateError(f"ray fails ray >= 0, A0.ray <= 0, c.ray > 0: {_rationals_text(outcome.ray)}")

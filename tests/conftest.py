@@ -9,7 +9,6 @@ import pytest
 
 from dictlp.cli import random_lp
 from dictlp.dictionary import Dictionary, initial_dictionary, pivot
-from dictlp.exact import QMatrix
 from dictlp.model import StandardLP
 
 from reference import lp_fractions
@@ -26,10 +25,6 @@ os.environ["PYTHONINTMAXSTRDIGITS"] = "640"
 DATA = Path(__file__).parent / "data"
 
 E1_TEXT = (DATA / "e1.lp").read_text(encoding="utf-8")
-
-
-def qm(rows) -> QMatrix:
-    return QMatrix([[Fraction(x) for x in row] for row in rows])
 
 
 def qrows(rows) -> list[list[Fraction]]:

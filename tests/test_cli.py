@@ -704,7 +704,7 @@ class TestSolveCommand:
         assert "pivots = 0" in out
 
     def test_stdin_input(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("lp v1\n1 1\n-1\n1 1\n"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"lp v1\n1 1\n-1\n1 1\n"), encoding="utf-8"))
         code = main(["solve", "-"])
         assert code == 0
         assert "value = 0" in capsys.readouterr().out
@@ -724,6 +724,12 @@ class TestSolveCommand:
             results.append(run_main(argv))
         assert results[0][0] == 0
         assert results[1] == results[0]
+        if source == "stdin":
+            # Standard input is read as bytes, so the encoding of the text
+            # stream over it (the locale's, or PYTHONIOENCODING's) changes nothing.
+            bom_text = io.BytesIO(b"\xef\xbb\xbf" + text)
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(bom_text, encoding="latin-1"))
+            assert run_main(["solve", "-"]) == results[0]
 
     def test_corrupted_kernel_exits_6(self, capsys, monkeypatch):
         # A kernel that adds 1 to z* after every pivot: the solve ends with a
@@ -1192,14 +1198,33 @@ class TestErrorPaths:
         assert "parse error: line 3: malformed rational" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv",
-        [["solve"], ["trace"], ["trace", "--pivot", "1,2"], ["dual"], ["dict", "--basis", "2"], ["verify"]],
-        ids=["solve", "trace", "trace-pivot", "dual", "dict", "verify"],
+        "argv,source",
+        [
+            # A file keeps the command's name as its id.
+            pytest.param(argv, source, id=name if source == "file" else f"{name}-{source}")
+            for name, argv in {
+                "solve": ["solve"],
+                "trace": ["trace"],
+                "trace-pivot": ["trace", "--pivot", "1,2"],
+                "dual": ["dual"],
+                "dict": ["dict", "--basis", "2"],
+                "verify": ["verify"],
+            }.items()
+            for source in ("file", "stdin-token", "stdin-comment")
+        ],
     )
-    def test_non_utf8_file_is_one_error_line(self, tmp_path, capsys, argv):
-        path = tmp_path / "bad.lp"
-        path.write_bytes(b"lp v1\n1 1\n1\n1 \xff\n")
-        assert main([argv[0], str(path), *argv[1:]]) == 1
+    def test_non_utf8_file_is_one_error_line(self, tmp_path, capsys, monkeypatch, argv, source):
+        data = b"lp v1\n1 1\n1\n1 1 # \xff\n" if source == "stdin-comment" else b"lp v1\n1 1\n1\n1 \xff\n"
+        if source == "file":
+            path = tmp_path / "bad.lp"
+            path.write_bytes(data)
+            name = str(path)
+        else:
+            # The text stream a POSIX locale puts over standard input, which
+            # would pass the byte on as a lone surrogate.
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
+            name = "-"
+        assert main([argv[0], name, *argv[1:]]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")

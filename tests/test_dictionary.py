@@ -26,7 +26,7 @@ from conftest import (
     divided,
     klee_minty,
     objective_at,
-    qm,
+    qrows,
     qv,
     random_pivots,
     suite_instance,
@@ -59,7 +59,7 @@ class TestFromBasis:
         assert d.basis == (4, 1)
         assert d.nonbasis == (2, 3, 5)
         assert d.p == qv([6, 3])
-        assert d.Q == qm([[-2, -10, 4], [1, 2, -1]])
+        assert d.Q.row_lists() == qrows([[-2, -10, 4], [1, 2, -1]])
         assert d.q == qv([3, -26, 8])
         assert d.z_star == 24
 
@@ -119,7 +119,7 @@ class TestPivot:
         assert e1_second.basis == (4, 1)
         assert e1_second.nonbasis == (5, 2, 3)
         assert e1_second.p == qv([6, 3])
-        assert e1_second.Q == qm([[4, -2, -10], [-1, 1, 2]])
+        assert e1_second.Q.row_lists() == qrows([[4, -2, -10], [-1, 1, 2]])
         assert e1_second.q == qv([8, 3, -26])
         assert e1_second.z_star == 24
 
@@ -495,7 +495,7 @@ class TestNegativeTranspose:
         assert nt.basis == (1, 2, 3)
         assert nt.nonbasis == (4, 5)
         assert nt.p == qv([-8, -11, 10])
-        assert nt.Q == qm([[-4, 1], [-2, 1], [2, 2]])
+        assert nt.Q.row_lists() == qrows([[-4, 1], [-2, 1], [2, 2]])
         assert nt.q == qv([-18, 3])
         assert nt.z_star == 0
 
@@ -504,7 +504,7 @@ class TestNegativeTranspose:
         assert nt.basis == (5, 2, 3)
         assert nt.nonbasis == (4, 1)
         assert nt.p == qv([-8, -3, 26])
-        assert nt.Q == qm([[-4, 1], [2, -1], [10, -2]])
+        assert nt.Q.row_lists() == qrows([[-4, 1], [2, -1], [10, -2]])
         assert nt.q == qv([-6, -3])
         assert nt.z_star == -24
 
@@ -537,7 +537,7 @@ class TestCanonical:
         assert c.nonbasis == (2, 3, 5)
         assert c.p == qv([3, 6])
         # row 0 is now x1, columns reordered to (2, 3, 5)
-        assert c.Q == qm([[1, 2, -1], [-2, -10, 4]])
+        assert c.Q.row_lists() == qrows([[1, 2, -1], [-2, -10, 4]])
         assert c.q == qv([3, -26, 8])
 
     def test_idempotent(self, e1_second):

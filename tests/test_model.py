@@ -13,7 +13,7 @@ from dictlp.model import (
     serialize_lp,
 )
 
-from conftest import E1_TEXT, qm, qrows, qv
+from conftest import E1_TEXT, qrows, qv
 from reference import basic_solution, lp_fractions
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=5)
@@ -256,7 +256,7 @@ class TestInitialDictionary:
         assert d.nonbasis == (1, 2, 3)
         A0, b, c = lp_fractions(e1)
         assert d.p == b
-        assert d.Q == qm(A0)
+        assert d.Q.row_lists() == qrows(A0)
         assert d.q == c
         assert d.z_star == 0
 

@@ -266,23 +266,53 @@ class TestSolveGoldens:
         check_outcome(lp, outcome)
 
     PHASE1 = "phase 1: dual simplex, auxiliary objective"
+    DRIVER_PATHS = {
+        "primal-start": ([[1]], [1], [1], Optimal, ["primal simplex"]),
+        "dual-start-optimal": ([[-1, -1]], [-1], [-1, -1], Optimal, ["dual simplex"]),
+        "dual-start-infeasible": ([[1]], [-1], [0], Infeasible, ["dual simplex"]),
+        "two-phase": ([[1, 1], [-1, 0]], [4, -1], [1, 1], Optimal, [PHASE1, "phase 2: primal simplex"]),
+        "phase-1-infeasible": ([[1]], [-1], [1], Infeasible, [PHASE1]),
+    }
 
-    @pytest.mark.parametrize(
-        "a0,b,c,kind,names",
-        [
-            ([[1]], [1], [1], Optimal, ["primal simplex"]),
-            ([[-1, -1]], [-1], [-1, -1], Optimal, ["dual simplex"]),
-            ([[1]], [-1], [0], Infeasible, ["dual simplex"]),
-            ([[1, 1], [-1, 0]], [4, -1], [1, 1], Optimal, [PHASE1, "phase 2: primal simplex"]),
-            ([[1]], [-1], [1], Infeasible, [PHASE1]),
-        ],
-        ids=["primal-start", "dual-start-optimal", "dual-start-infeasible", "two-phase", "phase-1-infeasible"],
-    )
+    @pytest.mark.parametrize("a0,b,c,kind,names", DRIVER_PATHS.values(), ids=DRIVER_PATHS.keys())
     def test_phase_names_of_every_driver_path(self, a0, b, c, kind, names):
         # A one-phase trace prints no header, so only this pins its name.
         outcome, trace = solve(tiny(a0, b, c))
         assert type(outcome) is kind
         assert [ph.name for ph in trace.phases] == names
+
+    @pytest.mark.parametrize("keep", [True, False])
+    @pytest.mark.parametrize(
+        "a0,b,c,kind,names",
+        [*DRIVER_PATHS.values(), ([[1, -1], [-1, 0]], [1, -1], [1, 1], Unbounded, [PHASE1, "phase 2: primal simplex"])],
+        ids=[*DRIVER_PATHS, "two-phase-unbounded"],
+    )
+    def test_every_exit_rechecks_its_certificate_once(self, monkeypatch, a0, b, c, kind, names, keep):
+        lp = tiny(a0, b, c)
+        checked = []
+        real_check = simplex.check_outcome
+
+        def counted(lp, outcome):
+            checked.append(outcome)
+            real_check(lp, outcome)
+
+        monkeypatch.setattr(simplex, "check_outcome", counted)
+        outcome, trace = solve(lp, keep=keep)
+        assert type(outcome) is kind
+        assert [ph.name for ph in trace.phases] == names
+        assert checked == [outcome]
+        # A certificate moved after the loop: its first entry set to -1
+        # breaks x >= 0, ray >= 0 or u >= 0, at whichever exit it leaves by.
+        real_ray, real_outcome = simplex._ray, simplex._primal_outcome
+
+        def moved(entries):
+            return (Fraction(-1), *entries[1:])
+
+        monkeypatch.setattr(simplex, "_ray", lambda *args: moved(real_ray(*args)))
+        monkeypatch.setattr(simplex, "_primal_outcome", lambda *args: replace(out := real_outcome(*args), point=moved(out.point)))
+        with pytest.raises(CertificateError):
+            solve(lp, keep=keep)
+        assert len(checked) == 2
 
 
 class TestCheckOutcome:
@@ -335,6 +365,8 @@ class TestCheckOutcome:
             Optimal(point=(0.5, 0), value=fr(1, 2)),
             Unbounded(point=qv([0, 0]), ray=(1, "1")),
             Infeasible(farkas=(0.5,)),
+            Optimal(point=qv([0, 0]), value=0.5),
+            Optimal(point=qv([0, 0]), value="0"),
         ],
     )
     def test_entries_that_are_not_int_or_fraction_are_refused(self, outcome):
